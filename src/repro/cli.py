@@ -376,7 +376,6 @@ def _cmd_import_trace(args: argparse.Namespace) -> int:
 
 #: ``record --run`` names -> perf-bench modules under ``benchmarks/``.
 PERF_BENCHES = {
-    "hotpath": "bench_engine_hotpath",
     "control-loop": "bench_control_loop",
     "sweep": "bench_sweep_throughput",
 }
@@ -417,7 +416,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     if not args.paths and not args.run:
         print(
             "record: error: nothing to record — give artifact JSON paths "
-            "or --run {hotpath,control-loop,sweep}",
+            "or --run {control-loop,sweep}",
             file=sys.stderr,
         )
         return 2

@@ -72,9 +72,9 @@ class DomainClock:
     def jitter(self) -> JitterModel:
         """This clock's jitter source.
 
-        The core's batched fast path draws samples from it directly
-        (one per inlined edge, exactly as :meth:`advance` would), so
-        both simulation paths consume the same seeded stream.
+        The native core loop draws samples from its buffer directly
+        (one per edge, exactly as :meth:`advance` would), so both
+        simulation paths consume the same seeded stream.
         """
         return self._jitter
 

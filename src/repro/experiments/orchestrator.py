@@ -627,12 +627,17 @@ class Orchestrator:
         a benchmark that fails to resolve or export simply ships no
         segment and workers build it locally; the scenario itself
         still runs (and reports its own error if the name is bogus).
-        Returns the descriptors to ship and the segment keys to unlink
-        when the sweep ends.
+        Exports nothing when the native loop is not loaded: workers then
+        run the reference interpreter over generator traces and would
+        never read the columns.  Returns the descriptors to ship and the
+        segment keys to unlink when the sweep ends.
         """
         from repro.sim.engine import export_shared_trace
+        from repro.uarch.native import load_hotpath
         from repro.workloads.catalog import get_benchmark
 
+        if load_hotpath() is None:
+            return [], []
         descriptors: list[dict] = []
         seen: set[tuple] = set()
         for scenario in scenarios:

@@ -7,8 +7,8 @@ the script drove the energy/delay result?
 
 Attribution works on the per-interval samples the core records
 (:class:`~repro.uarch.core.IntervalRecord` carries cumulative wall time
-and cumulative energy at each control-interval edge, identically on all
-three execution paths).  Phase boundaries rarely coincide with interval
+and cumulative energy at each control-interval edge, identically on both
+execution paths).  Phase boundaries rarely coincide with interval
 edges, so cumulative time/energy at each boundary is interpolated
 linearly in retired instructions between the bracketing samples; slices
 are then adjacent differences.  Granularity is therefore the control

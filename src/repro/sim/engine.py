@@ -5,14 +5,16 @@ benchmark, processor/MCD configuration, clocking mode, controller — and
 :func:`run_spec` executes it.  Specs are deterministic: the same spec
 always produces the same :class:`~repro.uarch.core.CoreResult`.
 
-By default a spec runs over the benchmark's *compiled* trace
-(:mod:`repro.uarch.compiled_trace`): the workload is generated once,
-content-hash-cached on disk next to the experiment result cache, and
-every subsequent run of the same (benchmark, scale, seed) — across
-processes, orchestrator workers and sessions — reuses the columnar
-form.  The core's batched fast path over it is byte-identical to the
-per-instruction generator path (``compiled=False``), just faster; see
-``benchmarks/bench_engine_hotpath.py`` for the measured ratio.
+A spec's ``path`` picks the interpreter.  The native C loop (the
+default wherever the extension builds) runs over the benchmark's
+*compiled* trace (:mod:`repro.uarch.compiled_trace`): the workload is
+generated once, content-hash-cached on disk next to the experiment
+result cache, and every subsequent run of the same (benchmark, scale,
+seed) — across processes, orchestrator workers and sessions — reuses
+the columnar form.  The pure-Python reference interpreter
+(``path="python"``, and the fallback without a C compiler) runs over
+the generator trace instead.  Both are byte-identical; see
+``benchmarks/bench_control_loop.py`` for the measured ratio.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.concurrency import SingleFlight
 from repro.config.mcd import Domain, MCDConfig
 from repro.config.processor import ProcessorConfig
 from repro.control.base import FrequencyController
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.uarch.compiled_trace import (
     CompiledTrace,
     TraceStore,
@@ -57,7 +59,7 @@ def trace_cache_entries() -> int:
     """Capacity of the in-process compiled-trace cache.
 
     ``REPRO_TRACE_CACHE`` overrides the default of 8 entries (a
-    compiled trace is tens of MB of column lists at full scale, so the
+    compiled trace is about 10 MB of int64 arrays at scale 1.0, so the
     bound is deliberately modest; raise it for wide thread-pool sweeps
     over many distinct benchmarks on a big-memory host).
     """
@@ -164,8 +166,7 @@ def compiled_trace_for(
 
     Thread-safe: concurrent callers for one trace wait on a single
     build, and the returned instance is safely shared across threads
-    (the native path treats it read-only; the batched Python path
-    leases or copies the mutable templates).
+    (its arrays are read-only).
     """
     key = _trace_store_key(bench, scale, seed_offset)
 
@@ -250,19 +251,14 @@ class SimulationSpec:
     warmup:
         Replay the head of the trace through predictor/caches before
         timing, approximating the paper's warm mid-execution windows.
-    compiled:
-        Run over the compiled columnar trace (default; cached on disk,
-        batched core fast path).  False forces the per-instruction
-        generator reference path — byte-identical results, useful for
-        equivalence tests and the hot-path benchmark.
     path:
-        Explicit execution-path selection: ``"auto"`` (default) picks
-        the fastest available; ``"native"`` requires the C loop;
-        ``"python"`` forces the batched Python loop; ``"generator"``
-        forces the per-instruction reference path (implies a generator
-        trace, regardless of ``compiled``).  All paths are
+        Interpreter selection: ``"native"`` runs the C loop over the
+        compiled trace and requires the extension; ``"python"`` runs
+        the pure-Python reference interpreter over the generator
+        trace; ``"auto"`` (default) picks ``native`` when the
+        extension loads, else ``python``.  Both interpreters are
         byte-identical — this knob exists for equivalence tests and
-        the path benchmarks (``benchmarks/bench_control_loop.py``).
+        the path benchmark (``benchmarks/bench_control_loop.py``).
     memory_tracks_global:
         Scale main-memory latency with ``global_frequency_mhz``
         (latency constant in processor cycles, SimpleScalar-style).
@@ -284,7 +280,6 @@ class SimulationSpec:
     record_intervals: bool = False
     warmup: bool = True
     memory_tracks_global: bool = False
-    compiled: bool = True
     path: str = "auto"
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     mcd_config: MCDConfig = field(default_factory=scaled_mcd_config)
@@ -292,13 +287,19 @@ class SimulationSpec:
 
 def _build_core(spec: SimulationSpec) -> tuple[MCDCore, object]:
     """Build the (cold) core and trace one spec describes."""
-    if spec.path not in ("auto", "native", "python", "generator"):
+    from repro.uarch.native import load_hotpath
+
+    if spec.path not in ("auto", "native", "python"):
         raise ExperimentError(
-            f"unknown execution path {spec.path!r}; "
-            "expected auto, native, python or generator"
+            f"unknown execution path {spec.path!r}; expected auto, native or python"
+        )
+    native = spec.path != "python" and load_hotpath() is not None
+    if spec.path == "native" and not native:
+        raise SimulationError(
+            "native path requested but the extension is unavailable"
         )
     bench = get_benchmark(spec.benchmark)
-    if spec.compiled and spec.path != "generator":
+    if native:
         line_shift = spec.processor.line_bytes.bit_length() - 1
         trace = compiled_trace_for(bench, scale=spec.scale, line_shift=line_shift)
     else:
@@ -352,11 +353,7 @@ def run_spec(spec: SimulationSpec) -> CoreResult:
         # the seed), so building a second copy would only duplicate
         # the phase bookkeeping.
         core.warm_up(trace, limit=trace.total_instructions)
-    return core.run(path=spec.path)
-
-
-class _NotBatchable(Exception):
-    """Internal: this spec vector must run through run_spec per run."""
+    return core.run()
 
 
 #: Share warm-up state across a batch cell only for traces at least
@@ -386,30 +383,27 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
       ``_WARM_SHARE_MIN_EVENTS`` just replay: the copy would cost more
       than the walk).
 
-    Anything that cannot take the native compiled path (no C loop,
-    generator/python specs, non-columnar traces) and any error during
-    batch assembly or execution falls back to per-run
-    :func:`run_spec` execution, which re-raises per-spec errors with
-    their normal semantics.
+    Anything that cannot take the native loop (no C loop, ``python``
+    specs) and any error during batch assembly or execution falls back
+    to per-run :func:`run_spec` execution, which re-raises per-spec
+    errors with their normal semantics.
     """
     from repro.uarch.native import load_hotpath
 
-    if len(specs) <= 1:
-        return [run_spec(spec) for spec in specs]
     hotpath = load_hotpath()
-    if hotpath is None or getattr(hotpath, "run_batch", None) is None:
+    if (
+        len(specs) <= 1
+        or hotpath is None
+        or getattr(hotpath, "run_batch", None) is None
+        or any(spec.path == "python" for spec in specs)
+    ):
         return [run_spec(spec) for spec in specs]
     try:
-        cores = []
         args_vector = []
         finishes = []
         warm_snapshots: dict = {}
         for spec in specs:
-            if spec.path not in ("auto", "native") or not spec.compiled:
-                raise _NotBatchable
             core, trace = _build_core(spec)
-            if core.compiled is None or not core.compiled.arrays:
-                raise _NotBatchable
             if spec.warmup:
                 if trace.total_instructions < _WARM_SHARE_MIN_EVENTS:
                     core.warm_up(trace, limit=trace.total_instructions)
@@ -426,13 +420,10 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
                     else:
                         core.restore_warm_state(snapshot)
             args, finish = core.native_marshal()
-            cores.append(core)
             args_vector.append(args)
             finishes.append(finish)
         raw = hotpath.run_batch(args_vector)
         return [finish(res) for finish, res in zip(finishes, raw)]
-    except _NotBatchable:
-        return [run_spec(spec) for spec in specs]
     except Exception:
         # A failed batch (callback exception, trace-exhausted run,
         # marshal error) falls back to per-run execution on fresh

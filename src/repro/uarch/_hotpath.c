@@ -1,11 +1,11 @@
 /* Native batched core loop for compiled traces.
  *
- * A 1:1 translation of MCDCore._run_compiled's event sequence (which is
- * itself byte-identical to the pure-Python reference path): same edge
- * selection, same regulator calls, same jitter-stream consumption, same
- * floating-point accumulation order.  All arithmetic is IEEE double
- * precision; the build disables FP contraction (-ffp-contract=off) so
- * a*b+c rounds exactly as CPython rounds it.
+ * A 1:1 translation of the event sequence of MCDCore's pure-Python
+ * reference interpreter (MCDCore._run_generator), byte-identical to it:
+ * same edge selection, same regulator calls, same jitter-stream
+ * consumption, same floating-point accumulation order.  All arithmetic
+ * is IEEE double precision; the build disables FP contraction
+ * (-ffp-contract=off) so a*b+c rounds exactly as CPython rounds it.
  *
  * State crosses the boundary once per run: compiled-trace columns come
  * in as int64 buffers, cache/predictor/BTB state is unmarshalled from
@@ -16,7 +16,7 @@
  * zero per-interval Python crossings.  Custom controllers and interval
  * recording fall back to the per-interval `rollover` Python callback.
  * See repro/uarch/native.py for the build/load glue and controller
- * marshalling, and MCDCore._run_compiled_native for the marshal layer.
+ * marshalling, and MCDCore.native_marshal for the marshal layer.
  *
  * Execution is staged around a per-run RunState struct so a whole
  * sweep can run on a thread pool inside one process:
@@ -41,9 +41,11 @@
  * storage duration — every array, ring buffer and counter lives on the
  * compute stage's stack or in per-RunState PyMem allocations, and the
  * buffers handed in through the argument dict are created per run by
- * MCDCore._run_compiled_native.  Concurrent run_compiled/run_batch
- * calls from different threads therefore never share writable memory,
- * which is what makes the thread-pool sweep backend sound.
+ * MCDCore.native_marshal (the trace columns it passes are read-only
+ * numpy arrays, and newline is a per-run copy).  Concurrent
+ * run_compiled/run_batch calls from different threads therefore never
+ * share writable memory, which is what makes the thread-pool sweep
+ * backend sound.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -999,7 +1001,8 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     }
                     /* Pick up controller-applied regulator changes.
                      * NOTE: vscale deliberately stays the value bound
-                     * at the top of this cycle, like the Python paths. */
+                     * at the top of this cycle, like the reference
+                     * interpreter. */
                     for (int i = 0; i < 4; i++) {
                         slewing[i] = reg_cur[i] != reg_tgt[i];
                         if (reg_cur[i] != cur_freq[i]) {

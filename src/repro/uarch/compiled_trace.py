@@ -1,8 +1,8 @@
 """Columnar compiled traces and their on-disk store.
 
 A :class:`CompiledTrace` is the whole dynamic instruction stream of one
-workload flattened into plain-list columns, plus derived columns the
-core's batched fast path (:meth:`repro.uarch.core.MCDCore.run` on a
+workload flattened into read-only int64 numpy columns, plus derived
+columns the native core loop (:meth:`repro.uarch.core.MCDCore.run` on a
 compiled trace) consumes directly instead of re-deriving them once per
 dynamic instruction:
 
@@ -16,16 +16,11 @@ dynamic instruction:
     1 when instruction ``i`` starts a new L1I fetch line given the
     compile-time ``line_shift`` (the core performs one I-cache lookup
     per new line), else 0.
-``templates[i]``
-    The issue-queue entry the dispatch stage would build for
-    instruction ``i``: ``[seq, kind, dispatch_ns, p1, p2, addr,
-    retry_ns]``.  ``seq`` is the 1-based dispatch sequence number
-    (dispatch order equals trace order), ``p1``/``p2`` are the
-    dependency distances resolved into absolute producer sequence
-    numbers (0 for none), and the two time slots are reset by the core
-    at dispatch.  Each instruction dispatches at most once per run, so
-    the template lists are handed to the queues directly instead of
-    being rebuilt per dispatch.
+``p1[i]``, ``p2[i]``
+    The dependency distances ``src1``/``src2`` resolved into absolute
+    1-based producer sequence numbers (dispatch order equals trace
+    order, so instruction ``i`` dispatches as sequence number
+    ``i + 1``), 0 for none.
 
 Compilation is a pure function of the trace, so a compiled trace can be
 cached on disk and shared across every run of the same workload:
@@ -36,10 +31,6 @@ config-dependent columns on load.  Writes are atomic
 (temp-file-plus-rename, like the experiment
 :class:`~repro.experiments.cache.CacheStore`), so concurrent
 orchestrator workers never observe a truncated trace.
-
-A :class:`CompiledTrace` also implements the
-:class:`~repro.uarch.trace.TraceStream` protocol (one big block), so
-anything that can consume a generator trace can consume a compiled one.
 """
 
 from __future__ import annotations
@@ -47,10 +38,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
 import zipfile
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -58,7 +47,7 @@ from repro.concurrency import LockedLRU
 from repro.errors import TraceError
 from repro.ioutil import atomic_write, sweep_stale_tmp
 from repro.uarch.isa import DEST_REGISTER_TYPE, ISSUE_DOMAIN_INDEX, NUM_CLASSES
-from repro.uarch.trace import InstructionBlock, TraceStream
+from repro.uarch.trace import TraceStream
 
 #: Bump when the compiled representation or its derivation changes;
 #: joined into every on-disk trace key so stale entries miss.
@@ -84,127 +73,32 @@ _DOMAIN_TABLE = np.array(
 class CompiledTrace:
     """One workload's instruction stream in columnar form.
 
-    All columns are plain Python lists of equal length ``n`` (list
-    indexing beats numpy scalar indexing inside a pure-Python loop).
-    The core treats every column as read-only except ``newline``
-    (copied per run before consuming) and the time slots of
-    ``templates`` entries (reset at dispatch), so one compiled trace
-    serves any number of sequential runs.
-
-    Concurrent runs are supported too: the native path never touches
-    ``templates`` and copies ``newline``, so it shares one instance
-    freely across threads; the batched Python path takes an exclusive
-    lease on the shared template lists (:meth:`lease_templates`) and
-    concurrent lessees transparently get a private copy.
+    ``arrays`` maps each column name to a read-only int64 numpy array
+    of length ``n``, the form the native loop consumes zero-copy.
+    Because numpy refuses writes to them, one compiled trace serves any
+    number of sequential or concurrent runs: the core copies
+    ``newline`` (the only column the C loop updates) per run, and every
+    other consumer only reads.
     """
 
-    __slots__ = (
-        "n",
-        "line_shift",
-        "kinds",
-        "src1",
-        "src2",
-        "pcs",
-        "addrs",
-        "taken",
-        "targets",
-        "dest",
-        "domain",
-        "newline",
-        "templates",
-        "arrays",
-        "_lease_lock",
-        "_templates_leased",
-    )
+    __slots__ = ("n", "line_shift", "arrays")
 
-    def __init__(
-        self,
-        *,
-        line_shift: int,
-        kinds: list[int],
-        src1: list[int],
-        src2: list[int],
-        pcs: list[int],
-        addrs: list[int],
-        taken: list[int],
-        targets: list[int],
-        dest: list[int],
-        domain: list[int],
-        newline: list[int],
-        templates: list[list],
-        arrays: dict | None = None,
-    ) -> None:
-        self.n = len(kinds)
+    def __init__(self, *, line_shift: int, arrays: dict[str, np.ndarray]) -> None:
+        self.n = len(arrays["kinds"])
         self.line_shift = line_shift
-        self.kinds = kinds
-        self.src1 = src1
-        self.src2 = src2
-        self.pcs = pcs
-        self.addrs = addrs
-        self.taken = taken
-        self.targets = targets
-        self.dest = dest
-        self.domain = domain
-        self.newline = newline
-        self.templates = templates
-        #: int64 numpy views of the columns (plus resolved dependency
-        #: pointers p1/p2), consumed zero-copy by the native hot path.
-        self.arrays = arrays or {}
-        self._lease_lock = threading.Lock()
-        self._templates_leased = False
+        self.arrays = arrays
 
-    # --- template leasing (thread-safe sharing) ------------------------------
-    def lease_templates(self) -> tuple[list[list], bool]:
-        """Exclusive lease on the shared ``templates`` lists.
-
-        The batched Python path mutates the per-entry time slots in
-        place, so concurrent runs over one shared compiled trace must
-        not share them.  The first caller — the only one, in serial
-        use — gets the shared lists for free; a caller arriving while
-        the lease is out gets a private, equivalent copy (the mutable
-        slots are reset at dispatch, so a zeroed copy is
-        indistinguishable from a reused list).  Pass the returned flag
-        to :meth:`release_templates` when the run finishes.
-        """
-        with self._lease_lock:
-            if not self._templates_leased:
-                self._templates_leased = True
-                return self.templates, True
-        # Rebuild from the immutable slots only (0/1/3/4/5); the time
-        # slots may be mid-mutation by the lease holder.
-        return [
-            [row[0], row[1], 0.0, row[3], row[4], row[5], 0.0]
-            for row in self.templates
-        ], False
-
-    def release_templates(self, owned: bool) -> None:
-        """Return the shared templates taken by :meth:`lease_templates`."""
-        if owned:
-            with self._lease_lock:
-                self._templates_leased = False
-
-    # --- TraceStream protocol ------------------------------------------------
     @property
     def total_instructions(self) -> int:
         """Exact trace length."""
         return self.n
 
-    def blocks(self) -> Iterator[InstructionBlock]:
-        """Yield the trace as a single block (TraceStream view).
 
-        The block shares this trace's column lists; consumers must not
-        mutate them.
-        """
-        if self.n:
-            yield InstructionBlock(
-                kinds=self.kinds,
-                src1=self.src1,
-                src2=self.src2,
-                pcs=self.pcs,
-                addrs=self.addrs,
-                taken=self.taken,
-                targets=self.targets,
-            )
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array`` (the array itself is untouched)."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
 def from_columns(columns: tuple[np.ndarray, ...], line_shift: int) -> CompiledTrace:
@@ -214,8 +108,6 @@ def from_columns(columns: tuple[np.ndarray, ...], line_shift: int) -> CompiledTr
     if any(len(column) != n for column in columns[1:]):
         raise TraceError("compiled trace columns have mismatched lengths")
     kinds = kinds.astype(np.int64, copy=False)
-    dest = _DEST_TABLE[kinds]
-    domain = _DOMAIN_TABLE[kinds]
     lines = pcs.astype(np.int64, copy=False) >> line_shift
     newline = np.ones(n, dtype=np.int64)
     if n > 1:
@@ -223,46 +115,21 @@ def from_columns(columns: tuple[np.ndarray, ...], line_shift: int) -> CompiledTr
     seq = np.arange(1, n + 1, dtype=np.int64)
     src1 = src1.astype(np.int64, copy=False)
     src2 = src2.astype(np.int64, copy=False)
-    p1 = np.where((src1 > 0) & (src1 < seq), seq - src1, 0)
-    p2 = np.where((src2 > 0) & (src2 < seq), seq - src2, 0)
-    pcs = pcs.astype(np.int64, copy=False)
-    addrs = addrs.astype(np.int64, copy=False)
-    taken = taken.astype(np.int64, copy=False)
-    targets = targets.astype(np.int64, copy=False)
-    kinds_list = kinds.tolist()
-    addrs_list = addrs.tolist()
-    templates = [
-        [s, k, 0.0, a, b, addr, 0.0]
-        for s, k, a, b, addr in zip(
-            seq.tolist(), kinds_list, p1.tolist(), p2.tolist(), addrs_list
-        )
-    ]
     arrays = {
         "kinds": kinds,
-        "pcs": pcs,
-        "addrs": addrs,
-        "taken": taken,
-        "targets": targets,
-        "dest": dest,
-        "domain": domain,
+        "pcs": pcs.astype(np.int64, copy=False),
+        "addrs": addrs.astype(np.int64, copy=False),
+        "taken": taken.astype(np.int64, copy=False),
+        "targets": targets.astype(np.int64, copy=False),
+        "dest": _DEST_TABLE[kinds],
+        "domain": _DOMAIN_TABLE[kinds],
         "newline": newline,
-        "p1": p1.astype(np.int64, copy=False),
-        "p2": p2.astype(np.int64, copy=False),
+        "p1": np.where((src1 > 0) & (src1 < seq), seq - src1, 0),
+        "p2": np.where((src2 > 0) & (src2 < seq), seq - src2, 0),
     }
     return CompiledTrace(
         line_shift=line_shift,
-        kinds=kinds_list,
-        src1=src1.tolist(),
-        src2=src2.tolist(),
-        pcs=pcs.tolist(),
-        addrs=addrs.tolist(),
-        taken=taken.tolist(),
-        targets=targets.tolist(),
-        dest=dest.tolist(),
-        domain=domain.tolist(),
-        newline=newline.tolist(),
-        templates=templates,
-        arrays=arrays,
+        arrays={name: _read_only(array) for name, array in arrays.items()},
     )
 
 
@@ -294,10 +161,10 @@ def compile_trace(trace: TraceStream, line_shift: int) -> CompiledTrace:
     >>> block.append(IC.INT_ALU, pc=64)
     >>> block.append(IC.LOAD, src1=1, pc=68, addr=4096)
     >>> compiled = compile_trace(ListTrace([block]), line_shift=6)
-    >>> compiled.total_instructions, compiled.newline, compiled.domain
-    (2, [1, 0], [1, 3])
-    >>> compiled.templates[1]  # [seq, kind, t, p1, p2, addr, retry]
-    [2, 4, 0.0, 1, 0, 4096, 0.0]
+    >>> compiled.total_instructions
+    2
+    >>> [compiled.arrays[name].tolist() for name in ("newline", "domain", "p1")]
+    [[1, 0], [1, 3], [0, 1]]
     """
     return from_columns(trace_columns(trace), line_shift)
 

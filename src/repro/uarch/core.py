@@ -39,24 +39,25 @@ structures it manipulates (queues, ROB, predictor, caches, regulators)
 keep their clean class interfaces for construction, inspection and
 testing; only their per-cycle state transitions are inlined here.
 
-The loop exists in two forms that produce byte-identical results:
+The loop exists in two forms that produce byte-identical results, and
+the trace a core is built over picks one:
 
-* the **reference path** consumes a generator
+* the **reference interpreter** consumes a generator
   :class:`~repro.uarch.trace.TraceStream` one instruction at a time
   through a :class:`~repro.uarch.frontend.TraceCursor`;
-* the **batched fast path** runs when the core is built over a
-  :class:`~repro.uarch.compiled_trace.CompiledTrace` — the fetch stage
-  walks precompiled columns by integer index, and the cache, branch
-  predictor and clock-edge state transitions are fully inlined.  Every
+* the **native loop** (``_hotpath.c``, see :mod:`repro.uarch.native`)
+  runs when the core is built over a
+  :class:`~repro.uarch.compiled_trace.CompiledTrace`:
+  :meth:`MCDCore.native_marshal` hands it the precompiled numpy
+  columns plus this core's state, and folds the results back.  Every
   observable event (cache/predictor state, jitter stream consumption,
   energy accumulation order, controller snapshots) is sequenced exactly
-  as in the reference path, which the equivalence property tests and
-  ``benchmarks/bench_engine_hotpath.py`` both verify.
+  as in the reference interpreter, which the equivalence property tests
+  and ``benchmarks/bench_control_loop.py`` both verify.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.clocks.domain_clock import DomainClock
@@ -82,7 +83,6 @@ _INF = float("inf")
 _EPS_NS = 1e-6
 _RING = 2048
 _RING_MASK = _RING - 1
-_MIN_STEP_NS = 1e-6  # DomainClock's minimum effective period
 
 # Domain indices used throughout the hot loop.
 _FE, _INT, _FP, _LS = 0, 1, 2, 3
@@ -131,7 +131,7 @@ class IntervalRecord:
 
     ``energy`` and ``memory_accesses`` are *cumulative* run totals at
     the interval's end edge (chip energy including off-chip accesses),
-    sampled identically by all three execution paths; per-phase metric
+    sampled identically by both execution paths; per-phase metric
     attribution (:mod:`repro.metrics.phases`) differences them.
     """
 
@@ -204,9 +204,9 @@ class MCDCore:
         Electrical parameters (Table 1).
     trace:
         The dynamic instruction stream — either a generator
-        :class:`~repro.uarch.trace.TraceStream` (reference path) or a
-        :class:`~repro.uarch.compiled_trace.CompiledTrace` (batched
-        fast path; byte-identical results).
+        :class:`~repro.uarch.trace.TraceStream` (reference interpreter)
+        or a :class:`~repro.uarch.compiled_trace.CompiledTrace` (native
+        loop; byte-identical results).
     controller:
         Optional frequency controller invoked every interval; None
         leaves all domains at their initial frequencies.
@@ -346,7 +346,7 @@ class MCDCore:
         region.  Returns the number of instructions replayed.
 
         A :class:`~repro.uarch.compiled_trace.CompiledTrace` takes the
-        columnar fast path; any other stream is replayed block by
+        columnar walk; any other stream is replayed block by
         block.  Both leave identical predictor/cache state behind.
         """
         if isinstance(trace, CompiledTrace):
@@ -395,6 +395,8 @@ class MCDCore:
         Statistics need no tracking here — :meth:`warm_up` discards
         them after replay — so only the cache tag arrays, predictor
         tables and BTB are touched, with their update logic inlined.
+        The walked columns are converted to lists up front, because
+        list indexing beats numpy scalar indexing in a Python loop.
         """
         from repro.uarch.branch_predictor import BranchStats
         from repro.uarch.caches import CacheStats
@@ -405,12 +407,14 @@ class MCDCore:
                 f"compiled trace line shift {trace.line_shift} does not "
                 f"match the cache line shift {hierarchy.l1i.line_shift}"
             )
-        kinds = trace.kinds
-        pcs = trace.pcs
-        addrs = trace.addrs
-        taken = trace.taken
-        targets = trace.targets
-        newline = trace.newline
+        end = limit if limit < trace.n else trace.n
+        columns = trace.arrays
+        kinds = columns["kinds"][:end].tolist()
+        pcs = columns["pcs"][:end].tolist()
+        addrs = columns["addrs"][:end].tolist()
+        taken = columns["taken"][:end].tolist()
+        targets = columns["targets"][:end].tolist()
+        newline = columns["newline"][:end].tolist()
         shift = hierarchy.l1i.line_shift
         l1i_sets, l1i_nsets, l1i_ways = (
             hierarchy.l1i._sets, hierarchy.l1i.sets, hierarchy.l1i.ways,
@@ -438,7 +442,6 @@ class MCDCore:
         kind_load = int(InstructionClass.LOAD)
         kind_store = int(InstructionClass.STORE)
 
-        end = limit if limit < trace.n else trace.n
         for i in range(end):
             if newline[i]:
                 line = pcs[i] >> shift
@@ -572,49 +575,27 @@ class MCDCore:
             complex_w,
         )
 
-    def run(self, path: str = "auto") -> CoreResult:
+    def run(self) -> CoreResult:
         """Simulate the whole trace and return the measurements.
 
-        ``path`` selects the execution path explicitly: ``"auto"``
-        (default) dispatches to the fastest available — the native
-        extension when it loads (see :mod:`repro.uarch.native`), else
-        the batched Python loop, for cores built over a compiled trace;
-        the per-instruction generator path otherwise.  ``"native"``
-        requires the C loop, ``"python"`` forces the batched Python
-        loop, ``"generator"`` requires a generator-trace core.  All
-        three produce byte-identical results.
+        The trace type decides the interpreter: a core built over a
+        compiled trace runs the native loop (see
+        :mod:`repro.uarch.native`) and raises
+        :class:`~repro.errors.SimulationError` when the extension is
+        unavailable; a core built over a generator trace runs the
+        reference interpreter.  Both produce byte-identical results.
         """
-        if path not in ("auto", "native", "python", "generator"):
-            raise SimulationError(f"unknown execution path {path!r}")
-        if self.compiled is not None:
-            if path == "generator":
-                raise SimulationError(
-                    "generator path requires a TraceStream core "
-                    "(this core was built over a compiled trace)"
-                )
-            if path != "python" and self.compiled.arrays:
-                from repro.uarch.native import load_hotpath
+        if self.compiled is None:
+            return self._run_generator()
+        from repro.uarch.native import load_hotpath
 
-                hotpath = load_hotpath()
-                if hotpath is not None:
-                    return self._run_compiled_native(hotpath)
-                if path == "native":
-                    raise SimulationError(
-                        "native path requested but the extension is unavailable"
-                    )
-            elif path == "native":
-                raise SimulationError(
-                    "native path requires compiled column arrays"
-                )
-            return self._run_compiled()
-        if path in ("native", "python"):
+        hotpath = load_hotpath()
+        if hotpath is None:
             raise SimulationError(
-                f"{path} path requires a core built over a compiled trace"
+                "a compiled-trace core needs the native loop, but the "
+                "extension is unavailable; build the core over a generator "
+                "trace instead"
             )
-        return self._run_generator()
-
-    def _run_compiled_native(self, hotpath) -> CoreResult:
-        """Run the C translation of the batched loop (one core, one call)."""
         args, finish = self.native_marshal()
         return finish(hotpath.run_compiled(args))
 
@@ -667,7 +648,7 @@ class MCDCore:
         ``args`` is the argument dict :func:`_hotpath.run_compiled`
         consumes (also one slot of a :func:`_hotpath.run_batch` vector);
         ``finish(res)`` folds the C loop's result back into the owning
-        Python objects exactly as :meth:`_run_compiled` would leave
+        Python objects exactly as the reference interpreter leaves
         them and returns the :class:`CoreResult`.  Splitting the two
         lets the engine marshal N cores up front, run the whole batch
         under one GIL release, and fold each run back afterwards.
@@ -815,7 +796,7 @@ class MCDCore:
             if record_trace:
                 # The C loop accumulates energy in these shared buffers
                 # in place, so they are live here; the sum below mirrors
-                # the Python paths' accumulation order exactly.
+                # the reference interpreter's accumulation order exactly.
                 intervals.append(
                     IntervalRecord(
                         index=index,
@@ -945,7 +926,7 @@ class MCDCore:
                 )
 
             # Fold the run's state back into the owning objects, exactly
-            # as the Python paths leave them.
+            # as the reference interpreter leaves them.
             self.int_regs.free = res["int_free"]
             self.fp_regs.free = res["fp_free"]
             for i in (1, 2, 3):
@@ -1465,973 +1446,6 @@ class MCDCore:
         for i, dom in enumerate(_DOMAINS):
             acct.add_raw(dom, acc_clock[i], acc_struct[i], n_busy[i], n_idle[i])
         acct.add_memory_accesses(memory_accesses)
-
-        return self._build_result(
-            retired, wall, memory_accesses, dispatch_stall_cycles, intervals
-        )
-
-    # ------------------------------------------------------------------
-    # the run — batched fast path
-    # ------------------------------------------------------------------
-    def _run_compiled(self) -> CoreResult:
-        """Batched Python path, with the shared templates leased.
-
-        The template lists are the only part of a
-        :class:`~repro.uarch.compiled_trace.CompiledTrace` this path
-        mutates in place, so they are taken under an exclusive lease
-        for the duration of the run: the common serial caller gets the
-        shared lists, a concurrent caller (thread-pool sweep backend
-        with the native loop unavailable) transparently runs over a
-        private copy.  Either way the results are byte-identical.
-        """
-        comp = self.compiled
-        templates, owned = comp.lease_templates()
-        self._leased_templates = templates
-        try:
-            return self._run_compiled_leased()
-        finally:
-            self._leased_templates = None
-            comp.release_templates(owned)
-
-    def _run_compiled_leased(self) -> CoreResult:
-        """Batched fast path over a compiled trace's columns.
-
-        This mirrors :meth:`_run_generator` event for event — same edge
-        selection, same regulator calls, same jitter-stream consumption,
-        same floating-point accumulation order — so results are
-        byte-identical.  What changes is the per-event Python work: the
-        fetch stage walks precompiled flat columns by integer index
-        (class, steering, rename and dependency lookups are compile-time
-        work), and the cache, branch-predictor and clock-edge state
-        transitions are inlined over local bindings with their counters
-        flushed back into the owning objects once at the end.
-        """
-        if self.controller is not None:
-            self.controller.begin(
-                self.mcd_config,
-                {d: self.regulators[i].current_mhz for i, d in enumerate(_DOMAINS)},
-            )
-
-        opts = self.options
-        window = self.window_ns
-        comp = self.compiled
-        total = comp.n
-        kinds_c = comp.kinds
-        pcs_c = comp.pcs
-        addrs_c = comp.addrs
-        taken_c = comp.taken
-        targets_c = comp.targets
-        dest_c = comp.dest
-        qd_c = comp.domain
-        tmpl_c = self._leased_templates
-        newline = comp.newline.copy()  # cleared at each first-attempt I-probe
-
-        clocks = self.clocks
-        regulators = self.regulators
-        queues = self.queues
-        rob = self.rob
-        fin_ns = self.fin_ns
-        fin_cycle = self.fin_cycle
-        fin_domain = self.fin_domain
-        lat_cycles = self._lat_cycles
-        complex_op = self._complex
-        proc = self.processor
-        decode_width = proc.decode_width
-        retire_width = proc.retire_width
-        l1_cycles = proc.l1_latency_cycles
-        mem_latency = proc.memory_latency_ns
-        l2_cycles = proc.l2_latency_cycles
-        mispredict_penalty = proc.branch_mispredict_penalty
-        interval_len = opts.interval_instructions
-        record_trace = opts.record_interval_trace
-        mcd_mode = opts.mcd
-        controller = self.controller
-        hierarchy = self.hierarchy
-        predictor = self.predictor
-        e_mem = self.energies.memory_access
-
-        # --- inlined cache hierarchy (tag state + local stat counters) ----
-        shift = hierarchy.l1i.line_shift
-        l1i, l1d, l2 = hierarchy.l1i, hierarchy.l1d, hierarchy.l2
-        l1i_sets, l1i_nsets, l1i_ways = l1i._sets, l1i.sets, l1i.ways
-        l1d_sets, l1d_nsets, l1d_ways = l1d._sets, l1d.sets, l1d.ways
-        l2_sets, l2_nsets, l2_ways = l2._sets, l2.sets, l2.ways
-        l1i_acc = l1i_miss = l1d_acc = l1d_miss = l2_acc = l2_miss = 0
-
-        # --- inlined branch predictor -------------------------------------
-        hist = predictor._history
-        hist_len = len(hist)
-        hist_mask = predictor._history_mask
-        pl2 = predictor._l2
-        pl2_len = len(pl2)
-        bim = predictor._bimodal
-        bim_len = len(bim)
-        meta = predictor._meta
-        meta_len = len(meta)
-        btb_table = predictor.btb._table
-        btb_nsets = predictor.btb.sets
-        btb_ways = predictor.btb.ways
-        bp_lookups = bp_dir_miss = bp_btb_miss = 0
-
-        # --- per-domain cached operating point (freq/period/vscale) -------
-        _, vscale_of, clock_e, idle_e, simple_w, complex_w = (
-            self._operating_point_tables()
-        )
-        cur_freq = [r.current_mhz for r in regulators]
-        cur_period = [1e3 / f for f in cur_freq]
-        cur_vscale = [vscale_of(f) for f in cur_freq]
-        slewing = [r.current_mhz != r.target_mhz for r in regulators]
-
-        # --- inlined clocks (edge times, cycle counts, jitter streams) ----
-        edge_ns = [c.next_edge_ns for c in clocks]
-        cycle_idx = [c.cycle_index for c in clocks]
-        jitters = [c.jitter for c in clocks]
-        jbufs = [getattr(j, "_buffer", None) for j in jitters]
-        ceil = math.ceil
-
-        # --- inlined energy accumulators ----------------------------------
-        acct = self.accounting
-        acc_clock = [0.0, 0.0, 0.0, 0.0]
-        acc_struct = [0.0, 0.0, 0.0, 0.0]
-        n_busy = [0, 0, 0, 0]
-        n_idle = [0, 0, 0, 0]
-
-        # --- inlined queues / ROB / rename pools --------------------------
-        q_entries = [None, queues[1].entries, queues[2].entries, queues[3].entries]
-        q_cap = [0, queues[1].capacity, queues[2].capacity, queues[3].capacity]
-        q_len = [0, len(queues[1].entries), len(queues[2].entries), len(queues[3].entries)]
-        q_occ = [0, 0, 0, 0]
-        q_writes = [0, 0, 0, 0]
-        # Per-domain memo of a provably idle cycle: while t stays below
-        # q_block[d] (and, for issue domains, the domain's cycle count
-        # stays below q_block_cyc[d]), the domain is guaranteed to do
-        # no work — every gate observed by the last full pass lifts
-        # only at a known time/cycle or through an invalidating event.
-        # Invalidating events (any issue anywhere, a dispatch into the
-        # queue, a frequency change) reset the bound to 0.0, forcing a
-        # full pass.  Index 0 is the front end's fetch/retire memo.
-        q_block = [0.0, 0.0, 0.0, 0.0]
-        q_block_cyc = [0, 0, 0, 0]
-        # While the front-end memo is a *stall* memo, every memoized
-        # cycle repeats a structurally blocked fetch attempt and must
-        # keep counting dispatch stalls.  A queue-full stall records
-        # the culprit queue so only that queue's issues (or the ROB
-        # head's) wake the front end.
-        fe_stall_memo = False
-        fe_stall_queue = -1
-        rob_entries = rob.entries
-        rob_cap = rob.capacity
-        rob_n = len(rob_entries)
-        rob_append = rob_entries.append
-        rob_popleft = rob_entries.popleft
-        int_free = self.int_regs.free
-        fp_free = self.fp_regs.free
-
-        active = [True, False, False, False]
-        retired = 0
-        fetch_i = 0  # next trace index to fetch (== dispatch seq - 1)
-        fetch_resume_ns = 0.0
-        branch_stall_seq = -1
-        dispatch_stall_cycles = 0
-        memory_accesses = 0
-        interval_start_ns = 0.0
-        next_interval = interval_len
-        interval_index = 0
-        busy_in_interval = [0, 0, 0, 0]
-        intervals: list[IntervalRecord] = []
-
-        kind_load = int(InstructionClass.LOAD)
-        kind_store = int(InstructionClass.STORE)
-        kind_branch = int(InstructionClass.BRANCH)
-
-        e_l1i = self._e_l1i
-        e_l2 = self._e_l2
-        e_bpred = self._e_bpred
-        e_retire = self._e_retire
-        e_disp_fetch = self._e_dispatch + self._e_fetch
-        e_issue_t = self._e_issue
-
-        while retired < total:
-            # Earliest pending edge among active domains.
-            d = 0
-            t = edge_ns[0]
-            if active[1] and edge_ns[1] < t:
-                d, t = 1, edge_ns[1]
-            if active[2] and edge_ns[2] < t:
-                d, t = 2, edge_ns[2]
-            if active[3] and edge_ns[3] < t:
-                d, t = 3, edge_ns[3]
-
-            if slewing[d]:
-                regulator = regulators[d]
-                freq = regulator.advance_to(t)
-                if freq == regulator.target_mhz:
-                    slewing[d] = False
-                if freq != cur_freq[d]:
-                    cur_freq[d] = freq
-                    cur_period[d] = 1e3 / freq
-                    cur_vscale[d] = vscale_of(freq)
-                    q_block[d] = 0.0
-            vscale = cur_vscale[d]
-
-            if d == 0 and t >= q_block[0]:
-                access_energy = 0.0
-                worked = False
-
-                # ---- retire ------------------------------------------------
-                cross_thresh = window if mcd_mode else 0.5 * cur_period[0]
-                n_retire = 0
-                while rob_entries and n_retire < retire_width:
-                    seq = rob_entries[0]
-                    slot = seq & _RING_MASK
-                    if fin_ns[slot] + cross_thresh > t + _EPS_NS:
-                        break
-                    rob_popleft()
-                    dest = dest_c[seq - 1]
-                    if dest == 0:
-                        int_free += 1
-                    elif dest == 1:
-                        fp_free += 1
-                    n_retire += 1
-                retired += n_retire
-                rob_n -= n_retire
-                if n_retire:
-                    worked = True
-                    access_energy += n_retire * e_retire
-
-                # ---- interval rollover --------------------------------------
-                if retired >= next_interval:
-                    interval_index += 1
-                    next_interval += interval_len
-                    duration = t - interval_start_ns
-                    if duration <= 0:
-                        duration = cur_period[0]
-                    # Catch up every regulator (so slew timing is exact
-                    # when new targets are applied below) and the clocks
-                    # and idle energy of inactive domains.
-                    for i in (1, 2, 3):
-                        ireg = regulators[i]
-                        ifreq = ireg.advance_to(t)
-                        slewing[i] = ifreq != ireg.target_mhz
-                        if ifreq != cur_freq[i]:
-                            cur_freq[i] = ifreq
-                            cur_period[i] = 1e3 / ifreq
-                            cur_vscale[i] = vscale_of(ifreq)
-                            q_block[i] = 0.0
-                        if not active[i]:
-                            edge = edge_ns[i]
-                            if t > edge:
-                                period = cur_period[i]
-                                skipped = ceil((t - edge) / period)
-                                edge_ns[i] = edge + skipped * period
-                                cycle_idx[i] += skipped
-                                acc_clock[i] += idle_e[i] * cur_vscale[i] * skipped
-                                n_idle[i] += skipped
-                    occ_int = q_occ[1]
-                    occ_fp = q_occ[2]
-                    occ_ls = q_occ[3]
-                    q_occ[1] = q_occ[2] = q_occ[3] = 0
-                    qutil = {
-                        Domain.INTEGER: occ_int / interval_len,
-                        Domain.FLOATING_POINT: occ_fp / interval_len,
-                        Domain.LOAD_STORE: occ_ls / interval_len,
-                    }
-                    ipc = interval_len / (duration * cur_freq[0] * 1e-3)
-                    if controller is not None or record_trace:
-                        freqs = {
-                            dom: cur_freq[i] for i, dom in enumerate(_DOMAINS)
-                        }
-                        busy_frac = {}
-                        for i, dom in enumerate(_DOMAINS):
-                            busy_frac[dom] = min(
-                                1.0, busy_in_interval[i] * cur_period[i] / duration
-                            )
-                        snapshot = IntervalSnapshot(
-                            index=interval_index - 1,
-                            instructions=interval_len,
-                            time_ns=t,
-                            duration_ns=duration,
-                            ipc=ipc,
-                            queue_utilization=qutil,
-                            busy_fraction=busy_frac,
-                            frequencies_mhz=freqs,
-                        )
-                        if controller is not None:
-                            targets = controller.on_interval(snapshot)
-                            if targets:
-                                snap = getattr(controller, "instantaneous", False)
-                                for dom, mhz in targets.items():
-                                    i = _DOMAIN_INDEX[dom]
-                                    reg = regulators[i]
-                                    if snap:
-                                        reg.snap_to(mhz)
-                                        slewing[i] = False
-                                        f2 = reg.current_mhz
-                                        if f2 != cur_freq[i]:
-                                            cur_freq[i] = f2
-                                            cur_period[i] = 1e3 / f2
-                                            cur_vscale[i] = vscale_of(f2)
-                                            q_block[i] = 0.0
-                                    else:
-                                        reg.request(mhz)
-                                        slewing[i] = (
-                                            reg.current_mhz != reg.target_mhz
-                                        )
-                        if record_trace:
-                            intervals.append(
-                                IntervalRecord(
-                                    index=interval_index - 1,
-                                    end_instruction=retired,
-                                    end_time_ns=t,
-                                    ipc=ipc,
-                                    queue_utilization=qutil,
-                                    frequencies_mhz=freqs,
-                                    energy=(
-                                        acc_clock[0] + acc_clock[1]
-                                        + acc_clock[2] + acc_clock[3]
-                                        + acc_struct[0] + acc_struct[1]
-                                        + acc_struct[2] + acc_struct[3]
-                                        + memory_accesses * e_mem
-                                    ),
-                                    memory_accesses=memory_accesses,
-                                )
-                            )
-                    busy_in_interval = [0, 0, 0, 0]
-                    interval_start_ns = t
-
-                # ---- fetch / dispatch ---------------------------------------
-                stalled = False
-                fe_stall_queue = -1
-                if (
-                    branch_stall_seq < 0
-                    and t + _EPS_NS >= fetch_resume_ns
-                    and fetch_i < total
-                ):
-                    fetched = 0
-                    fi = fetch_i
-                    while fetched < decode_width:
-                        if fi >= total:
-                            break
-                        # I-cache: one lookup per new fetch line (the
-                        # newline bit is cleared on the first attempt so
-                        # a stalled retry never probes twice).
-                        if newline[fi]:
-                            newline[fi] = 0
-                            access_energy += e_l1i
-                            line = pcs_c[fi] >> shift
-                            entry_set = l1i_sets[line % l1i_nsets]
-                            tag = line // l1i_nsets
-                            l1i_acc += 1
-                            try:
-                                entry_set.remove(tag)
-                                entry_set.append(tag)
-                            except ValueError:
-                                l1i_miss += 1
-                                entry_set.append(tag)
-                                if len(entry_set) > l1i_ways:
-                                    entry_set.pop(0)
-                                delay = l2_cycles * cur_period[3] + 2.0 * window
-                                access_energy += e_l2
-                                entry_set = l2_sets[line % l2_nsets]
-                                tag = line // l2_nsets
-                                l2_acc += 1
-                                try:
-                                    entry_set.remove(tag)
-                                    entry_set.append(tag)
-                                except ValueError:
-                                    l2_miss += 1
-                                    entry_set.append(tag)
-                                    if len(entry_set) > l2_ways:
-                                        entry_set.pop(0)
-                                    delay += mem_latency
-                                    memory_accesses += 1
-                                fetch_resume_ns = t + delay
-                                break
-                        # Structural dispatch constraints.
-                        if rob_n >= rob_cap:
-                            stalled = True
-                            break
-                        qd = qd_c[fi]
-                        if q_len[qd] >= q_cap[qd]:
-                            stalled = True
-                            fe_stall_queue = qd
-                            break
-                        dest = dest_c[fi]
-                        if dest == 0:
-                            if int_free <= 0:
-                                stalled = True
-                                break
-                            int_free -= 1
-                        elif dest == 1:
-                            if fp_free <= 0:
-                                stalled = True
-                                break
-                            fp_free -= 1
-
-                        # Rename/dispatch.
-                        seq = fi + 1
-                        slot = seq & _RING_MASK
-                        fin_ns[slot] = _INF
-                        fin_domain[slot] = -1
-                        kind = kinds_c[fi]
-                        mispredicted = False
-                        if kind == kind_branch:
-                            access_energy += e_bpred
-                            pc = pcs_c[fi]
-                            tk = taken_c[fi]
-                            word = pc >> 2
-                            hist_i = word % hist_len
-                            history = hist[hist_i]
-                            pl2_i = (history ^ word) % pl2_len
-                            two_level = pl2[pl2_i] >= 2
-                            bim_i = word % bim_len
-                            bimodal = bim[bim_i] >= 2
-                            prediction = (
-                                two_level
-                                if meta[word % meta_len] >= 2
-                                else bimodal
-                            )
-                            bp_lookups += 1
-                            if prediction != tk:
-                                bp_dir_miss += 1
-                                mispredicted = True
-                            elif tk:
-                                entry_set = btb_table[word % btb_nsets]
-                                tag = word // btb_nsets
-                                found = None
-                                for j in range(len(entry_set)):
-                                    if entry_set[j][0] == tag:
-                                        found = entry_set.pop(j)
-                                        entry_set.append(found)
-                                        break
-                                if found is None or found[1] != targets_c[fi]:
-                                    bp_btb_miss += 1
-                                    mispredicted = True
-                            value = pl2[pl2_i]
-                            if tk:
-                                pl2[pl2_i] = value + 1 if value < 3 else 3
-                            else:
-                                pl2[pl2_i] = value - 1 if value > 0 else 0
-                            value = bim[bim_i]
-                            if tk:
-                                bim[bim_i] = value + 1 if value < 3 else 3
-                            else:
-                                bim[bim_i] = value - 1 if value > 0 else 0
-                            if two_level != bimodal:
-                                meta_i = word % meta_len
-                                value = meta[meta_i]
-                                if two_level == tk:
-                                    meta[meta_i] = value + 1 if value < 3 else 3
-                                else:
-                                    meta[meta_i] = value - 1 if value > 0 else 0
-                            hist[hist_i] = (
-                                (history << 1) | (1 if tk else 0)
-                            ) & hist_mask
-                            if tk:
-                                entry_set = btb_table[word % btb_nsets]
-                                tag = word // btb_nsets
-                                for j in range(len(entry_set)):
-                                    if entry_set[j][0] == tag:
-                                        entry_set.pop(j)
-                                        break
-                                entry_set.append((tag, targets_c[fi]))
-                                if len(entry_set) > btb_ways:
-                                    entry_set.pop(0)
-                        entry = tmpl_c[fi]
-                        entry[2] = t
-                        entry[6] = 0.0
-                        q_entries[qd].append(entry)
-                        q_len[qd] += 1
-                        q_writes[qd] += 1
-                        q_block[qd] = 0.0
-                        if not active[qd]:
-                            qreg = regulators[qd]
-                            qfreq = qreg.advance_to(t)
-                            slewing[qd] = qfreq != qreg.target_mhz
-                            if qfreq != cur_freq[qd]:
-                                cur_freq[qd] = qfreq
-                                cur_period[qd] = 1e3 / qfreq
-                                cur_vscale[qd] = vscale_of(qfreq)
-                            edge = edge_ns[qd]
-                            if t > edge:
-                                period = cur_period[qd]
-                                skipped = ceil((t - edge) / period)
-                                edge_ns[qd] = edge + skipped * period
-                                cycle_idx[qd] += skipped
-                                acc_clock[qd] += idle_e[qd] * cur_vscale[qd] * skipped
-                                n_idle[qd] += skipped
-                            active[qd] = True
-                        rob_append(seq)
-                        rob_n += 1
-                        access_energy += e_disp_fetch
-                        fi += 1
-                        fetched += 1
-                        if mispredicted:
-                            branch_stall_seq = seq
-                            break
-                    fetch_i = fi
-                    if fetched:
-                        worked = True
-                    elif stalled:
-                        dispatch_stall_cycles += 1
-
-                if worked:
-                    busy_in_interval[0] += 1
-                    n_busy[0] += 1
-                    acc_clock[0] += clock_e[0] * vscale
-                    acc_struct[0] += access_energy * vscale
-                else:
-                    n_idle[0] += 1
-                    acc_clock[0] += idle_e[0] * vscale
-                    if access_energy:
-                        acc_struct[0] += access_energy * vscale
-                # Schedule the next front-end edge (inlined advance).
-                if mcd_mode:
-                    jb = jbufs[0]
-                    if not jb:
-                        jitters[0]._refill()
-                        jb = jbufs[0] = jitters[0]._buffer
-                    step = cur_period[0] + jb.pop()
-                    if step < _MIN_STEP_NS:
-                        step = _MIN_STEP_NS
-                else:
-                    step = cur_period[0]
-                tn = t + step
-                cycle_idx[0] += 1
-
-                # Idle/stall drain: after a cycle where the front end
-                # provably repeats itself — nothing retired, and fetch
-                # either gated (idle) or structurally blocked until the
-                # ROB head retires (stall) — its cycles reduce to fixed
-                # accounting plus an edge advance.  Drain them in a
-                # tight loop while the front end's edges precede every
-                # other active domain's (same comparisons, same jitter
-                # draws, same float accumulation as full iterations),
-                # then memoize the proof (shaded down so float rounding
-                # can only expire it early, never late) for the edges
-                # interleaved with other domains'.
-                if (
-                    not worked
-                    and access_energy == 0.0
-                    and not slewing[0]
-                    and (rob_entries or fetch_i < total)
-                ):
-                    if rob_entries:
-                        head_ready = (
-                            fin_ns[rob_entries[0] & _RING_MASK] + cross_thresh
-                        )
-                    else:
-                        head_ready = _INF
-                    other = _INF
-                    if active[1]:
-                        other = edge_ns[1]
-                    if active[2] and edge_ns[2] < other:
-                        other = edge_ns[2]
-                    if active[3] and edge_ns[3] < other:
-                        other = edge_ns[3]
-                    idle_scaled = idle_e[0] * vscale
-                    period0 = cur_period[0]
-                    n_idle0 = 0
-                    if stalled:
-                        # Structural stall: every cycle until the head
-                        # retires re-attempts fetch and counts a
-                        # dispatch stall.  The block lifts early only
-                        # through an issue, which resets the memo.
-                        if mcd_mode:
-                            jb = jbufs[0]
-                            while tn <= other and head_ready > tn + _EPS_NS:
-                                if not jb:
-                                    jitters[0]._refill()
-                                    jb = jbufs[0] = jitters[0]._buffer
-                                step = period0 + jb.pop()
-                                if step < _MIN_STEP_NS:
-                                    step = _MIN_STEP_NS
-                                tn += step
-                                n_idle0 += 1
-                                acc_clock[0] += idle_scaled
-                        else:
-                            while tn <= other and head_ready > tn + _EPS_NS:
-                                tn += period0
-                                n_idle0 += 1
-                                acc_clock[0] += idle_scaled
-                        dispatch_stall_cycles += n_idle0
-                        bound = head_ready - _EPS_NS
-                        fe_stall_memo = True
-                    else:
-                        always_gated = branch_stall_seq >= 0 or fetch_i >= total
-                        if mcd_mode:
-                            jb = jbufs[0]
-                            while (
-                                tn <= other
-                                and head_ready > tn + _EPS_NS
-                                and (
-                                    always_gated
-                                    or tn + _EPS_NS < fetch_resume_ns
-                                )
-                            ):
-                                if not jb:
-                                    jitters[0]._refill()
-                                    jb = jbufs[0] = jitters[0]._buffer
-                                step = period0 + jb.pop()
-                                if step < _MIN_STEP_NS:
-                                    step = _MIN_STEP_NS
-                                tn += step
-                                n_idle0 += 1
-                                acc_clock[0] += idle_scaled
-                        else:
-                            while (
-                                tn <= other
-                                and head_ready > tn + _EPS_NS
-                                and (
-                                    always_gated
-                                    or tn + _EPS_NS < fetch_resume_ns
-                                )
-                            ):
-                                tn += period0
-                                n_idle0 += 1
-                                acc_clock[0] += idle_scaled
-                        bound = head_ready - _EPS_NS
-                        if not always_gated:
-                            gate = fetch_resume_ns - _EPS_NS
-                            if gate < bound:
-                                bound = gate
-                        fe_stall_memo = False
-                    if n_idle0:
-                        n_idle[0] += n_idle0
-                        cycle_idx[0] += n_idle0
-                    if bound < _INF:
-                        q_block[0] = bound - (bound * 1e-12 + 1e-9)
-                    else:
-                        q_block[0] = _INF
-                edge_ns[0] = tn
-
-            elif d == 0:
-                # ---- front end, memoized idle/stall cycle --------------------
-                # Nothing to retire before the ROB head synchronizes
-                # and fetch is gated or structurally blocked until at
-                # least q_block[0].
-                n_idle[0] += 1
-                acc_clock[0] += idle_e[0] * vscale
-                if fe_stall_memo:
-                    dispatch_stall_cycles += 1
-                if mcd_mode:
-                    jb = jbufs[0]
-                    if not jb:
-                        jitters[0]._refill()
-                        jb = jbufs[0] = jitters[0]._buffer
-                    step = cur_period[0] + jb.pop()
-                    if step < _MIN_STEP_NS:
-                        step = _MIN_STEP_NS
-                else:
-                    step = cur_period[0]
-                edge_ns[0] = t + step
-                cycle_idx[0] += 1
-
-            elif t < q_block[d] and cycle_idx[d] < q_block_cyc[d]:
-                # ---- issue domain, memoized empty scan -----------------------
-                # The last full scan proved nothing can issue before
-                # q_block[d] / cycle q_block_cyc[d], so this cycle is
-                # idle by construction.
-                q_occ[d] += q_len[d]
-                n_idle[d] += 1
-                acc_clock[d] += idle_e[d] * vscale
-                if mcd_mode:
-                    jb = jbufs[d]
-                    if not jb:
-                        jit = jitters[d]
-                        jit._refill()
-                        jb = jbufs[d] = jit._buffer
-                    step = cur_period[d] + jb.pop()
-                    if step < _MIN_STEP_NS:
-                        step = _MIN_STEP_NS
-                else:
-                    step = cur_period[d]
-                edge_ns[d] = t + step
-                cycle_idx[d] += 1
-
-            else:
-                # ---- issue domain (integer / fp / load-store) ----------------
-                entries = q_entries[d]
-                q_occ[d] += q_len[d]
-                issued_any = False
-                access_energy = 0.0
-                e_tuple = e_issue_t[d]
-                e_issue = e_tuple[1]
-                e_simple = e_tuple[2]
-                e_complex = e_tuple[3]
-                cross_thresh = window if mcd_mode else 0.5 * cur_period[d]
-                cyc = cycle_idx[d]
-                period = cur_period[d]
-                sfree = simple_w[d]
-                cfree = complex_w[d]
-                # Empty-scan proof state: block_until/block_cyc collect
-                # the earliest time/cycle gate seen.  Gates on unissued
-                # producers need no bound — they lift only through an
-                # issue somewhere, which resets every memo.  Only a
-                # starved unit pool (width zero) defeats the proof.
-                block_until = _INF
-                block_cyc = _INF
-                predictable = True
-                for entry in entries:
-                    e6 = entry[6]
-                    if e6 > t:
-                        if e6 < block_until:
-                            block_until = e6
-                        continue
-                    if t - entry[2] < cross_thresh:
-                        # Dispatch not yet synchronized into this domain;
-                        # younger entries arrived even later.  The gate
-                        # lifts near entry[2] + cross_thresh; shade the
-                        # bound down so float rounding can only expire
-                        # the memo early (a full rescan), never late.
-                        nb = entry[2] + cross_thresh
-                        nb -= nb * 1e-12 + 1e-9
-                        if nb < block_until:
-                            block_until = nb
-                        break
-                    p1 = entry[3]
-                    if p1:
-                        slot1 = p1 & _RING_MASK
-                        fd = fin_domain[slot1]
-                        if fd < 0:
-                            continue
-                        if fd == d:
-                            fc = fin_cycle[slot1]
-                            if fc > cyc:
-                                if fc < block_cyc:
-                                    block_cyc = fc
-                                continue
-                        else:
-                            nb = fin_ns[slot1] + cross_thresh
-                            if nb > t + _EPS_NS:
-                                entry[6] = nb
-                                if nb < block_until:
-                                    block_until = nb
-                                continue
-                    p2 = entry[4]
-                    if p2:
-                        slot2 = p2 & _RING_MASK
-                        fd = fin_domain[slot2]
-                        if fd < 0:
-                            continue
-                        if fd == d:
-                            fc = fin_cycle[slot2]
-                            if fc > cyc:
-                                if fc < block_cyc:
-                                    block_cyc = fc
-                                continue
-                        else:
-                            nb = fin_ns[slot2] + cross_thresh
-                            if nb > t + _EPS_NS:
-                                entry[6] = nb
-                                if nb < block_until:
-                                    block_until = nb
-                                continue
-                    kind = entry[1]
-                    if complex_op[kind]:
-                        if cfree <= 0:
-                            predictable = False
-                            continue
-                        cfree -= 1
-                        access_energy += e_complex
-                        lat_c = lat_cycles[kind]
-                        lat = lat_c * period
-                    elif sfree <= 0:
-                        predictable = False
-                        if cfree <= 0:
-                            break
-                        continue
-                    elif kind == kind_load:
-                        sfree -= 1
-                        line = entry[5] >> shift
-                        entry_set = l1d_sets[line % l1d_nsets]
-                        tag = line // l1d_nsets
-                        l1d_acc += 1
-                        try:
-                            entry_set.remove(tag)
-                            entry_set.append(tag)
-                            level = 1
-                        except ValueError:
-                            l1d_miss += 1
-                            entry_set.append(tag)
-                            if len(entry_set) > l1d_ways:
-                                entry_set.pop(0)
-                            entry_set = l2_sets[line % l2_nsets]
-                            tag = line // l2_nsets
-                            l2_acc += 1
-                            try:
-                                entry_set.remove(tag)
-                                entry_set.append(tag)
-                                level = 2
-                            except ValueError:
-                                l2_miss += 1
-                                entry_set.append(tag)
-                                if len(entry_set) > l2_ways:
-                                    entry_set.pop(0)
-                                level = 3
-                        access_energy += e_simple  # L1D probe
-                        if level == 1:
-                            lat = l1_cycles * period
-                            lat_c = l1_cycles
-                        elif level == 2:
-                            access_energy += e_l2
-                            lat = l2_cycles * period
-                            lat_c = l2_cycles
-                        else:
-                            access_energy += e_l2
-                            memory_accesses += 1
-                            lat = l2_cycles * period + mem_latency + 2.0 * window
-                            lat_c = int(lat / period) + 1
-                    elif kind == kind_store:
-                        sfree -= 1
-                        line = entry[5] >> shift
-                        entry_set = l1d_sets[line % l1d_nsets]
-                        tag = line // l1d_nsets
-                        l1d_acc += 1
-                        try:
-                            entry_set.remove(tag)
-                            entry_set.append(tag)
-                        except ValueError:
-                            l1d_miss += 1
-                            entry_set.append(tag)
-                            if len(entry_set) > l1d_ways:
-                                entry_set.pop(0)
-                            entry_set = l2_sets[line % l2_nsets]
-                            tag = line // l2_nsets
-                            l2_acc += 1
-                            try:
-                                entry_set.remove(tag)
-                                entry_set.append(tag)
-                            except ValueError:
-                                l2_miss += 1
-                                entry_set.append(tag)
-                                if len(entry_set) > l2_ways:
-                                    entry_set.pop(0)
-                        access_energy += e_simple
-                        lat = period
-                        lat_c = 1
-                    else:
-                        sfree -= 1
-                        access_energy += e_simple
-                        lat_c = lat_cycles[kind]
-                        lat = lat_c * period
-                    # Issue!
-                    seq = entry[0]
-                    finish = t + lat
-                    slot = seq & _RING_MASK
-                    fin_ns[slot] = finish
-                    fin_cycle[slot] = cyc + lat_c
-                    fin_domain[slot] = d
-                    access_energy += e_issue
-                    issued_any = True
-                    if seq == rob_entries[0]:
-                        # The ROB head's completion bounds the front
-                        # end's memo; recompute it.
-                        q_block[0] = 0.0
-                    if seq == branch_stall_seq:
-                        branch_stall_seq = -1
-                        q_block[0] = 0.0
-                        resume = finish + window + mispredict_penalty * cur_period[0]
-                        if resume > fetch_resume_ns:
-                            fetch_resume_ns = resume
-                    if sfree <= 0 and cfree <= 0:
-                        break
-                # Rebuild the queue (in place, so the local alias stays
-                # valid) without the entries issued this cycle: an
-                # entry's ring slot holds -1 from dispatch until the
-                # moment it issues.
-                if issued_any:
-                    entries[:] = [
-                        e for e in entries if fin_domain[e[0] & _RING_MASK] == -1
-                    ]
-                    q_len[d] = len(entries)
-                    busy_in_interval[d] += 1
-                    n_busy[d] += 1
-                    acc_clock[d] += clock_e[d] * vscale
-                    acc_struct[d] += access_energy * vscale
-                    # An issue changes fin_* state other issue domains'
-                    # gates may rest on: reset their memos.  The front
-                    # end's memo only depends on the ROB head and on a
-                    # stalling queue, both handled at the issue itself.
-                    q_block[1] = q_block[2] = q_block[3] = 0.0
-                    if d == fe_stall_queue:
-                        q_block[0] = 0.0
-                    if not entries:
-                        active[d] = False
-                else:
-                    n_idle[d] += 1
-                    acc_clock[d] += idle_e[d] * vscale
-                    q_block[d] = block_until if predictable else 0.0
-                    q_block_cyc[d] = block_cyc
-                # Schedule the next edge (inlined advance; a domain
-                # going inactive still consumes its jitter sample,
-                # exactly as the reference path's discarded advance).
-                if mcd_mode:
-                    jb = jbufs[d]
-                    if not jb:
-                        jit = jitters[d]
-                        jit._refill()
-                        jb = jbufs[d] = jit._buffer
-                    step = cur_period[d] + jb.pop()
-                    if step < _MIN_STEP_NS:
-                        step = _MIN_STEP_NS
-                else:
-                    step = cur_period[d]
-                edge_ns[d] = t + step
-                cycle_idx[d] += 1
-
-            # Safety valve: the trace must keep draining.
-            if fetch_i >= total and not rob_entries and retired < total:
-                raise SimulationError(
-                    f"trace exhausted with {retired}/{total} retired"
-                )
-
-        wall = edge_ns[0]
-        # Final catch-up: idle tails of inactive domains still burn
-        # gated clock energy until the program ends.
-        for i in (1, 2, 3):
-            ireg = regulators[i]
-            ifreq = ireg.advance_to(wall)
-            if ifreq != cur_freq[i]:
-                cur_freq[i] = ifreq
-                cur_vscale[i] = vscale_of(ifreq)
-            edge = edge_ns[i]
-            if wall > edge:
-                period = cur_period[i]
-                skipped = ceil((wall - edge) / period)
-                edge_ns[i] = edge + skipped * period
-                cycle_idx[i] += skipped
-                acc_clock[i] += idle_e[i] * cur_vscale[i] * skipped
-                n_idle[i] += skipped
-
-        # Flush the inlined accumulators into the accounting meters.
-        for i, dom in enumerate(_DOMAINS):
-            acct.add_raw(dom, acc_clock[i], acc_struct[i], n_busy[i], n_idle[i])
-        acct.add_memory_accesses(memory_accesses)
-
-        # Re-sync the remaining inlined state into its owning objects so
-        # post-run inspection sees what the reference path would leave.
-        self.int_regs.free = int_free
-        self.fp_regs.free = fp_free
-        for i in (1, 2, 3):
-            queue = queues[i]
-            queue.writes += q_writes[i]
-            queue.occupancy_accumulated += q_occ[i]
-        for i in range(4):
-            clock = clocks[i]
-            clock.next_edge_ns = edge_ns[i]
-            clock.cycle_index = cycle_idx[i]
-            clock.period_ns = cur_period[i]
-        l1i.stats.accesses += l1i_acc
-        l1i.stats.misses += l1i_miss
-        l1d.stats.accesses += l1d_acc
-        l1d.stats.misses += l1d_miss
-        l2.stats.accesses += l2_acc
-        l2.stats.misses += l2_miss
-        bstats = predictor.stats
-        bstats.lookups += bp_lookups
-        bstats.direction_mispredicts += bp_dir_miss
-        bstats.btb_target_misses += bp_btb_miss
 
         return self._build_result(
             retired, wall, memory_accesses, dispatch_stall_cycles, intervals

@@ -7,8 +7,8 @@ phase boundaries and an integrity checksum.  It is the interchange
 boundary of the workload subsystem: a trace recorded here can be
 shipped, archived and replayed bit-exactly on another machine, and a
 trace produced by *any* third-party generator that writes this format
-runs through the same compiled-trace pipeline (content-addressed store,
-batched Python path, native path) as the synthetic catalog.
+runs through the same pipeline (content-addressed compiled-trace
+store, native loop, reference interpreter) as the synthetic catalog.
 
 Layout
 ------

@@ -4,8 +4,8 @@ The *reference* fetch path consumes the workload's instruction blocks
 one element at a time.  :class:`TraceCursor` hides block boundaries
 and exposes the struct-of-arrays fields of the current instruction
 through plain attribute reads, keeping that loop free of iterator
-overhead and allocation.  The batched fast path does not use a cursor
-at all — it walks the compiled columns
+overhead and allocation.  The native loop does not use a cursor at
+all — it walks the compiled columns
 (:mod:`repro.uarch.compiled_trace`) by integer index.
 """
 

@@ -1,11 +1,11 @@
 """Build/load glue for the native hot-path extension.
 
-The batched core loop exists three times, in strictly decreasing
-portability and increasing speed: the generator reference path, the
-pure-Python compiled path, and the C translation in ``_hotpath.c``.
-This module owns the third: it compiles the C source into a shared
-object on first use (plain ``cc -O2 -fPIC -shared``, no build system,
-no new dependencies) and loads it as a CPython extension module.
+The core loop exists twice: the pure-Python reference interpreter
+over a generator trace, and its C translation in ``_hotpath.c`` over a
+compiled trace.  This module owns the second: it compiles the C source
+into a shared object on first use (plain ``cc -O2 -fPIC -shared``, no
+build system, no new dependencies) and loads it as a CPython extension
+module.
 
 Floating-point identity is part of the contract, so the build disables
 FP contraction (``-ffp-contract=off``): a fused multiply-add rounds
@@ -25,7 +25,7 @@ stage, so concurrent runs over it genuinely overlap.
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_NATIVE=0`` simply mean :func:`load_hotpath` returns ``None``
-and the core stays on the pure-Python compiled path.
+and the engine runs the reference interpreter instead.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def _compile(so_path: Path, compiler: str) -> bool:
         return False
     if proc.returncode != 0:
         logger.warning(
-            "hotpath: compile failed; using the Python path\n%s", proc.stderr
+            "hotpath: compile failed; using the reference interpreter\n%s",
+            proc.stderr,
         )
         try:
             tmp.unlink()
@@ -230,7 +231,7 @@ def fold_native_controller(controller, regulators, args: dict) -> None:
 
     Leaves ``controller.states`` (including the per-domain diagnostics
     counters) and the regulators' request statistics exactly as the
-    Python execution paths would, so post-run inspection cannot tell
+    reference interpreter would, so post-run inspection cannot tell
     which path ran.
     """
     ad_ipc = args["ad_ipc"]
@@ -274,7 +275,8 @@ def load_hotpath():
             compiler = _resolve_compiler()
             if compiler is None:
                 logger.info(
-                    "hotpath: no C compiler found; using the Python path"
+                    "hotpath: no C compiler found; using the reference "
+                    "interpreter"
                 )
             else:
                 so_path = _BUILD_DIR / f"_hotpath-{_build_stamp(compiler)}.so"
@@ -288,7 +290,8 @@ def load_hotpath():
                     _cached = module
         except Exception as exc:  # noqa: BLE001 - any failure means fallback
             logger.warning(
-                "hotpath: load failed (%s); using the Python path", exc
+                "hotpath: load failed (%s); using the reference interpreter",
+                exc,
             )
             _cached = None
         _attempted = True

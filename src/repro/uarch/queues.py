@@ -22,11 +22,6 @@ class IssueQueue:
     queue provides capacity checking and per-cycle occupancy
     accumulation.  Entries are kept in dispatch order, so the core's
     issue scan is oldest-first.
-
-    The ``entries`` list's *identity* is part of the contract: the
-    core's batched fast path holds a direct reference to it and
-    rebuilds it in place (slice assignment), so replacing the list
-    object mid-run would silently fork the state.
     """
 
     __slots__ = ("name", "capacity", "entries", "occupancy_accumulated", "writes")

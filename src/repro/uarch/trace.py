@@ -3,11 +3,11 @@
 A trace is a sequence of :class:`InstructionBlock` objects, each a
 struct-of-arrays over a few thousand dynamic instructions.  Blocks are
 produced lazily by workload generators and consumed once by the core's
-*reference* path, so arbitrarily long runs use bounded memory.  The
-production path compiles the same stream into whole-trace columnar
-form instead (:mod:`repro.uarch.compiled_trace`), trading memory for
-the batched fast path; both views come from one generator routine and
-are identical instruction for instruction.
+*reference* interpreter, so arbitrarily long runs use bounded memory.
+The native loop runs over the same stream compiled into whole-trace
+columnar form instead (:mod:`repro.uarch.compiled_trace`); both views
+come from one generator routine and are identical instruction for
+instruction.
 
 Per-instruction fields
 ----------------------

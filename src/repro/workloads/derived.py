@@ -3,7 +3,7 @@
 Importing this module registers ~24 derived benchmarks (five families)
 with the workload registry, so ``get_benchmark`` resolves them and they
 run anywhere a catalog entry runs — ``python -m repro sweep``, the
-orchestrator, the compiled-trace store, all three core paths.
+orchestrator, the compiled-trace store, both core paths.
 
 Families
 --------

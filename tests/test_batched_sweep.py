@@ -12,8 +12,8 @@ module locks both properties down:
   controller variants, mixed seeds) executed through
   :func:`~repro.sim.engine.run_specs_batch` at batch sizes {1, 3,
   matrix} and compared summary-for-summary against per-run
-  :func:`~repro.sim.engine.run_spec`, plus the batched-Python and
-  generator reference paths (>= 30 compared cases in total);
+  :func:`~repro.sim.engine.run_spec` and the pure-Python reference
+  interpreter (>= 30 compared cases in total);
 * an orchestrator-level differential: serial / thread / process
   backends x batch sizes {1, 3, matrix, > matrix}, fork and spawn,
   all equal to the serial per-run reference, with per-scenario error
@@ -85,7 +85,7 @@ def _summary_dict(result) -> dict:
 
 
 def _spec(benchmark: str, *, seed: int, literal: bool, controller: bool = True,
-          path: str = "auto", compiled: bool = True) -> SimulationSpec:
+          path: str = "auto") -> SimulationSpec:
     """One closed-loop spec; controllers are built fresh per spec."""
     ctrl = (
         AttackDecayController(AttackDecayParams(), literal_listing=literal)
@@ -98,7 +98,6 @@ def _spec(benchmark: str, *, seed: int, literal: bool, controller: bool = True,
         scale=SCALE,
         seed=seed,
         path=path,
-        compiled=compiled,
     )
 
 
@@ -129,7 +128,7 @@ def _fuzz_matrix() -> list[dict]:
 
 
 class TestBatchedEngineDifferential:
-    """run_specs_batch == [run_spec(...)] at every batch size and path."""
+    """Batched native == per-run native == the reference interpreter."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -153,28 +152,23 @@ class TestBatchedEngineDifferential:
         assert compared >= 30
 
     def test_python_and_generator_paths_match(self, reference):
+        # path="python" is the reference interpreter over the generator
+        # trace.
         cases = _fuzz_matrix()
         for index in (0, 1, 7):  # plain, literal, uncontrolled
             python = _summary_dict(run_spec(_spec(**cases[index], path="python")))
-            generator = _summary_dict(
-                run_spec(_spec(**cases[index], path="generator", compiled=False))
-            )
             assert python == reference[index]
-            assert generator == reference[index]
 
     def test_non_batchable_specs_fall_back(self):
-        # Generator-path specs cannot take the native batch; the vector
-        # must silently run per-spec with identical results.
+        # Reference-interpreter specs cannot take the native batch; the
+        # vector must silently run per-spec with identical results.
         cell = [
-            _spec(benchmark="adpcm", seed=1, literal=False, path="generator",
-                  compiled=False),
-            _spec(benchmark="adpcm", seed=2, literal=False, path="generator",
-                  compiled=False),
+            _spec(benchmark="adpcm", seed=seed, literal=False, path="python")
+            for seed in (1, 2)
         ]
         expected = [
             _summary_dict(run_spec(_spec(benchmark="adpcm", seed=seed,
-                                         literal=False, path="generator",
-                                         compiled=False)))
+                                         literal=False, path="python")))
             for seed in (1, 2)
         ]
         assert [_summary_dict(r) for r in run_specs_batch(cell)] == expected
@@ -395,6 +389,16 @@ class TestSharedTraceSegments:
             for record in caplog.records
         )
 
+    def test_no_export_without_native_loop(self, monkeypatch):
+        # Workers without the native loop run the reference interpreter
+        # over generator traces, so exporting columns would be waste.
+        from repro.uarch import native
+
+        monkeypatch.setattr(native, "_cached", None)
+        monkeypatch.setattr(native, "_attempted", True)
+        scenarios = [Scenario("adpcm", CONFIG_PLAIN, scale=SCALE)]
+        assert Orchestrator()._export_shared_traces(scenarios) == ([], [])
+
     def test_install_skips_keys_the_owner_already_serves(self):
         descriptor = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
         # A forked worker inherits the export; attaching again would
@@ -402,19 +406,20 @@ class TestSharedTraceSegments:
         assert shared_trace.install_shared_traces([descriptor]) == 0
 
     def test_shared_columns_build_byte_identical_traces(self):
+        import numpy as np
+
         from repro.sim.engine import compiled_trace_for
+        from repro.uarch.compiled_trace import from_columns
 
         bench = get_benchmark("adpcm")
         local = compiled_trace_for(bench, scale=SCALE)
         descriptor = export_shared_trace(bench, scale=SCALE)
         shared = shared_trace.shared_columns(descriptor["key"])
         assert shared is not None
-        local_columns = (
-            local.kinds, local.src1, local.src2, local.pcs,
-            local.addrs, local.taken, local.targets,
-        )
-        for shared_col, local_col in zip(shared, local_columns):
-            assert shared_col.tolist() == list(local_col)
+        rebuilt = from_columns(shared, local.line_shift)
+        assert rebuilt.arrays.keys() == local.arrays.keys()
+        for name, column in local.arrays.items():
+            assert np.array_equal(rebuilt.arrays[name], column), name
 
 
 class TestSweepLeavesNoSegments:

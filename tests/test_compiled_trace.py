@@ -1,14 +1,17 @@
 """Compiled-trace correctness: representation, store, and equivalence.
 
 The load-bearing guarantee of the trace compilation layer is that the
-batched core paths are *byte-identical* to the per-instruction
-generator reference path — every benchmark, every clocking mode, every
-execution backend.  These tests pin that, plus the columnar
-representation itself and the on-disk store.
+native loop over a compiled trace is *byte-identical* to the
+per-instruction reference interpreter over the generator trace — every
+benchmark, every clocking mode, every execution backend.  These tests
+pin that, plus the columnar representation itself and the on-disk
+store.  Tests that run a core over a compiled trace need the native
+loop and skip without it.
 """
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.config.algorithm import SCALED_OPERATING_POINT
@@ -23,7 +26,12 @@ from repro.sim.engine import (
     scaled_mcd_config,
 )
 from repro.uarch import native
-from repro.uarch.compiled_trace import TraceStore, compile_trace, trace_columns
+from repro.uarch.compiled_trace import (
+    TraceStore,
+    compile_trace,
+    from_columns,
+    trace_columns,
+)
 from repro.uarch.core import CoreOptions, MCDCore
 from repro.workloads.catalog import BENCHMARKS, get_benchmark
 
@@ -51,12 +59,9 @@ def _run(trace, bench, mcd=True, controller=True, record=False):
     return core.run()
 
 
-@pytest.fixture
-def python_path(monkeypatch):
-    """Force the pure-Python batched loop (no native extension)."""
-    monkeypatch.setattr(native, "_cached", None)
-    monkeypatch.setattr(native, "_attempted", True)
-    yield
+needs_native = pytest.mark.skipif(
+    native.load_hotpath() is None, reason="no native loop"
+)
 
 
 # ---------------------------------------------------------------- columns
@@ -79,30 +84,55 @@ class TestRepresentation:
         assert [bool(x) for x in taken.tolist()] == flat["taken"]
         assert targets.tolist() == flat["targets"]
 
-    def test_compiled_trace_is_a_trace_stream(self):
+    def test_compiled_trace_covers_the_stream(self):
         trace = get_benchmark("adpcm").build_trace(scale=SCALE)
         compiled = compile_trace(trace, LINE_SHIFT)
         assert compiled.total_instructions == trace.total_instructions
-        blocks = list(compiled.blocks())
-        assert sum(len(b) for b in blocks) == compiled.n
+        assert compiled.__slots__ == ("n", "line_shift", "arrays")
+        for column in compiled.arrays.values():
+            assert column.dtype == np.int64 and len(column) == compiled.n
 
     def test_newline_marks_fetch_line_changes(self):
         trace = get_benchmark("adpcm").build_trace(scale=SCALE)
         compiled = compile_trace(trace, LINE_SHIFT)
-        lines = [pc >> LINE_SHIFT for pc in compiled.pcs]
+        lines = [pc >> LINE_SHIFT for pc in compiled.arrays["pcs"].tolist()]
         expect = [1] + [int(lines[i] != lines[i - 1]) for i in range(1, compiled.n)]
-        assert compiled.newline == expect
+        assert compiled.arrays["newline"].tolist() == expect
 
     def test_templates_resolve_dependencies(self):
         trace = get_benchmark("gsm").build_trace(scale=SCALE)
+        _, src1, src2, _, _, _, _ = trace_columns(trace)
         compiled = compile_trace(trace, LINE_SHIFT)
-        for i in (0, 1, len(compiled.templates) - 1):
-            seq, kind, t0, p1, p2, addr, retry = compiled.templates[i]
-            assert seq == i + 1
-            assert kind == compiled.kinds[i]
-            assert addr == compiled.addrs[i]
-            s1 = compiled.src1[i]
-            assert p1 == (seq - s1 if 0 < s1 <= i else 0)
+        p1 = compiled.arrays["p1"].tolist()
+        p2 = compiled.arrays["p2"].tolist()
+        resolved = 0
+        for i in range(compiled.n):
+            seq = i + 1
+            s1, s2 = int(src1[i]), int(src2[i])
+            assert p1[i] == (seq - s1 if 0 < s1 <= i else 0)
+            assert p2[i] == (seq - s2 if 0 < s2 <= i else 0)
+            resolved += bool(p1[i]) + bool(p2[i])
+        assert resolved, "the trace should carry register dependencies"
+
+    def test_columns_are_read_only(self):
+        columns = trace_columns(get_benchmark("adpcm").build_trace(scale=SCALE))
+        compiled = from_columns(columns, LINE_SHIFT)
+        for column in compiled.arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+        # Freezing the trace's views leaves the caller's arrays writable.
+        assert all(column.flags.writeable for column in columns)
+
+    def test_warm_up_leaves_identical_state_on_both_trace_forms(self):
+        bench = get_benchmark("gcc")
+        trace = bench.build_trace(scale=SCALE)
+        compiled = compile_trace(trace, LINE_SHIFT)
+        snapshots = []
+        for form in (trace, compiled):
+            core = MCDCore(ProcessorConfig(), scaled_mcd_config(), form)
+            assert core.warm_up(form, limit=form.total_instructions) == compiled.n
+            snapshots.append(core.warm_state_snapshot())
+        assert snapshots[0] == snapshots[1]
 
     def test_line_shift_mismatch_rejected(self):
         trace = get_benchmark("adpcm").build_trace(scale=SCALE)
@@ -122,12 +152,9 @@ class TestTraceStore:
         store.store(key, columns)
         loaded = store.load(key, LINE_SHIFT)
         fresh = compile_trace(trace, LINE_SHIFT)
-        assert loaded.kinds == fresh.kinds
-        assert loaded.pcs == fresh.pcs
-        assert loaded.addrs == fresh.addrs
-        assert loaded.taken == fresh.taken
-        assert loaded.newline == fresh.newline
-        assert loaded.templates == fresh.templates
+        assert loaded.arrays.keys() == fresh.arrays.keys()
+        for name in ("kinds", "pcs", "addrs", "taken", "newline", "p1", "p2"):
+            assert np.array_equal(loaded.arrays[name], fresh.arrays[name]), name
 
     def test_disabled_store_misses(self, tmp_path):
         store = TraceStore(tmp_path, enabled=False)
@@ -213,6 +240,7 @@ class TestTraceStoreCorruption:
         path.write_bytes(b"")
         assert store.load(key, LINE_SHIFT) is None
 
+    @needs_native
     def test_engine_recomputes_through_corruption(self, tmp_path, monkeypatch):
         """End to end: corrupt the shared store entry, run_spec still works."""
         import repro.sim.engine as engine
@@ -264,8 +292,9 @@ class TestResultCacheCorruption:
 
 
 # ------------------------------------------------------------ equivalence
+@needs_native
 class TestEquivalence:
-    """Compiled and generator paths produce identical CoreResults."""
+    """Native and reference interpreters produce identical CoreResults."""
 
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_catalog_identical(self, name):
@@ -276,11 +305,11 @@ class TestEquivalence:
         fast = _run(compiled, bench, record=True)
         assert asdict(fast) == asdict(reference)
 
-    @pytest.mark.parametrize("name", ["epic", "mcf"])
-    def test_python_batched_path_identical(self, name, python_path):
-        bench = get_benchmark(name)
+    def test_native_run_over_frozen_trace_matches_reference(self):
+        bench = get_benchmark("mcf")
         trace = bench.build_trace(scale=SCALE)
         compiled = compile_trace(trace, LINE_SHIFT)
+        assert not any(c.flags.writeable for c in compiled.arrays.values())
         assert asdict(_run(compiled, bench)) == asdict(_run(trace, bench))
 
     def test_synchronous_baseline_identical(self):
@@ -311,8 +340,8 @@ class TestEquivalence:
         context = ExecutionContext(scale=SCALE, use_cache=False)
         spec = factory(context, "epic", scale=SCALE, seed=1, **parsed)
         assert isinstance(spec, SimulationSpec)
-        fast = summarize(run_spec(replace(spec, compiled=True))).to_dict()
-        reference = summarize(run_spec(replace(spec, compiled=False))).to_dict()
+        fast = summarize(run_spec(replace(spec, path="native"))).to_dict()
+        reference = summarize(run_spec(replace(spec, path="python"))).to_dict()
         assert fast == reference
 
 
@@ -327,6 +356,6 @@ class TestCompiledTraceFor:
     def test_run_spec_uses_compiled_by_default(self):
         fast = run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE))
         reference = run_spec(
-            SimulationSpec(benchmark="adpcm", scale=SCALE, compiled=False)
+            SimulationSpec(benchmark="adpcm", scale=SCALE, path="python")
         )
         assert asdict(fast) == asdict(reference)

@@ -85,7 +85,7 @@ def test_readme_exists_with_required_sections():
         "## Quickstart",
         "## Command line",
         "## Layer map",
-        "bench_engine_hotpath",
+        "bench_control_loop",
         "docs/architecture.md",
         "docs/performance.md",
         "docs/experiments.md",

@@ -7,9 +7,10 @@ the *exact* floats the simulator produced when these goldens were
 recorded.  A second table pins closed-loop Attack/Decay runs — three
 benchmarks x both ``literal_listing`` variants at a second seed — on
 the configuration where the native loop runs the controller inside C,
-locking the Listing-1 migration to exact numbers.  Any change to the generator, the trace compiler, any of the
-three core paths, the energy accounting or the controller that moves a
-result — even in the last ulp — fails here, turning silent drift into
+locking the Listing-1 migration to exact numbers.  Any change to the
+generator, the trace compiler, either core interpreter, the energy
+accounting or the controller that moves a result — even in the last
+ulp — fails here, turning silent drift into
 an explicit decision: either fix the regression or re-record the
 goldens in the same commit that justifies the change.
 
@@ -282,8 +283,8 @@ def test_goldens_cover_both_modes_evenly():
 
 
 def test_generator_path_matches_goldens_spotcheck():
-    """The pinned numbers hold on the reference path too (not just compiled)."""
+    """The pinned numbers hold on the reference interpreter too."""
     for benchmark, mode in (("adpcm", "mcd"), ("epic", "sync")):
         spec = _spec(benchmark, mode)
-        spec.compiled = False
+        spec.path = "python"
         assert summarize(run_spec(spec)) == GOLDEN[(benchmark, mode)]

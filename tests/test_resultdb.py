@@ -37,7 +37,7 @@ def db(tmp_path):
     return ResultDB(tmp_path / "db")
 
 
-def record_speedup(db, value, bench="bench_control_loop", metric="native_vs_python",
+def record_speedup(db, value, bench="bench_control_loop", metric="native_vs_generator",
                    scale=1.0, **kwargs):
     """Append one single-metric run (the gate tests' workhorse)."""
     return db.record(bench, {metric: value}, scale=scale, **kwargs)
@@ -69,8 +69,8 @@ class TestStore:
     def test_round_trip_with_full_provenance(self, db):
         run = db.record(
             "bench_control_loop",
-            {"native_vs_python": 9.5, "native": True, "note": "x"},
-            payload={"aggregate": {"native_vs_python": 9.5, "scale": 0.2, "native": True}},
+            {"native_vs_generator": 9.5, "native": True, "note": "x"},
+            payload={"aggregate": {"native_vs_generator": 9.5, "scale": 0.2, "native": True}},
             backend="thread",
         )
         loaded = db.runs()
@@ -85,7 +85,7 @@ class TestStore:
         assert got.scale == 0.2
         assert got.native is True
         # Non-numeric metric entries are dropped, not stored.
-        assert got.metrics == {"native_vs_python": 9.5}
+        assert got.metrics == {"native_vs_generator": 9.5}
 
     def test_record_without_numeric_metrics_is_an_error(self, db):
         with pytest.raises(ResultDBError, match="no numeric metrics"):
@@ -96,8 +96,8 @@ class TestStore:
             record_speedup(db, value)
         names = sorted(p.name for p in db.runs_dir.glob("*.json"))
         by_file = [json.loads((db.runs_dir / n).read_text())["metrics"] for n in names]
-        assert [m["native_vs_python"] for m in by_file] == [1.0, 2.0, 3.0]
-        assert [r.metric("native_vs_python") for r in db.runs()] == [1.0, 2.0, 3.0]
+        assert [m["native_vs_generator"] for m in by_file] == [1.0, 2.0, 3.0]
+        assert [r.metric("native_vs_generator") for r in db.runs()] == [1.0, 2.0, 3.0]
 
     def test_ingest_artifact_file(self, db, tmp_path):
         artifact = tmp_path / "bench_engine_hotpath.json"
@@ -141,7 +141,7 @@ class TestStoreRobustness:
         victim.write_text(victim.read_text()[: 40])
         with caplog.at_level("WARNING"):
             runs = db.runs()
-        assert [r.metric("native_vs_python") for r in runs] == [6.0]
+        assert [r.metric("native_vs_generator") for r in runs] == [6.0]
         assert any("skipping" in rec.message for rec in caplog.records)
 
     def test_binary_garbage_entry_is_skipped(self, db, caplog):
@@ -206,12 +206,12 @@ class TestQuery:
     def test_trajectory_and_latest(self, db):
         self.seed(db)
         runs = db.runs()
-        series = query.trajectory(runs, "bench_control_loop", "native_vs_python")
+        series = query.trajectory(runs, "bench_control_loop", "native_vs_generator")
         assert [value for _, value in series] == [9.0, 10.0]
-        assert query.latest_run(runs, "bench_control_loop").metric("native_vs_python") == 10.0
+        assert query.latest_run(runs, "bench_control_loop").metric("native_vs_generator") == 10.0
         assert query.latest_run(runs, "bench_nope") is None
         per_host = query.latest_per_host(runs, "bench_control_loop")
-        assert list(per_host.values())[0].metric("native_vs_python") == 10.0
+        assert list(per_host.values())[0].metric("native_vs_generator") == 10.0
 
     def test_best_value_prefers_own_host(self, db):
         record_speedup(db, 5.0)
@@ -222,12 +222,12 @@ class TestQuery:
         runs = db.runs()
         mine = runs[0].host_id
         value, source = query.best_value(runs, "bench_control_loop",
-                                         "native_vs_python", host_id=mine)
+                                         "native_vs_generator", host_id=mine)
         assert (value, source) == (5.0, f"history:{mine}")
         value, source = query.best_value(runs, "bench_control_loop",
-                                         "native_vs_python", host_id="unseenhost00")
+                                         "native_vs_generator", host_id="unseenhost00")
         assert source == "history:any-host"
-        assert query.best_value(runs, "bench_nope", "native_vs_python") is None
+        assert query.best_value(runs, "bench_nope", "native_vs_generator") is None
 
 
 # ----------------------------------------------------------------------- gate
@@ -235,12 +235,11 @@ class TestGate:
     def test_bootstrap_covers_the_ci_floors(self):
         floors = {(g.bench, g.metric): g.floor for g in BOOTSTRAP_BASELINES}
         assert floors == {
-            ("bench_engine_hotpath", "speedup"): 3.0,
-            ("bench_control_loop", "native_vs_python"): 3.0,
+            ("bench_control_loop", "native_vs_generator"): 4.0,
             ("bench_sweep_throughput", "thread_vs_process"): 1.5,
             ("bench_sweep_throughput", "process_vs_serial"): 1.0,
         }
-        assert gated_metrics("bench_control_loop") == ["native_vs_python"]
+        assert gated_metrics("bench_control_loop") == ["native_vs_generator"]
         assert gated_metrics("bench_sweep_throughput") == [
             "thread_vs_process",
             "process_vs_serial",
@@ -278,10 +277,10 @@ class TestGate:
         assert "bootstrap floor" in results["process_vs_serial"].message
 
     def test_empty_history_gates_on_bootstrap(self, db):
-        record_speedup(db, 3.4)
+        record_speedup(db, 4.4)
         (result,) = check_bench(db.runs(), "bench_control_loop")
         assert result.passed and result.source == "bootstrap"
-        record_speedup(db, 2.9)
+        record_speedup(db, 3.9)
         results = check_bench(db.runs(), "bench_control_loop", tolerance=0.5)
         assert not results[0].passed
         assert "bootstrap floor" in results[0].message
@@ -298,7 +297,7 @@ class TestGate:
 
     def test_different_scale_is_a_separate_trajectory(self, db):
         record_speedup(db, 19.0, scale=1.0)
-        record_speedup(db, 4.0, scale=0.05)  # not gated by the 19.0 history
+        record_speedup(db, 4.5, scale=0.05)  # not gated by the 19.0 history
         (result,) = check_bench(db.runs(), "bench_control_loop")
         assert result.passed and result.source == "bootstrap"
 
@@ -349,12 +348,12 @@ class TestReport:
         assert headers[0] == "Bench"
         assert [row[0] for row in rows] == ["bench_control_loop", "bench_sweep_throughput"]
         assert rows[0][1] == "2"  # two runs
-        assert "native_vs_python" in rows[0][-1]
+        assert "native_vs_generator" in rows[0][-1]
 
     def test_comparison_and_renderers(self, db):
         self.seed(db)
         headers, rows = comparison_rows(db.runs(), "bench_control_loop")
-        assert headers[-1] == "native_vs_python"
+        assert headers[-1] == "native_vs_generator"
         assert [row[-1] for row in rows] == ["9.5", "10.5"]
         text = render(headers, rows, "text", title="T")
         assert text.startswith("T\n") and "thread" in text
@@ -366,7 +365,7 @@ class TestReport:
     def test_explicit_metric_columns_and_errors(self, db):
         self.seed(db)
         headers, rows = comparison_rows(
-            db.runs(), "bench_control_loop", metrics=["native_vs_python", "nope"]
+            db.runs(), "bench_control_loop", metrics=["native_vs_generator", "nope"]
         )
         assert rows[0][-1] == "-"
         with pytest.raises(ResultDBError, match="no recorded runs"):
@@ -378,7 +377,7 @@ class TestReport:
 # ------------------------------------------------------------------------ cli
 class TestCLI:
     def ingest(self, tmp_path, value=9.5, bench="bench_control_loop",
-               metric="native_vs_python", scale=1.0):
+               metric="native_vs_generator", scale=1.0):
         artifact = tmp_path / f"{bench}.json"
         artifact.write_text(json.dumps(
             {"aggregate": {metric: value, "scale": scale, "native": True}}
@@ -396,7 +395,7 @@ class TestCLI:
         assert "bench_control_loop" in capsys.readouterr().out
         assert main(["report", "--db", db_dir, "--bench", "bench_control_loop",
                      "--format", "csv"]) == 0
-        assert "native_vs_python" in capsys.readouterr().out
+        assert "native_vs_generator" in capsys.readouterr().out
 
         assert main(["check", "--db", db_dir]) == 0
         assert "PASS" in capsys.readouterr().out

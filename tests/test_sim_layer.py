@@ -19,6 +19,15 @@ def runner(tmp_path) -> ExperimentRunner:
     return ExperimentRunner(cache_dir=tmp_path, scale=SCALE, seed=1)
 
 
+@pytest.fixture
+def no_native(monkeypatch):
+    """Force the native loader off, as on a host without a C compiler."""
+    from repro.uarch import native
+
+    monkeypatch.setattr(native, "_cached", None)
+    monkeypatch.setattr(native, "_attempted", True)
+
+
 class TestEngine:
     def test_run_spec_basic(self):
         result = run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE))
@@ -31,15 +40,16 @@ class TestEngine:
             run_spec(SimulationSpec(benchmark="nope"))
 
     def test_unknown_path_raises(self):
-        with pytest.raises(ExperimentError, match="execution path"):
-            run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE, path="warp"))
+        for path in ("warp", "generator"):
+            with pytest.raises(ExperimentError, match="execution path"):
+                run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE, path=path))
 
     def test_explicit_paths_match_auto(self):
         from repro.metrics.summary import summarize
         from repro.uarch.native import load_hotpath
 
         auto = summarize(run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE)))
-        for path in ("generator", "python") + (
+        for path in ("python",) + (
             ("native",) if load_hotpath() is not None else ()
         ):
             forced = summarize(
@@ -47,38 +57,61 @@ class TestEngine:
             )
             assert forced == auto, f"{path} path diverged from auto"
 
-    def test_generator_path_on_compiled_core_raises(self):
-        from repro.errors import SimulationError
-        from repro.sim.engine import compiled_trace_for, scaled_mcd_config
-        from repro.uarch.core import MCDCore
-        from repro.workloads.catalog import get_benchmark
-        from repro.config.processor import ProcessorConfig
+    def test_trace_type_follows_the_path(self):
+        from repro.sim import engine
+        from repro.uarch.native import load_hotpath
 
-        bench = get_benchmark("adpcm")
-        shift = ProcessorConfig().line_bytes.bit_length() - 1
-        core = MCDCore(
-            ProcessorConfig(),
-            scaled_mcd_config(),
-            compiled_trace_for(bench, scale=SCALE, line_shift=shift),
+        core, _ = engine._build_core(
+            SimulationSpec(benchmark="adpcm", scale=SCALE, path="python")
         )
-        with pytest.raises(SimulationError, match="generator path"):
-            core.run(path="generator")
-        with pytest.raises(SimulationError, match="unknown execution path"):
-            core.run(path="warp")
+        assert core.compiled is None
+        if load_hotpath() is not None:
+            core, trace = engine._build_core(
+                SimulationSpec(benchmark="adpcm", scale=SCALE)
+            )
+            assert core.compiled is trace
 
-    def test_python_path_on_generator_core_raises(self):
+    def test_compiled_core_without_extension_raises(self, no_native):
+        from repro.config.processor import ProcessorConfig
         from repro.errors import SimulationError
         from repro.sim.engine import scaled_mcd_config
+        from repro.uarch.compiled_trace import compile_trace
         from repro.uarch.core import MCDCore
         from repro.workloads.catalog import get_benchmark
-        from repro.config.processor import ProcessorConfig
 
-        bench = get_benchmark("adpcm")
+        shift = ProcessorConfig().line_bytes.bit_length() - 1
+        trace = get_benchmark("adpcm").build_trace(scale=SCALE)
         core = MCDCore(
-            ProcessorConfig(), scaled_mcd_config(), bench.build_trace(scale=SCALE)
+            ProcessorConfig(), scaled_mcd_config(), compile_trace(trace, shift)
         )
-        with pytest.raises(SimulationError, match="compiled trace"):
-            core.run(path="python")
+        with pytest.raises(SimulationError, match="native loop"):
+            core.run()
+        with pytest.raises(SimulationError, match="extension is unavailable"):
+            run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE, path="native"))
+
+    def test_auto_without_extension_runs_reference_interpreter(
+        self, no_native, monkeypatch
+    ):
+        from repro.metrics.summary import summarize
+        from repro.sim import engine
+
+        specs = [
+            SimulationSpec(benchmark="adpcm", scale=SCALE, seed=seed)
+            for seed in (1, 2)
+        ]
+        core, _ = engine._build_core(specs[0])
+        assert core.compiled is None  # built over the generator trace
+        expected = [summarize(run_spec(spec)) for spec in specs]
+        per_run = []
+
+        def counted(spec):
+            per_run.append(spec)
+            return run_spec(spec)
+
+        monkeypatch.setattr(engine, "run_spec", counted)
+        batched = [summarize(r) for r in engine.run_specs_batch(specs)]
+        assert batched == expected
+        assert per_run == specs  # fell back to one run_spec per spec
 
     def test_global_frequency_applies_to_all_domains(self):
         result = run_spec(

@@ -3,10 +3,11 @@
 The load-bearing property of the whole workload subsystem is that a
 *composed* workload — any combination of ``concat``/``interleave``/
 ``repeat``/``scale``/``perturb``/``splice`` over catalog entries — runs
-byte-identically through all three core execution paths (generator
-reference, batched Python, native C).  The fuzz harness below draws ~50
-seeded random compositions and asserts exactly that, so new operators
-or derived scenarios can never silently drift results between paths.
+byte-identically through both core interpreters (the pure-Python
+reference over the generator trace, the native C loop over the compiled
+trace).  The fuzz harness below draws ~50 seeded random compositions
+and asserts exactly that, so new operators or derived scenarios can
+never silently drift results between paths.
 """
 
 from __future__ import annotations
@@ -238,49 +239,44 @@ def _run_path(spec, trace, mcd: bool, controller: bool, seed: int):
     return core.run()
 
 
+needs_native = pytest.mark.skipif(
+    native.load_hotpath() is None, reason="no native loop"
+)
+
+
+@needs_native
 class TestDifferentialFuzz:
-    """Seeded compositions are byte-identical on every execution path."""
+    """Seeded compositions are byte-identical on both interpreters."""
 
     @pytest.mark.parametrize("case", range(50))
-    def test_three_paths_agree(self, case, monkeypatch):
+    def test_three_paths_agree(self, case):
         rng = random.Random(6400 + case)
         spec = _random_composition(rng)
         mcd = case % 3 != 2  # mostly MCD, every third fully synchronous
         controller = mcd and case % 2 == 0
         seed = 1 + case % 5
 
-        generator_trace = spec.build_trace()
+        reference = _run_path(spec, spec.build_trace(), mcd, controller, seed)
         compiled = compile_trace(spec.build_trace(), LINE_SHIFT)
+        result = _run_path(spec, compiled, mcd, controller, seed)
 
-        reference = _run_path(spec, generator_trace, mcd, controller, seed)
-
-        monkeypatch.setattr(native, "_cached", None)
-        monkeypatch.setattr(native, "_attempted", True)
-        batched = _run_path(spec, compiled, mcd, controller, seed)
-        monkeypatch.undo()
-
-        results = {"generator": reference, "python": batched}
-        if native.load_hotpath() is not None:
-            results["native"] = _run_path(spec, compiled, mcd, controller, seed)
-
-        ref_summary = summarize(reference)
-        for label, result in results.items():
-            assert summarize(result) == ref_summary, (
-                f"case {case} ({spec.datasets}): {label} path diverged"
-            )
-            # Interval samples (incl. cumulative energy) must align too:
-            # per-phase attribution depends on them being path-invariant.
-            assert [
-                (r.end_instruction, r.end_time_ns, r.energy, r.memory_accesses)
-                for r in result.intervals
-            ] == [
-                (r.end_instruction, r.end_time_ns, r.energy, r.memory_accesses)
-                for r in reference.intervals
-            ], f"case {case} ({spec.datasets}): {label} intervals diverged"
+        assert summarize(result) == summarize(reference), (
+            f"case {case} ({spec.datasets}): native path diverged"
+        )
+        # Interval samples (incl. cumulative energy) must align too:
+        # per-phase attribution depends on them being path-invariant.
+        assert [
+            (r.end_instruction, r.end_time_ns, r.energy, r.memory_accesses)
+            for r in result.intervals
+        ] == [
+            (r.end_instruction, r.end_time_ns, r.energy, r.memory_accesses)
+            for r in reference.intervals
+        ], f"case {case} ({spec.datasets}): native intervals diverged"
 
 
+@needs_native
 class TestClosedLoopNativeFuzz:
-    """Closed-loop attack/decay runs are byte-identical on every path.
+    """Closed-loop attack/decay runs are byte-identical on both paths.
 
     Unlike :class:`TestDifferentialFuzz` (which records interval
     traces, forcing the native loop onto its per-interval Python
@@ -289,9 +285,9 @@ class TestClosedLoopNativeFuzz:
     with zero per-interval Python crossings.  Each case asserts the
     RunSummary, the per-domain controller diagnostics
     (``DomainControlState``), the regulator request statistics and the
-    smoothed-IPC registers all match the generator reference, for both
-    ``literal_listing`` variants; on the native path it additionally
-    asserts ``on_interval`` was never called.
+    smoothed-IPC registers all match the reference interpreter, for both
+    ``literal_listing`` variants, and asserts the native path never
+    called ``on_interval``.
     """
 
     @pytest.mark.parametrize("case", range(16))
@@ -331,7 +327,7 @@ class TestClosedLoopNativeFuzz:
                 ),
             )
             core.warm_up(trace, limit=trace.total_instructions)
-            result = core.run(path="auto" if path == "generator" else path)
+            result = core.run()
             return (
                 summarize(result),
                 {d: dataclasses.asdict(s) for d, s in controller.states.items()},
@@ -343,16 +339,11 @@ class TestClosedLoopNativeFuzz:
         reference = run("generator")
         assert calls["n"] > 0, f"case {case}: no control intervals exercised"
         calls["n"] = 0
-        batched = run("python")
-        assert calls["n"] > 0
-        assert batched == reference, f"case {case}: python path diverged"
-        if native.load_hotpath() is not None:
-            calls["n"] = 0
-            native_run = run("native")
-            assert calls["n"] == 0, (
-                f"case {case}: native closed loop crossed into Python"
-            )
-            assert native_run == reference, f"case {case}: native path diverged"
+        native_run = run("native")
+        assert calls["n"] == 0, (
+            f"case {case}: native closed loop crossed into Python"
+        )
+        assert native_run == reference, f"case {case}: native path diverged"
 
 
 class TestRuntimeRegistrationIdentity:
@@ -400,6 +391,7 @@ class TestEtfReExport:
 class TestEtfRoundTripFuzz:
     """Composed workloads survive export -> import bit-exactly."""
 
+    @needs_native
     @pytest.mark.parametrize("case", range(5))
     def test_round_trip_reproduces_summary(self, case, tmp_path):
         from repro.uarch.compiled_trace import trace_columns
