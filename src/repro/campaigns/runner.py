@@ -18,9 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.campaigns.journal import CampaignJournal, JournalState
 from repro.campaigns.spec import CampaignSpec
@@ -80,11 +78,6 @@ class CampaignReport:
         return " — ".join(parts)
 
 
-def _scenario_key(scenario: Scenario) -> str:
-    """A stable identity for matching announced outcomes to cells."""
-    return json.dumps(scenario.to_dict(), sort_keys=True, default=str)
-
-
 class CampaignRunner:
     """Executes one campaign spec with journalled checkpoints."""
 
@@ -123,7 +116,6 @@ class CampaignRunner:
         self,
         resume: bool = False,
         force: bool = False,
-        on_result: Callable[[int, RunOutcome], None] | None = None,
         bus: EventBus | None = None,
     ) -> CampaignReport:
         """Execute the campaign (or what remains of it).
@@ -138,13 +130,15 @@ class CampaignRunner:
         journalling handler to ``bus`` (its own private
         :class:`~repro.execution.bus.EventBus` when none is supplied)
         and the orchestrator publishes each cell's
-        ``CellFinished``/``CellFailed`` through it.  Additional
-        subscribers on a caller-supplied bus (progress printers, the
-        serve daemon's stream buffers) observe exactly the journalled
-        stream.  ``on_result`` still fires after each cell is
-        journalled (progress displays; an exception it raises cancels
-        the campaign like Ctrl-C, which the interrupt tests exploit) —
-        the same lever a raising subscriber has.
+        ``CellFinished``/``CellFailed`` through it.  An event's
+        ``cell`` is its position in the submitted (pending-only)
+        matrix, so the checkpoint journals ``pending[event.cell]``
+        exactly, duplicate axis entries included.  Subscribers on a
+        caller-supplied bus (progress printers, the serve daemon's
+        stream buffers) are the way to watch the campaign; one
+        subscribed ahead of the checkpoint sees each cell before it is
+        journalled, and an exception it raises cancels the campaign
+        like Ctrl-C.
 
         A :class:`KeyboardInterrupt` propagates to the caller *after*
         the backends cancel and the journal holds every completed cell;
@@ -173,33 +167,14 @@ class CampaignRunner:
         executed = 0
 
         if pending:
-            # Outcomes are announced by *scenario*; identical scenarios
-            # (duplicate axis entries) drain their index queue in
-            # completion order, which is harmless — their outcomes are
-            # identical by determinism.
-            index_queues: dict[str, deque[int]] = {}
-            for index in pending:
-                key = _scenario_key(matrix[index])
-                index_queues.setdefault(key, deque()).append(index)
-
             def checkpoint(event: JobEvent) -> None:
                 nonlocal executed
                 if not isinstance(event, (CellFinished, CellFailed)):
                     return
-                outcome = event.outcome
-                queue = index_queues.get(_scenario_key(outcome.scenario))
-                if not queue:  # pragma: no cover - orchestrator contract
-                    logger.warning(
-                        "campaign %s: unexpected outcome for %s; not journalled",
-                        self.spec.name, outcome.scenario.run_id,
-                    )
-                    return
-                index = queue.popleft()
-                self.journal.record(index, outcome)
-                outcomes[index] = outcome
+                index = pending[event.cell]
+                self.journal.record(index, event.outcome)
+                outcomes[index] = event.outcome
                 executed += 1
-                if on_result is not None:
-                    on_result(index, outcome)
 
             events = bus if bus is not None else EventBus()
             job_id = f"campaign:{self.spec.name}"

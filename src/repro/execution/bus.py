@@ -11,8 +11,7 @@ Delivery contract
   publishing thread**, in subscription order.  There is no queue: when
   ``publish`` returns, every subscriber has seen the event.  This is
   what lets the campaign journal fsync a cell *before* the orchestrator
-  announces the next one — the same durability the old ``on_result``
-  closure had.
+  announces the next one.
 * A subscriber exception **propagates to the publisher**.  That is a
   feature, not a hazard: it is exactly how a checkpointing subscriber
   cancels a sweep (the orchestrator treats it like Ctrl-C — backends

@@ -5,9 +5,8 @@ terminal state — is one frozen dataclass here.  Events are the *only*
 seam between the execution core and its consumers: the orchestrator
 publishes them on an :class:`~repro.execution.bus.EventBus`, and the
 campaign journal, the CLI progress printer, and the ``repro serve``
-NDJSON streams are all plain subscribers.  That replaces the ad-hoc
-``on_result`` closures every consumer used to hand-wire (the callback
-still works, back-compatibly, beside the stream).
+NDJSON streams are all plain subscribers.  There is no other way to
+watch a sweep.
 
 Design constraints:
 
@@ -112,9 +111,9 @@ class CellFinished(JobEvent):
 class CellFailed(JobEvent):
     """Cell ``cell`` failed; ``outcome.error`` carries the traceback.
 
-    Failure is error-isolated exactly like the ``on_result`` path: the
-    rest of the matrix continues, and the failed cell's outcome is a
-    first-class result, not an exception.
+    Failure is error-isolated: the rest of the matrix continues, and
+    the failed cell's outcome is a first-class result, not an
+    exception.
     """
 
     cell: int = 0

@@ -1,10 +1,9 @@
 """Console progress rendering as a plain event subscriber.
 
-What used to be an ``on_result`` closure wired into each CLI verb is
-now just another :class:`~repro.execution.bus.EventBus` subscriber:
-:class:`ConsoleProgress` prints one line per completed cell and a
-terminal summary, and never raises — display must not cancel a sweep
-the way a deliberately raising subscriber does.
+Progress display is just another :class:`~repro.execution.bus.EventBus`
+subscriber: :class:`ConsoleProgress` prints one line per completed
+cell and a terminal summary, and never raises — display must not
+cancel a sweep the way a deliberately raising subscriber does.
 """
 
 from __future__ import annotations

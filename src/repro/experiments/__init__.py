@@ -34,7 +34,6 @@ from repro.experiments.executor import (
     benchmark_scale,
     cache_enabled,
     default_workers,
-    execute_scenario,
     parse_workers,
     quick_benchmarks,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "configuration_names",
     "default_backend",
     "default_workers",
-    "execute_scenario",
     "parse_workers",
     "quick_benchmarks",
     "register_clocking_mode",

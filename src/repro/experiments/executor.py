@@ -27,6 +27,7 @@ Environment knobs
 
 from __future__ import annotations
 
+import logging
 import os
 import threading
 import traceback
@@ -41,6 +42,8 @@ from repro.experiments.scenario import Scenario
 from repro.metrics.summary import RunSummary, summarize
 from repro.sim.engine import SimulationSpec, run_spec
 from repro.workloads.catalog import BENCHMARKS, get_benchmark, is_known_benchmark
+
+logger = logging.getLogger(__name__)
 
 
 def _runtime_workload_identity(name: str) -> dict | None:
@@ -262,7 +265,9 @@ class ExecutionContext:
         return self.cache.key(payload)
 
     # --- execution ---------------------------------------------------------
-    def _produce(self, scenario: Scenario):
+    def _produce(
+        self, scenario: Scenario
+    ) -> tuple[str, RunRecord | SimulationSpec | RunSummary]:
         """Resolve one scenario: ``(key, cached RunRecord | factory product)``.
 
         A cache hit short-circuits as a :class:`RunRecord` (factories
@@ -270,7 +275,8 @@ class ExecutionContext:
         configuration factory's product — a
         :class:`~repro.sim.engine.SimulationSpec` to execute or an
         already-computed :class:`~repro.metrics.summary.RunSummary` —
-        comes back for the caller to run.
+        comes back for the caller to run.  Any other product raises
+        :class:`~repro.errors.ExperimentError`.
         """
         key = self.cache_key(scenario)
         cached = self.cache.load(key)
@@ -288,6 +294,11 @@ class ExecutionContext:
             seed=self.effective_seed(scenario),
             **params,
         )
+        if not isinstance(produced, (SimulationSpec, RunSummary)):
+            raise ExperimentError(
+                f"configuration {scenario.configuration!r} returned "
+                f"{type(produced).__name__}; expected SimulationSpec or RunSummary"
+            )
         return key, produced
 
     def _complete(self, scenario: Scenario, key: str, summary: RunSummary) -> RunRecord:
@@ -345,15 +356,8 @@ class ExecutionContext:
         if isinstance(produced, RunRecord):
             return produced
         if isinstance(produced, SimulationSpec):
-            summary = summarize(run_spec(produced))
-        elif isinstance(produced, RunSummary):
-            summary = produced
-        else:
-            raise ExperimentError(
-                f"configuration {scenario.configuration!r} returned "
-                f"{type(produced).__name__}; expected SimulationSpec or RunSummary"
-            )
-        return self._complete(scenario, key, summary)
+            produced = summarize(run_spec(produced))
+        return self._complete(scenario, key, produced)
 
     def run_isolated(self, scenario: Scenario) -> RunOutcome:
         """Execute one scenario, capturing any failure as an outcome."""
@@ -373,34 +377,29 @@ class ExecutionContext:
         produced a :class:`~repro.sim.engine.SimulationSpec` joins one
         :func:`~repro.sim.engine.run_specs_batch` vector — one native
         entry, one GIL release and shared warm-up for the whole cell.
+        When that vector raises, the cell falls back once to per-run
+        execution (logged), so only the failing scenario records an
+        error.
 
-        Under ``dedup=True`` the batch degrades to the per-run loop:
-        single-flight arbitration is per scenario, and letting a
-        duplicate hide inside a batch vector would defeat it.  The
-        semantics are byte-identical either way (see above).
+        A one-scenario cell *is* :meth:`run_isolated` — the per-run
+        sweep's path.  Under ``dedup=True`` the batch degrades to the
+        per-run loop too: single-flight arbitration is per scenario,
+        and letting a duplicate hide inside a batch vector would
+        defeat it.
         """
-        if self.dedup:
+        if self.dedup or len(scenarios) == 1:
             return [self.run_isolated(s) for s in scenarios]
         outcomes: list[RunOutcome | None] = [None] * len(scenarios)
         pending: list[tuple[int, Scenario, str, SimulationSpec]] = []
         for i, scenario in enumerate(scenarios):
             try:
                 key, produced = self._produce(scenario)
-                if isinstance(produced, RunRecord):
-                    outcomes[i] = RunOutcome(scenario=scenario, record=produced)
-                elif isinstance(produced, SimulationSpec):
+                if isinstance(produced, SimulationSpec):
                     pending.append((i, scenario, key, produced))
-                elif isinstance(produced, RunSummary):
-                    outcomes[i] = RunOutcome(
-                        scenario=scenario,
-                        record=self._complete(scenario, key, produced),
-                    )
-                else:
-                    raise ExperimentError(
-                        f"configuration {scenario.configuration!r} returned "
-                        f"{type(produced).__name__}; expected SimulationSpec "
-                        "or RunSummary"
-                    )
+                    continue
+                if isinstance(produced, RunSummary):
+                    produced = self._complete(scenario, key, produced)
+                outcomes[i] = RunOutcome(scenario=scenario, record=produced)
             except Exception:
                 outcomes[i] = RunOutcome(scenario=scenario, error=traceback.format_exc())
         if pending:
@@ -409,11 +408,14 @@ class ExecutionContext:
             results = None
             try:
                 results = run_specs_batch([spec for _, _, _, spec in pending])
-            except Exception:
-                # A failing spec aborts the whole batch vector; re-run
-                # the cell per run below so only the failing scenario
-                # records an error outcome.
-                pass
+            except Exception as exc:
+                # The per-run loop below re-runs these same specs on
+                # fresh cores whose controllers re-``begin``, so the
+                # healthy ones stay byte-identical.
+                logger.warning(
+                    "batch cell of %d run(s) failed (%s: %s); re-running it per run",
+                    len(pending), type(exc).__name__, exc,
+                )
             for j, (i, scenario, key, spec) in enumerate(pending):
                 try:
                     result = results[j] if results is not None else run_spec(spec)
@@ -483,25 +485,7 @@ class ExecutionContext:
 _WORKER_CONTEXTS: dict[tuple, ExecutionContext] = {}
 
 
-def execute_scenario(
-    scenario: Scenario,
-    cache_dir: str | None,
-    use_cache: bool | None,
-    scale: float,
-    seed: int,
-) -> RunOutcome:
-    """Worker entry point: run one scenario in this process's context.
-
-    Module-level (picklable) so :mod:`multiprocessing` pools can map
-    over the run matrix; every failure is captured into the outcome so
-    one bad run never takes the pool down.  Contexts are memoised per
-    (cache_dir, use_cache, scale, seed) so a worker recomputes
-    profiling runs at most once, not once per scenario.
-    """
-    return _worker_context(cache_dir, use_cache, scale, seed).run_isolated(scenario)
-
-
-def execute_scenario_batch(
+def execute_cell(
     scenarios: list[Scenario],
     cache_dir: str | None,
     use_cache: bool | None,
@@ -510,9 +494,11 @@ def execute_scenario_batch(
 ) -> list[RunOutcome]:
     """Worker entry point: run one batch cell in this process's context.
 
-    The batched sibling of :func:`execute_scenario` — one pool task per
-    cell instead of one per scenario, so a sweep's pickling and
-    dispatch overhead scales with the number of cells.
+    Module-level (picklable) so :mod:`multiprocessing` pools can map
+    over a sweep's cells; every failure is captured into its outcome
+    so one bad run never takes the pool down.  Contexts are memoised
+    per (cache_dir, use_cache, scale, seed) so a worker recomputes
+    profiling runs at most once, not once per cell.
     """
     return _worker_context(cache_dir, use_cache, scale, seed).run_batch(scenarios)
 

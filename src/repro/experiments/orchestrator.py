@@ -36,17 +36,19 @@ Backends
 
 Batch cells
 -----------
-Every backend can execute the matrix in **batch cells** — contiguous
-runs of scenarios sharing one ``(benchmark, scale)`` trace identity —
-instead of one task per scenario.  A cell rides the native batch entry
-point (one GIL release, one warm-up per trace/geometry, one writeback
-pass; see :func:`repro.sim.engine.run_specs_batch`), so per-run
-dispatch overhead amortises across the cell.  ``batch="auto"`` (the
-default, via ``REPRO_BATCH``) sizes cells at roughly
-``total / workers`` for pool backends and leaves the serial backend
-per-run; an explicit ``--batch N`` applies to every backend.  Cell
-boundaries never change results: outcomes are byte-identical to the
-per-run paths and still returned in matrix order.
+The **batch cell** is the only unit of dispatch: every backend executes
+the matrix as cells — contiguous runs of scenarios sharing one
+``(benchmark, scale)`` trace identity — through one completion loop.
+A multi-scenario cell rides the native batch entry point (one GIL
+release, one warm-up per trace/geometry, one writeback pass; see
+:func:`repro.sim.engine.run_specs_batch`), so per-run dispatch overhead
+amortises across the cell.  A per-run sweep is simply a sweep of
+one-scenario cells in matrix order.  ``batch="auto"`` (the default, via
+``REPRO_BATCH``) sizes cells at roughly ``total / workers`` for pool
+backends and leaves the serial backend per-run; an explicit
+``--batch N`` applies to every backend.  Cell boundaries never change
+results: outcomes are byte-identical to the per-run paths and still
+returned in matrix order.
 
 The process backend additionally publishes each unique trace's base
 columns in POSIX shared memory before the pool starts
@@ -57,34 +59,35 @@ Segments are unlinked in a ``finally`` when the sweep ends, with an
 
 Lifecycle events
 ----------------
-Beside (and back-compatibly alongside) the bare ``on_result``
-callback, the orchestrator publishes typed lifecycle events on an
-:class:`~repro.execution.bus.EventBus` when one is supplied:
-:class:`~repro.execution.events.CellStarted` when a cell is picked up,
-then :class:`~repro.execution.events.CellFinished` or
+Events are the only way to watch a sweep.  The orchestrator publishes
+typed lifecycle events on an :class:`~repro.execution.bus.EventBus`
+when one is supplied: :class:`~repro.execution.events.CellStarted`
+when a scenario is picked up, then
+:class:`~repro.execution.events.CellFinished` or
 :class:`~repro.execution.events.CellFailed` carrying the full
-:class:`RunOutcome`.  The campaign journal checkpoint, the CLI
-progress printer, and the ``repro serve`` daemon's job streams are all
-plain subscribers — no consumer hand-wires callbacks into the run loop
-any more.  Start events are best-effort per backend (the process pool
-cannot observe its workers' starts, so it announces start and finish
-together on arrival); per cell, started always precedes finished.
+:class:`RunOutcome` and its ``cell`` (the scenario's position in the
+submitted matrix).  The campaign journal checkpoint, the CLI progress
+printer, and the ``repro serve`` daemon's job streams are all plain
+subscribers.  Start events are best-effort per backend (the process
+pool cannot observe its workers' starts, so it announces start and
+finish together when a cell arrives); per scenario, started always
+precedes finished.
 
 Cancellation
 ------------
-Interruption (Ctrl-C, an ``on_result`` hook or event subscriber
-raising, or a :class:`~repro.execution.cancel.CancelToken` firing) is
-a first-class event, not a crash: the thread backend cancels every
-queued future (running ones finish their current simulation), the
-process backend terminates and joins its pool, and the shared-memory
-segments are unlinked synchronously before the exception propagates.
-A cancel token is checked between cells on the serial backend and at
-task pickup plus every future completion on the pools, raising
-:class:`~repro.execution.cancel.ExecutionCancelled` through the same
-cleanup rails as Ctrl-C.  Outcomes already announced stay announced —
-a checkpointing caller (:mod:`repro.campaigns`) therefore loses at
-most the in-flight runs, which the content-addressed cache makes
-idempotent to re-execute.
+Interruption (Ctrl-C, an event subscriber raising, or a
+:class:`~repro.execution.cancel.CancelToken` firing) is a first-class
+event, not a crash: the thread backend cancels every queued cell
+(running ones finish their current simulation), the process backend
+terminates and joins its pool, and the shared-memory segments are
+unlinked synchronously before the exception propagates.  The cancel
+token is checked before the first cell and after every completed cell,
+and the thread backend also checks it when a worker picks a cell up;
+:class:`~repro.execution.cancel.ExecutionCancelled` then rides the
+same cleanup rails as Ctrl-C.  Outcomes already announced stay
+announced — a checkpointing caller (:mod:`repro.campaigns`) therefore
+loses at most the in-flight runs, which the content-addressed cache
+makes idempotent to re-execute.
 """
 
 from __future__ import annotations
@@ -96,8 +99,9 @@ import os
 import pickle
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import closing
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import ExperimentError
 from repro.execution.bus import EventBus
@@ -108,8 +112,7 @@ from repro.experiments.executor import (
     benchmark_scale,
     default_batch,
     default_workers,
-    execute_scenario,
-    execute_scenario_batch,
+    execute_cell,
     parse_batch,
     parse_workers,
 )
@@ -120,6 +123,10 @@ logger = logging.getLogger(__name__)
 
 #: Recognised orchestrator backends.
 BACKENDS = ("auto", "serial", "thread", "process")
+
+#: What a backend yields per completed cell: its matrix indices and the
+#: outcomes parallel to them.
+CompletedCell = tuple[Sequence[int], list[RunOutcome]]
 
 
 def default_backend() -> str:
@@ -132,22 +139,14 @@ def default_backend() -> str:
     return raw
 
 
-def _pool_entry(args: tuple) -> tuple[int, RunOutcome]:
-    """Pool adapter: run one indexed scenario in a worker process."""
-    index, scenario, cache_dir, use_cache, scale, seed = args
-    return index, execute_scenario(scenario, cache_dir, use_cache, scale, seed)
-
-
-def _pool_entry_batch(args: tuple) -> tuple[tuple[int, ...], list[RunOutcome]]:
+def _pool_entry(args: tuple) -> CompletedCell:
     """Pool adapter: run one batch cell in a worker process.
 
     ``indices`` are the cell's positions in the original matrix; the
     returned outcome list is parallel to them.
     """
     indices, scenarios, cache_dir, use_cache, scale, seed = args
-    return indices, execute_scenario_batch(
-        scenarios, cache_dir, use_cache, scale, seed
-    )
+    return indices, execute_cell(scenarios, cache_dir, use_cache, scale, seed)
 
 
 def _registry_state(require_picklable: bool) -> dict:
@@ -255,9 +254,6 @@ class Orchestrator:
         Default clock seed.
     use_cache:
         Overrides ``REPRO_CACHE``.
-    on_result:
-        Optional callback invoked with each :class:`RunOutcome` as it
-        completes (progress bars, live tables).
     backend:
         ``"auto"`` (default via ``REPRO_BACKEND``), ``"serial"``,
         ``"thread"`` or ``"process"`` — see the module docstring for
@@ -279,8 +275,9 @@ class Orchestrator:
         trace identity, and never change results.
     events:
         Optional :class:`~repro.execution.bus.EventBus` to publish
-        lifecycle events on (see the module docstring).  Subscriber
-        exceptions cancel the run like Ctrl-C.
+        lifecycle events on (see the module docstring) — the way to
+        watch a sweep's progress.  Subscriber exceptions cancel the
+        run like Ctrl-C.
     job_id:
         The job name stamped on every published event (the daemon's
         job id; ``"local"`` for direct callers).
@@ -304,7 +301,6 @@ class Orchestrator:
         scale: float | None = None,
         seed: int = 1,
         use_cache: bool | None = None,
-        on_result: Callable[[RunOutcome], None] | None = None,
         backend: str | None = None,
         start_method: str | None = None,
         batch: int | str | None = None,
@@ -320,7 +316,6 @@ class Orchestrator:
         self.scale = benchmark_scale() if scale is None else scale
         self.seed = seed
         self.use_cache = use_cache
-        self.on_result = on_result
         self.events = events
         self.job_id = job_id
         self.cancel = cancel
@@ -334,14 +329,17 @@ class Orchestrator:
         # construction, before any work starts — not as an
         # ExperimentError surfacing from deep inside run().
         self.backend = backend if backend is not None else default_backend()
-        self.start_method = start_method
-        requested_method = start_method or os.environ.get("REPRO_START_METHOD")
-        if requested_method:
+        #: The start method to honour (argument, else
+        #: ``REPRO_START_METHOD``); None means the platform default.
+        self.start_method = (
+            start_method or os.environ.get("REPRO_START_METHOD") or None
+        )
+        if self.start_method:
             available = multiprocessing.get_all_start_methods()
-            if requested_method not in available:
+            if self.start_method not in available:
                 source = "start method" if start_method else "REPRO_START_METHOD"
                 raise ExperimentError(
-                    f"unsupported {source} {requested_method!r}; "
+                    f"unsupported {source} {self.start_method!r}; "
                     f"available: {', '.join(available)}"
                 )
         self.batch = default_batch() if batch is None else parse_batch(batch)
@@ -352,7 +350,7 @@ class Orchestrator:
         if requested == "serial" or self.workers <= 1 or total <= 1:
             return "serial"
         if requested == "auto":
-            if self.start_method or os.environ.get("REPRO_START_METHOD"):
+            if self.start_method:
                 return "process"  # a start method only means processes
             from repro.uarch.native import load_hotpath
 
@@ -389,8 +387,9 @@ class Orchestrator:
         trace's identity — so every cell shares one trace and the
         native batch path warms up once per geometry.  Within a group,
         cells are contiguous slices of at most ``batch`` indices, in
-        matrix order; grouping is insertion-ordered, so the chunking
-        is deterministic.
+        matrix order.  Cells are ordered by their first index, so with
+        ``batch`` 1 they are ``[[0], [1], ...]``: a per-run sweep
+        dispatches (and, serially, announces) in matrix order.
         """
         groups: dict[tuple, list[int]] = {}
         for index, scenario in enumerate(scenarios):
@@ -401,7 +400,7 @@ class Orchestrator:
         for indices in groups.values():
             for start in range(0, len(indices), batch):
                 cells.append(indices[start : start + batch])
-        return cells
+        return sorted(cells)
 
     def _context(self) -> ExecutionContext:
         if self.context is not None:
@@ -419,16 +418,32 @@ class Orchestrator:
         if self.cancel is not None and self.cancel.cancelled:
             raise ExecutionCancelled(f"job {self.job_id!r} cancelled")
 
-    def _emit_started(self, cell: int, total: int, scenario: Scenario) -> None:
+    def _emit_started(
+        self, indices: Sequence[int], scenarios: Sequence[Scenario]
+    ) -> None:
+        """Publish ``CellStarted`` for each matrix index of one cell."""
         if self.events is not None:
-            self.events.publish(
-                CellStarted(
-                    job=self.job_id, cell=cell, total=total, run_id=scenario.run_id
+            for index in indices:
+                self.events.publish(
+                    CellStarted(
+                        job=self.job_id,
+                        cell=index,
+                        total=len(scenarios),
+                        run_id=scenarios[index].run_id,
+                    )
                 )
-            )
 
     def run(self, matrix: Suite | Sequence[Scenario]) -> ResultSet:
-        """Execute every scenario; returns outcomes in matrix order."""
+        """Execute every scenario; returns outcomes in matrix order.
+
+        The one cell loop: whichever backend runs the cells, completed
+        ``(indices, outcomes)`` pairs arrive here, each outcome is
+        announced, and the cancel token is checked after every cell.
+        Closing the backend's generator on the way out — normal return,
+        a raising subscriber, a fired token or Ctrl-C — runs its
+        cleanup (queued cells cancelled, pool terminated, shared
+        segments unlinked) before the exception propagates.
+        """
         scenarios = list(matrix.expand() if isinstance(matrix, Suite) else matrix)
         total = len(scenarios)
         label = matrix.name if isinstance(matrix, Suite) else "matrix"
@@ -438,14 +453,24 @@ class Orchestrator:
             "%s: %d scenario(s) across %d worker(s) [%s backend, batch %d]",
             label, total, self.workers, backend, batch,
         )
+        execute = {
+            "serial": self._serial_cells,
+            "thread": self._thread_cells,
+            "process": self._process_cells,
+        }[backend]
+        ordered: list[RunOutcome | None] = [None] * total
+        done = 0
         started = time.perf_counter()
         try:
-            if backend == "serial":
-                outcomes = self._run_serial(scenarios, batch)
-            elif backend == "thread":
-                outcomes = self._run_threaded(scenarios, batch)
-            else:
-                outcomes = self._run_parallel(scenarios, batch)
+            self._check_cancel()
+            cells = self._batch_cells(scenarios, batch)
+            with closing(execute(scenarios, cells)) as completed:
+                for indices, outcomes in completed:
+                    for index, outcome in zip(indices, outcomes):
+                        ordered[index] = outcome
+                        self._announce(outcome, index, done, total)
+                        done += 1
+                    self._check_cancel()
         except (KeyboardInterrupt, ExecutionCancelled):
             # Workers are already cancelled/terminated by the backend
             # and the shared segments unlinked; announce the
@@ -458,25 +483,22 @@ class Orchestrator:
             )
             raise
         elapsed = time.perf_counter() - started
-        failures = sum(1 for o in outcomes if not o.ok)
+        assert all(o is not None for o in ordered), "a cell went missing"
+        failures = sum(1 for o in ordered if not o.ok)
         logger.info(
             "%s: %d/%d completed (%d failed) in %.1fs",
             label, total - failures, total, failures, elapsed,
         )
-        return ResultSet(outcomes)
+        return ResultSet(ordered)
 
-    # --- execution strategies ---------------------------------------------
     def _announce(
         self, outcome: RunOutcome, cell: int, done: int, total: int
     ) -> None:
-        """Publish one completed cell: log, event stream, callback.
+        """Publish one completed scenario: progress log, then event stream.
 
         ``cell`` is the outcome's position in the submitted matrix
         (what events carry); ``done`` is the completion counter (what
-        the progress log shows).  Events go out before the legacy
-        ``on_result`` callback so a subscriber that checkpoints and a
-        callback that prints observe the same order the matrix
-        completes in.
+        the progress log shows).
         """
         status = "ok" if outcome.ok else "FAILED"
         logger.info("[%d/%d] %s %s", done + 1, total, outcome.scenario.run_id, status)
@@ -489,126 +511,55 @@ class Orchestrator:
             self.events.publish(
                 cls(job=self.job_id, cell=cell, total=total, outcome=outcome)
             )
-        if self.on_result is not None:
-            self.on_result(outcome)
 
-    def _run_serial(
-        self, scenarios: Sequence[Scenario], batch: int = 1
-    ) -> list[RunOutcome]:
+    # --- backends: each yields completed cells to run()'s loop ---------------
+    def _serial_cells(
+        self, scenarios: Sequence[Scenario], cells: list[list[int]]
+    ) -> Iterator[CompletedCell]:
+        """Serial backend: every cell in the calling thread, in order."""
         ctx = self._context()
-        total = len(scenarios)
-        if batch <= 1:
-            outcomes = []
-            for i, scenario in enumerate(scenarios):
-                self._check_cancel()
-                self._emit_started(i, total, scenario)
-                outcome = ctx.run_isolated(scenario)
-                self._announce(outcome, i, i, total)
-                outcomes.append(outcome)
-            return outcomes
-        ordered: list[RunOutcome | None] = [None] * total
-        done = 0
-        for indices in self._batch_cells(scenarios, batch):
-            self._check_cancel()
-            for index in indices:
-                self._emit_started(index, total, scenarios[index])
-            cell = ctx.run_batch([scenarios[i] for i in indices])
-            for index, outcome in zip(indices, cell):
-                ordered[index] = outcome
-                self._announce(outcome, index, done, total)
-                done += 1
-        assert all(o is not None for o in ordered)
-        return ordered  # type: ignore[return-value]
+        for indices in cells:
+            self._emit_started(indices, scenarios)
+            yield indices, ctx.run_batch([scenarios[i] for i in indices])
 
-    def _run_threaded(
-        self, scenarios: Sequence[Scenario], batch: int = 1
-    ) -> list[RunOutcome]:
+    def _thread_cells(
+        self, scenarios: Sequence[Scenario], cells: list[list[int]]
+    ) -> Iterator[CompletedCell]:
         """Thread-pool backend: one shared context, GIL-free native runs.
 
         All workers share one :class:`ExecutionContext` — and with it
         the process-wide compiled-trace cache and the write-through
         result front — so a sweep pays each trace load and each cached
-        result read once for the whole pool.  ``run_isolated`` captures
-        per-run failures, so a future never raises.
+        result read once for the whole pool.  ``run_batch`` captures
+        per-run failures, so a future raises only when its cell is
+        cancelled at pickup or a ``CellStarted`` subscriber raises.
         """
         ctx = self._context()
-        total = len(scenarios)
-        ordered: list[RunOutcome | None] = [None] * total
-
-        def run_one(index: int, scenario: Scenario) -> RunOutcome:
-            # Task pickup is a preemption point: once the token fires,
-            # every queued cell raises here instead of simulating, and
-            # the completion loop's shutdown(cancel_futures=True) drops
-            # the rest.
-            self._check_cancel()
-            self._emit_started(index, total, scenario)
-            return ctx.run_isolated(scenario)
 
         def run_cell(indices: list[int]) -> list[RunOutcome]:
+            # Task pickup is a preemption point: once the token fires,
+            # every queued cell raises here instead of simulating.
             self._check_cancel()
-            for index in indices:
-                self._emit_started(index, total, scenarios[index])
+            self._emit_started(indices, scenarios)
             return ctx.run_batch([scenarios[i] for i in indices])
 
-        done = 0
-        if batch <= 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.workers, total),
-                thread_name_prefix="repro-sweep",
-            ) as pool:
-                try:
-                    futures = {
-                        pool.submit(run_one, index, scenario): index
-                        for index, scenario in enumerate(scenarios)
-                    }
-                    for future in as_completed(futures):
-                        outcome = future.result()
-                        ordered[futures[future]] = outcome
-                        self._announce(outcome, futures[future], done, total)
-                        done += 1
-                        self._check_cancel()
-                except BaseException:
-                    # Ctrl-C (or an on_result hook raising): without
-                    # the explicit cancel, the executor's __exit__
-                    # would run every queued scenario to completion
-                    # before the exception could propagate.
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-            assert all(o is not None for o in ordered)
-            return ordered  # type: ignore[return-value]
-        cells = self._batch_cells(scenarios, batch)
-        with ThreadPoolExecutor(
+        pool = ThreadPoolExecutor(
             max_workers=min(self.workers, len(cells)),
             thread_name_prefix="repro-sweep",
-        ) as pool:
-            try:
-                futures = {
-                    pool.submit(run_cell, indices): indices
-                    for indices in cells
-                }
-                for future in as_completed(futures):
-                    for index, outcome in zip(futures[future], future.result()):
-                        ordered[index] = outcome
-                        self._announce(outcome, index, done, total)
-                        done += 1
-                    self._check_cancel()
-            except BaseException:
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        assert all(o is not None for o in ordered)
-        return ordered  # type: ignore[return-value]
+        )
+        try:
+            futures = {pool.submit(run_cell, indices): indices for indices in cells}
+            for future in as_completed(futures):
+                yield futures[future], future.result()
+        finally:
+            # Without cancel_futures an interrupt would wait for every
+            # queued cell to run to completion before propagating.
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _mp_context(self):
         """The multiprocessing context honouring the configured method."""
-        requested = self.start_method or os.environ.get("REPRO_START_METHOD")
-        if requested:
-            available = multiprocessing.get_all_start_methods()
-            if requested not in available:
-                raise ExperimentError(
-                    f"unsupported start method {requested!r}; "
-                    f"available: {', '.join(available)}"
-                )
-            return multiprocessing.get_context(requested)
+        if self.start_method:
+            return multiprocessing.get_context(self.start_method)
         # Fork (where available) is cheapest: workers inherit compiled
         # traces and registries directly.
         try:
@@ -660,9 +611,10 @@ class Orchestrator:
                 )
         return descriptors, [d["key"] for d in descriptors]
 
-    def _run_parallel(
-        self, scenarios: Sequence[Scenario], batch: int = 1
-    ) -> list[RunOutcome]:
+    def _process_cells(
+        self, scenarios: Sequence[Scenario], cells: list[list[int]]
+    ) -> Iterator[CompletedCell]:
+        """Process-pool backend: cells run in :mod:`multiprocessing` workers."""
         from repro.uarch.shared_trace import unlink_exported
 
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
@@ -676,84 +628,32 @@ class Orchestrator:
         )
         descriptors, shared_keys = self._export_shared_traces(scenarios)
         state["shared_traces"] = descriptors
-        total = len(scenarios)
-        ordered: list[RunOutcome | None] = [None] * total
-        done = 0
-        self._check_cancel()
+        knobs = (cache_dir, self.use_cache, self.scale, self.seed)
+        jobs = [(indices, [scenarios[i] for i in indices], *knobs) for indices in cells]
         try:
-            if batch <= 1:
-                jobs: Iterable[tuple] = [
-                    (i, s, cache_dir, self.use_cache, self.scale, self.seed)
-                    for i, s in enumerate(scenarios)
-                ]
-                with mp_context.Pool(
-                    processes=min(self.workers, total),
-                    initializer=_init_worker,
-                    initargs=(state,),
-                ) as pool:
-                    try:
-                        for index, outcome in pool.imap_unordered(
-                            _pool_entry, jobs
-                        ):
-                            # Worker starts are invisible across the
-                            # process boundary; announce start and
-                            # finish together on arrival so the
-                            # per-cell ordering contract holds.
-                            self._emit_started(index, total, scenarios[index])
-                            ordered[index] = outcome
-                            self._announce(outcome, index, done, total)
-                            done += 1
-                            self._check_cancel()
-                    except BaseException:
-                        # Ctrl-C or a fired cancel token: kill
-                        # in-flight workers now and wait for them —
-                        # never strand a pool behind a propagating
-                        # interrupt.
-                        pool.terminate()
-                        pool.join()
-                        raise
-            else:
-                cells = self._batch_cells(scenarios, batch)
-                cell_jobs: Iterable[tuple] = [
-                    (
-                        tuple(indices),
-                        [scenarios[i] for i in indices],
-                        cache_dir,
-                        self.use_cache,
-                        self.scale,
-                        self.seed,
-                    )
-                    for indices in cells
-                ]
-                with mp_context.Pool(
-                    processes=min(self.workers, len(cells)),
-                    initializer=_init_worker,
-                    initargs=(state,),
-                ) as pool:
-                    try:
-                        for indices, outcomes in pool.imap_unordered(
-                            _pool_entry_batch, cell_jobs
-                        ):
-                            for index, outcome in zip(indices, outcomes):
-                                self._emit_started(
-                                    index, total, scenarios[index]
-                                )
-                                ordered[index] = outcome
-                                self._announce(outcome, index, done, total)
-                                done += 1
-                            self._check_cancel()
-                    except BaseException:
-                        pool.terminate()
-                        pool.join()
-                        raise
+            pool = mp_context.Pool(
+                processes=min(self.workers, len(cells)),
+                initializer=_init_worker,
+                initargs=(state,),
+            )
+            try:
+                for indices, outcomes in pool.imap_unordered(_pool_entry, jobs):
+                    # Worker starts are invisible across the process
+                    # boundary; announce start and finish together on
+                    # arrival so the per-scenario ordering holds.
+                    self._emit_started(indices, scenarios)
+                    yield indices, outcomes
+            finally:
+                # Never strand a pool behind a propagating interrupt:
+                # kill in-flight workers now and wait for them.
+                pool.terminate()
+                pool.join()
         finally:
             # Owner-side unlink: segment names vanish now; worker
             # mappings (if any are somehow still alive) survive until
             # closed.  The atexit guard in repro.uarch.shared_trace
             # covers paths that never reach this finally.
             unlink_exported(shared_keys)
-        assert all(o is not None for o in ordered)
-        return ordered  # type: ignore[return-value]
 
 
 def run_suite(

@@ -19,7 +19,6 @@ the generator trace instead.  Both are byte-identical; see
 
 from __future__ import annotations
 
-import logging
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ from repro.uarch.compiled_trace import (
 )
 from repro.uarch.core import CoreOptions, CoreResult, MCDCore
 from repro.workloads.catalog import BenchmarkSpec, get_benchmark
-
-logger = logging.getLogger(__name__)
 
 #: Regulator slew rate used with the scaled catalog workloads.  The
 #: paper's 49.1 ns/MHz makes a full-range transition take ~3.7 of its
@@ -384,9 +381,13 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
       than the walk).
 
     Anything that cannot take the native loop (no C loop, ``python``
-    specs) and any error during batch assembly or execution falls back
-    to per-run :func:`run_spec` execution, which re-raises per-spec
-    errors with their normal semantics.
+    specs) runs per run through :func:`run_spec` instead.  An error
+    during batch assembly or execution (a controller callback raising,
+    a trace-exhausted run, a marshal error) propagates: the batch
+    vector is all or nothing, and the caller decides how to recover —
+    :meth:`~repro.experiments.executor.ExecutionContext.run_batch`
+    re-runs the cell per run, once, so only the failing spec records
+    an error.
     """
     from repro.uarch.native import load_hotpath
 
@@ -398,37 +399,27 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
         or any(spec.path == "python" for spec in specs)
     ):
         return [run_spec(spec) for spec in specs]
-    try:
-        args_vector = []
-        finishes = []
-        warm_snapshots: dict = {}
-        for spec in specs:
-            core, trace = _build_core(spec)
-            if spec.warmup:
-                if trace.total_instructions < _WARM_SHARE_MIN_EVENTS:
+    args_vector = []
+    finishes = []
+    warm_snapshots: dict = {}
+    for spec in specs:
+        core, trace = _build_core(spec)
+        if spec.warmup:
+            if trace.total_instructions < _WARM_SHARE_MIN_EVENTS:
+                core.warm_up(trace, limit=trace.total_instructions)
+            else:
+                # Warm state depends only on (trace, geometry): the
+                # compiled trace is one shared instance per identity,
+                # and the processor config carries the geometry.
+                warm_key = (id(trace), repr(spec.processor))
+                snapshot = warm_snapshots.get(warm_key)
+                if snapshot is None:
                     core.warm_up(trace, limit=trace.total_instructions)
+                    warm_snapshots[warm_key] = core.warm_state_snapshot()
                 else:
-                    # Warm state depends only on (trace, geometry):
-                    # the compiled trace is one shared instance per
-                    # identity, and the processor config carries the
-                    # geometry.
-                    warm_key = (id(trace), repr(spec.processor))
-                    snapshot = warm_snapshots.get(warm_key)
-                    if snapshot is None:
-                        core.warm_up(trace, limit=trace.total_instructions)
-                        warm_snapshots[warm_key] = core.warm_state_snapshot()
-                    else:
-                        core.restore_warm_state(snapshot)
-            args, finish = core.native_marshal()
-            args_vector.append(args)
-            finishes.append(finish)
-        raw = hotpath.run_batch(args_vector)
-        return [finish(res) for finish, res in zip(finishes, raw)]
-    except Exception:
-        # A failed batch (callback exception, trace-exhausted run,
-        # marshal error) falls back to per-run execution on fresh
-        # cores: controllers re-``begin`` from scratch, so results
-        # stay byte-identical and the failing spec raises with its
-        # own per-run error semantics.
-        logger.debug("batched native run failed; re-running per run", exc_info=True)
-        return [run_spec(spec) for spec in specs]
+                    core.restore_warm_state(snapshot)
+        args, finish = core.native_marshal()
+        args_vector.append(args)
+        finishes.append(finish)
+    raw = hotpath.run_batch(args_vector)
+    return [finish(res) for finish, res in zip(finishes, raw)]

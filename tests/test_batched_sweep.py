@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,82 @@ class TestBatchedBackends:
         assert healthy["outcomes"] == reference["outcomes"]
 
 
+class _RaiseOnThirdInterval:
+    """A per-interval Python controller that fails every run it joins."""
+
+    instantaneous = False
+
+    def begin(self, config, initial_mhz):
+        self.intervals = 0
+
+    def on_interval(self, snapshot):
+        self.intervals += 1
+        if self.intervals == 3:
+            raise RuntimeError("injected third-interval failure")
+        return {}
+
+
+class TestBatchFallback:
+    """A failing spec costs its cell one per-run re-run, not two."""
+
+    @pytest.fixture
+    def failing_at_interval(self):
+        from repro.experiments import CONFIGURATIONS, register_configuration
+
+        @register_configuration("raise_third")
+        def raise_third(ctx, benchmark, scale, seed):
+            """MCD run whose controller raises at its third interval."""
+            return SimulationSpec(
+                benchmark=benchmark, mcd=True, controller=_RaiseOnThirdInterval(),
+                scale=scale, seed=seed,
+            )
+
+        yield "raise_third"
+        CONFIGURATIONS.unregister("raise_third")
+
+    @pytest.mark.parametrize("failing", ["interval", "global@100"])
+    def test_failing_spec_falls_back_once(
+        self, failing, failing_at_interval, monkeypatch, caplog
+    ):
+        from repro.experiments.executor import ExecutionContext
+        from repro.sim import engine
+
+        # "interval" raises inside the simulation; global@100 raises
+        # while its core is built.
+        configuration = failing_at_interval if failing == "interval" else failing
+        cell = [
+            Scenario("adpcm", "sync", scale=SCALE),
+            Scenario("adpcm", configuration, scale=SCALE),
+            Scenario("adpcm", "mcd_base", scale=SCALE),
+        ]
+        # Every simulation attempt, batched or per run, builds its core
+        # once: count builds per spec object.
+        builds: list = []
+        build_core = engine._build_core
+
+        def counting_build(spec):
+            builds.append(spec)
+            return build_core(spec)
+
+        monkeypatch.setattr(engine, "_build_core", counting_build)
+        ctx = ExecutionContext(scale=SCALE, use_cache=False)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
+            outcomes = ctx.run_batch(cell)
+        monkeypatch.undo()
+
+        # ``builds`` keeps every spec alive, so ids stay unique.
+        per_spec = Counter(id(spec) for spec in builds)
+        assert len(per_spec) == len(cell)
+        assert max(per_spec.values()) <= 2
+        assert [o.ok for o in outcomes] == [True, False, True]
+        reference = ExecutionContext(scale=SCALE, use_cache=False)
+        for scenario, outcome in zip(cell, outcomes):
+            if outcome.ok:
+                assert outcome.to_dict() == reference.run_isolated(scenario).to_dict()
+        # The fallback is a logged fact, not a silent retry.
+        assert any("per run" in r.message for r in caplog.records)
+
+
 # ---------------------------------------------------------------------------
 # Batch resolution and chunking
 # ---------------------------------------------------------------------------
@@ -325,6 +402,14 @@ class TestBatchResolution:
             and scenarios[cell[0]].scale == 0.05
         ]
         assert [len(cell) for cell in adpcm_cells] == [2, 1]
+
+    def test_batch_of_one_is_matrix_order(self):
+        scenarios = [
+            Scenario("adpcm", "sync", seed=1, scale=0.05),
+            Scenario("gsm", "sync", seed=1, scale=0.05),
+            Scenario("adpcm", "sync", seed=2, scale=0.05),
+        ]
+        assert Orchestrator._batch_cells(scenarios, 1) == [[0], [1], [2]]
 
     def test_cli_rejects_malformed_batch(self, monkeypatch):
         from repro.cli import main

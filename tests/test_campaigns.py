@@ -28,6 +28,7 @@ from repro.campaigns import (
 )
 from repro.cli import main
 from repro.errors import CampaignError
+from repro.execution import CellFailed, CellFinished, EventBus
 from repro.experiments.results import RunOutcome
 from repro.experiments.scenario import Scenario
 
@@ -209,10 +210,10 @@ class TestCampaignSpec:
 def _outcome(benchmark="adpcm", configuration="sync", ok=True) -> RunOutcome:
     scenario = Scenario(benchmark, configuration, scale=0.02)
     if ok:
-        from repro.experiments.executor import execute_scenario
+        from repro.experiments.executor import ExecutionContext
 
-        return execute_scenario(
-            scenario, cache_dir=None, use_cache=False, scale=0.02, seed=1
+        return ExecutionContext(scale=0.02, seed=1, use_cache=False).run_isolated(
+            scenario
         )
     return RunOutcome(scenario=scenario, error="injected failure")
 
@@ -320,12 +321,20 @@ class TestCampaignRunner:
         spec = CampaignSpec.load(write_campaign(tmp_path))
         runner = CampaignRunner(spec)
 
-        def interrupt_after_two(index, outcome):
-            if len(runner.journal.load().completed) >= 2:
-                raise KeyboardInterrupt
+        # Subscribed ahead of the checkpoint: the third finish raises
+        # before it can be journalled.
+        bus = EventBus()
+        finishes = []
 
+        def interrupt_on_third(event):
+            if isinstance(event, (CellFinished, CellFailed)):
+                finishes.append(event.cell)
+                if len(finishes) == 3:
+                    raise KeyboardInterrupt
+
+        bus.subscribe(interrupt_on_third)
         with pytest.raises(KeyboardInterrupt):
-            runner.run(on_result=interrupt_after_two)
+            runner.run(bus=bus)
 
         completed = set(runner.state().completed)
         assert len(completed) == 2  # journalled before the interrupt
@@ -335,6 +344,22 @@ class TestCampaignRunner:
         assert report.restored == 2
         assert report.executed == 2  # exactly the missing cells
         assert spec.results_path.read_bytes() == reference_bytes
+
+    def test_duplicate_axis_entries_journal_every_index_once(self, tmp_path):
+        text = SMALL_CAMPAIGN.replace(
+            'benchmarks = ["adpcm", "gsm"]', 'benchmarks = ["adpcm", "gsm", "adpcm"]'
+        ).replace('backend = "serial"', 'backend = "thread"\nworkers = "2"\nbatch = 1')
+        spec = CampaignSpec.load(write_campaign(tmp_path, text))
+        runner = CampaignRunner(spec)
+        report = runner.run()
+        assert report.ok and report.total == 6
+        matrix = runner.matrix()
+        lines = spec.journal_path.read_text().splitlines()[1:]  # past the header
+        entries = [json.loads(line) for line in lines]
+        assert sorted(entry["cell"] for entry in entries) == list(range(6))
+        for entry in entries:
+            outcome = RunOutcome.from_dict(entry["outcome"])
+            assert outcome.scenario == matrix[entry["cell"]]
 
     def test_quarantined_cells_are_requeued_on_resume(self, tmp_path):
         from repro.experiments import CONFIGURATIONS, register_configuration

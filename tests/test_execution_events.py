@@ -4,10 +4,10 @@ Pins the contracts the daemon and the campaign layer build on: exact
 JSON round-trips for every event type, the bus's ordering/filter/
 propagation semantics, cooperative cancellation, and — the load-bearing
 one — that the event stream is an *observation* of execution, not a
-different execution: every backend produces the same ResultSet whether
-consumed through events or the legacy ``on_result`` callback, and a
-campaign resumed through the subscriber checkpoint publishes
-byte-identical results with an equivalent journal.
+different execution: on every backend the finish events carry exactly
+the outcomes of the returned ResultSet, cell for cell, and a campaign
+resumed through the subscriber checkpoint publishes byte-identical
+results with an equivalent journal.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -164,7 +165,7 @@ class TestCancelToken:
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 class TestEventCallbackDifferential:
-    """Events and callbacks must observe one and the same execution."""
+    """The event stream and the returned ResultSet are one execution."""
 
     def _knobs(self, backend, tmp_path, sub):
         return dict(
@@ -178,11 +179,7 @@ class TestEventCallbackDifferential:
 
     def test_event_stream_matches_on_result(self, backend, tmp_path):
         suite = small_suite()
-        callback_outcomes = []
-        reference = Orchestrator(
-            on_result=callback_outcomes.append,
-            **self._knobs(backend, tmp_path, "cb"),
-        ).run(suite)
+        reference = Orchestrator(**self._knobs(backend, tmp_path, "plain")).run(suite)
 
         bus = EventBus()
         events = []
@@ -191,19 +188,21 @@ class TestEventCallbackDifferential:
             events=bus, job_id="diff", **self._knobs(backend, tmp_path, "ev")
         ).run(suite)
 
-        # Identical ResultSets, cell for cell, whichever way observed.
+        # Identical ResultSets, cell for cell, whether watched or not.
         assert streamed.to_dict() == reference.to_dict()
 
         total = len(suite.expand())
         finished = [e for e in events if isinstance(e, (CellFinished, CellFailed))]
-        started = [e for e in events if isinstance(e, CellStarted)]
         assert len(finished) == total
         assert sorted(e.cell for e in finished) == list(range(total))
         assert all(e.total == total and e.job == "diff" for e in events)
-        # The finish events carry exactly the callback-visible outcomes.
-        assert sorted(e.outcome.scenario.run_id for e in finished) == sorted(
-            o.scenario.run_id for o in callback_outcomes
-        )
+        # Each finish event carries exactly the outcome the ResultSet
+        # holds at its cell.
+        for event in finished:
+            assert (
+                event.outcome.to_dict()
+                == streamed.outcomes[event.cell].to_dict()
+            )
         # Per cell, started precedes its finish event on every backend.
         first_started = {}
         for position, event in enumerate(events):
@@ -241,6 +240,86 @@ class TestEventCallbackDifferential:
         # At least one cell completed (and was announced) before the
         # token was honoured; the matrix did not run to completion.
         assert 1 <= len(finished) < len(suite.expand())
+
+
+class SubscriberStop(Exception):
+    """Raised by a test subscriber to stop a sweep."""
+
+
+class TestOneCellLoop:
+    """Every backend announces through one loop with one cleanup path."""
+
+    def _shm_segments(self) -> set[str] | None:
+        root = Path("/dev/shm")
+        return {p.name for p in root.glob("psm_*")} if root.is_dir() else None
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_raising_subscriber_stops_the_sweep(self, backend, tmp_path):
+        suite = Suite(
+            benchmarks=["adpcm", "gsm", "phase_thrash"],
+            configurations=["sync", "mcd_base"],
+            seeds=[1, 2],
+            scale=SCALE,
+            name="raising",
+        )
+        total = len(suite.expand())
+        before = self._shm_segments()
+        threads = set(threading.enumerate())
+        bus = EventBus()
+        started = set()
+
+        def stop_on_first_finish(event):
+            if isinstance(event, CellStarted):
+                started.add(event.cell)
+            elif isinstance(event, (CellFinished, CellFailed)):
+                raise SubscriberStop(event.cell)
+
+        bus.subscribe(stop_on_first_finish)
+        orchestrator = Orchestrator(
+            backend=backend, workers=2, batch=1, scale=SCALE,
+            cache_dir=tmp_path, use_cache=False, events=bus,
+        )
+        with pytest.raises(SubscriberStop) as stopped:
+            orchestrator.run(suite)
+        # ``stopped`` keeps the traceback, and with it every frame of
+        # the sweep, alive: cleanup must not wait for garbage collection.
+        assert stopped.value.args[0] in started  # started preceded its finish
+        if backend == "serial":
+            assert started == {0}  # nothing ran past the first cell
+        elif backend == "thread":
+            # Workers were joined and queued cells cancelled, never
+            # picked up.
+            assert not [
+                t
+                for t in set(threading.enumerate()) - threads
+                if t.name.startswith("repro-sweep")
+            ]
+            assert len(started) < total
+        elif before is not None:
+            assert self._shm_segments() - before == set()
+
+    def test_serial_per_run_sweep_announces_in_matrix_order(self, tmp_path):
+        # Seeds vary slowest, so a trace-grouped order would differ.
+        suite = Suite(
+            benchmarks=["adpcm", "gsm"],
+            configurations=["sync", "mcd_base"],
+            seeds=[1, 2],
+            scale=SCALE,
+            name="ordered",
+        )
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        Orchestrator(
+            backend="serial", batch=1, scale=SCALE,
+            cache_dir=tmp_path, use_cache=False, events=bus,
+        ).run(suite)
+        total = len(suite.expand())
+        assert [(type(e), e.cell) for e in events] == [
+            (kind, cell)
+            for cell in range(total)
+            for kind in (CellStarted, CellFinished)
+        ]
 
 
 class TestCampaignEventCheckpoint:
@@ -283,19 +362,24 @@ use_cache = false
         spec = CampaignSpec.load(campaign, output_dir=tmp_path / "evented")
         runner = CampaignRunner(spec)
 
-        class StopAfterTwo(Exception):
+        class StopOnThird(Exception):
             pass
 
+        # Subscribed ahead of the checkpoint: the third finish raises
+        # before it can be journalled.
+        bus = EventBus()
         seen = []
 
-        def interrupt_after_two(index, outcome):
-            seen.append(index)
-            if len(seen) == 2:
-                raise StopAfterTwo()
+        def interrupt_on_third(event):
+            if isinstance(event, (CellFinished, CellFailed)):
+                seen.append(event.cell)
+                if len(seen) == 3:
+                    raise StopOnThird()
 
-        with pytest.raises(StopAfterTwo):
-            runner.run(on_result=interrupt_after_two)
-        assert len(runner.state().completed) == 2  # journalled first
+        bus.subscribe(interrupt_on_third)
+        with pytest.raises(StopOnThird):
+            runner.run(bus=bus)
+        assert len(runner.state().completed) == 2
 
         report = runner.run(resume=True)
         assert report.ok
