@@ -67,13 +67,17 @@ class GaussianJitter:
         self._clip = clip_sigmas * sigma_ns
         self._buffer: list[float] = []
 
-    def _refill(self) -> None:
+    def _draw(self) -> np.ndarray:
+        """The stream's next block of clipped float64 samples."""
         raw = self._rng.normal(0.0, self.sigma_ns, self._block)
         if self._clip > 0:
             np.clip(raw, -self._clip, self._clip, out=raw)
+        return raw
+
+    def _refill(self) -> None:
         # list.pop() from the tail is O(1); order within a block is iid
         # so consuming in reverse is statistically identical.
-        self._buffer = raw.tolist()
+        self._buffer = self._draw().tolist()
 
     def sample(self) -> float:
         """Return the next jitter sample in ns."""

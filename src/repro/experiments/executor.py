@@ -376,7 +376,7 @@ class ExecutionContext:
         outcome, never the cell's.  Every scenario whose factory
         produced a :class:`~repro.sim.engine.SimulationSpec` joins one
         :func:`~repro.sim.engine.run_specs_batch` vector — one native
-        entry, one GIL release and shared warm-up for the whole cell.
+        entry and one GIL release for the whole cell.
         When that vector raises, the cell falls back once to per-run
         execution (logged), so only the failing scenario records an
         error.

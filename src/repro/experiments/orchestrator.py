@@ -40,7 +40,7 @@ The **batch cell** is the only unit of dispatch: every backend executes
 the matrix as cells — contiguous runs of scenarios sharing one
 ``(benchmark, scale)`` trace identity — through one completion loop.
 A multi-scenario cell rides the native batch entry point (one GIL
-release, one warm-up per trace/geometry, one writeback pass; see
+release, one writeback pass; see
 :func:`repro.sim.engine.run_specs_batch`), so per-run dispatch overhead
 amortises across the cell.  A per-run sweep is simply a sweep of
 one-scenario cells in matrix order.  ``batch="auto"`` (the default, via
@@ -384,8 +384,7 @@ class Orchestrator:
         """Matrix indices chunked into trace-coherent batch cells.
 
         Scenarios are grouped by ``(benchmark, scale)`` — the compiled
-        trace's identity — so every cell shares one trace and the
-        native batch path warms up once per geometry.  Within a group,
+        trace's identity — so every cell shares one trace.  Within a group,
         cells are contiguous slices of at most ``batch`` indices, in
         matrix order.  Cells are ordered by their first index, so with
         ``batch`` 1 they are ``[[0], [1], ...]``: a per-run sweep

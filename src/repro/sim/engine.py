@@ -242,7 +242,9 @@ class SimulationSpec:
     scale:
         Workload length scale (1.0 = the catalog's scaled windows).
     seed:
-        Clock phase/jitter seed (and trace seed offset).
+        Clock phase and jitter seed.  It does not reach the trace:
+        every seed of one ``(benchmark, scale)`` runs over the same
+        trace.
     record_intervals:
         Keep the per-interval log (Figures 2/3).
     warmup:
@@ -353,32 +355,15 @@ def run_spec(spec: SimulationSpec) -> CoreResult:
     return core.run()
 
 
-#: Share warm-up state across a batch cell only for traces at least
-#: this long.  Warm-up walks the whole trace in Python (cost grows
-#: with length), while restoring a snapshot deep-copies cache sets and
-#: predictor tables (cost fixed by geometry) — so sharing wins on
-#: production-scale traces and loses on short smoke traces, where the
-#: copy outweighs the replay.  Both paths leave identical state, so
-#: the cutover never changes results.
-_WARM_SHARE_MIN_EVENTS = 25_000
-
-
 def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
     """Execute several runs through one native ``run_batch`` call.
 
     Byte-identity contract: the returned list equals
     ``[run_spec(s) for s in specs]`` exactly — same ``CoreResult``
     values, same final controller/regulator diagnostics.  The batch
-    amortises what a per-run loop repeats:
-
-    * one GIL release and one C entry for the whole vector;
-    * warm-up once per (trace, geometry) on long traces — warm state
-      is deterministic and seed-independent, so later runs in the cell
-      deep-copy the first run's
-      :meth:`~repro.uarch.core.MCDCore.warm_state_snapshot` instead of
-      replaying the trace (short traces below
-      ``_WARM_SHARE_MIN_EVENTS`` just replay: the copy would cost more
-      than the walk).
+    amortises what a per-run loop repeats: one GIL release and one C
+    entry for the whole vector.  Each run warms up on its own (in C,
+    a few milliseconds per trace).
 
     Anything that cannot take the native loop (no C loop, ``python``
     specs) runs per run through :func:`run_spec` instead.  An error
@@ -401,23 +386,10 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
         return [run_spec(spec) for spec in specs]
     args_vector = []
     finishes = []
-    warm_snapshots: dict = {}
     for spec in specs:
         core, trace = _build_core(spec)
         if spec.warmup:
-            if trace.total_instructions < _WARM_SHARE_MIN_EVENTS:
-                core.warm_up(trace, limit=trace.total_instructions)
-            else:
-                # Warm state depends only on (trace, geometry): the
-                # compiled trace is one shared instance per identity,
-                # and the processor config carries the geometry.
-                warm_key = (id(trace), repr(spec.processor))
-                snapshot = warm_snapshots.get(warm_key)
-                if snapshot is None:
-                    core.warm_up(trace, limit=trace.total_instructions)
-                    warm_snapshots[warm_key] = core.warm_state_snapshot()
-                else:
-                    core.restore_warm_state(snapshot)
+            core.warm_up(trace, limit=trace.total_instructions)
         args, finish = core.native_marshal()
         args_vector.append(args)
         finishes.append(finish)

@@ -29,23 +29,28 @@
  *                  shims that re-acquire the GIL for the call;
  *   3. writeback — fold results into the owning objects (GIL held).
  *
- * Two entry points share the stages.  run_compiled drives one RunState
+ * Three entry points share the stages.  run_compiled drives one RunState
  * through all three.  run_batch amortises the boundary across a sweep
  * cell: it marshals a *vector* of argument dicts up front, releases the
  * GIL once, computes every run back to back, and then writes each run
  * back into its own objects — exactly the per-run folding the single
  * entry performs, so batched results are byte-identical by
- * construction.
+ * construction.  warm_up replays the head of a compiled trace through
+ * the caches, the predictor tables and the BTB only (MCDCore.warm_up),
+ * with the GIL released; it marshals and writes back that state with
+ * the same helpers as the runs (marshal_uarch / writeback_uarch), and
+ * the run loop touches it through the same access helpers, so the two
+ * cannot drift apart.
  *
  * Reentrancy audit: this file holds NO mutable state with static
  * storage duration — every array, ring buffer and counter lives on the
- * compute stage's stack or in per-RunState PyMem allocations, and the
- * buffers handed in through the argument dict are created per run by
- * MCDCore.native_marshal (the trace columns it passes are read-only
- * numpy arrays, and newline is a per-run copy).  Concurrent
- * run_compiled/run_batch calls from different threads therefore never
- * share writable memory, which is what makes the thread-pool sweep
- * backend sound.
+ * compute stage's stack or in per-call PyMem allocations, and the
+ * buffers handed in through the argument dict are created per call by
+ * MCDCore (the trace columns it passes are read-only numpy arrays; a
+ * run's newline is a per-run copy, and warm_up only reads newline).
+ * Concurrent calls from different threads therefore never share
+ * writable memory, which is what makes the thread-pool sweep backend
+ * sound.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -127,49 +132,285 @@ release_views(ViewPool *pool)
     pool->count = 0;
 }
 
-/* ------------------------------------------------- list marshal helpers */
-
-/* Flatten a Python list-of-lists-of-ints (cache tag sets, MRU last) into
- * tags[set * ways + j] with per-set counts. */
-static int
-sets_from_list(PyObject *sets, Py_ssize_t nsets, Py_ssize_t ways,
-               int64_t *tags, int32_t *cnt)
+/* A compiled-trace column: a C-contiguous int64 buffer of at least n
+ * entries. */
+static void *
+get_column(PyObject *dict, const char *key, ViewPool *pool, int writable,
+           int64_t n)
 {
-    if (!PyList_Check(sets) || PyList_GET_SIZE(sets) != nsets) {
-        PyErr_SetString(PyExc_TypeError, "hotpath: bad cache set list");
-        return -1;
+    Py_ssize_t len;
+    void *buf = get_buffer(dict, key, pool, writable, 8, &len);
+    if (buf != NULL && len < n) {
+        PyErr_Format(PyExc_ValueError, "hotpath: column %s is shorter than n",
+                     key);
+        return NULL;
     }
-    for (Py_ssize_t i = 0; i < nsets; i++) {
-        PyObject *s = PyList_GET_ITEM(sets, i);
-        Py_ssize_t k = PyList_GET_SIZE(s);
-        if (k > ways)
-            k = ways; /* transient overflow never persists */
-        cnt[i] = (int32_t)k;
-        for (Py_ssize_t j = 0; j < k; j++) {
-            int64_t tag = PyLong_AsLongLong(PyList_GET_ITEM(s, j));
-            if (tag == -1 && PyErr_Occurred())
-                return -1;
-            tags[i * ways + j] = tag;
+    return buf;
+}
+
+/* ------------------------------------- caches, predictor and BTB state */
+
+/* One set-associative array, most recently used way last in each set:
+ * tags[set * ways + j] for j < cnt[set].  The BTB keeps each entry's
+ * target beside its tag in tgts; caches leave tgts NULL. */
+typedef struct {
+    int64_t *tags, *tgts;
+    int32_t *cnt;
+    int64_t nsets;
+    int ways;
+} TagSets;
+
+/* The combining predictor's tables (CombiningBranchPredictor) and its
+ * BTB. */
+typedef struct {
+    int64_t *hist, *pl2, *bim, *meta;
+    Py_ssize_t hist_len, pl2_len, bim_len, meta_len;
+    int64_t hist_mask;
+    TagSets btb;
+} Predictor;
+
+/* The Python-owned state every entry point unmarshals at entry and
+ * writes back at exit, plus the lists that own it (borrowed from the
+ * argument dict, which the caller keeps alive for the call). */
+typedef struct {
+    int shift; /* cache line shift */
+    TagSets l1i, l1d, l2;
+    Predictor bp;
+    PyObject *l1i_o, *l1d_o, *l2_o, *hist_o, *pl2_o, *bim_o, *meta_o, *btb_o;
+} Uarch;
+
+/* The access helpers below sit in the run loop's innermost path; left
+ * to its heuristics the compiler calls them out of line from a function
+ * as large as compute_run. */
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+
+/* Levels of the hierarchy, as repro.uarch.caches.MemoryLevel numbers
+ * them. */
+enum { LEVEL_L1 = 1, LEVEL_L2 = 2, LEVEL_MEMORY = 3 };
+
+/* Branch outcomes; a mispredict's value is its bp_stats slot. */
+enum { BRANCH_HIT = 0, BRANCH_DIRECTION = 1, BRANCH_TARGET = 2 };
+
+/* SetAssociativeCache.access without its statistics: a hit moves the
+ * line to the MRU way, a miss allocates it there (evicting the LRU way
+ * of a full set).  Returns 1 on a hit. */
+static ALWAYS_INLINE int
+cache_access(const TagSets *c, int64_t line)
+{
+    const int64_t si = line % c->nsets;
+    const int64_t tag = line / c->nsets;
+    int64_t *set = &c->tags[si * c->ways];
+    const int cnt = c->cnt[si];
+    int j = 0;
+    while (j < cnt && set[j] != tag)
+        j++;
+    const int hit = j < cnt;
+    if (!hit) {
+        if (cnt < c->ways) {
+            set[cnt] = tag;
+            c->cnt[si] = cnt + 1;
+            return 0;
+        }
+        j = 0; /* evict the LRU way */
+    }
+    for (int k = j; k < cnt - 1; k++)
+        set[k] = set[k + 1];
+    set[cnt - 1] = tag;
+    return hit;
+}
+
+/* CacheHierarchy.instruction_access / data_access without statistics:
+ * an L1 miss goes to the unified L2.  Returns the servicing level. */
+static ALWAYS_INLINE int
+hierarchy_access(const TagSets *l1, const TagSets *l2, int64_t line)
+{
+    if (cache_access(l1, line))
+        return LEVEL_L1;
+    return cache_access(l2, line) ? LEVEL_L2 : LEVEL_MEMORY;
+}
+
+/* Count one access served at level into a cache_stats vector: l1 is
+ * the L1's (accesses, misses) slot pair, slots 4 and 5 are the L2's. */
+static ALWAYS_INLINE void
+count_access(int64_t *stats, int l1, int level)
+{
+    stats[l1]++;
+    if (level != LEVEL_L1) {
+        stats[l1 + 1]++;
+        stats[4]++;
+        if (level == LEVEL_MEMORY)
+            stats[5]++;
+    }
+}
+
+/* BranchTargetBuffer.lookup: a hit moves the entry to the MRU way and
+ * stores its target in *target.  Returns 1 on a hit. */
+static ALWAYS_INLINE int
+btb_lookup(const TagSets *b, int64_t word, int64_t *target)
+{
+    const int64_t si = word % b->nsets;
+    const int64_t tag = word / b->nsets;
+    int64_t *tags = &b->tags[si * b->ways], *tgts = &b->tgts[si * b->ways];
+    const int cnt = b->cnt[si];
+    for (int j = 0; j < cnt; j++) {
+        if (tags[j] == tag) {
+            *target = tgts[j];
+            for (int k = j; k < cnt - 1; k++) {
+                tags[k] = tags[k + 1];
+                tgts[k] = tgts[k + 1];
+            }
+            tags[cnt - 1] = tag;
+            tgts[cnt - 1] = *target;
+            return 1;
         }
     }
     return 0;
 }
 
-static int
-sets_to_list(PyObject *sets, Py_ssize_t nsets, Py_ssize_t ways,
-             const int64_t *tags, const int32_t *cnt)
+/* BranchTargetBuffer.update: install (word, target) in the MRU way,
+ * dropping the word's older entry, or else the LRU way of a full set. */
+static ALWAYS_INLINE void
+btb_update(const TagSets *b, int64_t word, int64_t target)
 {
+    const int64_t si = word % b->nsets;
+    const int64_t tag = word / b->nsets;
+    int64_t *tags = &b->tags[si * b->ways], *tgts = &b->tgts[si * b->ways];
+    int cnt = b->cnt[si];
+    int j = 0;
+    while (j < cnt && tags[j] != tag)
+        j++;
+    if (j == cnt && cnt == b->ways)
+        j = 0; /* evict the LRU way */
+    if (j < cnt) {
+        for (int k = j; k < cnt - 1; k++) {
+            tags[k] = tags[k + 1];
+            tgts[k] = tgts[k + 1];
+        }
+        cnt--;
+    }
+    tags[cnt] = tag;
+    tgts[cnt] = target;
+    b->cnt[si] = cnt + 1;
+}
+
+/* A 2-bit saturating counter step toward taken (1) or not taken (0). */
+static ALWAYS_INLINE int64_t
+counter_update(int64_t value, int taken)
+{
+    if (taken)
+        return value < 3 ? value + 1 : 3;
+    return value > 0 ? value - 1 : 0;
+}
+
+/* CombiningBranchPredictor.access without its statistics: predict the
+ * branch at pc, check a correctly predicted taken branch's target in
+ * the BTB, then train the tables and refresh the BTB.  Returns
+ * BRANCH_HIT or the kind of mispredict. */
+static ALWAYS_INLINE int
+branch_access(const Predictor *p, int64_t pc, int64_t tk, int64_t target)
+{
+    const int64_t word = pc >> 2;
+    const int64_t hist_i = word % p->hist_len;
+    const int64_t history = p->hist[hist_i];
+    const int64_t pl2_i = (history ^ word) % p->pl2_len;
+    const int two_level = p->pl2[pl2_i] >= 2;
+    const int64_t bim_i = word % p->bim_len;
+    const int bimodal = p->bim[bim_i] >= 2;
+    const int prediction = p->meta[word % p->meta_len] >= 2 ? two_level : bimodal;
+    int outcome = BRANCH_HIT;
+    if (prediction != (int)tk) {
+        outcome = BRANCH_DIRECTION;
+    } else if (tk) {
+        int64_t stored;
+        if (!btb_lookup(&p->btb, word, &stored) || stored != target)
+            outcome = BRANCH_TARGET;
+    }
+    p->pl2[pl2_i] = counter_update(p->pl2[pl2_i], tk != 0);
+    p->bim[bim_i] = counter_update(p->bim[bim_i], tk != 0);
+    if (two_level != bimodal) {
+        const int64_t meta_i = word % p->meta_len;
+        p->meta[meta_i] = counter_update(p->meta[meta_i], two_level == (int)tk);
+    }
+    p->hist[hist_i] = ((history << 1) | (tk ? 1 : 0)) & p->hist_mask;
+    if (tk)
+        btb_update(&p->btb, word, target);
+    return outcome;
+}
+
+/* Unmarshal a Python list (per set) of per-way entries, MRU last, into
+ * *c: ints for a cache, (tag, target) tuples for the BTB (pairs = 1).
+ * The arrays land in *c as soon as they are allocated, so free_uarch
+ * releases them on failure too. */
+static int
+sets_from_list(PyObject *sets, long long nsets, long long ways, int pairs,
+               TagSets *c)
+{
+    if (nsets < 1 || ways < 1 || !PyList_Check(sets)
+        || PyList_GET_SIZE(sets) != nsets) {
+        PyErr_SetString(PyExc_TypeError, "hotpath: bad set list");
+        return -1;
+    }
+    c->nsets = nsets;
+    c->ways = (int)ways;
+    c->tags = PyMem_Malloc(nsets * ways * sizeof(int64_t));
+    c->tgts = pairs ? PyMem_Malloc(nsets * ways * sizeof(int64_t)) : NULL;
+    c->cnt = PyMem_Calloc(nsets, sizeof(int32_t));
+    if (c->tags == NULL || (pairs && c->tgts == NULL) || c->cnt == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
     for (Py_ssize_t i = 0; i < nsets; i++) {
-        PyObject *s = PyList_New(cnt[i]);
+        PyObject *s = PyList_GET_ITEM(sets, i);
+        if (!PyList_Check(s)) {
+            PyErr_SetString(PyExc_TypeError, "hotpath: bad set list");
+            return -1;
+        }
+        Py_ssize_t k = PyList_GET_SIZE(s);
+        if (k > ways)
+            k = ways; /* transient overflow never persists */
+        c->cnt[i] = (int32_t)k;
+        for (Py_ssize_t j = 0; j < k; j++) {
+            const Py_ssize_t at = i * ways + j;
+            PyObject *entry = PyList_GET_ITEM(s, j);
+            if (pairs) {
+                if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+                    PyErr_SetString(PyExc_TypeError, "hotpath: bad BTB entry");
+                    return -1;
+                }
+                c->tgts[at] = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
+                if (c->tgts[at] == -1 && PyErr_Occurred())
+                    return -1;
+                entry = PyTuple_GET_ITEM(entry, 0);
+            }
+            c->tags[at] = PyLong_AsLongLong(entry);
+            if (c->tags[at] == -1 && PyErr_Occurred())
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* Rebuild each set's list in place of the old one; BTB ways become
+ * (tag, target) tuples. */
+static int
+sets_to_list(PyObject *sets, const TagSets *c)
+{
+    for (Py_ssize_t i = 0; i < c->nsets; i++) {
+        PyObject *s = PyList_New(c->cnt[i]);
         if (s == NULL)
             return -1;
-        for (Py_ssize_t j = 0; j < cnt[i]; j++) {
-            PyObject *tag = PyLong_FromLongLong(tags[i * ways + j]);
-            if (tag == NULL) {
+        for (Py_ssize_t j = 0; j < c->cnt[i]; j++) {
+            const int64_t at = i * c->ways + j;
+            PyObject *entry =
+                c->tgts != NULL
+                    ? Py_BuildValue("(LL)", (long long)c->tags[at],
+                                    (long long)c->tgts[at])
+                    : PyLong_FromLongLong(c->tags[at]);
+            if (entry == NULL) {
                 Py_DECREF(s);
                 return -1;
             }
-            PyList_SET_ITEM(s, j, tag);
+            PyList_SET_ITEM(s, j, entry);
         }
         if (PyList_SetItem(sets, i, s) < 0)
             return -1;
@@ -180,12 +421,12 @@ sets_to_list(PyObject *sets, Py_ssize_t nsets, Py_ssize_t ways,
 static int64_t *
 ints_from_list(PyObject *list, Py_ssize_t *n_out)
 {
-    if (!PyList_Check(list)) {
-        PyErr_SetString(PyExc_TypeError, "hotpath: expected list of ints");
+    if (!PyList_Check(list) || PyList_GET_SIZE(list) < 1) {
+        PyErr_SetString(PyExc_TypeError, "hotpath: expected a list of ints");
         return NULL;
     }
     Py_ssize_t n = PyList_GET_SIZE(list);
-    int64_t *out = PyMem_Malloc((n ? n : 1) * sizeof(int64_t));
+    int64_t *out = PyMem_Malloc(n * sizeof(int64_t));
     if (out == NULL) {
         PyErr_NoMemory();
         return NULL;
@@ -214,6 +455,90 @@ ints_to_list(PyObject *list, const int64_t *vals, Py_ssize_t n)
     return 0;
 }
 
+/* Unmarshal the cache, predictor and BTB state named in the argument
+ * dict (GIL held).  On failure a Python exception is set and whatever
+ * was already allocated stays in *u for free_uarch. */
+static int
+marshal_uarch(PyObject *a, Uarch *u)
+{
+    long long shift, l1i_nsets, l1i_ways, l1d_nsets, l1d_ways, l2_nsets;
+    long long l2_ways, hist_mask, btb_nsets, btb_ways;
+    if (get_long(a, "line_shift", &shift)
+        || get_long(a, "l1i_nsets", &l1i_nsets)
+        || get_long(a, "l1i_ways", &l1i_ways)
+        || get_long(a, "l1d_nsets", &l1d_nsets)
+        || get_long(a, "l1d_ways", &l1d_ways)
+        || get_long(a, "l2_nsets", &l2_nsets) || get_long(a, "l2_ways", &l2_ways)
+        || get_long(a, "hist_mask", &hist_mask)
+        || get_long(a, "btb_nsets", &btb_nsets)
+        || get_long(a, "btb_ways", &btb_ways))
+        return -1;
+    u->l1i_o = PyDict_GetItemString(a, "l1i_sets");
+    u->l1d_o = PyDict_GetItemString(a, "l1d_sets");
+    u->l2_o = PyDict_GetItemString(a, "l2_sets");
+    u->hist_o = PyDict_GetItemString(a, "hist");
+    u->pl2_o = PyDict_GetItemString(a, "pl2");
+    u->bim_o = PyDict_GetItemString(a, "bim");
+    u->meta_o = PyDict_GetItemString(a, "meta");
+    u->btb_o = PyDict_GetItemString(a, "btb");
+    if (!u->l1i_o || !u->l1d_o || !u->l2_o || !u->hist_o || !u->pl2_o
+        || !u->bim_o || !u->meta_o || !u->btb_o) {
+        PyErr_SetString(PyExc_KeyError, "hotpath: missing state arg");
+        return -1;
+    }
+    u->shift = (int)shift;
+    u->bp.hist_mask = hist_mask;
+    if (sets_from_list(u->l1i_o, l1i_nsets, l1i_ways, 0, &u->l1i)
+        || sets_from_list(u->l1d_o, l1d_nsets, l1d_ways, 0, &u->l1d)
+        || sets_from_list(u->l2_o, l2_nsets, l2_ways, 0, &u->l2)
+        || sets_from_list(u->btb_o, btb_nsets, btb_ways, 1, &u->bp.btb))
+        return -1;
+    u->bp.hist = ints_from_list(u->hist_o, &u->bp.hist_len);
+    u->bp.pl2 = ints_from_list(u->pl2_o, &u->bp.pl2_len);
+    u->bp.bim = ints_from_list(u->bim_o, &u->bp.bim_len);
+    u->bp.meta = ints_from_list(u->meta_o, &u->bp.meta_len);
+    if (!u->bp.hist || !u->bp.pl2 || !u->bp.bim || !u->bp.meta)
+        return -1;
+    return 0;
+}
+
+/* Fold the state back into its owning lists (GIL held). */
+static int
+writeback_uarch(const Uarch *u)
+{
+    const Predictor *bp = &u->bp;
+    if (sets_to_list(u->l1i_o, &u->l1i) || sets_to_list(u->l1d_o, &u->l1d)
+        || sets_to_list(u->l2_o, &u->l2) || sets_to_list(u->btb_o, &bp->btb)
+        || ints_to_list(u->hist_o, bp->hist, bp->hist_len)
+        || ints_to_list(u->pl2_o, bp->pl2, bp->pl2_len)
+        || ints_to_list(u->bim_o, bp->bim, bp->bim_len)
+        || ints_to_list(u->meta_o, bp->meta, bp->meta_len))
+        return -1;
+    return 0;
+}
+
+static void
+free_tag_sets(TagSets *c)
+{
+    PyMem_Free(c->tags);
+    PyMem_Free(c->tgts);
+    PyMem_Free(c->cnt);
+}
+
+/* Release a (possibly partially) marshalled Uarch's allocations. */
+static void
+free_uarch(Uarch *u)
+{
+    free_tag_sets(&u->l1i);
+    free_tag_sets(&u->l1d);
+    free_tag_sets(&u->l2);
+    free_tag_sets(&u->bp.btb);
+    PyMem_Free(u->bp.hist);
+    PyMem_Free(u->bp.pl2);
+    PyMem_Free(u->bp.bim);
+    PyMem_Free(u->bp.meta);
+}
+
 /* ---------------------------------------------------- GIL bridge shims */
 
 /* The compute stage runs with the GIL released; these shims are its
@@ -233,10 +558,15 @@ refill_jitter(PyObject *refill, int d, double **jbuf, Py_ssize_t *jlen,
     PyObject *arr = PyObject_CallFunction(refill, "i", d);
     if (arr != NULL) {
         Py_buffer jview;
-        if (PyObject_GetBuffer(arr, &jview, PyBUF_C_CONTIGUOUS) == 0) {
+        if (PyObject_GetBuffer(arr, &jview, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)
+            == 0) {
             Py_ssize_t k = jview.len / sizeof(double);
-            double *fresh = PyMem_Malloc((k ? k : 1) * sizeof(double));
-            if (fresh == NULL) {
+            double *fresh = NULL;
+            if (jview.format == NULL || strcmp(jview.format, "d") != 0) {
+                PyErr_SetString(PyExc_TypeError,
+                                "hotpath: refill must return float64");
+            } else if ((fresh = PyMem_Malloc((k ? k : 1) * sizeof(double)))
+                       == NULL) {
                 PyErr_NoMemory();
             } else {
                 memcpy(fresh, jview.buf, k * sizeof(double));
@@ -289,11 +619,7 @@ typedef struct {
     int64_t rob_cap, l1_cycles, l2_cycles, mispredict_penalty, interval_len;
     int mcd_mode;
     int64_t kind_load, kind_store, kind_branch;
-    int shift;
-    int64_t l1i_nsets, l1d_nsets, l2_nsets;
-    int l1i_ways, l1d_ways, l2_ways;
-    int64_t hist_mask, btb_nsets;
-    int btb_ways, call_rollover;
+    int call_rollover;
     double mem_latency, window, vmin, fmin, vslope, vmax_sq_inv;
     double e_l1i, e_l2, e_bpred, e_retire, e_disp_fetch;
     /* native closed-loop controller */
@@ -322,19 +648,12 @@ typedef struct {
     int64_t *n_busy, *n_idle, *q_occ, *q_writes, *cache_stats, *bp_stats;
     double *cur_freq;
     /* unmarshalled python-object state (per-run PyMem allocations) */
-    int64_t *l1i_tags, *l1d_tags, *l2_tags;
-    int32_t *l1i_cnt, *l1d_cnt, *l2_cnt;
-    int64_t *hist, *pl2, *bim, *meta;
-    Py_ssize_t hist_len, pl2_len, bim_len, meta_len;
-    int64_t *btb_tags, *btb_tgts;
-    int32_t *btb_cnt;
+    Uarch u;
     double *jbuf[4];
     Py_ssize_t jlen[4];
     int64_t *rob_seq;
-    /* owning python objects (borrowed from the argument dict, which the
+    /* python callbacks (borrowed from the argument dict, which the
      * caller keeps alive for the duration of the call) */
-    PyObject *l1i_sets_o, *l1d_sets_o, *l2_sets_o;
-    PyObject *hist_o, *pl2_o, *bim_o, *meta_o, *btb_o;
     PyObject *refill, *rollover;
     /* compute outputs */
     int64_t int_free, fp_free;
@@ -350,19 +669,7 @@ static void
 free_run(RunState *rs)
 {
     release_views(&rs->pool);
-    PyMem_Free(rs->l1i_tags);
-    PyMem_Free(rs->l1i_cnt);
-    PyMem_Free(rs->l1d_tags);
-    PyMem_Free(rs->l1d_cnt);
-    PyMem_Free(rs->l2_tags);
-    PyMem_Free(rs->l2_cnt);
-    PyMem_Free(rs->hist);
-    PyMem_Free(rs->pl2);
-    PyMem_Free(rs->bim);
-    PyMem_Free(rs->meta);
-    PyMem_Free(rs->btb_tags);
-    PyMem_Free(rs->btb_tgts);
-    PyMem_Free(rs->btb_cnt);
+    free_uarch(&rs->u);
     PyMem_Free(rs->rob_seq);
     for (int d = 0; d < 4; d++)
         PyMem_Free(rs->jbuf[d]);
@@ -380,9 +687,7 @@ marshal_run(PyObject *a, RunState *rs)
     long long n_ll, decode_width_ll, retire_width_ll, rob_cap_ll;
     long long l1_cycles_ll, l2_cycles_ll, mispredict_penalty_ll;
     long long interval_len_ll, mcd_ll, int_free_ll, fp_free_ll;
-    long long kind_load_ll, kind_store_ll, kind_branch_ll, line_shift_ll;
-    long long l1i_nsets_ll, l1i_ways_ll, l1d_nsets_ll, l1d_ways_ll;
-    long long l2_nsets_ll, l2_ways_ll, hist_mask_ll, btb_nsets_ll, btb_ways_ll;
+    long long kind_load_ll, kind_store_ll, kind_branch_ll;
     long long call_rollover_ll;
     double mem_latency, window, vmin, fmin, vslope, vmax_sq_inv;
     double e_l1i, e_l2, e_bpred, e_retire, e_disp_fetch;
@@ -399,16 +704,6 @@ marshal_run(PyObject *a, RunState *rs)
         || get_long(a, "kind_load", &kind_load_ll)
         || get_long(a, "kind_store", &kind_store_ll)
         || get_long(a, "kind_branch", &kind_branch_ll)
-        || get_long(a, "line_shift", &line_shift_ll)
-        || get_long(a, "l1i_nsets", &l1i_nsets_ll)
-        || get_long(a, "l1i_ways", &l1i_ways_ll)
-        || get_long(a, "l1d_nsets", &l1d_nsets_ll)
-        || get_long(a, "l1d_ways", &l1d_ways_ll)
-        || get_long(a, "l2_nsets", &l2_nsets_ll)
-        || get_long(a, "l2_ways", &l2_ways_ll)
-        || get_long(a, "hist_mask", &hist_mask_ll)
-        || get_long(a, "btb_nsets", &btb_nsets_ll)
-        || get_long(a, "btb_ways", &btb_ways_ll)
         || get_long(a, "call_rollover", &call_rollover_ll)
         || get_double(a, "mem_latency", &mem_latency)
         || get_double(a, "window", &window)
@@ -431,14 +726,6 @@ marshal_run(PyObject *a, RunState *rs)
     const int mcd_mode = (int)mcd_ll;
     const int64_t kind_load = kind_load_ll, kind_store = kind_store_ll,
                   kind_branch = kind_branch_ll;
-    const int shift = (int)line_shift_ll;
-    const int64_t l1i_nsets = l1i_nsets_ll, l1d_nsets = l1d_nsets_ll,
-                  l2_nsets = l2_nsets_ll;
-    const int l1i_ways = (int)l1i_ways_ll, l1d_ways = (int)l1d_ways_ll,
-              l2_ways = (int)l2_ways_ll;
-    const int64_t hist_mask = hist_mask_ll;
-    const int64_t btb_nsets = btb_nsets_ll;
-    const int btb_ways = (int)btb_ways_ll;
     const int call_rollover = (int)call_rollover_ll;
     int64_t int_free = int_free_ll, fp_free = fp_free_ll;
 
@@ -459,20 +746,18 @@ marshal_run(PyObject *a, RunState *rs)
     int64_t *reg_requests = NULL, *reg_dirchg = NULL;
 
     /* --- column buffers ----------------------------------------------- */
-    Py_ssize_t col_n;
-    const int64_t *kinds = get_buffer(a, "kinds", pool, 0, 8, &col_n);
-    if (kinds == NULL || col_n < total) goto fail;
-    const int64_t *pcs = get_buffer(a, "pcs", pool, 0, 8, NULL);
-    const int64_t *addrs = get_buffer(a, "addrs", pool, 0, 8, NULL);
-    const int64_t *taken_c = get_buffer(a, "taken", pool, 0, 8, NULL);
-    const int64_t *targets_c = get_buffer(a, "targets", pool, 0, 8, NULL);
-    const int64_t *dest_c = get_buffer(a, "dest", pool, 0, 8, NULL);
-    const int64_t *qd_c = get_buffer(a, "domain", pool, 0, 8, NULL);
-    const int64_t *p1_c = get_buffer(a, "p1", pool, 0, 8, NULL);
-    const int64_t *p2_c = get_buffer(a, "p2", pool, 0, 8, NULL);
-    int64_t *newline = get_buffer(a, "newline", pool, 1, 8, NULL);
-    if (!pcs || !addrs || !taken_c || !targets_c || !dest_c || !qd_c || !p1_c
-        || !p2_c || !newline)
+    const int64_t *kinds = get_column(a, "kinds", pool, 0, total);
+    const int64_t *pcs = get_column(a, "pcs", pool, 0, total);
+    const int64_t *addrs = get_column(a, "addrs", pool, 0, total);
+    const int64_t *taken_c = get_column(a, "taken", pool, 0, total);
+    const int64_t *targets_c = get_column(a, "targets", pool, 0, total);
+    const int64_t *dest_c = get_column(a, "dest", pool, 0, total);
+    const int64_t *qd_c = get_column(a, "domain", pool, 0, total);
+    const int64_t *p1_c = get_column(a, "p1", pool, 0, total);
+    const int64_t *p2_c = get_column(a, "p2", pool, 0, total);
+    int64_t *newline = get_column(a, "newline", pool, 1, total);
+    if (!kinds || !pcs || !addrs || !taken_c || !targets_c || !dest_c || !qd_c
+        || !p1_c || !p2_c || !newline)
         goto fail;
 
     const int64_t *lat_cycles = get_buffer(a, "lat_cycles", pool, 0, 8, NULL);
@@ -547,69 +832,15 @@ marshal_run(PyObject *a, RunState *rs)
     }
 
     /* --- python-object state, unmarshalled ----------------------------- */
-    PyObject *l1i_sets_o = PyDict_GetItemString(a, "l1i_sets");
-    PyObject *l1d_sets_o = PyDict_GetItemString(a, "l1d_sets");
-    PyObject *l2_sets_o = PyDict_GetItemString(a, "l2_sets");
-    PyObject *hist_o = PyDict_GetItemString(a, "hist");
-    PyObject *pl2_o = PyDict_GetItemString(a, "pl2");
-    PyObject *bim_o = PyDict_GetItemString(a, "bim");
-    PyObject *meta_o = PyDict_GetItemString(a, "meta");
-    PyObject *btb_o = PyDict_GetItemString(a, "btb");
     PyObject *jlists = PyDict_GetItemString(a, "jbufs");
     PyObject *refill = PyDict_GetItemString(a, "refill");
     PyObject *rollover = PyDict_GetItemString(a, "rollover");
-    if (!l1i_sets_o || !l1d_sets_o || !l2_sets_o || !hist_o || !pl2_o || !bim_o
-        || !meta_o || !btb_o || !jlists || !refill || !rollover) {
+    if (!jlists || !refill || !rollover) {
         PyErr_SetString(PyExc_KeyError, "hotpath: missing object arg");
         goto fail;
     }
-
-    rs->l1i_tags = PyMem_Malloc(l1i_nsets * l1i_ways * sizeof(int64_t));
-    rs->l1i_cnt = PyMem_Calloc(l1i_nsets, sizeof(int32_t));
-    rs->l1d_tags = PyMem_Malloc(l1d_nsets * l1d_ways * sizeof(int64_t));
-    rs->l1d_cnt = PyMem_Calloc(l1d_nsets, sizeof(int32_t));
-    rs->l2_tags = PyMem_Malloc(l2_nsets * l2_ways * sizeof(int64_t));
-    rs->l2_cnt = PyMem_Calloc(l2_nsets, sizeof(int32_t));
-    if (!rs->l1i_tags || !rs->l1i_cnt || !rs->l1d_tags || !rs->l1d_cnt || !rs->l2_tags || !rs->l2_cnt) {
-        PyErr_NoMemory();
+    if (marshal_uarch(a, &rs->u) < 0)
         goto fail;
-    }
-    if (sets_from_list(l1i_sets_o, l1i_nsets, l1i_ways, rs->l1i_tags, rs->l1i_cnt)
-        || sets_from_list(l1d_sets_o, l1d_nsets, l1d_ways, rs->l1d_tags, rs->l1d_cnt)
-        || sets_from_list(l2_sets_o, l2_nsets, l2_ways, rs->l2_tags, rs->l2_cnt))
-        goto fail;
-
-    rs->hist = ints_from_list(hist_o, &rs->hist_len);
-    rs->pl2 = ints_from_list(pl2_o, &rs->pl2_len);
-    rs->bim = ints_from_list(bim_o, &rs->bim_len);
-    rs->meta = ints_from_list(meta_o, &rs->meta_len);
-    if (!rs->hist || !rs->pl2 || !rs->bim || !rs->meta)
-        goto fail;
-
-    /* BTB: list (per set) of list of (tag, target) tuples, MRU last. */
-    rs->btb_tags = PyMem_Malloc(btb_nsets * btb_ways * sizeof(int64_t));
-    rs->btb_tgts = PyMem_Malloc(btb_nsets * btb_ways * sizeof(int64_t));
-    rs->btb_cnt = PyMem_Calloc(btb_nsets, sizeof(int32_t));
-    if (!rs->btb_tags || !rs->btb_tgts || !rs->btb_cnt) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    for (Py_ssize_t i = 0; i < btb_nsets; i++) {
-        PyObject *s = PyList_GET_ITEM(btb_o, i);
-        Py_ssize_t k = PyList_GET_SIZE(s);
-        if (k > btb_ways)
-            k = btb_ways;
-        rs->btb_cnt[i] = (int32_t)k;
-        for (Py_ssize_t j = 0; j < k; j++) {
-            PyObject *pair = PyList_GET_ITEM(s, j);
-            rs->btb_tags[i * btb_ways + j] =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
-            rs->btb_tgts[i * btb_ways + j] =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 1));
-            if (PyErr_Occurred())
-                goto fail;
-        }
-    }
 
     /* Jitter buffers (consumed from the tail, exactly like list.pop). */
     for (int d = 0; d < 4; d++) {
@@ -654,16 +885,6 @@ marshal_run(PyObject *a, RunState *rs)
     rs->kind_load = kind_load;
     rs->kind_store = kind_store;
     rs->kind_branch = kind_branch;
-    rs->shift = shift;
-    rs->l1i_nsets = l1i_nsets;
-    rs->l1d_nsets = l1d_nsets;
-    rs->l2_nsets = l2_nsets;
-    rs->l1i_ways = l1i_ways;
-    rs->l1d_ways = l1d_ways;
-    rs->l2_ways = l2_ways;
-    rs->hist_mask = hist_mask;
-    rs->btb_nsets = btb_nsets;
-    rs->btb_ways = btb_ways;
     rs->call_rollover = call_rollover;
     rs->int_free = int_free;
     rs->fp_free = fp_free;
@@ -739,14 +960,6 @@ marshal_run(PyObject *a, RunState *rs)
     rs->cache_stats = cache_stats;
     rs->bp_stats = bp_stats;
     rs->cur_freq = cur_freq;
-    rs->l1i_sets_o = l1i_sets_o;
-    rs->l1d_sets_o = l1d_sets_o;
-    rs->l2_sets_o = l2_sets_o;
-    rs->hist_o = hist_o;
-    rs->pl2_o = pl2_o;
-    rs->bim_o = bim_o;
-    rs->meta_o = meta_o;
-    rs->btb_o = btb_o;
     rs->refill = refill;
     rs->rollover = rollover;
     return 0;
@@ -775,14 +988,6 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     const int mcd_mode = rs->mcd_mode;
     const int64_t kind_load = rs->kind_load, kind_store = rs->kind_store,
                   kind_branch = rs->kind_branch;
-    const int shift = rs->shift;
-    const int64_t l1i_nsets = rs->l1i_nsets, l1d_nsets = rs->l1d_nsets,
-                  l2_nsets = rs->l2_nsets;
-    const int l1i_ways = rs->l1i_ways, l1d_ways = rs->l1d_ways,
-              l2_ways = rs->l2_ways;
-    const int64_t hist_mask = rs->hist_mask;
-    const int64_t btb_nsets = rs->btb_nsets;
-    const int btb_ways = rs->btb_ways;
     const int call_rollover = rs->call_rollover;
     int64_t int_free = rs->int_free, fp_free = rs->fp_free;
     const double mem_latency = rs->mem_latency, window = rs->window;
@@ -829,15 +1034,10 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     int64_t *q_occ = rs->q_occ, *q_writes = rs->q_writes;
     int64_t *cache_stats = rs->cache_stats, *bp_stats = rs->bp_stats;
     double *cur_freq = rs->cur_freq;
-    int64_t *l1i_tags = rs->l1i_tags, *l1d_tags = rs->l1d_tags,
-            *l2_tags = rs->l2_tags;
-    int32_t *l1i_cnt = rs->l1i_cnt, *l1d_cnt = rs->l1d_cnt,
-            *l2_cnt = rs->l2_cnt;
-    int64_t *hist = rs->hist, *pl2 = rs->pl2, *bim = rs->bim, *meta = rs->meta;
-    const Py_ssize_t hist_len = rs->hist_len, pl2_len = rs->pl2_len,
-                     bim_len = rs->bim_len, meta_len = rs->meta_len;
-    int64_t *btb_tags = rs->btb_tags, *btb_tgts = rs->btb_tgts;
-    int32_t *btb_cnt = rs->btb_cnt;
+    /* Local copies, so the access helpers' geometry stays in registers. */
+    const int shift = rs->u.shift;
+    const TagSets l1i = rs->u.l1i, l1d = rs->u.l1d, l2 = rs->u.l2;
+    const Predictor bp = rs->u.bp;
     double **jbuf = rs->jbuf;
     Py_ssize_t *jlen = rs->jlen;
     int64_t *rob_seq = rs->rob_seq;
@@ -1144,60 +1344,13 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     if (newline[fi]) {
                         newline[fi] = 0;
                         access_energy += e_l1i;
-                        int64_t line = pcs[fi] >> shift;
-                        int64_t si = line % l1i_nsets;
-                        int64_t tag = line / l1i_nsets;
-                        int64_t *setp = &l1i_tags[si * l1i_ways];
-                        int cnt = l1i_cnt[si];
-                        int hit = 0;
-                        cache_stats[0]++; /* l1i accesses */
-                        for (int j = 0; j < cnt; j++) {
-                            if (setp[j] == tag) {
-                                for (int k2 = j; k2 < cnt - 1; k2++)
-                                    setp[k2] = setp[k2 + 1];
-                                setp[cnt - 1] = tag;
-                                hit = 1;
-                                break;
-                            }
-                        }
-                        if (!hit) {
-                            cache_stats[1]++; /* l1i misses */
-                            if (cnt == l1i_ways) {
-                                for (int k2 = 0; k2 < cnt - 1; k2++)
-                                    setp[k2] = setp[k2 + 1];
-                                setp[cnt - 1] = tag;
-                            } else {
-                                setp[cnt] = tag;
-                                l1i_cnt[si] = cnt + 1;
-                            }
+                        int level = hierarchy_access(&l1i, &l2, pcs[fi] >> shift);
+                        count_access(cache_stats, 0, level);
+                        if (level != LEVEL_L1) {
                             double delay =
                                 (double)l2_cycles * cur_period[3] + 2.0 * window;
                             access_energy += e_l2;
-                            int64_t s2 = line % l2_nsets;
-                            int64_t tag2 = line / l2_nsets;
-                            int64_t *set2 = &l2_tags[s2 * l2_ways];
-                            int cnt2 = l2_cnt[s2];
-                            int hit2 = 0;
-                            cache_stats[4]++; /* l2 accesses */
-                            for (int j = 0; j < cnt2; j++) {
-                                if (set2[j] == tag2) {
-                                    for (int k2 = j; k2 < cnt2 - 1; k2++)
-                                        set2[k2] = set2[k2 + 1];
-                                    set2[cnt2 - 1] = tag2;
-                                    hit2 = 1;
-                                    break;
-                                }
-                            }
-                            if (!hit2) {
-                                cache_stats[5]++; /* l2 misses */
-                                if (cnt2 == l2_ways) {
-                                    for (int k2 = 0; k2 < cnt2 - 1; k2++)
-                                        set2[k2] = set2[k2 + 1];
-                                    set2[cnt2 - 1] = tag2;
-                                } else {
-                                    set2[cnt2] = tag2;
-                                    l2_cnt[s2] = cnt2 + 1;
-                                }
+                            if (level == LEVEL_MEMORY) {
                                 delay += mem_latency;
                                 memory_accesses++;
                             }
@@ -1237,92 +1390,12 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     int mispredicted = 0;
                     if (kind == kind_branch) {
                         access_energy += e_bpred;
-                        int64_t pc = pcs[fi];
-                        int64_t tk = taken_c[fi];
-                        int64_t word = pc >> 2;
-                        int64_t hist_i = word % hist_len;
-                        int64_t history = hist[hist_i];
-                        int64_t pl2_i = (history ^ word) % pl2_len;
-                        int two_level = pl2[pl2_i] >= 2;
-                        int64_t bim_i = word % bim_len;
-                        int bimodal = bim[bim_i] >= 2;
-                        int prediction =
-                            meta[word % meta_len] >= 2 ? two_level : bimodal;
+                        int outcome = branch_access(&bp, pcs[fi], taken_c[fi],
+                                                    targets_c[fi]);
                         bp_stats[0]++; /* lookups */
-                        if (prediction != (int)tk) {
-                            bp_stats[1]++; /* direction mispredicts */
+                        if (outcome != BRANCH_HIT) {
+                            bp_stats[outcome]++; /* direction / BTB target */
                             mispredicted = 1;
-                        } else if (tk) {
-                            int64_t bs = word % btb_nsets;
-                            int64_t btag = word / btb_nsets;
-                            int64_t *btags = &btb_tags[bs * btb_ways];
-                            int64_t *btgts = &btb_tgts[bs * btb_ways];
-                            int bcnt = btb_cnt[bs];
-                            int found = 0;
-                            int64_t found_tgt = 0;
-                            for (int j = 0; j < bcnt; j++) {
-                                if (btags[j] == btag) {
-                                    found = 1;
-                                    found_tgt = btgts[j];
-                                    for (int k2 = j; k2 < bcnt - 1; k2++) {
-                                        btags[k2] = btags[k2 + 1];
-                                        btgts[k2] = btgts[k2 + 1];
-                                    }
-                                    btags[bcnt - 1] = btag;
-                                    btgts[bcnt - 1] = found_tgt;
-                                    break;
-                                }
-                            }
-                            if (!found || found_tgt != targets_c[fi]) {
-                                bp_stats[2]++; /* btb target misses */
-                                mispredicted = 1;
-                            }
-                        }
-                        int64_t value = pl2[pl2_i];
-                        if (tk)
-                            pl2[pl2_i] = value < 3 ? value + 1 : 3;
-                        else
-                            pl2[pl2_i] = value > 0 ? value - 1 : 0;
-                        value = bim[bim_i];
-                        if (tk)
-                            bim[bim_i] = value < 3 ? value + 1 : 3;
-                        else
-                            bim[bim_i] = value > 0 ? value - 1 : 0;
-                        if (two_level != bimodal) {
-                            int64_t meta_i = word % meta_len;
-                            value = meta[meta_i];
-                            if (two_level == (int)tk)
-                                meta[meta_i] = value < 3 ? value + 1 : 3;
-                            else
-                                meta[meta_i] = value > 0 ? value - 1 : 0;
-                        }
-                        hist[hist_i] = ((history << 1) | (tk ? 1 : 0)) & hist_mask;
-                        if (tk) {
-                            int64_t bs = word % btb_nsets;
-                            int64_t btag = word / btb_nsets;
-                            int64_t *btags = &btb_tags[bs * btb_ways];
-                            int64_t *btgts = &btb_tgts[bs * btb_ways];
-                            int bcnt = btb_cnt[bs];
-                            for (int j = 0; j < bcnt; j++) {
-                                if (btags[j] == btag) {
-                                    for (int k2 = j; k2 < bcnt - 1; k2++) {
-                                        btags[k2] = btags[k2 + 1];
-                                        btgts[k2] = btgts[k2 + 1];
-                                    }
-                                    bcnt--;
-                                    break;
-                                }
-                            }
-                            if (bcnt == btb_ways) {
-                                for (int k2 = 0; k2 < bcnt - 1; k2++) {
-                                    btags[k2] = btags[k2 + 1];
-                                    btgts[k2] = btgts[k2 + 1];
-                                }
-                                bcnt--;
-                            }
-                            btags[bcnt] = btag;
-                            btgts[bcnt] = targets_c[fi];
-                            btb_cnt[bs] = bcnt + 1;
                         }
                     }
                     int qn = q_len[qd];
@@ -1484,65 +1557,14 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     continue;
                 } else if (kind == kind_load) {
                     sfree--;
-                    int64_t line = addrs[seq - 1] >> shift;
-                    int64_t si = line % l1d_nsets;
-                    int64_t tag = line / l1d_nsets;
-                    int64_t *setp = &l1d_tags[si * l1d_ways];
-                    int cnt = l1d_cnt[si];
-                    int level = 0;
-                    cache_stats[2]++; /* l1d accesses */
-                    for (int j = 0; j < cnt; j++) {
-                        if (setp[j] == tag) {
-                            for (int k2 = j; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                            level = 1;
-                            break;
-                        }
-                    }
-                    if (!level) {
-                        cache_stats[3]++; /* l1d misses */
-                        if (cnt == l1d_ways) {
-                            for (int k2 = 0; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                        } else {
-                            setp[cnt] = tag;
-                            l1d_cnt[si] = cnt + 1;
-                        }
-                        int64_t s2 = line % l2_nsets;
-                        int64_t tag2 = line / l2_nsets;
-                        int64_t *set2 = &l2_tags[s2 * l2_ways];
-                        int cnt2 = l2_cnt[s2];
-                        level = 0;
-                        cache_stats[4]++;
-                        for (int j = 0; j < cnt2; j++) {
-                            if (set2[j] == tag2) {
-                                for (int k2 = j; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                                level = 2;
-                                break;
-                            }
-                        }
-                        if (!level) {
-                            cache_stats[5]++;
-                            if (cnt2 == l2_ways) {
-                                for (int k2 = 0; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                            } else {
-                                set2[cnt2] = tag2;
-                                l2_cnt[s2] = cnt2 + 1;
-                            }
-                            level = 3;
-                        }
-                    }
+                    int level =
+                        hierarchy_access(&l1d, &l2, addrs[seq - 1] >> shift);
+                    count_access(cache_stats, 2, level);
                     access_energy += e_simple; /* L1D probe */
-                    if (level == 1) {
+                    if (level == LEVEL_L1) {
                         lat = (double)l1_cycles * period;
                         lat_c = l1_cycles;
-                    } else if (level == 2) {
+                    } else if (level == LEVEL_L2) {
                         access_energy += e_l2;
                         lat = (double)l2_cycles * period;
                         lat_c = l2_cycles;
@@ -1555,59 +1577,9 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     }
                 } else if (kind == kind_store) {
                     sfree--;
-                    int64_t line = addrs[seq - 1] >> shift;
-                    int64_t si = line % l1d_nsets;
-                    int64_t tag = line / l1d_nsets;
-                    int64_t *setp = &l1d_tags[si * l1d_ways];
-                    int cnt = l1d_cnt[si];
-                    int hit = 0;
-                    cache_stats[2]++;
-                    for (int j = 0; j < cnt; j++) {
-                        if (setp[j] == tag) {
-                            for (int k2 = j; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                            hit = 1;
-                            break;
-                        }
-                    }
-                    if (!hit) {
-                        cache_stats[3]++;
-                        if (cnt == l1d_ways) {
-                            for (int k2 = 0; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                        } else {
-                            setp[cnt] = tag;
-                            l1d_cnt[si] = cnt + 1;
-                        }
-                        int64_t s2 = line % l2_nsets;
-                        int64_t tag2 = line / l2_nsets;
-                        int64_t *set2 = &l2_tags[s2 * l2_ways];
-                        int cnt2 = l2_cnt[s2];
-                        hit = 0;
-                        cache_stats[4]++;
-                        for (int j = 0; j < cnt2; j++) {
-                            if (set2[j] == tag2) {
-                                for (int k2 = j; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                                hit = 1;
-                                break;
-                            }
-                        }
-                        if (!hit) {
-                            cache_stats[5]++;
-                            if (cnt2 == l2_ways) {
-                                for (int k2 = 0; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                            } else {
-                                set2[cnt2] = tag2;
-                                l2_cnt[s2] = cnt2 + 1;
-                            }
-                        }
-                    }
+                    count_access(cache_stats, 2,
+                                 hierarchy_access(&l1d, &l2,
+                                                  addrs[seq - 1] >> shift));
                     access_energy += e_simple;
                     lat = period;
                     lat_c = 1;
@@ -1733,62 +1705,14 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
 static PyObject *
 writeback_run(RunState *rs)
 {
-    PyObject *l1i_sets_o = rs->l1i_sets_o, *l1d_sets_o = rs->l1d_sets_o;
-    PyObject *l2_sets_o = rs->l2_sets_o;
-    PyObject *hist_o = rs->hist_o, *pl2_o = rs->pl2_o, *bim_o = rs->bim_o;
-    PyObject *meta_o = rs->meta_o, *btb_o = rs->btb_o;
-    const int64_t l1i_nsets = rs->l1i_nsets, l1d_nsets = rs->l1d_nsets,
-                  l2_nsets = rs->l2_nsets;
-    const int l1i_ways = rs->l1i_ways, l1d_ways = rs->l1d_ways,
-              l2_ways = rs->l2_ways;
-    int64_t *l1i_tags = rs->l1i_tags, *l1d_tags = rs->l1d_tags,
-            *l2_tags = rs->l2_tags;
-    int32_t *l1i_cnt = rs->l1i_cnt, *l1d_cnt = rs->l1d_cnt,
-            *l2_cnt = rs->l2_cnt;
-    int64_t *hist = rs->hist, *pl2 = rs->pl2, *bim = rs->bim, *meta = rs->meta;
-    const Py_ssize_t hist_len = rs->hist_len, pl2_len = rs->pl2_len,
-                     bim_len = rs->bim_len, meta_len = rs->meta_len;
-    const int64_t btb_nsets = rs->btb_nsets;
-    const int btb_ways = rs->btb_ways;
-    int64_t *btb_tags = rs->btb_tags, *btb_tgts = rs->btb_tgts;
-    int32_t *btb_cnt = rs->btb_cnt;
-    const int64_t retired = rs->retired;
-    const double wall = rs->wall;
-    const int64_t memory_accesses = rs->memory_accesses;
-    const int64_t dispatch_stall_cycles = rs->dispatch_stall_cycles;
-    const int64_t int_free = rs->int_free, fp_free = rs->fp_free;
-    const char *error = rs->error;
-    /* --- marshal state back ------------------------------------------- */
-    if (sets_to_list(l1i_sets_o, l1i_nsets, l1i_ways, l1i_tags, l1i_cnt)
-        || sets_to_list(l1d_sets_o, l1d_nsets, l1d_ways, l1d_tags, l1d_cnt)
-        || sets_to_list(l2_sets_o, l2_nsets, l2_ways, l2_tags, l2_cnt)
-        || ints_to_list(hist_o, hist, hist_len)
-        || ints_to_list(pl2_o, pl2, pl2_len) || ints_to_list(bim_o, bim, bim_len)
-        || ints_to_list(meta_o, meta, meta_len))
+    if (writeback_uarch(&rs->u) < 0)
         return NULL;
-    for (Py_ssize_t i = 0; i < btb_nsets; i++) {
-        PyObject *s = PyList_New(btb_cnt[i]);
-        if (s == NULL)
-            return NULL;
-        for (Py_ssize_t j = 0; j < btb_cnt[i]; j++) {
-            PyObject *pair = Py_BuildValue(
-                "(LL)", (long long)btb_tags[i * btb_ways + j],
-                (long long)btb_tgts[i * btb_ways + j]);
-            if (pair == NULL) {
-                Py_DECREF(s);
-                return NULL;
-            }
-            PyList_SET_ITEM(s, j, pair);
-        }
-        if (PyList_SetItem(btb_o, i, s) < 0)
-            return NULL;
-    }
-
     return Py_BuildValue(
-        "{s:L,s:d,s:L,s:L,s:L,s:L,s:s}", "retired", (long long)retired, "wall",
-        wall, "memory_accesses", (long long)memory_accesses,
-        "dispatch_stall_cycles", (long long)dispatch_stall_cycles, "int_free",
-        (long long)int_free, "fp_free", (long long)fp_free, "error", error);
+        "{s:L,s:d,s:L,s:L,s:L,s:L,s:s}", "retired", (long long)rs->retired,
+        "wall", rs->wall, "memory_accesses", (long long)rs->memory_accesses,
+        "dispatch_stall_cycles", (long long)rs->dispatch_stall_cycles,
+        "int_free", (long long)rs->int_free, "fp_free", (long long)rs->fp_free,
+        "error", rs->error);
 }
 
 /* ------------------------------------------------------- entry points */
@@ -1878,11 +1802,68 @@ run_batch(PyObject *self, PyObject *args)
     return out;
 }
 
+/* MCDCore.warm_up over a compiled trace: replay max(0, min(limit, n))
+ * instructions through the caches, the predictor tables and the BTB
+ * only — no timing, no statistics — with the GIL released, then write
+ * the state back into its owning lists.  Returns the replayed count. */
+static PyObject *
+warm_up(PyObject *self, PyObject *args)
+{
+    PyObject *a; /* argument dict */
+    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &a))
+        return NULL;
+
+    ViewPool pool;
+    pool.count = 0;
+    Uarch u;
+    memset(&u, 0, sizeof(u));
+    PyObject *result = NULL;
+    long long n, limit, kind_load, kind_store, kind_branch;
+    if (get_long(a, "n", &n) || get_long(a, "limit", &limit)
+        || get_long(a, "kind_load", &kind_load)
+        || get_long(a, "kind_store", &kind_store)
+        || get_long(a, "kind_branch", &kind_branch))
+        goto done;
+    const int64_t *kinds = get_column(a, "kinds", &pool, 0, n);
+    const int64_t *pcs = get_column(a, "pcs", &pool, 0, n);
+    const int64_t *addrs = get_column(a, "addrs", &pool, 0, n);
+    const int64_t *taken = get_column(a, "taken", &pool, 0, n);
+    const int64_t *targets = get_column(a, "targets", &pool, 0, n);
+    const int64_t *newline = get_column(a, "newline", &pool, 0, n);
+    if (!kinds || !pcs || !addrs || !taken || !targets || !newline
+        || marshal_uarch(a, &u) < 0)
+        goto done;
+
+    const int64_t end = limit < 0 ? 0 : (limit < n ? limit : n);
+    Py_BEGIN_ALLOW_THREADS
+    const int shift = u.shift;
+    const TagSets l1i = u.l1i, l1d = u.l1d, l2 = u.l2;
+    const Predictor bp = u.bp;
+    for (int64_t i = 0; i < end; i++) {
+        if (newline[i])
+            hierarchy_access(&l1i, &l2, pcs[i] >> shift);
+        const int64_t kind = kinds[i];
+        if (kind == kind_branch)
+            branch_access(&bp, pcs[i], taken[i], targets[i]);
+        else if (kind == kind_load || kind == kind_store)
+            hierarchy_access(&l1d, &l2, addrs[i] >> shift);
+    }
+    Py_END_ALLOW_THREADS
+    if (writeback_uarch(&u) == 0)
+        result = PyLong_FromLongLong(end);
+done:
+    free_uarch(&u);
+    release_views(&pool);
+    return result;
+}
+
 static PyMethodDef hotpath_methods[] = {
     {"run_compiled", run_compiled, METH_VARARGS,
      "Run the batched core loop over compiled-trace columns."},
     {"run_batch", run_batch, METH_VARARGS,
      "Run a vector of compiled simulations under one GIL release."},
+    {"warm_up", warm_up, METH_VARARGS,
+     "Replay a compiled trace's head through the caches, predictor and BTB."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -95,6 +95,20 @@ _DEST_TYPE = dict(DEST_REGISTER_TYPE)
 _ISSUE_DOMAIN = dict(ISSUE_DOMAIN_INDEX)
 
 
+def _load_native():
+    """The native extension a compiled-trace core needs, or SimulationError."""
+    from repro.uarch.native import load_hotpath
+
+    hotpath = load_hotpath()
+    if hotpath is None:
+        raise SimulationError(
+            "a compiled-trace core needs the native loop, but the "
+            "extension is unavailable; build the core over a generator "
+            "trace instead"
+        )
+    return hotpath
+
+
 @dataclass(frozen=True)
 class CoreOptions:
     """Run-level switches for the core.
@@ -343,200 +357,62 @@ class MCDCore:
         are warm.  This replays the head of ``trace`` through the
         predictor and cache models only (no pipeline timing), then
         resets their statistics so reported rates cover the measured
-        region.  Returns the number of instructions replayed.
+        region.  Replays and returns ``max(0, min(limit, n))``
+        instructions.
 
-        A :class:`~repro.uarch.compiled_trace.CompiledTrace` takes the
-        columnar walk; any other stream is replayed block by
-        block.  Both leave identical predictor/cache state behind.
+        A :class:`~repro.uarch.compiled_trace.CompiledTrace` is replayed
+        by the native extension (``_hotpath.warm_up``) and raises
+        :class:`~repro.errors.SimulationError` when it is unavailable;
+        a generator trace is replayed block by block here, the
+        reference both are tested against.  Both leave identical
+        predictor/cache state behind.
         """
-        if isinstance(trace, CompiledTrace):
-            return self._warm_up_compiled(trace, limit)
         from repro.uarch.branch_predictor import BranchStats
         from repro.uarch.caches import CacheStats
 
         hierarchy = self.hierarchy
         predictor = self.predictor
-        line_shift = hierarchy.l1i.line_shift
-        last_line = -1
-        kind_branch = int(InstructionClass.BRANCH)
-        kind_load = int(InstructionClass.LOAD)
-        kind_store = int(InstructionClass.STORE)
-        count = 0
-        for block in trace.blocks():
-            kinds = block.kinds
-            pcs = block.pcs
-            addrs = block.addrs
-            taken = block.taken
-            targets = block.targets
-            for i in range(len(kinds)):
-                line = pcs[i] >> line_shift
-                if line != last_line:
-                    last_line = line
-                    hierarchy.instruction_access(pcs[i])
-                kind = kinds[i]
-                if kind == kind_branch:
-                    predictor.access(pcs[i], taken[i], targets[i])
-                elif kind == kind_load or kind == kind_store:
-                    hierarchy.data_access(addrs[i])
-                count += 1
+        if isinstance(trace, CompiledTrace):
+            count = _load_native().warm_up(
+                {
+                    **self._hotpath_args(trace),
+                    "newline": trace.arrays["newline"],
+                    "limit": limit,
+                }
+            )
+        else:
+            line_shift = hierarchy.l1i.line_shift
+            last_line = -1
+            kind_branch = int(InstructionClass.BRANCH)
+            kind_load = int(InstructionClass.LOAD)
+            kind_store = int(InstructionClass.STORE)
+            count = 0
+            for block in trace.blocks():
+                kinds = block.kinds
+                pcs = block.pcs
+                addrs = block.addrs
+                taken = block.taken
+                targets = block.targets
+                for i in range(len(kinds)):
+                    if count >= limit:
+                        break
+                    line = pcs[i] >> line_shift
+                    if line != last_line:
+                        last_line = line
+                        hierarchy.instruction_access(pcs[i])
+                    kind = kinds[i]
+                    if kind == kind_branch:
+                        predictor.access(pcs[i], taken[i], targets[i])
+                    elif kind == kind_load or kind == kind_store:
+                        hierarchy.data_access(addrs[i])
+                    count += 1
                 if count >= limit:
                     break
-            if count >= limit:
-                break
         predictor.stats = BranchStats()
         hierarchy.l1i.stats = CacheStats()
         hierarchy.l1d.stats = CacheStats()
         hierarchy.l2.stats = CacheStats()
         return count
-
-    def _warm_up_compiled(self, trace: CompiledTrace, limit: int) -> int:
-        """Columnar warm-up: same state transitions, flat-array walk.
-
-        Statistics need no tracking here — :meth:`warm_up` discards
-        them after replay — so only the cache tag arrays, predictor
-        tables and BTB are touched, with their update logic inlined.
-        The walked columns are converted to lists up front, because
-        list indexing beats numpy scalar indexing in a Python loop.
-        """
-        from repro.uarch.branch_predictor import BranchStats
-        from repro.uarch.caches import CacheStats
-
-        hierarchy = self.hierarchy
-        if trace.line_shift != hierarchy.l1i.line_shift:
-            raise SimulationError(
-                f"compiled trace line shift {trace.line_shift} does not "
-                f"match the cache line shift {hierarchy.l1i.line_shift}"
-            )
-        end = limit if limit < trace.n else trace.n
-        columns = trace.arrays
-        kinds = columns["kinds"][:end].tolist()
-        pcs = columns["pcs"][:end].tolist()
-        addrs = columns["addrs"][:end].tolist()
-        taken = columns["taken"][:end].tolist()
-        targets = columns["targets"][:end].tolist()
-        newline = columns["newline"][:end].tolist()
-        shift = hierarchy.l1i.line_shift
-        l1i_sets, l1i_nsets, l1i_ways = (
-            hierarchy.l1i._sets, hierarchy.l1i.sets, hierarchy.l1i.ways,
-        )
-        l1d_sets, l1d_nsets, l1d_ways = (
-            hierarchy.l1d._sets, hierarchy.l1d.sets, hierarchy.l1d.ways,
-        )
-        l2_sets, l2_nsets, l2_ways = (
-            hierarchy.l2._sets, hierarchy.l2.sets, hierarchy.l2.ways,
-        )
-        predictor = self.predictor
-        hist = predictor._history
-        hist_len = len(hist)
-        hist_mask = predictor._history_mask
-        pl2 = predictor._l2
-        pl2_len = len(pl2)
-        bim = predictor._bimodal
-        bim_len = len(bim)
-        meta = predictor._meta
-        meta_len = len(meta)
-        btb_table = predictor.btb._table
-        btb_nsets = predictor.btb.sets
-        btb_ways = predictor.btb.ways
-        kind_branch = int(InstructionClass.BRANCH)
-        kind_load = int(InstructionClass.LOAD)
-        kind_store = int(InstructionClass.STORE)
-
-        for i in range(end):
-            if newline[i]:
-                line = pcs[i] >> shift
-                entry_set = l1i_sets[line % l1i_nsets]
-                tag = line // l1i_nsets
-                try:
-                    entry_set.remove(tag)
-                    entry_set.append(tag)
-                except ValueError:
-                    entry_set.append(tag)
-                    if len(entry_set) > l1i_ways:
-                        entry_set.pop(0)
-                    entry_set = l2_sets[line % l2_nsets]
-                    tag = line // l2_nsets
-                    try:
-                        entry_set.remove(tag)
-                        entry_set.append(tag)
-                    except ValueError:
-                        entry_set.append(tag)
-                        if len(entry_set) > l2_ways:
-                            entry_set.pop(0)
-            kind = kinds[i]
-            if kind == kind_branch:
-                pc = pcs[i]
-                tk = taken[i]
-                word = pc >> 2
-                hist_i = word % hist_len
-                history = hist[hist_i]
-                pl2_i = (history ^ word) % pl2_len
-                two_level = pl2[pl2_i] >= 2
-                bim_i = word % bim_len
-                bimodal = bim[bim_i] >= 2
-                prediction = two_level if meta[word % meta_len] >= 2 else bimodal
-                if prediction == tk and tk:
-                    # BTB lookup (its LRU reordering is warm state too).
-                    entry_set = btb_table[word % btb_nsets]
-                    tag = word // btb_nsets
-                    for j in range(len(entry_set)):
-                        if entry_set[j][0] == tag:
-                            entry_set.append(entry_set.pop(j))
-                            break
-                value = pl2[pl2_i]
-                if tk:
-                    pl2[pl2_i] = value + 1 if value < 3 else 3
-                else:
-                    pl2[pl2_i] = value - 1 if value > 0 else 0
-                value = bim[bim_i]
-                if tk:
-                    bim[bim_i] = value + 1 if value < 3 else 3
-                else:
-                    bim[bim_i] = value - 1 if value > 0 else 0
-                if two_level != bimodal:
-                    meta_i = word % meta_len
-                    value = meta[meta_i]
-                    if two_level == tk:
-                        meta[meta_i] = value + 1 if value < 3 else 3
-                    else:
-                        meta[meta_i] = value - 1 if value > 0 else 0
-                hist[hist_i] = ((history << 1) | (1 if tk else 0)) & hist_mask
-                if tk:
-                    target = targets[i]
-                    entry_set = btb_table[word % btb_nsets]
-                    tag = word // btb_nsets
-                    for j in range(len(entry_set)):
-                        if entry_set[j][0] == tag:
-                            entry_set.pop(j)
-                            break
-                    entry_set.append((tag, target))
-                    if len(entry_set) > btb_ways:
-                        entry_set.pop(0)
-            elif kind == kind_load or kind == kind_store:
-                line = addrs[i] >> shift
-                entry_set = l1d_sets[line % l1d_nsets]
-                tag = line // l1d_nsets
-                try:
-                    entry_set.remove(tag)
-                    entry_set.append(tag)
-                except ValueError:
-                    entry_set.append(tag)
-                    if len(entry_set) > l1d_ways:
-                        entry_set.pop(0)
-                    entry_set = l2_sets[line % l2_nsets]
-                    tag = line // l2_nsets
-                    try:
-                        entry_set.remove(tag)
-                        entry_set.append(tag)
-                    except ValueError:
-                        entry_set.append(tag)
-                        if len(entry_set) > l2_ways:
-                            entry_set.pop(0)
-        predictor.stats = BranchStats()
-        hierarchy.l1i.stats = CacheStats()
-        hierarchy.l1d.stats = CacheStats()
-        hierarchy.l2.stats = CacheStats()
-        return end
 
     # ------------------------------------------------------------------
     # the run
@@ -587,60 +463,49 @@ class MCDCore:
         """
         if self.compiled is None:
             return self._run_generator()
-        from repro.uarch.native import load_hotpath
-
-        hotpath = load_hotpath()
-        if hotpath is None:
-            raise SimulationError(
-                "a compiled-trace core needs the native loop, but the "
-                "extension is unavailable; build the core over a generator "
-                "trace instead"
-            )
+        hotpath = _load_native()
         args, finish = self.native_marshal()
         return finish(hotpath.run_compiled(args))
 
-    def warm_state_snapshot(self):
-        """Deep-copy the microarchitectural state :meth:`warm_up` builds.
+    def _hotpath_args(self, comp: CompiledTrace) -> dict:
+        """The argument-dict entries every ``_hotpath`` entry reads.
 
-        Warm-up replays the trace through the caches, the branch
-        predictor tables and the BTB, then zeroes their stats — for a
-        given (trace, geometry) the result is deterministic and
-        seed-independent.  The snapshot captures exactly that state so
-        a batch of runs over one trace can warm up once and clone the
-        result instead of replaying the trace per run.
+        The trace columns the cache/predictor replay walks, the
+        geometry, and the Python-owned cache sets, predictor tables and
+        BTB that the C side unmarshals at entry and rebuilds at exit.
         """
         hierarchy = self.hierarchy
         predictor = self.predictor
-        return (
-            [list(s) for s in hierarchy.l1i._sets],
-            [list(s) for s in hierarchy.l1d._sets],
-            [list(s) for s in hierarchy.l2._sets],
-            list(predictor._history),
-            list(predictor._l2),
-            list(predictor._bimodal),
-            list(predictor._meta),
-            [list(s) for s in predictor.btb._table],
-        )
-
-    def restore_warm_state(self, snapshot) -> None:
-        """Install a :meth:`warm_state_snapshot` into this (fresh) core.
-
-        Byte-for-byte equivalent to running :meth:`warm_up` over the
-        same trace: the snapshot holds everything warm-up mutates, and
-        a freshly-built core's stats are already the zeros warm-up
-        resets them to.
-        """
-        l1i, l1d, l2, hist, pl2, bim, meta, btb = snapshot
-        hierarchy = self.hierarchy
-        predictor = self.predictor
-        hierarchy.l1i._sets = [list(s) for s in l1i]
-        hierarchy.l1d._sets = [list(s) for s in l1d]
-        hierarchy.l2._sets = [list(s) for s in l2]
-        predictor._history = list(hist)
-        predictor._l2 = list(pl2)
-        predictor._bimodal = list(bim)
-        predictor._meta = list(meta)
-        predictor.btb._table = [list(s) for s in btb]
+        columns = comp.arrays
+        return {
+            "kinds": columns["kinds"],
+            "pcs": columns["pcs"],
+            "addrs": columns["addrs"],
+            "taken": columns["taken"],
+            "targets": columns["targets"],
+            "n": comp.n,
+            "kind_load": int(InstructionClass.LOAD),
+            "kind_store": int(InstructionClass.STORE),
+            "kind_branch": int(InstructionClass.BRANCH),
+            "line_shift": hierarchy.l1i.line_shift,
+            "l1i_nsets": hierarchy.l1i.sets,
+            "l1i_ways": hierarchy.l1i.ways,
+            "l1d_nsets": hierarchy.l1d.sets,
+            "l1d_ways": hierarchy.l1d.ways,
+            "l2_nsets": hierarchy.l2.sets,
+            "l2_ways": hierarchy.l2.ways,
+            "hist_mask": predictor._history_mask,
+            "btb_nsets": predictor.btb.sets,
+            "btb_ways": predictor.btb.ways,
+            "l1i_sets": hierarchy.l1i._sets,
+            "l1d_sets": hierarchy.l1d._sets,
+            "l2_sets": hierarchy.l2._sets,
+            "hist": predictor._history,
+            "pl2": predictor._l2,
+            "bim": predictor._bimodal,
+            "meta": predictor._meta,
+            "btb": predictor.btb._table,
+        }
 
     def native_marshal(self):
         """Marshal this core for the C loop; returns ``(args, finish)``.
@@ -738,10 +603,8 @@ class MCDCore:
             )
 
         def refill(d: int):
-            """Refill domain ``d``'s jitter stream; returns the buffer."""
-            jit = jitters[d]
-            jit._refill()
-            return np.asarray(jit._buffer, dtype=np.float64)
+            """Domain ``d``'s next jitter block, consumed from the tail."""
+            return jitters[d]._draw()
 
         intervals: list[IntervalRecord] = []
 
@@ -818,12 +681,8 @@ class MCDCore:
             return None
 
         args = {
+            **self._hotpath_args(comp),
             # columns
-            "kinds": comp.arrays["kinds"],
-            "pcs": comp.arrays["pcs"],
-            "addrs": comp.arrays["addrs"],
-            "taken": comp.arrays["taken"],
-            "targets": comp.arrays["targets"],
             "dest": comp.arrays["dest"],
             "domain": comp.arrays["domain"],
             "p1": comp.arrays["p1"],
@@ -857,20 +716,10 @@ class MCDCore:
             "q_writes": q_writes,
             "cache_stats": cache_stats,
             "bp_stats": bp_stats,
-            # python-owned microarchitectural state
-            "l1i_sets": hierarchy.l1i._sets,
-            "l1d_sets": hierarchy.l1d._sets,
-            "l2_sets": hierarchy.l2._sets,
-            "hist": predictor._history,
-            "pl2": predictor._l2,
-            "bim": predictor._bimodal,
-            "meta": predictor._meta,
-            "btb": predictor.btb._table,
             "jbufs": [getattr(j, "_buffer", []) for j in jitters],
             "refill": refill,
             "rollover": rollover,
             # scalars
-            "n": comp.n,
             "decode_width": proc.decode_width,
             "retire_width": proc.retire_width,
             "rob_cap": self.rob.capacity,
@@ -881,19 +730,6 @@ class MCDCore:
             "mcd": 1 if opts.mcd else 0,
             "int_free": self.int_regs.free,
             "fp_free": self.fp_regs.free,
-            "kind_load": int(InstructionClass.LOAD),
-            "kind_store": int(InstructionClass.STORE),
-            "kind_branch": int(InstructionClass.BRANCH),
-            "line_shift": hierarchy.l1i.line_shift,
-            "l1i_nsets": hierarchy.l1i.sets,
-            "l1i_ways": hierarchy.l1i.ways,
-            "l1d_nsets": hierarchy.l1d.sets,
-            "l1d_ways": hierarchy.l1d.ways,
-            "l2_nsets": hierarchy.l2.sets,
-            "l2_ways": hierarchy.l2.ways,
-            "hist_mask": predictor._history_mask,
-            "btb_nsets": predictor.btb.sets,
-            "btb_ways": predictor.btb.ways,
             "call_rollover": (
                 1
                 if (

@@ -39,7 +39,7 @@ LINE_SHIFT = ProcessorConfig().line_bytes.bit_length() - 1
 SCALE = 0.05
 
 
-def _run(trace, bench, mcd=True, controller=True, record=False):
+def _warmed_core(trace, bench, mcd=True, controller=True, record=False):
     options = CoreOptions(
         mcd=mcd,
         seed=2,
@@ -56,12 +56,39 @@ def _run(trace, bench, mcd=True, controller=True, record=False):
         options=options,
     )
     core.warm_up(trace, limit=trace.total_instructions)
-    return core.run()
+    return core
+
+
+def _run(trace, bench, **kwargs):
+    return _warmed_core(trace, bench, **kwargs).run()
+
+
+def _uarch_state(core):
+    """The state warm-up and the native writeback own: caches, predictor, BTB."""
+    hierarchy, predictor = core.hierarchy, core.predictor
+    return (
+        hierarchy.l1i._sets,
+        hierarchy.l1d._sets,
+        hierarchy.l2._sets,
+        predictor._history,
+        predictor._l2,
+        predictor._bimodal,
+        predictor._meta,
+        predictor.btb._table,
+    )
 
 
 needs_native = pytest.mark.skipif(
     native.load_hotpath() is None, reason="no native loop"
 )
+
+#: Cache/predictor geometries the warm-up differential covers.
+GEOMETRIES = {
+    "default": ProcessorConfig(),
+    "32B_lines_assoc": ProcessorConfig(
+        line_bytes=32, l1d_ways=4, l2_ways=2, btb_ways=4
+    ),
+}
 
 
 # ---------------------------------------------------------------- columns
@@ -123,16 +150,21 @@ class TestRepresentation:
         # Freezing the trace's views leaves the caller's arrays writable.
         assert all(column.flags.writeable for column in columns)
 
-    def test_warm_up_leaves_identical_state_on_both_trace_forms(self):
-        bench = get_benchmark("gcc")
-        trace = bench.build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
-        snapshots = []
-        for form in (trace, compiled):
-            core = MCDCore(ProcessorConfig(), scaled_mcd_config(), form)
-            assert core.warm_up(form, limit=form.total_instructions) == compiled.n
-            snapshots.append(core.warm_state_snapshot())
-        assert snapshots[0] == snapshots[1]
+    @needs_native
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_warm_up_leaves_identical_state_on_both_trace_forms(self, name, geometry):
+        processor = GEOMETRIES[geometry]
+        trace = get_benchmark(name).build_trace(scale=SCALE)
+        compiled = compile_trace(trace, processor.line_bytes.bit_length() - 1)
+        n = compiled.n
+        for limit in (-1, 0, 1, n // 2, n, n + 10):
+            states = []
+            for form in (trace, compiled):
+                core = MCDCore(processor, scaled_mcd_config(), form)
+                assert core.warm_up(form, limit=limit) == max(0, min(limit, n))
+                states.append(_uarch_state(core))
+            assert states[0] == states[1], f"limit={limit}"
 
     def test_line_shift_mismatch_rejected(self):
         trace = get_benchmark("adpcm").build_trace(scale=SCALE)
@@ -327,6 +359,22 @@ class TestEquivalence:
         assert asdict(_run(compiled, bench, controller=False)) == asdict(reference)
 
     @pytest.mark.parametrize(
+        "controller", [True, False], ids=["in_c_attack_decay", "no_controller"]
+    )
+    @pytest.mark.parametrize("name", ["gcc", "mcf", "swim"])
+    def test_post_run_state_identical(self, name, controller):
+        """The writeback leaves caches, predictor and BTB as the reference does."""
+        bench = get_benchmark(name)
+        trace = bench.build_trace(scale=SCALE)
+        compiled = compile_trace(trace, LINE_SHIFT)
+        states = []
+        for form in (trace, compiled):
+            core = _warmed_core(form, bench, controller=controller)
+            core.run()
+            states.append(_uarch_state(core))
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize(
         "configuration",
         ["sync", "mcd_base", "attack_decay", "global@725.000"],
     )
@@ -352,6 +400,17 @@ class TestCompiledTraceFor:
         a = compiled_trace_for(bench, scale=SCALE, line_shift=LINE_SHIFT)
         b = compiled_trace_for(bench, scale=SCALE, line_shift=LINE_SHIFT)
         assert a is b
+
+    @needs_native
+    def test_seeds_share_one_trace(self):
+        """The seed moves clocks and jitter only, never the trace."""
+        from repro.sim.engine import _build_core
+
+        traces = [
+            _build_core(SimulationSpec(benchmark="adpcm", scale=SCALE, seed=seed))[1]
+            for seed in (1, 2)
+        ]
+        assert traces[0] is traces[1]
 
     def test_run_spec_uses_compiled_by_default(self):
         fast = run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE))
