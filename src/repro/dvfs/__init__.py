@@ -7,10 +7,11 @@ domain *executing through* the change.
 """
 
 from repro.dvfs.regulator import RegulatorState, VoltageFrequencyRegulator
-from repro.dvfs.scale import FrequencyScale
+from repro.dvfs.scale import FrequencyScale, frequency_scale
 
 __all__ = [
     "FrequencyScale",
     "RegulatorState",
     "VoltageFrequencyRegulator",
+    "frequency_scale",
 ]

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.config.mcd import MCDConfig
-from repro.dvfs.scale import FrequencyScale
+from repro.dvfs.scale import frequency_scale
 from repro.errors import RegulatorError
 
 
@@ -70,7 +70,7 @@ class VoltageFrequencyRegulator:
 
     def __init__(self, config: MCDConfig, initial_mhz: float | None = None) -> None:
         self.config = config
-        self.scale = FrequencyScale(config)
+        self.scale = frequency_scale(config)
         start = config.max_frequency_mhz if initial_mhz is None else initial_mhz
         self.current_mhz = self.scale.quantize(start)
         self.target_mhz = self.current_mhz

@@ -7,6 +7,8 @@ voltage map, and provides index arithmetic used by controllers (e.g.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.config.mcd import MCDConfig
@@ -15,6 +17,9 @@ from repro.errors import RegulatorError
 
 class FrequencyScale:
     """The legal (frequency, voltage) operating points of a domain.
+
+    The tables are read-only, so one scale can serve every regulator
+    and thread; :func:`frequency_scale` hands out that shared instance.
 
     Parameters
     ----------
@@ -33,6 +38,8 @@ class FrequencyScale:
         self.voltages_v = np.array(
             [config.voltage_for_frequency(f) for f in self.frequencies_mhz]
         )
+        self.frequencies_mhz.flags.writeable = False
+        self.voltages_v.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.frequencies_mhz)
@@ -69,3 +76,14 @@ class FrequencyScale:
                 f"{len(self)} legal operating points"
             )
         return snapped
+
+
+@functools.lru_cache(maxsize=64)
+def frequency_scale(config: MCDConfig) -> FrequencyScale:
+    """The shared :class:`FrequencyScale` of ``config``, built on first use.
+
+    ``MCDConfig`` is frozen, so it keys the cache.  Every regulator of
+    every core over one configuration shares the result instead of
+    rebuilding the 320-point table.
+    """
+    return FrequencyScale(config)

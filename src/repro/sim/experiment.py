@@ -28,7 +28,7 @@ from pathlib import Path
 
 from repro.config.algorithm import AttackDecayParams
 from repro.config.mcd import MCDConfig
-from repro.dvfs.scale import FrequencyScale
+from repro.dvfs.scale import frequency_scale
 from repro.errors import ExperimentError
 from repro.experiments.builtins import attack_decay_scenario
 from repro.experiments.cache import CACHE_VERSION, DEFAULT_CACHE_DIR
@@ -144,7 +144,7 @@ class ExperimentRunner:
         latency tracks the global clock (see
         :class:`~repro.sim.engine.SimulationSpec`).
         """
-        scale = FrequencyScale(MCDConfig())
+        scale = frequency_scale(MCDConfig())
         mhz = scale.quantize(frequency_mhz)
         return self._ctx.run(Scenario(benchmark, f"global@{mhz:.3f}"))
 
@@ -162,7 +162,7 @@ class ExperimentRunner:
         """
         if target_time_ns <= 0:
             raise ExperimentError("target_time_ns must be positive")
-        scale = FrequencyScale(MCDConfig())
+        scale = frequency_scale(MCDConfig())
         lo, hi = 0, len(scale) - 1  # lo = slowest, hi = fastest
         best: RunRecord | None = None
         best_err = float("inf")
@@ -199,7 +199,7 @@ class ExperimentRunner:
         """
         if not benchmarks:
             raise ExperimentError("global_suite_matched needs benchmarks")
-        scale = FrequencyScale(MCDConfig())
+        scale = frequency_scale(MCDConfig())
         bases = {b: self.mcd_baseline(b).summary for b in benchmarks}
 
         def avg_deg_at(index: int) -> tuple[float, dict[str, RunRecord]]:

@@ -7,50 +7,58 @@
  * is IEEE double precision; the build disables FP contraction
  * (-ffp-contract=off) so a*b+c rounds exactly as CPython rounds it.
  *
- * State crosses the boundary once per run: compiled-trace columns come
- * in as int64 buffers, cache/predictor/BTB state is unmarshalled from
- * the owning Python objects at entry and written back at exit.  A stock
- * Attack/Decay controller (paper Listing 1, plus the regulator's
- * request quantisation) is marshalled into flat registers and run
- * inline at each interval rollover — the closed-loop run then makes
- * zero per-interval Python crossings.  Custom controllers and interval
- * recording fall back to the per-interval `rollover` Python callback.
- * See repro/uarch/native.py for the build/load glue and controller
- * marshalling, and MCDCore.native_marshal for the marshal layer.
+ * Compiled-trace columns come in as read-only int64 buffers.  The
+ * cache, predictor and BTB state is the owning Python objects' own
+ * flat array('q') buffers (SetAssociativeCache, CombiningBranchPredictor,
+ * BranchTargetBuffer), which the C side validates once and then reads
+ * and updates in place: no conversion at entry, nothing to write back
+ * at exit.  A stock Attack/Decay controller (paper Listing 1, plus the
+ * regulator's request quantisation) is marshalled into flat registers
+ * and run inline at each interval rollover — the closed-loop run then
+ * makes zero per-interval Python crossings.  Custom controllers and
+ * interval recording fall back to the per-interval `rollover` Python
+ * callback.  See repro/uarch/native.py for the build/load glue and
+ * controller marshalling, and MCDCore.native_marshal for the Python
+ * side of the boundary.
  *
  * Execution is staged around a per-run RunState struct so a whole
  * sweep can run on a thread pool inside one process:
  *
- *   1. marshal   — all PyObject access and buffer extraction (GIL held);
- *   2. compute   — the event loop, pure C over RunState-local data,
- *                  with the GIL RELEASED (PyEval_SaveThread).  Its only
- *                  Python crossings are the jitter `refill` and the
- *                  per-interval `rollover` callbacks, bridged through
- *                  shims that re-acquire the GIL for the call;
- *   3. writeback — fold results into the owning objects (GIL held).
+ *   1. marshal — all PyObject access, buffer extraction and argument
+ *                validation (GIL held);
+ *   2. compute — the event loop, pure C over the RunState and the
+ *                buffers it views, with the GIL RELEASED
+ *                (PyEval_SaveThread).  Its only Python crossings are
+ *                the jitter `refill` and the per-interval `rollover`
+ *                callbacks, bridged through shims that re-acquire the
+ *                GIL for the call;
+ *   3. result  — build the per-run result dict (GIL held); the Python
+ *                `finish` closure folds it and the counter buffers into
+ *                the owning objects.
  *
  * Three entry points share the stages.  run_compiled drives one RunState
  * through all three.  run_batch amortises the boundary across a sweep
  * cell: it marshals a *vector* of argument dicts up front, releases the
- * GIL once, computes every run back to back, and then writes each run
- * back into its own objects — exactly the per-run folding the single
- * entry performs, so batched results are byte-identical by
- * construction.  warm_up replays the head of a compiled trace through
- * the caches, the predictor tables and the BTB only (MCDCore.warm_up),
- * with the GIL released; it marshals and writes back that state with
- * the same helpers as the runs (marshal_uarch / writeback_uarch), and
- * the run loop touches it through the same access helpers, so the two
- * cannot drift apart.
+ * GIL once, computes every run back to back, and then builds each run's
+ * result — exactly what the single entry does per run, so batched
+ * results are byte-identical by construction.  warm_up replays the head
+ * of a compiled trace through the caches, the predictor tables and the
+ * BTB only (MCDCore.warm_up), with the GIL released; it views that state
+ * through the same marshal_uarch as the runs, and the run loop touches
+ * it through the same access helpers, so the two cannot drift apart.
  *
  * Reentrancy audit: this file holds NO mutable state with static
- * storage duration — every array, ring buffer and counter lives on the
- * compute stage's stack or in per-call PyMem allocations, and the
- * buffers handed in through the argument dict are created per call by
- * MCDCore (the trace columns it passes are read-only numpy arrays; a
- * run's newline is a per-run copy, and warm_up only reads newline).
- * Concurrent calls from different threads therefore never share
- * writable memory, which is what makes the thread-pool sweep backend
- * sound.
+ * storage duration — every array, ring buffer, counter and the
+ * idle-scan memo lives on the compute stage's stack or in per-call
+ * PyMem allocations.  The writable buffers handed in through the
+ * argument dict belong to one core: its cache/predictor/BTB arrays and
+ * the per-run tables MCDCore.native_marshal creates (a run's newline is
+ * a per-run copy; the trace columns are read-only numpy arrays shared
+ * across runs, and warm_up only reads newline).  No core runs
+ * concurrently with itself, so concurrent calls from different threads
+ * never share writable memory, which is what makes the thread-pool
+ * sweep backend sound.  While a call holds a buffer view, array('q')
+ * refuses to resize, so the GIL-free stages cannot see a buffer move.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -94,18 +102,29 @@ get_double(PyObject *dict, const char *key, double *out)
     return 0;
 }
 
+/* The buffer views one call may hold: a run takes at most 62 (49 for
+ * its columns, tables and controller registers, 13 for the cache,
+ * predictor and BTB state); get_buffer raises rather than overflow. */
+#define MAX_VIEWS 64
+
 typedef struct {
-    Py_buffer views[64];
+    Py_buffer views[MAX_VIEWS];
     int count;
 } ViewPool;
 
+/* A C-contiguous buffer of 8-byte items with at least min_len of them
+ * (its length lands in *len_out when that is not NULL). */
 static void *
 get_buffer(PyObject *dict, const char *key, ViewPool *pool, int writable,
-           Py_ssize_t itemsize, Py_ssize_t *len_out)
+           Py_ssize_t min_len, Py_ssize_t *len_out)
 {
     PyObject *v = PyDict_GetItemString(dict, key);
     if (v == NULL) {
         PyErr_Format(PyExc_KeyError, "hotpath: missing buffer arg %s", key);
+        return NULL;
+    }
+    if (pool->count == MAX_VIEWS) {
+        PyErr_SetString(PyExc_RuntimeError, "hotpath: buffer view pool is full");
         return NULL;
     }
     int flags = writable ? (PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE)
@@ -114,13 +133,20 @@ get_buffer(PyObject *dict, const char *key, ViewPool *pool, int writable,
     if (PyObject_GetBuffer(v, view, flags) < 0)
         return NULL;
     pool->count++;
-    if (view->itemsize != itemsize) {
-        PyErr_Format(PyExc_TypeError, "hotpath: %s has itemsize %zd, want %zd",
-                     key, view->itemsize, itemsize);
+    if (view->itemsize != 8) {
+        PyErr_Format(PyExc_TypeError, "hotpath: %s has itemsize %zd, want 8",
+                     key, view->itemsize);
+        return NULL;
+    }
+    const Py_ssize_t len = view->len / 8;
+    if (len < min_len) {
+        PyErr_Format(PyExc_ValueError,
+                     "hotpath: %s has %zd entries, want at least %zd", key, len,
+                     min_len);
         return NULL;
     }
     if (len_out != NULL)
-        *len_out = view->len / itemsize;
+        *len_out = len;
     return view->buf;
 }
 
@@ -132,30 +158,14 @@ release_views(ViewPool *pool)
     pool->count = 0;
 }
 
-/* A compiled-trace column: a C-contiguous int64 buffer of at least n
- * entries. */
-static void *
-get_column(PyObject *dict, const char *key, ViewPool *pool, int writable,
-           int64_t n)
-{
-    Py_ssize_t len;
-    void *buf = get_buffer(dict, key, pool, writable, 8, &len);
-    if (buf != NULL && len < n) {
-        PyErr_Format(PyExc_ValueError, "hotpath: column %s is shorter than n",
-                     key);
-        return NULL;
-    }
-    return buf;
-}
-
 /* ------------------------------------- caches, predictor and BTB state */
 
 /* One set-associative array, most recently used way last in each set:
  * tags[set * ways + j] for j < cnt[set].  The BTB keeps each entry's
- * target beside its tag in tgts; caches leave tgts NULL. */
+ * target beside its tag in tgts; caches leave tgts NULL.  All three
+ * point into the owning Python object's array('q') buffers. */
 typedef struct {
-    int64_t *tags, *tgts;
-    int32_t *cnt;
+    int64_t *tags, *tgts, *cnt;
     int64_t nsets;
     int ways;
 } TagSets;
@@ -169,14 +179,11 @@ typedef struct {
     TagSets btb;
 } Predictor;
 
-/* The Python-owned state every entry point unmarshals at entry and
- * writes back at exit, plus the lists that own it (borrowed from the
- * argument dict, which the caller keeps alive for the call). */
+/* The cache, predictor and BTB state every entry point views in place. */
 typedef struct {
     int shift; /* cache line shift */
     TagSets l1i, l1d, l2;
     Predictor bp;
-    PyObject *l1i_o, *l1d_o, *l2_o, *hist_o, *pl2_o, *bim_o, *meta_o, *btb_o;
 } Uarch;
 
 /* The access helpers below sit in the run loop's innermost path; left
@@ -200,7 +207,7 @@ cache_access(const TagSets *c, int64_t line)
     const int64_t si = line % c->nsets;
     const int64_t tag = line / c->nsets;
     int64_t *set = &c->tags[si * c->ways];
-    const int cnt = c->cnt[si];
+    const int cnt = (int)c->cnt[si];
     int j = 0;
     while (j < cnt && set[j] != tag)
         j++;
@@ -251,7 +258,7 @@ btb_lookup(const TagSets *b, int64_t word, int64_t *target)
     const int64_t si = word % b->nsets;
     const int64_t tag = word / b->nsets;
     int64_t *tags = &b->tags[si * b->ways], *tgts = &b->tgts[si * b->ways];
-    const int cnt = b->cnt[si];
+    const int cnt = (int)b->cnt[si];
     for (int j = 0; j < cnt; j++) {
         if (tags[j] == tag) {
             *target = tgts[j];
@@ -275,7 +282,7 @@ btb_update(const TagSets *b, int64_t word, int64_t target)
     const int64_t si = word % b->nsets;
     const int64_t tag = word / b->nsets;
     int64_t *tags = &b->tags[si * b->ways], *tgts = &b->tgts[si * b->ways];
-    int cnt = b->cnt[si];
+    int cnt = (int)b->cnt[si];
     int j = 0;
     while (j < cnt && tags[j] != tag)
         j++;
@@ -337,206 +344,93 @@ branch_access(const Predictor *p, int64_t pc, int64_t tk, int64_t target)
     return outcome;
 }
 
-/* Unmarshal a Python list (per set) of per-way entries, MRU last, into
- * *c: ints for a cache, (tag, target) tuples for the BTB (pairs = 1).
- * The arrays land in *c as soon as they are allocated, so free_uarch
- * releases them on failure too. */
+/* View one set-associative array's buffers, named <name>_tags,
+ * <name>_counts and (BTB only) <name>_targets, after checking them
+ * against <name>_nsets and <name>_ways: exact lengths, and every set's
+ * count within [0, ways]. */
 static int
-sets_from_list(PyObject *sets, long long nsets, long long ways, int pairs,
-               TagSets *c)
+marshal_sets(PyObject *a, ViewPool *pool, const char *name, int btb,
+             TagSets *c)
 {
-    if (nsets < 1 || ways < 1 || !PyList_Check(sets)
-        || PyList_GET_SIZE(sets) != nsets) {
-        PyErr_SetString(PyExc_TypeError, "hotpath: bad set list");
+    char key[32];
+    long long nsets, ways;
+    snprintf(key, sizeof key, "%s_nsets", name);
+    if (get_long(a, key, &nsets))
+        return -1;
+    snprintf(key, sizeof key, "%s_ways", name);
+    if (get_long(a, key, &ways))
+        return -1;
+    if (nsets < 1 || ways < 1 || ways > INT32_MAX || nsets > INT64_MAX / ways) {
+        PyErr_Format(PyExc_ValueError, "hotpath: bad %s geometry", name);
         return -1;
     }
-    c->nsets = nsets;
-    c->ways = (int)ways;
-    c->tags = PyMem_Malloc(nsets * ways * sizeof(int64_t));
-    c->tgts = pairs ? PyMem_Malloc(nsets * ways * sizeof(int64_t)) : NULL;
-    c->cnt = PyMem_Calloc(nsets, sizeof(int32_t));
-    if (c->tags == NULL || (pairs && c->tgts == NULL) || c->cnt == NULL) {
-        PyErr_NoMemory();
+    Py_ssize_t n_tags, n_cnt, n_tgts = nsets * ways;
+    snprintf(key, sizeof key, "%s_tags", name);
+    if ((c->tags = get_buffer(a, key, pool, 1, 0, &n_tags)) == NULL)
+        return -1;
+    snprintf(key, sizeof key, "%s_counts", name);
+    if ((c->cnt = get_buffer(a, key, pool, 1, 0, &n_cnt)) == NULL)
+        return -1;
+    c->tgts = NULL;
+    if (btb) {
+        snprintf(key, sizeof key, "%s_targets", name);
+        if ((c->tgts = get_buffer(a, key, pool, 1, 0, &n_tgts)) == NULL)
+            return -1;
+    }
+    if (n_tags != nsets * ways || n_tgts != nsets * ways || n_cnt != nsets) {
+        PyErr_Format(PyExc_ValueError,
+                     "hotpath: %s buffers do not match %lld sets x %lld ways",
+                     name, nsets, ways);
         return -1;
     }
     for (Py_ssize_t i = 0; i < nsets; i++) {
-        PyObject *s = PyList_GET_ITEM(sets, i);
-        if (!PyList_Check(s)) {
-            PyErr_SetString(PyExc_TypeError, "hotpath: bad set list");
+        if (c->cnt[i] < 0 || c->cnt[i] > ways) {
+            PyErr_Format(PyExc_ValueError, "hotpath: %s set %zd holds %lld ways",
+                         name, i, (long long)c->cnt[i]);
             return -1;
         }
-        Py_ssize_t k = PyList_GET_SIZE(s);
-        if (k > ways)
-            k = ways; /* transient overflow never persists */
-        c->cnt[i] = (int32_t)k;
-        for (Py_ssize_t j = 0; j < k; j++) {
-            const Py_ssize_t at = i * ways + j;
-            PyObject *entry = PyList_GET_ITEM(s, j);
-            if (pairs) {
-                if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-                    PyErr_SetString(PyExc_TypeError, "hotpath: bad BTB entry");
-                    return -1;
-                }
-                c->tgts[at] = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 1));
-                if (c->tgts[at] == -1 && PyErr_Occurred())
-                    return -1;
-                entry = PyTuple_GET_ITEM(entry, 0);
-            }
-            c->tags[at] = PyLong_AsLongLong(entry);
-            if (c->tags[at] == -1 && PyErr_Occurred())
-                return -1;
-        }
     }
+    c->nsets = nsets;
+    c->ways = (int)ways;
     return 0;
 }
 
-/* Rebuild each set's list in place of the old one; BTB ways become
- * (tag, target) tuples. */
+/* View the cache, predictor and BTB state named in the argument dict
+ * (GIL held), writable and in place.  Malformed state raises and is
+ * never read: the compute stage indexes every table only through
+ * geometry checked here.  On failure a Python exception is set; the
+ * views already taken stay in *pool for release_views. */
 static int
-sets_to_list(PyObject *sets, const TagSets *c)
+marshal_uarch(PyObject *a, ViewPool *pool, Uarch *u)
 {
-    for (Py_ssize_t i = 0; i < c->nsets; i++) {
-        PyObject *s = PyList_New(c->cnt[i]);
-        if (s == NULL)
-            return -1;
-        for (Py_ssize_t j = 0; j < c->cnt[i]; j++) {
-            const int64_t at = i * c->ways + j;
-            PyObject *entry =
-                c->tgts != NULL
-                    ? Py_BuildValue("(LL)", (long long)c->tags[at],
-                                    (long long)c->tgts[at])
-                    : PyLong_FromLongLong(c->tags[at]);
-            if (entry == NULL) {
-                Py_DECREF(s);
-                return -1;
-            }
-            PyList_SET_ITEM(s, j, entry);
-        }
-        if (PyList_SetItem(sets, i, s) < 0)
-            return -1;
-    }
-    return 0;
-}
-
-static int64_t *
-ints_from_list(PyObject *list, Py_ssize_t *n_out)
-{
-    if (!PyList_Check(list) || PyList_GET_SIZE(list) < 1) {
-        PyErr_SetString(PyExc_TypeError, "hotpath: expected a list of ints");
-        return NULL;
-    }
-    Py_ssize_t n = PyList_GET_SIZE(list);
-    int64_t *out = PyMem_Malloc(n * sizeof(int64_t));
-    if (out == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        out[i] = PyLong_AsLongLong(PyList_GET_ITEM(list, i));
-        if (out[i] == -1 && PyErr_Occurred()) {
-            PyMem_Free(out);
-            return NULL;
-        }
-    }
-    *n_out = n;
-    return out;
-}
-
-static int
-ints_to_list(PyObject *list, const int64_t *vals, Py_ssize_t n)
-{
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *v = PyLong_FromLongLong(vals[i]);
-        if (v == NULL)
-            return -1;
-        if (PyList_SetItem(list, i, v) < 0)
-            return -1;
-    }
-    return 0;
-}
-
-/* Unmarshal the cache, predictor and BTB state named in the argument
- * dict (GIL held).  On failure a Python exception is set and whatever
- * was already allocated stays in *u for free_uarch. */
-static int
-marshal_uarch(PyObject *a, Uarch *u)
-{
-    long long shift, l1i_nsets, l1i_ways, l1d_nsets, l1d_ways, l2_nsets;
-    long long l2_ways, hist_mask, btb_nsets, btb_ways;
-    if (get_long(a, "line_shift", &shift)
-        || get_long(a, "l1i_nsets", &l1i_nsets)
-        || get_long(a, "l1i_ways", &l1i_ways)
-        || get_long(a, "l1d_nsets", &l1d_nsets)
-        || get_long(a, "l1d_ways", &l1d_ways)
-        || get_long(a, "l2_nsets", &l2_nsets) || get_long(a, "l2_ways", &l2_ways)
-        || get_long(a, "hist_mask", &hist_mask)
-        || get_long(a, "btb_nsets", &btb_nsets)
-        || get_long(a, "btb_ways", &btb_ways))
+    long long shift, hist_mask;
+    Predictor *bp = &u->bp;
+    if (get_long(a, "line_shift", &shift) || get_long(a, "hist_mask", &hist_mask)
+        || marshal_sets(a, pool, "l1i", 0, &u->l1i)
+        || marshal_sets(a, pool, "l1d", 0, &u->l1d)
+        || marshal_sets(a, pool, "l2", 0, &u->l2)
+        || marshal_sets(a, pool, "btb", 1, &bp->btb))
         return -1;
-    u->l1i_o = PyDict_GetItemString(a, "l1i_sets");
-    u->l1d_o = PyDict_GetItemString(a, "l1d_sets");
-    u->l2_o = PyDict_GetItemString(a, "l2_sets");
-    u->hist_o = PyDict_GetItemString(a, "hist");
-    u->pl2_o = PyDict_GetItemString(a, "pl2");
-    u->bim_o = PyDict_GetItemString(a, "bim");
-    u->meta_o = PyDict_GetItemString(a, "meta");
-    u->btb_o = PyDict_GetItemString(a, "btb");
-    if (!u->l1i_o || !u->l1d_o || !u->l2_o || !u->hist_o || !u->pl2_o
-        || !u->bim_o || !u->meta_o || !u->btb_o) {
-        PyErr_SetString(PyExc_KeyError, "hotpath: missing state arg");
+    if (shift < 0 || shift > 62 || hist_mask < 0) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: bad line shift or history mask");
         return -1;
     }
     u->shift = (int)shift;
-    u->bp.hist_mask = hist_mask;
-    if (sets_from_list(u->l1i_o, l1i_nsets, l1i_ways, 0, &u->l1i)
-        || sets_from_list(u->l1d_o, l1d_nsets, l1d_ways, 0, &u->l1d)
-        || sets_from_list(u->l2_o, l2_nsets, l2_ways, 0, &u->l2)
-        || sets_from_list(u->btb_o, btb_nsets, btb_ways, 1, &u->bp.btb))
+    bp->hist_mask = hist_mask;
+    bp->hist = get_buffer(a, "hist", pool, 1, 1, &bp->hist_len);
+    bp->pl2 = get_buffer(a, "pl2", pool, 1, 1, &bp->pl2_len);
+    bp->bim = get_buffer(a, "bim", pool, 1, 1, &bp->bim_len);
+    bp->meta = get_buffer(a, "meta", pool, 1, 1, &bp->meta_len);
+    if (!bp->hist || !bp->pl2 || !bp->bim || !bp->meta)
         return -1;
-    u->bp.hist = ints_from_list(u->hist_o, &u->bp.hist_len);
-    u->bp.pl2 = ints_from_list(u->pl2_o, &u->bp.pl2_len);
-    u->bp.bim = ints_from_list(u->bim_o, &u->bp.bim_len);
-    u->bp.meta = ints_from_list(u->meta_o, &u->bp.meta_len);
-    if (!u->bp.hist || !u->bp.pl2 || !u->bp.bim || !u->bp.meta)
-        return -1;
+    /* A history register indexes the pattern table: keep it in range. */
+    for (Py_ssize_t i = 0; i < bp->hist_len; i++) {
+        if (bp->hist[i] < 0 || bp->hist[i] > hist_mask) {
+            PyErr_SetString(PyExc_ValueError, "hotpath: history out of range");
+            return -1;
+        }
+    }
     return 0;
-}
-
-/* Fold the state back into its owning lists (GIL held). */
-static int
-writeback_uarch(const Uarch *u)
-{
-    const Predictor *bp = &u->bp;
-    if (sets_to_list(u->l1i_o, &u->l1i) || sets_to_list(u->l1d_o, &u->l1d)
-        || sets_to_list(u->l2_o, &u->l2) || sets_to_list(u->btb_o, &bp->btb)
-        || ints_to_list(u->hist_o, bp->hist, bp->hist_len)
-        || ints_to_list(u->pl2_o, bp->pl2, bp->pl2_len)
-        || ints_to_list(u->bim_o, bp->bim, bp->bim_len)
-        || ints_to_list(u->meta_o, bp->meta, bp->meta_len))
-        return -1;
-    return 0;
-}
-
-static void
-free_tag_sets(TagSets *c)
-{
-    PyMem_Free(c->tags);
-    PyMem_Free(c->tgts);
-    PyMem_Free(c->cnt);
-}
-
-/* Release a (possibly partially) marshalled Uarch's allocations. */
-static void
-free_uarch(Uarch *u)
-{
-    free_tag_sets(&u->l1i);
-    free_tag_sets(&u->l1d);
-    free_tag_sets(&u->l2);
-    free_tag_sets(&u->bp.btb);
-    PyMem_Free(u->bp.hist);
-    PyMem_Free(u->bp.pl2);
-    PyMem_Free(u->bp.bim);
-    PyMem_Free(u->bp.meta);
 }
 
 /* ---------------------------------------------------- GIL bridge shims */
@@ -605,9 +499,92 @@ rollover_callback(PyObject *rollover, long long index, long long retired,
 
 /* ------------------------------------------------------------ the loop */
 
+/* The idle-scan memo of one issue domain.  84 % of the loop's edges
+ * are idle, and most idle issue-queue scans repeat the previous scan's
+ * answer, so when a domain's scan issues nothing it records what held
+ * each examined entry back:
+ *
+ *   retry — the smallest `retries` value that made an entry sleep,
+ *           counting values the scan itself just wrote;
+ *   ts    — the dispatch time of the entry the scan broke on (+inf
+ *           when it did not break);
+ *   cyc   — the smallest same-domain fin_cycle that blocked an operand;
+ *   seen  — the latest fin_ns of a cross-domain operand the scan found
+ *           already visible (-inf when none);
+ *   epoch — the loop's epoch counter, bumped by every dispatch into a
+ *           queue and every issue, the only events that change a queue
+ *           or a producer's fin_* entry (an operand still waiting on an
+ *           unissued producer is held by this alone).
+ *
+ * While the epoch is unchanged, `retry > t`, `t - ts < cross_thresh`,
+ * `cyc > cycle` and `!(seen + cross_thresh > t + EPS_NS)` — the scan's
+ * own comparisons, re-evaluated exactly — the same scan would issue
+ * nothing and write nothing, so compute_run skips it and does only the
+ * idle bookkeeping.  Entries before the break entry passed the
+ * dispatch-crossing test at an earlier edge and still pass it at a
+ * later one; sleeping and cycle-blocked entries stay so; a visible
+ * operand stays visible.
+ *
+ * The crossing threshold in force when the memo was recorded is not
+ * compared (it moves only with the domain's period in the synchronous
+ * baseline).  A smaller threshold can only unblock the break entry,
+ * and that is re-checked exactly.  A larger one can break the scan
+ * earlier, which issues and writes nothing, but it can also turn a
+ * visible cross-domain operand into a blocking one, and blocking one
+ * writes `retries`: that is what `seen` re-checks.  Every other
+ * blocked entry is held by its `retries`, a cycle or the epoch.
+ *
+ * An idle scan starts with every functional unit free and
+ * FunctionalUnitPool rejects zero simple units, so an entry whose
+ * operands are ready always issues; the one exception, a complex op in
+ * a domain without complex units, is rejected before the run
+ * (MCDCore.native_marshal). */
+typedef struct {
+    int64_t epoch;
+    double retry, ts, seen;
+    int64_t cyc;
+} IdleMemo;
+
+/* The issue scan's test for one source operand, produced by sequence
+ * number p (0: no operand), of an entry of domain d at edge t, cycle
+ * cyc.  A same-domain result is usable from its finish cycle on, a
+ * cross-domain one cross_thresh after its finish time; an entry blocked
+ * on the latter sleeps until then (*retry).  Folds the outcome into the
+ * scan's memo.  Returns 1 when the operand is ready. */
+static ALWAYS_INLINE int
+operand_ready(int64_t p, int d, double t, int64_t cyc, double cross_thresh,
+              const double *fin_ns, const int64_t *fin_cycle,
+              const int32_t *fin_domain, double *retry, IdleMemo *m)
+{
+    if (!p)
+        return 1;
+    const int64_t slot = p & RING_MASK;
+    const int fd = fin_domain[slot];
+    if (fd < 0)
+        return 0;
+    if (fd == d) {
+        if (fin_cycle[slot] > cyc) {
+            if (fin_cycle[slot] < m->cyc)
+                m->cyc = fin_cycle[slot];
+            return 0;
+        }
+        return 1;
+    }
+    const double nb = fin_ns[slot] + cross_thresh;
+    if (nb > t + EPS_NS) {
+        *retry = nb;
+        if (nb < m->retry)
+            m->retry = nb;
+        return 0;
+    }
+    if (fin_ns[slot] > m->seen)
+        m->seen = fin_ns[slot];
+    return 1;
+}
+
 /* All state one simulation needs across the three stages.  A RunState
  * is filled by marshal_run (GIL held), consumed by compute_run (GIL
- * released) and drained by writeback_run (GIL held); free_run drops
+ * released) and summarised by result_dict (GIL held); free_run drops
  * the buffer views and per-run allocations.  run_compiled wraps one
  * RunState; run_batch marshals a whole vector of them, releases the
  * GIL once, and computes the runs back to back. */
@@ -647,8 +624,9 @@ typedef struct {
     double *acc_clock, *acc_struct;
     int64_t *n_busy, *n_idle, *q_occ, *q_writes, *cache_stats, *bp_stats;
     double *cur_freq;
-    /* unmarshalled python-object state (per-run PyMem allocations) */
+    /* cache/predictor/BTB state (views owned by pool) */
     Uarch u;
+    /* jitter streams and ROB (per-run PyMem allocations) */
     double *jbuf[4];
     Py_ssize_t jlen[4];
     int64_t *rob_seq;
@@ -669,7 +647,6 @@ static void
 free_run(RunState *rs)
 {
     release_views(&rs->pool);
-    free_uarch(&rs->u);
     PyMem_Free(rs->rob_seq);
     for (int d = 0; d < 4; d++)
         PyMem_Free(rs->jbuf[d]);
@@ -746,46 +723,46 @@ marshal_run(PyObject *a, RunState *rs)
     int64_t *reg_requests = NULL, *reg_dirchg = NULL;
 
     /* --- column buffers ----------------------------------------------- */
-    const int64_t *kinds = get_column(a, "kinds", pool, 0, total);
-    const int64_t *pcs = get_column(a, "pcs", pool, 0, total);
-    const int64_t *addrs = get_column(a, "addrs", pool, 0, total);
-    const int64_t *taken_c = get_column(a, "taken", pool, 0, total);
-    const int64_t *targets_c = get_column(a, "targets", pool, 0, total);
-    const int64_t *dest_c = get_column(a, "dest", pool, 0, total);
-    const int64_t *qd_c = get_column(a, "domain", pool, 0, total);
-    const int64_t *p1_c = get_column(a, "p1", pool, 0, total);
-    const int64_t *p2_c = get_column(a, "p2", pool, 0, total);
-    int64_t *newline = get_column(a, "newline", pool, 1, total);
+    const int64_t *kinds = get_buffer(a, "kinds", pool, 0, total, NULL);
+    const int64_t *pcs = get_buffer(a, "pcs", pool, 0, total, NULL);
+    const int64_t *addrs = get_buffer(a, "addrs", pool, 0, total, NULL);
+    const int64_t *taken_c = get_buffer(a, "taken", pool, 0, total, NULL);
+    const int64_t *targets_c = get_buffer(a, "targets", pool, 0, total, NULL);
+    const int64_t *dest_c = get_buffer(a, "dest", pool, 0, total, NULL);
+    const int64_t *qd_c = get_buffer(a, "domain", pool, 0, total, NULL);
+    const int64_t *p1_c = get_buffer(a, "p1", pool, 0, total, NULL);
+    const int64_t *p2_c = get_buffer(a, "p2", pool, 0, total, NULL);
+    int64_t *newline = get_buffer(a, "newline", pool, 1, total, NULL);
     if (!kinds || !pcs || !addrs || !taken_c || !targets_c || !dest_c || !qd_c
         || !p1_c || !p2_c || !newline)
         goto fail;
 
     const int64_t *lat_cycles = get_buffer(a, "lat_cycles", pool, 0, 8, NULL);
     const int64_t *complex_op = get_buffer(a, "complex_op", pool, 0, 8, NULL);
-    const int64_t *simple_w = get_buffer(a, "simple_w", pool, 0, 8, NULL);
-    const int64_t *complex_w = get_buffer(a, "complex_w", pool, 0, 8, NULL);
-    const int64_t *q_cap = get_buffer(a, "q_cap", pool, 0, 8, NULL);
-    const double *clock_e = get_buffer(a, "clock_e", pool, 0, 8, NULL);
-    const double *idle_e = get_buffer(a, "idle_e", pool, 0, 8, NULL);
-    const double *e_issue_a = get_buffer(a, "e_issue", pool, 0, 8, NULL);
-    const double *e_simple_a = get_buffer(a, "e_simple", pool, 0, 8, NULL);
-    const double *e_complex_a = get_buffer(a, "e_complex", pool, 0, 8, NULL);
-    double *reg_cur = get_buffer(a, "reg_cur", pool, 1, 8, NULL);
-    double *reg_tgt = get_buffer(a, "reg_tgt", pool, 1, 8, NULL);
-    double *reg_last = get_buffer(a, "reg_last", pool, 1, 8, NULL);
-    const double *reg_slew = get_buffer(a, "reg_slew", pool, 0, 8, NULL);
-    double *reg_slew_acc = get_buffer(a, "reg_slew_acc", pool, 1, 8, NULL);
-    double *edge_ns = get_buffer(a, "edge", pool, 1, 8, NULL);
-    int64_t *cycle_idx = get_buffer(a, "cyc", pool, 1, 8, NULL);
-    double *acc_clock = get_buffer(a, "acc_clock", pool, 1, 8, NULL);
-    double *acc_struct = get_buffer(a, "acc_struct", pool, 1, 8, NULL);
-    int64_t *n_busy = get_buffer(a, "n_busy", pool, 1, 8, NULL);
-    int64_t *n_idle = get_buffer(a, "n_idle", pool, 1, 8, NULL);
-    int64_t *q_occ = get_buffer(a, "q_occ", pool, 1, 8, NULL);
-    int64_t *q_writes = get_buffer(a, "q_writes", pool, 1, 8, NULL);
-    int64_t *cache_stats = get_buffer(a, "cache_stats", pool, 1, 8, NULL);
-    int64_t *bp_stats = get_buffer(a, "bp_stats", pool, 1, 8, NULL);
-    double *cur_freq = get_buffer(a, "cur_freq", pool, 1, 8, NULL);
+    const int64_t *simple_w = get_buffer(a, "simple_w", pool, 0, 4, NULL);
+    const int64_t *complex_w = get_buffer(a, "complex_w", pool, 0, 4, NULL);
+    const int64_t *q_cap = get_buffer(a, "q_cap", pool, 0, 4, NULL);
+    const double *clock_e = get_buffer(a, "clock_e", pool, 0, 4, NULL);
+    const double *idle_e = get_buffer(a, "idle_e", pool, 0, 4, NULL);
+    const double *e_issue_a = get_buffer(a, "e_issue", pool, 0, 4, NULL);
+    const double *e_simple_a = get_buffer(a, "e_simple", pool, 0, 4, NULL);
+    const double *e_complex_a = get_buffer(a, "e_complex", pool, 0, 4, NULL);
+    double *reg_cur = get_buffer(a, "reg_cur", pool, 1, 4, NULL);
+    double *reg_tgt = get_buffer(a, "reg_tgt", pool, 1, 4, NULL);
+    double *reg_last = get_buffer(a, "reg_last", pool, 1, 4, NULL);
+    const double *reg_slew = get_buffer(a, "reg_slew", pool, 0, 4, NULL);
+    double *reg_slew_acc = get_buffer(a, "reg_slew_acc", pool, 1, 4, NULL);
+    double *edge_ns = get_buffer(a, "edge", pool, 1, 4, NULL);
+    int64_t *cycle_idx = get_buffer(a, "cyc", pool, 1, 4, NULL);
+    double *acc_clock = get_buffer(a, "acc_clock", pool, 1, 4, NULL);
+    double *acc_struct = get_buffer(a, "acc_struct", pool, 1, 4, NULL);
+    int64_t *n_busy = get_buffer(a, "n_busy", pool, 1, 4, NULL);
+    int64_t *n_idle = get_buffer(a, "n_idle", pool, 1, 4, NULL);
+    int64_t *q_occ = get_buffer(a, "q_occ", pool, 1, 4, NULL);
+    int64_t *q_writes = get_buffer(a, "q_writes", pool, 1, 4, NULL);
+    int64_t *cache_stats = get_buffer(a, "cache_stats", pool, 1, 6, NULL);
+    int64_t *bp_stats = get_buffer(a, "bp_stats", pool, 1, 3, NULL);
+    double *cur_freq = get_buffer(a, "cur_freq", pool, 1, 4, NULL);
     if (!lat_cycles || !complex_op || !simple_w || !complex_w || !q_cap
         || !clock_e || !idle_e || !e_issue_a || !e_simple_a || !e_complex_a
         || !reg_cur || !reg_tgt || !reg_last || !reg_slew || !reg_slew_acc
@@ -807,20 +784,20 @@ marshal_run(PyObject *a, RunState *rs)
             || get_double(a, "cfg_min_mhz", &cfg_min_mhz)
             || get_double(a, "cfg_max_mhz", &cfg_max_mhz))
             goto fail;
-        ad_ctrl = get_buffer(a, "ad_ctrl", pool, 0, 8, NULL);
-        ad_freq = get_buffer(a, "ad_freq", pool, 1, 8, NULL);
-        ad_prev_util = get_buffer(a, "ad_prev_util", pool, 1, 8, NULL);
-        ad_upper = get_buffer(a, "ad_upper", pool, 1, 8, NULL);
-        ad_lower = get_buffer(a, "ad_lower", pool, 1, 8, NULL);
-        ad_attacks_up = get_buffer(a, "ad_attacks_up", pool, 1, 8, NULL);
-        ad_attacks_down = get_buffer(a, "ad_attacks_down", pool, 1, 8, NULL);
-        ad_decays = get_buffer(a, "ad_decays", pool, 1, 8, NULL);
-        ad_holds = get_buffer(a, "ad_holds", pool, 1, 8, NULL);
-        ad_ipc = get_buffer(a, "ad_ipc", pool, 1, 8, NULL);
+        ad_ctrl = get_buffer(a, "ad_ctrl", pool, 0, 4, NULL);
+        ad_freq = get_buffer(a, "ad_freq", pool, 1, 4, NULL);
+        ad_prev_util = get_buffer(a, "ad_prev_util", pool, 1, 4, NULL);
+        ad_upper = get_buffer(a, "ad_upper", pool, 1, 4, NULL);
+        ad_lower = get_buffer(a, "ad_lower", pool, 1, 4, NULL);
+        ad_attacks_up = get_buffer(a, "ad_attacks_up", pool, 1, 4, NULL);
+        ad_attacks_down = get_buffer(a, "ad_attacks_down", pool, 1, 4, NULL);
+        ad_decays = get_buffer(a, "ad_decays", pool, 1, 4, NULL);
+        ad_holds = get_buffer(a, "ad_holds", pool, 1, 4, NULL);
+        ad_ipc = get_buffer(a, "ad_ipc", pool, 1, 2, NULL);
         Py_ssize_t table_n = 0;
-        freq_table = get_buffer(a, "freq_table", pool, 0, 8, &table_n);
-        reg_requests = get_buffer(a, "reg_requests", pool, 1, 8, NULL);
-        reg_dirchg = get_buffer(a, "reg_dirchg", pool, 1, 8, NULL);
+        freq_table = get_buffer(a, "freq_table", pool, 0, 1, &table_n);
+        reg_requests = get_buffer(a, "reg_requests", pool, 1, 4, NULL);
+        reg_dirchg = get_buffer(a, "reg_dirchg", pool, 1, 4, NULL);
         if (!ad_ctrl || !ad_freq || !ad_prev_util || !ad_upper || !ad_lower
             || !ad_attacks_up || !ad_attacks_down || !ad_decays || !ad_holds
             || !ad_ipc || !freq_table || !reg_requests || !reg_dirchg)
@@ -831,7 +808,7 @@ marshal_run(PyObject *a, RunState *rs)
         }
     }
 
-    /* --- python-object state, unmarshalled ----------------------------- */
+    /* --- python-object state ------------------------------------------ */
     PyObject *jlists = PyDict_GetItemString(a, "jbufs");
     PyObject *refill = PyDict_GetItemString(a, "refill");
     PyObject *rollover = PyDict_GetItemString(a, "rollover");
@@ -839,12 +816,20 @@ marshal_run(PyObject *a, RunState *rs)
         PyErr_SetString(PyExc_KeyError, "hotpath: missing object arg");
         goto fail;
     }
-    if (marshal_uarch(a, &rs->u) < 0)
+    if (marshal_uarch(a, pool, &rs->u) < 0)
         goto fail;
 
     /* Jitter buffers (consumed from the tail, exactly like list.pop). */
+    if (!PyList_Check(jlists) || PyList_GET_SIZE(jlists) != 4) {
+        PyErr_SetString(PyExc_TypeError, "hotpath: jbufs must be a list of 4 lists");
+        goto fail;
+    }
     for (int d = 0; d < 4; d++) {
         PyObject *lst = PyList_GET_ITEM(jlists, d);
+        if (!PyList_Check(lst)) {
+            PyErr_SetString(PyExc_TypeError, "hotpath: jbufs must be a list of 4 lists");
+            goto fail;
+        }
         Py_ssize_t k = PyList_GET_SIZE(lst);
         rs->jbuf[d] = PyMem_Malloc((k ? k : 1) * sizeof(double));
         if (rs->jbuf[d] == NULL) {
@@ -861,13 +846,17 @@ marshal_run(PyObject *a, RunState *rs)
 
     /* Validation that used to sit in the run-local setup: raise while
      * errors still can be raised cheaply, before any compute starts. */
+    if (rob_cap < 1) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: rob_cap must be positive");
+        goto fail;
+    }
     rs->rob_seq = PyMem_Malloc(rob_cap * sizeof(int64_t));
     if (rs->rob_seq == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
     for (int d = 1; d < 4; d++) {
-        if (q_cap[d] > QMAX) {
+        if (q_cap[d] < 0 || q_cap[d] > QMAX) {
             PyErr_SetString(PyExc_ValueError, "hotpath: issue queue too large");
             goto fail;
         }
@@ -1059,6 +1048,11 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     double q_t[4][QMAX];
     double q_retry[4][QMAX];
     int q_len[4] = {0, 0, 0, 0};
+
+    int64_t epoch = 0; /* bumped by every dispatch and every issue */
+    IdleMemo memo[4];
+    for (int d = 0; d < 4; d++)
+        memo[d].epoch = -1; /* nothing recorded yet */
 
     double cur_period[4], cur_vscale[4];
     int slewing[4];
@@ -1404,6 +1398,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     q_retry[qd][qn] = 0.0;
                     q_len[qd] = qn + 1;
                     q_writes[qd]++;
+                    epoch++;
                     if (!active[qd]) {
                         /* regulator advance_to(t) */
                         double dt = t - reg_last[qd];
@@ -1501,46 +1496,30 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
             double period = cur_period[d];
             int64_t sfree = simple_w[d];
             int64_t cfree = complex_w[d];
-            for (int ei = 0; ei < qn; ei++) {
-                if (retries[ei] > t)
+            /* A held memo (see IdleMemo) means this scan would issue and
+             * write nothing: skip it by starting past the last entry. */
+            const IdleMemo *held = &memo[d];
+            const int skip = held->epoch == epoch && held->retry > t
+                             && t - held->ts < cross_thresh && held->cyc > cyc
+                             && !(held->seen + cross_thresh > t + EPS_NS);
+            IdleMemo scan = {epoch, INFINITY, INFINITY, -INFINITY, INT64_MAX};
+            for (int ei = skip ? qn : 0; ei < qn; ei++) {
+                if (retries[ei] > t) {
+                    if (retries[ei] < scan.retry)
+                        scan.retry = retries[ei];
                     continue;
-                if (t - ts[ei] < cross_thresh)
+                }
+                if (t - ts[ei] < cross_thresh) {
+                    scan.ts = ts[ei];
                     break;
+                }
                 int64_t seq = seqs[ei];
-                int64_t p1 = p1_c[seq - 1];
-                if (p1) {
-                    int64_t slot1 = p1 & RING_MASK;
-                    int fd = fin_domain[slot1];
-                    if (fd < 0)
-                        continue;
-                    if (fd == d) {
-                        if (fin_cycle[slot1] > cyc)
-                            continue;
-                    } else {
-                        double nb = fin_ns[slot1] + cross_thresh;
-                        if (nb > t + EPS_NS) {
-                            retries[ei] = nb;
-                            continue;
-                        }
-                    }
-                }
-                int64_t p2 = p2_c[seq - 1];
-                if (p2) {
-                    int64_t slot2 = p2 & RING_MASK;
-                    int fd = fin_domain[slot2];
-                    if (fd < 0)
-                        continue;
-                    if (fd == d) {
-                        if (fin_cycle[slot2] > cyc)
-                            continue;
-                    } else {
-                        double nb = fin_ns[slot2] + cross_thresh;
-                        if (nb > t + EPS_NS) {
-                            retries[ei] = nb;
-                            continue;
-                        }
-                    }
-                }
+                if (!operand_ready(p1_c[seq - 1], d, t, cyc, cross_thresh, fin_ns,
+                                   fin_cycle, fin_domain, &retries[ei], &scan)
+                    || !operand_ready(p2_c[seq - 1], d, t, cyc, cross_thresh,
+                                      fin_ns, fin_cycle, fin_domain,
+                                      &retries[ei], &scan))
+                    continue;
                 int64_t kind = kinds[seq - 1];
                 double lat;
                 int64_t lat_c;
@@ -1595,6 +1574,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                 fin_ns[slot] = finish;
                 fin_cycle[slot] = cyc + lat_c;
                 fin_domain[slot] = d;
+                epoch++;
                 access_energy += e_issue;
                 issued_any = 1;
                 if (seq == branch_stall_seq) {
@@ -1625,6 +1605,8 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                 if (w == 0)
                     active[d] = 0;
             } else {
+                if (!skip)
+                    memo[d] = scan;
                 n_idle[d]++;
                 acc_clock[d] += idle_e[d] * vscale;
             }
@@ -1700,13 +1682,11 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     return py_error ? -1 : 0;
 }
 
-/* Stage 3: fold cache/predictor/BTB state back into the owning Python
- * objects and build the per-run result dict (GIL held). */
+/* Stage 3: the per-run result dict (GIL held).  The cache, predictor
+ * and BTB state was updated in place; nothing is written back. */
 static PyObject *
-writeback_run(RunState *rs)
+result_dict(const RunState *rs)
 {
-    if (writeback_uarch(&rs->u) < 0)
-        return NULL;
     return Py_BuildValue(
         "{s:L,s:d,s:L,s:L,s:L,s:L,s:s}", "retired", (long long)rs->retired,
         "wall", rs->wall, "memory_accesses", (long long)rs->memory_accesses,
@@ -1733,7 +1713,7 @@ run_compiled(PyObject *self, PyObject *args)
         int rc = compute_run(rs, &tstate);
         PyEval_RestoreThread(tstate);
         if (rc == 0)
-            result = writeback_run(rs);
+            result = result_dict(rs);
     }
     free_run(rs);
     PyMem_Free(rs);
@@ -1781,12 +1761,12 @@ run_batch(PyObject *self, PyObject *args)
         PyEval_RestoreThread(tstate);
     }
 
-    /* Stage 3: per-run writeback into the owning Python objects. */
+    /* Stage 3: per-run result dicts. */
     if (!failed) {
         out = PyList_New(n);
         if (out != NULL) {
             for (Py_ssize_t i = 0; i < n; i++) {
-                PyObject *res = writeback_run(&runs[i]);
+                PyObject *res = result_dict(&runs[i]);
                 if (res == NULL) {
                     Py_CLEAR(out);
                     break;
@@ -1804,8 +1784,8 @@ run_batch(PyObject *self, PyObject *args)
 
 /* MCDCore.warm_up over a compiled trace: replay max(0, min(limit, n))
  * instructions through the caches, the predictor tables and the BTB
- * only — no timing, no statistics — with the GIL released, then write
- * the state back into its owning lists.  Returns the replayed count. */
+ * only — no timing, no statistics — with the GIL released, updating
+ * that state in place.  Returns the replayed count. */
 static PyObject *
 warm_up(PyObject *self, PyObject *args)
 {
@@ -1816,7 +1796,6 @@ warm_up(PyObject *self, PyObject *args)
     ViewPool pool;
     pool.count = 0;
     Uarch u;
-    memset(&u, 0, sizeof(u));
     PyObject *result = NULL;
     long long n, limit, kind_load, kind_store, kind_branch;
     if (get_long(a, "n", &n) || get_long(a, "limit", &limit)
@@ -1824,14 +1803,14 @@ warm_up(PyObject *self, PyObject *args)
         || get_long(a, "kind_store", &kind_store)
         || get_long(a, "kind_branch", &kind_branch))
         goto done;
-    const int64_t *kinds = get_column(a, "kinds", &pool, 0, n);
-    const int64_t *pcs = get_column(a, "pcs", &pool, 0, n);
-    const int64_t *addrs = get_column(a, "addrs", &pool, 0, n);
-    const int64_t *taken = get_column(a, "taken", &pool, 0, n);
-    const int64_t *targets = get_column(a, "targets", &pool, 0, n);
-    const int64_t *newline = get_column(a, "newline", &pool, 0, n);
+    const int64_t *kinds = get_buffer(a, "kinds", &pool, 0, n, NULL);
+    const int64_t *pcs = get_buffer(a, "pcs", &pool, 0, n, NULL);
+    const int64_t *addrs = get_buffer(a, "addrs", &pool, 0, n, NULL);
+    const int64_t *taken = get_buffer(a, "taken", &pool, 0, n, NULL);
+    const int64_t *targets = get_buffer(a, "targets", &pool, 0, n, NULL);
+    const int64_t *newline = get_buffer(a, "newline", &pool, 0, n, NULL);
     if (!kinds || !pcs || !addrs || !taken || !targets || !newline
-        || marshal_uarch(a, &u) < 0)
+        || marshal_uarch(a, &pool, &u) < 0)
         goto done;
 
     const int64_t end = limit < 0 ? 0 : (limit < n ? limit : n);
@@ -1849,10 +1828,8 @@ warm_up(PyObject *self, PyObject *args)
             hierarchy_access(&l1d, &l2, addrs[i] >> shift);
     }
     Py_END_ALLOW_THREADS
-    if (writeback_uarch(&u) == 0)
-        result = PyLong_FromLongLong(end);
+    result = PyLong_FromLongLong(end);
 done:
-    free_uarch(&u);
     release_views(&pool);
     return result;
 }

@@ -17,6 +17,7 @@ taken and the BTB cannot supply the correct target.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.config.processor import ProcessorConfig
@@ -51,117 +52,147 @@ class BranchStats:
 
 
 class BranchTargetBuffer:
-    """Set-associative BTB with LRU replacement."""
+    """Set-associative BTB with LRU replacement.
+
+    Laid out like :class:`~repro.uarch.caches.SetAssociativeCache`:
+    flat ``array('q')`` buffers the native loop updates in place, set
+    ``s`` in ``[s * ways, s * ways + counts[s])`` of ``tags`` and
+    ``targets``, least recently used way first.  :meth:`lookup` and
+    :meth:`update` apply exactly the C ``btb_lookup``/``btb_update``
+    rules.
+    """
 
     def __init__(self, sets: int, ways: int) -> None:
         if sets < 1 or ways < 1:
             raise ValueError("BTB sets and ways must be positive")
         self.sets = sets
         self.ways = ways
-        # Per set: list of (tag, target), most recently used last.
-        self._table: list[list[tuple[int, int]]] = [[] for _ in range(sets)]
+        self.tags = array("q", bytes(8 * sets * ways))
+        self.targets = array("q", bytes(8 * sets * ways))
+        self.counts = array("q", bytes(8 * sets))
 
     def lookup(self, pc: int) -> int | None:
         """Return the stored target for ``pc``, or None on a miss.
 
         Indexed by word address (pc >> 2): instruction addresses are
         4-byte aligned, so byte indexing would leave 3/4 of the sets
-        unused.
+        unused.  A hit moves the entry to the MRU way.
         """
         word = pc >> 2
-        entry_set = self._table[word % self.sets]
+        index = word % self.sets
         tag = word // self.sets
-        for i, (stored_tag, target) in enumerate(entry_set):
-            if stored_tag == tag:
-                # Move to MRU position.
-                entry_set.append(entry_set.pop(i))
-                return target
-        return None
+        tags = self.tags
+        base = index * self.ways
+        top = base + self.counts[index] - 1  # the MRU way
+        way = top
+        while way >= base and tags[way] != tag:
+            way -= 1
+        if way < base:
+            return None
+        targets = self.targets
+        target = targets[way]
+        while way < top:
+            tags[way] = tags[way + 1]
+            targets[way] = targets[way + 1]
+            way += 1
+        tags[top] = tag
+        targets[top] = target
+        return target
 
     def update(self, pc: int, target: int) -> None:
-        """Install/refresh the target for ``pc``."""
+        """Install/refresh the target for ``pc`` in the MRU way."""
         word = pc >> 2
-        entry_set = self._table[word % self.sets]
+        index = word % self.sets
         tag = word // self.sets
-        for i, (stored_tag, _) in enumerate(entry_set):
-            if stored_tag == tag:
-                entry_set.pop(i)
-                break
-        entry_set.append((tag, target))
-        if len(entry_set) > self.ways:
-            entry_set.pop(0)
+        tags = self.tags
+        targets = self.targets
+        base = index * self.ways
+        count = self.counts[index]
+        top = base + count - 1  # the MRU way
+        way = top
+        while way >= base and tags[way] != tag:
+            way -= 1
+        if way < base:
+            if count < self.ways:  # allocate a free way
+                tags[top + 1] = tag
+                targets[top + 1] = target
+                self.counts[index] = count + 1
+                return
+            way = base  # evict the LRU way
+        while way < top:
+            tags[way] = tags[way + 1]
+            targets[way] = targets[way + 1]
+            way += 1
+        tags[top] = tag
+        targets[top] = target
+
+    def valid_ways(self, index: int) -> list[tuple[int, int]]:
+        """Set ``index``'s valid (tag, target) pairs, most recently used last."""
+        base = index * self.ways
+        end = base + self.counts[index]
+        return list(zip(self.tags[base:end].tolist(), self.targets[base:end].tolist()))
 
 
 class CombiningBranchPredictor:
     """The ``comb`` predictor of Table 4.
 
     Parameters come from :class:`ProcessorConfig`; all tables start in
-    weakly-not-taken / no-history state.
+    weakly-not-taken / no-history state.  The four tables are flat
+    ``array('q')`` buffers the native loop updates in place: per-PC
+    ``history`` registers, the two-level ``pattern`` table and the
+    ``bimodal`` and ``meta`` counters.
     """
 
     def __init__(self, config: ProcessorConfig) -> None:
         self.config = config
-        self._history = [0] * config.bpred_l1_entries
-        self._history_mask = (1 << config.bpred_history_bits) - 1
-        self._l2 = [1] * config.bpred_l2_entries
-        self._bimodal = [1] * config.bpred_bimodal_entries
-        self._meta = [2] * config.bpred_combining_entries
+        self.history = array("q", [0]) * config.bpred_l1_entries
+        self.history_mask = (1 << config.bpred_history_bits) - 1
+        self.pattern = array("q", [1]) * config.bpred_l2_entries
+        self.bimodal = array("q", [1]) * config.bpred_bimodal_entries
+        self.meta = array("q", [2]) * config.bpred_combining_entries
         self.btb = BranchTargetBuffer(config.btb_sets, config.btb_ways)
         self.stats = BranchStats()
-
-    # --- prediction ----------------------------------------------------------
-    def predict_direction(self, pc: int) -> tuple[bool, bool, bool]:
-        """Predict ``pc``; returns (prediction, two_level_pred, bimodal_pred).
-
-        All tables are indexed by word address (pc >> 2); byte indexing
-        would alias 4-byte-aligned instructions onto a quarter of each
-        table.
-        """
-        word = pc >> 2
-        history = self._history[word % len(self._history)]
-        l2_index = (history ^ word) % len(self._l2)
-        two_level = self._l2[l2_index] >= 2
-        bimodal = self._bimodal[word % len(self._bimodal)] >= 2
-        use_two_level = self._meta[word % len(self._meta)] >= 2
-        prediction = two_level if use_two_level else bimodal
-        return prediction, two_level, bimodal
 
     def access(self, pc: int, taken: bool, target: int) -> bool:
         """Predict, train, and return whether the branch mispredicted.
 
         ``taken``/``target`` are the trace's actual outcome; training
         happens immediately (trace-driven approximation of
-        update-at-resolve).
+        update-at-resolve).  All tables are indexed by word address
+        (pc >> 2); byte indexing would alias 4-byte-aligned
+        instructions onto a quarter of each table.
         """
-        self.stats.lookups += 1
-        prediction, two_level, bimodal = self.predict_direction(pc)
+        stats = self.stats
+        stats.lookups += 1
+        word = pc >> 2
+        history_table, pattern = self.history, self.pattern
+        bimodal, meta = self.bimodal, self.meta
+        history_index = word % len(history_table)
+        history = history_table[history_index]
+        pattern_index = (history ^ word) % len(pattern)
+        pattern_counter = pattern[pattern_index]
+        bimodal_index = word % len(bimodal)
+        bimodal_counter = bimodal[bimodal_index]
+        meta_index = word % len(meta)
+        meta_counter = meta[meta_index]
+        two_level = pattern_counter >= 2
+        one_level = bimodal_counter >= 2
+        prediction = two_level if meta_counter >= 2 else one_level
 
         mispredicted = prediction != taken
         if mispredicted:
-            self.stats.direction_mispredicts += 1
-        elif taken:
-            btb_target = self.btb.lookup(pc)
-            if btb_target != target:
-                self.stats.btb_target_misses += 1
-                mispredicted = True
+            stats.direction_mispredicts += 1
+        elif taken and self.btb.lookup(pc) != target:
+            stats.btb_target_misses += 1
+            mispredicted = True
 
-        self._train(pc, taken, two_level, bimodal)
+        # Train the components; the meta counter learns only when they
+        # disagree, toward whichever was right.
+        pattern[pattern_index] = _counter_update(pattern_counter, taken)
+        bimodal[bimodal_index] = _counter_update(bimodal_counter, taken)
+        if two_level != one_level:
+            meta[meta_index] = _counter_update(meta_counter, two_level == taken)
+        history_table[history_index] = ((history << 1) | int(taken)) & self.history_mask
         if taken:
             self.btb.update(pc, target)
         return mispredicted
-
-    # --- training ------------------------------------------------------------
-    def _train(self, pc: int, taken: bool, two_level: bool, bimodal: bool) -> None:
-        word = pc >> 2
-        history_index = word % len(self._history)
-        history = self._history[history_index]
-        l2_index = (history ^ word) % len(self._l2)
-        self._l2[l2_index] = _counter_update(self._l2[l2_index], taken)
-        bim_index = word % len(self._bimodal)
-        self._bimodal[bim_index] = _counter_update(self._bimodal[bim_index], taken)
-        if two_level != bimodal:
-            meta_index = word % len(self._meta)
-            self._meta[meta_index] = _counter_update(
-                self._meta[meta_index], two_level == taken
-            )
-        self._history[history_index] = ((history << 1) | int(taken)) & self._history_mask

@@ -15,6 +15,7 @@ write-allocate, matching SimpleScalar's default).
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 
 from repro.config.processor import ProcessorConfig
@@ -47,6 +48,13 @@ class CacheStats:
 class SetAssociativeCache:
     """A tag-only set-associative cache with LRU replacement.
 
+    The state is two flat ``array('q')`` buffers that the native loop
+    (``_hotpath.c``) reads and writes in place: ``tags`` holds set
+    ``s`` in ``tags[s * ways : s * ways + counts[s]]``, least recently
+    used way first, and ``counts[s]`` is that set's number of valid
+    ways.  :meth:`access` applies exactly the set-LRU update of the C
+    ``cache_access`` helper.
+
     Parameters
     ----------
     size_kb:
@@ -59,7 +67,7 @@ class SetAssociativeCache:
         Diagnostic label.
     """
 
-    __slots__ = ("name", "sets", "ways", "line_shift", "stats", "_sets")
+    __slots__ = ("name", "sets", "ways", "line_shift", "stats", "tags", "counts")
 
     def __init__(self, size_kb: int, ways: int, line_bytes: int, name: str) -> None:
         lines = size_kb * 1024 // line_bytes
@@ -72,31 +80,47 @@ class SetAssociativeCache:
         self.ways = ways
         self.line_shift = line_bytes.bit_length() - 1
         self.stats = CacheStats()
-        # Per set: list of tags, most recently used last.
-        self._sets: list[list[int]] = [[] for _ in range(self.sets)]
+        self.tags = array("q", bytes(8 * lines))
+        self.counts = array("q", bytes(8 * self.sets))
 
     def access(self, address: int) -> bool:
         """Look up ``address``; allocate on miss.  Returns hit?"""
         line = address >> self.line_shift
-        entry_set = self._sets[line % self.sets]
+        index = line % self.sets
         tag = line // self.sets
-        self.stats.accesses += 1
-        try:
-            entry_set.remove(tag)
-        except ValueError:
-            self.stats.misses += 1
-            entry_set.append(tag)
-            if len(entry_set) > self.ways:
-                entry_set.pop(0)
-            return False
-        entry_set.append(tag)
-        return True
+        stats = self.stats
+        stats.accesses += 1
+        tags = self.tags
+        base = index * self.ways
+        top = base + self.counts[index] - 1  # the MRU way (base - 1: empty set)
+        if top >= base and tags[top] == tag:
+            return True
+        way = base
+        while way < top and tags[way] != tag:
+            way += 1
+        hit = way < top
+        if not hit:
+            stats.misses += 1
+            if top - base + 1 < self.ways:  # allocate a free way
+                tags[top + 1] = tag
+                self.counts[index] += 1
+                return False
+            way = base  # evict the LRU way
+        while way < top:
+            tags[way] = tags[way + 1]
+            way += 1
+        tags[top] = tag
+        return hit
 
     def probe(self, address: int) -> bool:
         """Non-allocating, non-counting lookup (tests/diagnostics)."""
         line = address >> self.line_shift
-        tag = line // self.sets
-        return tag in self._sets[line % self.sets]
+        return line // self.sets in self.valid_ways(line % self.sets)
+
+    def valid_ways(self, index: int) -> list[int]:
+        """Set ``index``'s valid tags, most recently used last."""
+        base = index * self.ways
+        return self.tags[base : base + self.counts[index]].tolist()
 
 
 class CacheHierarchy:

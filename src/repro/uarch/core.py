@@ -95,6 +95,15 @@ _DEST_TYPE = dict(DEST_REGISTER_TYPE)
 _ISSUE_DOMAIN = dict(ISSUE_DOMAIN_INDEX)
 
 
+def _no_unit_error(kind: int) -> SimulationError:
+    """The error for a run whose trace holds ``kind`` with no unit to run it."""
+    domain = _DOMAINS[_ISSUE_DOMAIN[kind]].value
+    return SimulationError(
+        f"the trace holds {InstructionClass(kind).name} instructions, but the "
+        f"{domain} domain has no functional unit for them"
+    )
+
+
 def _load_native():
     """The native extension a compiled-trace core needs, or SimulationError."""
     from repro.uarch.native import load_hotpath
@@ -347,6 +356,13 @@ class MCDCore:
         self._complex = [False] * 8
         self._complex[int(InstructionClass.INT_MULT)] = True
         self._complex[int(InstructionClass.FP_MULT)] = True
+        # Classes no unit of their issue domain can execute (a complex op
+        # in a domain without complex units): a run meeting one raises.
+        self._unexecutable = [
+            kind
+            for kind, d in _ISSUE_DOMAIN.items()
+            if self._complex[kind] and not self.pools[d].complex_units
+        ]
 
     # ------------------------------------------------------------------
     def warm_up(self, trace: TraceStream | CompiledTrace, limit: int) -> int:
@@ -471,11 +487,12 @@ class MCDCore:
         """The argument-dict entries every ``_hotpath`` entry reads.
 
         The trace columns the cache/predictor replay walks, the
-        geometry, and the Python-owned cache sets, predictor tables and
-        BTB that the C side unmarshals at entry and rebuilds at exit.
+        geometry, and this core's cache, predictor and BTB buffers,
+        which the C side reads and updates in place.
         """
-        hierarchy = self.hierarchy
+        l1i, l1d, l2 = self.hierarchy.l1i, self.hierarchy.l1d, self.hierarchy.l2
         predictor = self.predictor
+        btb = predictor.btb
         columns = comp.arrays
         return {
             "kinds": columns["kinds"],
@@ -487,24 +504,29 @@ class MCDCore:
             "kind_load": int(InstructionClass.LOAD),
             "kind_store": int(InstructionClass.STORE),
             "kind_branch": int(InstructionClass.BRANCH),
-            "line_shift": hierarchy.l1i.line_shift,
-            "l1i_nsets": hierarchy.l1i.sets,
-            "l1i_ways": hierarchy.l1i.ways,
-            "l1d_nsets": hierarchy.l1d.sets,
-            "l1d_ways": hierarchy.l1d.ways,
-            "l2_nsets": hierarchy.l2.sets,
-            "l2_ways": hierarchy.l2.ways,
-            "hist_mask": predictor._history_mask,
-            "btb_nsets": predictor.btb.sets,
-            "btb_ways": predictor.btb.ways,
-            "l1i_sets": hierarchy.l1i._sets,
-            "l1d_sets": hierarchy.l1d._sets,
-            "l2_sets": hierarchy.l2._sets,
-            "hist": predictor._history,
-            "pl2": predictor._l2,
-            "bim": predictor._bimodal,
-            "meta": predictor._meta,
-            "btb": predictor.btb._table,
+            "line_shift": l1i.line_shift,
+            "l1i_nsets": l1i.sets,
+            "l1i_ways": l1i.ways,
+            "l1i_tags": l1i.tags,
+            "l1i_counts": l1i.counts,
+            "l1d_nsets": l1d.sets,
+            "l1d_ways": l1d.ways,
+            "l1d_tags": l1d.tags,
+            "l1d_counts": l1d.counts,
+            "l2_nsets": l2.sets,
+            "l2_ways": l2.ways,
+            "l2_tags": l2.tags,
+            "l2_counts": l2.counts,
+            "btb_nsets": btb.sets,
+            "btb_ways": btb.ways,
+            "btb_tags": btb.tags,
+            "btb_targets": btb.targets,
+            "btb_counts": btb.counts,
+            "hist_mask": predictor.history_mask,
+            "hist": predictor.history,
+            "pl2": predictor.pattern,
+            "bim": predictor.bimodal,
+            "meta": predictor.meta,
         }
 
     def native_marshal(self):
@@ -531,6 +553,11 @@ class MCDCore:
             native_controller_args,
         )
 
+        comp = self.compiled
+        for kind in self._unexecutable:
+            if (comp.arrays["kinds"] == kind).any():
+                raise _no_unit_error(kind)
+
         if self.controller is not None:
             self.controller.begin(
                 self.mcd_config,
@@ -538,7 +565,6 @@ class MCDCore:
             )
 
         opts = self.options
-        comp = self.compiled
         proc = self.processor
         controller = self.controller
         record_trace = opts.record_interval_trace
@@ -1185,6 +1211,8 @@ class MCDCore:
                     kind = entry[1]
                     if complex_op[kind]:
                         if cfree <= 0:
+                            if not complex_w[d]:
+                                raise _no_unit_error(kind)
                             continue
                         cfree -= 1
                         access_energy += e_complex

@@ -1,6 +1,8 @@
 """Tests for the combining branch predictor and BTB."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.processor import ProcessorConfig
 from repro.uarch.branch_predictor import (
@@ -66,6 +68,69 @@ class TestBTB:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             BranchTargetBuffer(sets=0, ways=2)
+
+
+class ListBTB:
+    """The list-of-lists BTB model the flat buffers replaced.
+
+    Each set is a list of (tag, target) pairs, most recently used last;
+    the oracle for :class:`BranchTargetBuffer` (and, through it, the
+    native loop's ``btb_lookup``/``btb_update``).
+    """
+
+    def __init__(self, sets, ways):
+        self.sets, self.ways = sets, ways
+        self.table = [[] for _ in range(sets)]
+
+    def lookup(self, pc):
+        word = pc >> 2
+        entry_set = self.table[word % self.sets]
+        tag = word // self.sets
+        for i, (stored_tag, target) in enumerate(entry_set):
+            if stored_tag == tag:
+                entry_set.append(entry_set.pop(i))
+                return target
+        return None
+
+    def update(self, pc, target):
+        word = pc >> 2
+        entry_set = self.table[word % self.sets]
+        tag = word // self.sets
+        for i, (stored_tag, _) in enumerate(entry_set):
+            if stored_tag == tag:
+                entry_set.pop(i)
+                break
+        entry_set.append((tag, target))
+        if len(entry_set) > self.ways:
+            entry_set.pop(0)
+
+
+class TestFlatBTBMatchesListModel:
+    @given(
+        st.integers(min_value=1, max_value=13),
+        st.integers(min_value=1, max_value=4),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(min_value=0, max_value=63),
+                st.integers(min_value=0, max_value=7),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_targets_and_sets_match(self, sets, ways, stream):
+        btb = BranchTargetBuffer(sets, ways)
+        model = ListBTB(sets, ways)
+        for is_update, word, target in stream:
+            pc = word << 2
+            if is_update:
+                btb.update(pc, target)
+                model.update(pc, target)
+            else:
+                assert btb.lookup(pc) == model.lookup(pc)
+        assert [btb.valid_ways(i) for i in range(sets)] == model.table
 
 
 class TestPredictor:

@@ -60,9 +60,12 @@ class TestSetAssociativeCache:
         c = SetAssociativeCache(4, 2, 64, "t")
         for a in addresses:
             c.access(a)
-        total_lines = sum(len(s) for s in c._sets)
-        assert total_lines <= 4 * 1024 // 64
-        assert all(len(s) <= c.ways for s in c._sets)
+        occupancy = [len(c.valid_ways(i)) for i in range(c.sets)]
+        assert sum(occupancy) <= 4 * 1024 // 64
+        assert all(n <= c.ways for n in occupancy)
+        for i in range(c.sets):
+            ways = c.valid_ways(i)
+            assert len(set(ways)) == len(ways)  # no tag twice in a set
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=300))
     @settings(max_examples=50)
@@ -71,6 +74,63 @@ class TestSetAssociativeCache:
         for a in addresses:
             c.access(a)
             assert c.probe(a)
+
+
+class ListCache:
+    """The list-of-lists set-LRU model the flat buffers replaced.
+
+    Each set is a list of tags, most recently used last; the oracle for
+    :class:`SetAssociativeCache` (and, through it, the native loop's
+    ``cache_access``, which updates the same buffers).
+    """
+
+    def __init__(self, sets, ways, line_shift):
+        self.sets, self.ways, self.line_shift = sets, ways, line_shift
+        self.table = [[] for _ in range(sets)]
+
+    def access(self, address):
+        line = address >> self.line_shift
+        entry_set = self.table[line % self.sets]
+        tag = line // self.sets
+        try:
+            entry_set.remove(tag)
+        except ValueError:
+            entry_set.append(tag)
+            if len(entry_set) > self.ways:
+                entry_set.pop(0)
+            return False
+        entry_set.append(tag)
+        return True
+
+
+#: (size_kb, ways, line_bytes): 48, 24, 12 and 20 sets (not powers of
+#: two) and 16 sets, at 1 to 4 ways.
+FLAT_GEOMETRIES = [
+    (3, 1, 64),
+    (3, 2, 64),
+    (3, 3, 64),
+    (3, 4, 64),
+    (5, 4, 64),
+    (1, 2, 32),
+    (4, 4, 64),
+]
+
+
+class TestFlatBuffersMatchListModel:
+    @given(
+        st.sampled_from(FLAT_GEOMETRIES),
+        st.lists(st.integers(min_value=0, max_value=1 << 14), min_size=1, max_size=400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hits_and_sets_match(self, geometry, addresses):
+        size_kb, ways, line_bytes = geometry
+        cache = SetAssociativeCache(size_kb, ways, line_bytes, "t")
+        model = ListCache(cache.sets, ways, cache.line_shift)
+        hits = [cache.access(a) for a in addresses]
+        assert hits == [model.access(a) for a in addresses]
+        assert [cache.valid_ways(i) for i in range(cache.sets)] == model.table
+        assert cache.stats.misses == hits.count(False)
+        assert all(cache.probe(a) for a in addresses[-1:])
 
 
 class TestHierarchy:

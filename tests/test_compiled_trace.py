@@ -64,18 +64,31 @@ def _run(trace, bench, **kwargs):
 
 
 def _uarch_state(core):
-    """The state warm-up and the native writeback own: caches, predictor, BTB."""
-    hierarchy, predictor = core.hierarchy, core.predictor
+    """The state warm-up and the native loop update in place: caches, predictor, BTB."""
+    l1i, l1d, l2 = core.hierarchy.l1i, core.hierarchy.l1d, core.hierarchy.l2
+    predictor = core.predictor
+    btb = predictor.btb
     return (
-        hierarchy.l1i._sets,
-        hierarchy.l1d._sets,
-        hierarchy.l2._sets,
-        predictor._history,
-        predictor._l2,
-        predictor._bimodal,
-        predictor._meta,
-        predictor.btb._table,
+        (l1i.tags, l1i.counts, l1d.tags, l1d.counts, l2.tags, l2.counts),
+        (btb.tags, btb.targets, btb.counts),
+        (predictor.history, predictor.pattern, predictor.bimodal, predictor.meta),
     )
+
+
+class SwingController:
+    """Snaps every domain between 1 GHz and 250 MHz, domain by domain."""
+
+    instantaneous = True
+
+    def begin(self, config, initial_mhz):
+        self.count = 0
+
+    def on_interval(self, snapshot):
+        self.count += 1
+        return {
+            domain: 250.0 if (self.count + i) % 3 else 1000.0
+            for i, domain in enumerate(snapshot.frequencies_mhz)
+        }
 
 
 needs_native = pytest.mark.skipif(
@@ -350,6 +363,20 @@ class TestEquivalence:
         compiled = compile_trace(trace, LINE_SHIFT)
         reference = _run(trace, bench, mcd=False)
         assert asdict(_run(compiled, bench, mcd=False)) == asdict(reference)
+
+    @pytest.mark.parametrize("name", ["gcc", "mcf", "swim", "epic"])
+    def test_synchronous_frequency_swings_identical(self, name):
+        """Instantaneous 4x frequency swings move the synchronous baseline's
+        crossing threshold (half a period) between two edges of a domain."""
+        bench = get_benchmark(name)
+        trace = bench.build_trace(scale=SCALE)
+        compiled = compile_trace(trace, LINE_SHIFT)
+        results = []
+        for form in (trace, compiled):
+            core = _warmed_core(form, bench, mcd=False, controller=False)
+            core.controller = SwingController()
+            results.append(asdict(core.run()))
+        assert results[1] == results[0]
 
     def test_no_controller_identical(self):
         bench = get_benchmark("swim")

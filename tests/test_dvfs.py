@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config.mcd import MCDConfig
 from repro.dvfs.regulator import RegulatorState, VoltageFrequencyRegulator
-from repro.dvfs.scale import FrequencyScale
+from repro.dvfs.scale import FrequencyScale, frequency_scale
 from repro.errors import RegulatorError
 
 
@@ -52,6 +52,19 @@ class TestFrequencyScale:
         config = MCDConfig()
         scale = FrequencyScale(config)
         assert scale.quantize(f) == pytest.approx(config.quantize_frequency(f), abs=1e-9)
+
+    def test_one_shared_read_only_scale_per_config(self):
+        scale = frequency_scale(MCDConfig())
+        assert frequency_scale(MCDConfig()) is scale  # equal configs share it
+        assert frequency_scale(MCDConfig(frequency_points=64)) is not scale
+        regulators = [VoltageFrequencyRegulator(MCDConfig()) for _ in range(4)]
+        assert all(r.scale is scale for r in regulators)
+        for table in (scale.frequencies_mhz, scale.voltages_v):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        fresh = FrequencyScale(MCDConfig())
+        assert (fresh.frequencies_mhz == scale.frequencies_mhz).all()
+        assert (fresh.voltages_v == scale.voltages_v).all()
 
 
 class TestRegulator:

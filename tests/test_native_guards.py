@@ -1,0 +1,146 @@
+"""Malformed input must raise, never crash or hang.
+
+Each case runs in a child process: a regression that corrupts memory
+or never returns then fails one test (non-zero exit, or the timeout)
+instead of taking pytest down with it.  The marshal cases need the
+native loop and skip without it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.uarch import native
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+needs_native = pytest.mark.skipif(
+    native.load_hotpath() is None, reason="no native loop"
+)
+
+
+def _run_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+# A closed-loop core over a short compiled trace; argv[1] names the
+# _hotpath entry point, argv[2] is a statement that damages ``args``.
+MARSHAL_CHILD = """
+import sys
+from array import array
+
+import numpy as np
+
+from repro.config.algorithm import SCALED_OPERATING_POINT
+from repro.config.processor import ProcessorConfig
+from repro.control.attack_decay import AttackDecayController
+from repro.sim.engine import scaled_mcd_config
+from repro.uarch.compiled_trace import compile_trace
+from repro.uarch.core import MCDCore
+from repro.uarch.isa import InstructionClass as K
+from repro.uarch.native import load_hotpath
+from repro.uarch.trace import InstructionBlock, ListTrace
+
+block = InstructionBlock()
+for i in range(64):
+    kind = (K.INT_ALU, K.LOAD, K.FP_ALU, K.BRANCH)[i % 4]
+    block.append(kind, src1=1 if i else 0, pc=4 * i, addr=64 * i, taken=i % 8 == 3, target=8)
+processor = ProcessorConfig()
+trace = compile_trace(ListTrace([block]), processor.line_bytes.bit_length() - 1)
+core = MCDCore(
+    processor,
+    scaled_mcd_config(),
+    trace,
+    controller=AttackDecayController(SCALED_OPERATING_POINT),
+)
+args, _ = core.native_marshal()
+args["limit"] = trace.n
+exec(sys.argv[2])
+entry = getattr(load_hotpath(), sys.argv[1])
+try:
+    entry([args] if sys.argv[1] == "run_batch" else args)
+except (TypeError, ValueError) as exc:
+    print(type(exc).__name__, exc)
+    sys.exit(0)
+sys.exit("the malformed argument was accepted")
+"""
+
+#: case id -> (entry point, statement damaging ``args``)
+MARSHAL_CASES = {
+    "jbufs_empty": ("run_compiled", "args['jbufs'] = []"),
+    "jbufs_tuple": ("run_compiled", "args['jbufs'] = tuple(args['jbufs'])"),
+    "jbufs_not_lists": ("run_compiled", "args['jbufs'] = [(), [], [], []]"),
+    "jbufs_not_floats": ("run_compiled", "args['jbufs'] = [['x'], [], [], []]"),
+    "idle_e_short": ("run_compiled", "args['idle_e'] = args['idle_e'][:1]"),
+    "lat_cycles_short": ("run_compiled", "args['lat_cycles'] = args['lat_cycles'][:1]"),
+    "cache_stats_short": ("run_compiled", "args['cache_stats'] = np.zeros(2, np.int64)"),
+    "ad_freq_short": ("run_compiled", "args['ad_freq'] = args['ad_freq'][:2]"),
+    "rob_cap_zero": ("run_compiled", "args['rob_cap'] = 0"),
+    "batch_jbufs_empty": ("run_batch", "args['jbufs'] = []"),
+    "l2_tags_short": ("run_compiled", "args['l2_tags'] = array('q', [0])"),
+    "btb_targets_short": ("run_compiled", "args['btb_targets'] = array('q', [0])"),
+    "state_itemsize": ("run_compiled", "args['l1i_tags'] = array('i', args['l1i_tags'])"),
+    "count_above_ways": ("run_compiled", "args['l1d_counts'][5] = args['l1d_ways'] + 1"),
+    "negative_count": ("warm_up", "args['btb_counts'][0] = -1"),
+    "history_out_of_range": ("warm_up", "args['hist'][3] = -1"),
+    "empty_table": ("warm_up", "args['meta'] = array('q')"),
+    "bad_geometry": ("warm_up", "args['l1i_ways'] = 0"),
+}
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "entry, damage", MARSHAL_CASES.values(), ids=list(MARSHAL_CASES)
+)
+def test_malformed_argument_dict_raises(entry, damage):
+    proc = _run_child(MARSHAL_CHILD, entry, damage)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(("TypeError", "ValueError")), proc.stdout
+
+
+# A gsm run on a processor without integer multiply units; argv[1]
+# picks the trace form (and so the interpreter).
+NO_UNIT_CHILD = """
+import sys
+
+from repro.config.processor import ProcessorConfig
+from repro.errors import SimulationError
+from repro.sim.engine import scaled_mcd_config
+from repro.uarch.compiled_trace import compile_trace
+from repro.uarch.core import MCDCore
+from repro.workloads.catalog import get_benchmark
+
+processor = ProcessorConfig(int_mult_div=0)
+trace = get_benchmark("gsm").build_trace(scale=0.02)
+if sys.argv[1] == "native":
+    trace = compile_trace(trace, processor.line_bytes.bit_length() - 1)
+core = MCDCore(processor, scaled_mcd_config(), trace)
+try:
+    core.run()
+except SimulationError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("the run finished")
+"""
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["python", pytest.param("native", marks=needs_native)],
+)
+def test_no_unit_for_an_instruction_class_raises(path):
+    """ProcessorConfig(int_mult_div=0) is valid, but an INT_MULT can never issue."""
+    proc = _run_child(NO_UNIT_CHILD, path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "INT_MULT" in proc.stdout and "integer" in proc.stdout
