@@ -97,7 +97,6 @@ def run_bench(check_floor: bool = False) -> dict:
             "bench_control_loop: --check-floor needs the native loop, "
             "but no C compiler is available"
         )
-    line_shift = ProcessorConfig().line_bytes.bit_length() - 1
     paths = ["generator"] + (["native"] if native else [])
 
     rows = []
@@ -107,9 +106,7 @@ def run_bench(check_floor: bool = False) -> dict:
         bench = get_benchmark(name)
         traces = {"generator": bench.build_trace(scale=scale)}
         if native:
-            traces["native"] = compiled_trace_for(
-                bench, scale=scale, line_shift=line_shift
-            )
+            traces["native"] = compiled_trace_for(bench, scale=scale)
         results = {}
         seconds = {}
         for path in paths:

@@ -42,14 +42,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-try:
-    import tomllib as _toml
-except ModuleNotFoundError:  # Python < 3.11: the bundled subset reader
-    from repro.campaigns import _minitoml as _toml  # type: ignore[no-redef]
 
 from repro.errors import CampaignError
 from repro.experiments.executor import benchmark_scale
@@ -129,7 +126,7 @@ class CampaignSpec:
         except OSError as exc:
             raise CampaignError(f"cannot read campaign file {path}: {exc}") from None
         try:
-            data = _toml.loads(text)
+            data = tomllib.loads(text)
         except ValueError as exc:  # tomllib.TOMLDecodeError is a ValueError
             raise CampaignError(f"{path} is not valid TOML: {exc}") from None
         return cls.from_dict(data, source=path, output_dir=output_dir)

@@ -53,6 +53,7 @@ import asyncio
 import json
 import logging
 import threading
+import tomllib
 from typing import Mapping
 
 from repro.errors import CampaignError, ExperimentError
@@ -132,11 +133,7 @@ def _campaign_spec(toml_text: object):
     if not isinstance(toml_text, str) or not toml_text.strip():
         raise _HttpError(400, "'campaign' must be the TOML file's text")
     try:
-        import tomllib as _toml
-    except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
-        from repro.campaigns import _minitoml as _toml
-    try:
-        data = _toml.loads(toml_text)
+        data = tomllib.loads(toml_text)
     except ValueError as exc:
         raise _HttpError(400, f"campaign body is not valid TOML: {exc}") from None
     try:

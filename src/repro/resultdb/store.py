@@ -30,7 +30,7 @@ import logging
 import os
 import uuid
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
+from datetime import UTC, datetime
 from pathlib import Path
 
 from repro.errors import ResultDBError
@@ -61,7 +61,7 @@ def utc_now() -> str:
     sort key, so two appends in quick succession must still order
     (the random run id only breaks genuinely simultaneous ties).
     """
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+    return datetime.now(UTC).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
 @dataclass(frozen=True)

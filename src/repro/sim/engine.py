@@ -55,10 +55,12 @@ def scaled_mcd_config() -> MCDConfig:
 def trace_cache_entries() -> int:
     """Capacity of the in-process compiled-trace cache.
 
-    ``REPRO_TRACE_CACHE`` overrides the default of 8 entries (a
-    compiled trace is about 10 MB of int64 arrays at scale 1.0, so the
-    bound is deliberately modest; raise it for wide thread-pool sweeps
-    over many distinct benchmarks on a big-memory host).
+    ``REPRO_TRACE_CACHE`` overrides the default of 8 entries.  A
+    compiled trace is 22 bytes per instruction, 1.8–3.5 MB for a
+    catalog benchmark at scale 1.0 (80k–160k instructions), and serves
+    every cache geometry, so one entry per benchmark covers a sweep;
+    raise the bound for wide thread-pool sweeps over more distinct
+    benchmarks.
     """
     raw = os.environ.get("REPRO_TRACE_CACHE", "8")
     try:
@@ -73,14 +75,13 @@ def trace_cache_entries() -> int:
 class TraceCache:
     """Process-wide, thread-safe, size-bounded cache of compiled traces.
 
-    Keyed by (content hash, line shift); one instance is shared by
-    every run in the process, so N thread-pool workers sweeping the
-    same benchmarks load and compile each trace once instead of N
-    times.  Lookups are LRU; concurrent misses on one key are
-    single-flighted — the first thread builds while the others wait on
-    an event and then reuse the result, because building a trace
-    (generate + columnise) is exactly the expensive work the cache
-    exists to avoid repeating.
+    Keyed by content hash; one instance is shared by every run in the
+    process, so N thread-pool workers sweeping the same benchmarks load
+    and compile each trace once instead of N times.  Lookups are LRU;
+    concurrent misses on one key are single-flighted — the first
+    thread builds while the others wait on an event and then reuse the
+    result, because building a trace (generate + columnise) is exactly
+    the expensive work the cache exists to avoid repeating.
     """
 
     def __init__(self, entries: int | None = None) -> None:
@@ -88,7 +89,7 @@ class TraceCache:
         # malformed value surfaces as an ExperimentError inside run
         # handling, not as an import-time crash of every entry point.
         self._entries = None if entries is None else max(1, entries)
-        self._items: OrderedDict[tuple[str, int], CompiledTrace] = OrderedDict()
+        self._items: OrderedDict[str, CompiledTrace] = OrderedDict()
         self._flight = SingleFlight()
         self.hits = 0
         self.misses = 0
@@ -101,7 +102,7 @@ class TraceCache:
             self._entries = trace_cache_entries()
         return self._entries
 
-    def get_or_build(self, key: tuple[str, int], build) -> CompiledTrace:
+    def get_or_build(self, key: str, build) -> CompiledTrace:
         """The cached trace under ``key``, building it at most once."""
         entries = self.entries  # resolve (and maybe raise) up front
 
@@ -131,19 +132,14 @@ class TraceCache:
 
 
 #: Shared on-disk store of compiled traces plus the process-wide
-#: compiled-trace cache above.  The store's column memo is kept small:
-#: for a single cache-line geometry the TraceCache already answers
-#: repeat lookups, so the memo only needs to cover the re-derivation
-#: window (same key, different line_shift, or a TraceCache eviction)
-#: without pinning every benchmark's raw columns in memory twice.
-_TRACE_STORE = TraceStore(memo_entries=2)
+#: compiled-trace cache above.
+_TRACE_STORE = TraceStore()
 _TRACE_MEMO = TraceCache()
 
 
 def compiled_trace_for(
     bench: BenchmarkSpec,
     scale: float = 1.0,
-    line_shift: int = 6,
     seed_offset: int = 0,
 ) -> CompiledTrace:
     """The benchmark's compiled trace, through cache layers.
@@ -155,11 +151,9 @@ def compiled_trace_for(
     (:meth:`~repro.workloads.catalog.BenchmarkSpec.trace_payload`),
     ``COMPILED_TRACE_VERSION``, and the experiment cache's
     ``CACHE_VERSION``, so bumping either version invalidates stale
-    compiled traces alongside stale results.  The cache line geometry
-    stays *out* of the disk key — the store persists only the
-    geometry-independent base columns and re-derives for
-    ``line_shift`` on load, so one stored trace serves every geometry;
-    only the in-process cache is keyed per shift.
+    compiled traces alongside stale results.  No key holds the cache
+    geometry: a compiled trace is only its base columns, so one trace
+    serves every geometry.
 
     Thread-safe: concurrent callers for one trace wait on a single
     build, and the returned instance is safely shared across threads
@@ -175,18 +169,17 @@ def compiled_trace_for(
         # owner is already validated and needs no disk read.
         shared = shared_trace.shared_columns(key)
         if shared is not None:
-            return from_columns(shared, line_shift)
+            return from_columns(shared)
         use_disk = cache_enabled()
-        compiled = _TRACE_STORE.load(key, line_shift) if use_disk else None
+        compiled = _TRACE_STORE.load(key) if use_disk else None
         if compiled is None:
             trace = bench.build_trace(scale=scale, seed_offset=seed_offset)
-            columns = trace_columns(trace)
+            compiled = from_columns(trace_columns(trace))
             if use_disk:
-                _TRACE_STORE.store(key, columns)
-            compiled = from_columns(columns, line_shift)
+                _TRACE_STORE.store(key, compiled)
         return compiled
 
-    return _TRACE_MEMO.get_or_build((key, line_shift), build)
+    return _TRACE_MEMO.get_or_build(key, build)
 
 
 def _trace_store_key(bench: BenchmarkSpec, scale: float, seed_offset: int) -> str:
@@ -204,23 +197,23 @@ def export_shared_trace(
 ) -> dict:
     """Publish one benchmark trace's base columns in shared memory.
 
-    Owner-side hook for the process sweep backend: resolves the base
-    columns through the memo/disk layers (generating and persisting on
-    a cold store, exactly like :func:`compiled_trace_for`), exports
-    them via :mod:`repro.uarch.shared_trace`, and returns the
-    descriptor to ship to workers.  Idempotent per trace.
+    Owner-side hook for the process sweep backend: resolves the trace
+    through the disk store (generating and persisting on a cold store,
+    exactly like :func:`compiled_trace_for`), exports its columns via
+    :mod:`repro.uarch.shared_trace`, and returns the descriptor to ship
+    to workers.  Idempotent per trace.
     """
     from repro.experiments.executor import cache_enabled
     from repro.uarch import shared_trace
 
     key = _trace_store_key(bench, scale, seed_offset)
-    columns = _TRACE_STORE.load_columns(key) if cache_enabled() else None
-    if columns is None:
+    compiled = _TRACE_STORE.load(key) if cache_enabled() else None
+    if compiled is None:
         trace = bench.build_trace(scale=scale, seed_offset=seed_offset)
-        columns = trace_columns(trace)
+        compiled = from_columns(trace_columns(trace))
         if cache_enabled():
-            _TRACE_STORE.store(key, columns)
-    return shared_trace.export_columns(key, columns)
+            _TRACE_STORE.store(key, compiled)
+    return shared_trace.export_columns(key, compiled.columns())
 
 
 @dataclass
@@ -299,8 +292,7 @@ def _build_core(spec: SimulationSpec) -> tuple[MCDCore, object]:
         )
     bench = get_benchmark(spec.benchmark)
     if native:
-        line_shift = spec.processor.line_bytes.bit_length() - 1
-        trace = compiled_trace_for(bench, scale=spec.scale, line_shift=line_shift)
+        trace = compiled_trace_for(bench, scale=spec.scale)
     else:
         trace = bench.build_trace(scale=spec.scale)
     initial = None

@@ -7,7 +7,14 @@
  * is IEEE double precision; the build disables FP contraction
  * (-ffp-contract=off) so a*b+c rounds exactly as CPython rounds it.
  *
- * Compiled-trace columns come in as read-only int64 buffers.  The
+ * A compiled trace comes in as its seven base columns, read-only
+ * buffers in the narrow dtypes repro.uarch.compiled_trace.COLUMNS fixes
+ * (kinds uint8, src1/src2 uint16, pcs/targets uint32, addrs int64,
+ * taken uint8), their formats and values checked once per call.  What
+ * the reference interpreter derives per instruction is derived here the
+ * same way: destination register type and issue domain from the two
+ * NUM_CLASSES-entry ISA tables, producers from the dependency
+ * distances, and new fetch lines from the previous one.  The
  * cache, predictor and BTB state is the owning Python objects' own
  * flat array('q') buffers (SetAssociativeCache, CombiningBranchPredictor,
  * BranchTargetBuffer), which the C side validates once and then reads
@@ -43,18 +50,19 @@
  * result — exactly what the single entry does per run, so batched
  * results are byte-identical by construction.  warm_up replays the head
  * of a compiled trace through the caches, the predictor tables and the
- * BTB only (MCDCore.warm_up), with the GIL released; it views that state
- * through the same marshal_uarch as the runs, and the run loop touches
- * it through the same access helpers, so the two cannot drift apart.
+ * BTB only (MCDCore.warm_up), with the GIL released; it views the trace
+ * and that state through the same marshal_trace and marshal_uarch as
+ * the runs, and the run loop touches the state through the same access
+ * helpers, so the two cannot drift apart.
  *
  * Reentrancy audit: this file holds NO mutable state with static
- * storage duration — every array, ring buffer, counter and the
- * idle-scan memo lives on the compute stage's stack or in per-call
- * PyMem allocations.  The writable buffers handed in through the
- * argument dict belong to one core: its cache/predictor/BTB arrays and
- * the per-run tables MCDCore.native_marshal creates (a run's newline is
- * a per-run copy; the trace columns are read-only numpy arrays shared
- * across runs, and warm_up only reads newline).  No core runs
+ * storage duration — every array, ring buffer, counter, the fetch-line
+ * tracker and the idle-scan memo lives on the compute stage's stack or
+ * in per-call PyMem allocations.  The writable buffers handed in through
+ * the argument dict belong to one core: its cache/predictor/BTB arrays
+ * and the per-run tables MCDCore.native_marshal creates.  No trace
+ * column is writable: the columns and the ISA tables are viewed
+ * read-only and shared across runs and threads.  No core runs
  * concurrently with itself, so concurrent calls from different threads
  * never share writable memory, which is what makes the thread-pool
  * sweep backend sound.  While a call holds a buffer view, array('q')
@@ -71,6 +79,13 @@
 #define EPS_NS 1e-6
 #define MIN_STEP_NS 1e-6
 #define QMAX 256 /* upper bound on issue-queue capacity */
+/* Trace-format constants: repro.uarch.isa.NUM_CLASSES and
+ * repro.uarch.trace.MAX_DEP_DISTANCE, exported as module attributes of
+ * the same names so the Python side can check they agree. */
+#define NUM_CLASSES 7
+#define MAX_DEP_DISTANCE 512
+_Static_assert(RING > MAX_DEP_DISTANCE,
+               "a producer's completion slot must be live when its consumers dispatch");
 
 /* ---------------------------------------------------------------- util */
 
@@ -102,9 +117,9 @@ get_double(PyObject *dict, const char *key, double *out)
     return 0;
 }
 
-/* The buffer views one call may hold: a run takes at most 62 (49 for
+/* The buffer views one call may hold: a run takes at most 61 (48 for
  * its columns, tables and controller registers, 13 for the cache,
- * predictor and BTB state); get_buffer raises rather than overflow. */
+ * predictor and BTB state); take_view raises rather than overflow. */
 #define MAX_VIEWS 64
 
 typedef struct {
@@ -112,11 +127,9 @@ typedef struct {
     int count;
 } ViewPool;
 
-/* A C-contiguous buffer of 8-byte items with at least min_len of them
- * (its length lands in *len_out when that is not NULL). */
-static void *
-get_buffer(PyObject *dict, const char *key, ViewPool *pool, int writable,
-           Py_ssize_t min_len, Py_ssize_t *len_out)
+/* A C-contiguous view of the buffer named key, held in *pool. */
+static Py_buffer *
+take_view(PyObject *dict, const char *key, ViewPool *pool, int flags)
 {
     PyObject *v = PyDict_GetItemString(dict, key);
     if (v == NULL) {
@@ -127,26 +140,76 @@ get_buffer(PyObject *dict, const char *key, ViewPool *pool, int writable,
         PyErr_SetString(PyExc_RuntimeError, "hotpath: buffer view pool is full");
         return NULL;
     }
-    int flags = writable ? (PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE)
-                         : PyBUF_C_CONTIGUOUS;
     Py_buffer *view = &pool->views[pool->count];
-    if (PyObject_GetBuffer(v, view, flags) < 0)
+    if (PyObject_GetBuffer(v, view, PyBUF_C_CONTIGUOUS | flags) < 0)
         return NULL;
     pool->count++;
+    return view;
+}
+
+/* view's length in itemsize-byte items, if it holds at least min_len. */
+static int
+view_length(const Py_buffer *view, const char *key, Py_ssize_t itemsize,
+            Py_ssize_t min_len, Py_ssize_t *len)
+{
+    *len = view->len / itemsize;
+    if (*len < min_len) {
+        PyErr_Format(PyExc_ValueError,
+                     "hotpath: %s has %zd entries, want at least %zd", key, *len,
+                     min_len);
+        return -1;
+    }
+    return 0;
+}
+
+/* A buffer of 8-byte items with at least min_len of them (its length
+ * lands in *len_out when that is not NULL). */
+static void *
+get_buffer(PyObject *dict, const char *key, ViewPool *pool, int writable,
+           Py_ssize_t min_len, Py_ssize_t *len_out)
+{
+    Py_buffer *view = take_view(dict, key, pool, writable ? PyBUF_WRITABLE : 0);
+    if (view == NULL)
+        return NULL;
     if (view->itemsize != 8) {
         PyErr_Format(PyExc_TypeError, "hotpath: %s has itemsize %zd, want 8",
                      key, view->itemsize);
         return NULL;
     }
-    const Py_ssize_t len = view->len / 8;
-    if (len < min_len) {
-        PyErr_Format(PyExc_ValueError,
-                     "hotpath: %s has %zd entries, want at least %zd", key, len,
-                     min_len);
+    Py_ssize_t len;
+    if (view_length(view, key, 8, min_len, &len) < 0)
         return NULL;
-    }
     if (len_out != NULL)
         *len_out = len;
+    return view->buf;
+}
+
+/* A read-only trace column of at least min_len native-order integers,
+ * itemsize bytes each, signed or not as is_signed says: its buffer
+ * format (struct syntax, such as numpy's "B", "H", "I" or "l") and
+ * itemsize are both checked. */
+static const void *
+get_column(PyObject *dict, const char *key, ViewPool *pool, int is_signed,
+           Py_ssize_t itemsize, Py_ssize_t min_len)
+{
+    Py_buffer *view = take_view(dict, key, pool, PyBUF_FORMAT);
+    if (view == NULL)
+        return NULL;
+    const char *format = view->format != NULL ? view->format : "B";
+    const char *code = format[0] == '@' || format[0] == '=' ? format + 1 : format;
+    if (code[0] == '\0' || code[1] != '\0'
+        || strchr(is_signed ? "bhilq" : "BHILQ", code[0]) == NULL
+        || view->itemsize != itemsize) {
+        PyErr_Format(PyExc_TypeError,
+                     "hotpath: column %s has format '%s' and itemsize %zd, "
+                     "want %s integers of %zd bytes",
+                     key, format, view->itemsize,
+                     is_signed ? "signed" : "unsigned", itemsize);
+        return NULL;
+    }
+    Py_ssize_t len;
+    if (view_length(view, key, itemsize, min_len, &len) < 0)
+        return NULL;
     return view->buf;
 }
 
@@ -433,6 +496,101 @@ marshal_uarch(PyObject *a, ViewPool *pool, Uarch *u)
     return 0;
 }
 
+/* ------------------------------------------------------ trace columns */
+
+/* The seven base columns of a compiled trace, in the narrow dtypes
+ * repro.uarch.compiled_trace.COLUMNS fixes, viewed read-only.  Nothing
+ * else about the trace comes in: the loops derive each instruction's
+ * destination register type and issue domain from the ISA tables, its
+ * producers from src1/src2 and its fetch lines from pcs. */
+typedef struct {
+    const uint8_t *kinds, *taken;
+    const uint16_t *src1, *src2;
+    const uint32_t *pcs, *targets;
+    const int64_t *addrs;
+} Trace;
+
+/* The column values the loops index with, folded over a trace: the
+ * largest class, the largest dependency distance, and the OR of every
+ * address (negative exactly when some address is). */
+typedef struct {
+    uint8_t kind;
+    uint16_t src;
+    int64_t addr_bits;
+} ColumnBounds;
+
+/* Fold count instructions from start into *b. */
+static ALWAYS_INLINE void
+fold_bounds(const Trace *tr, int64_t start, int64_t count, ColumnBounds *b)
+{
+    uint8_t kind = b->kind;
+    uint16_t src = b->src;
+    int64_t addr_bits = b->addr_bits;
+    for (int64_t i = start; i < start + count; i++)
+        kind = tr->kinds[i] > kind ? tr->kinds[i] : kind;
+    for (int64_t i = start; i < start + count; i++) {
+        src = tr->src1[i] > src ? tr->src1[i] : src;
+        src = tr->src2[i] > src ? tr->src2[i] : src;
+    }
+    for (int64_t i = start; i < start + count; i++)
+        addr_bits |= tr->addrs[i];
+    b->kind = kind;
+    b->src = src;
+    b->addr_bits = addr_bits;
+}
+
+/* Instructions per fold_bounds block: a fixed trip count lets the -O2
+ * vectoriser take its loops, which makes the check ~4x faster (~0.5 ns
+ * per instruction). */
+#define BOUNDS_BLOCK 64
+
+/* View the seven columns named in the argument dict, each at least n
+ * long, and check once per call the values the loops index with:
+ * instruction classes below NUM_CLASSES (they index the ISA, latency and
+ * complex-op tables), dependency distances of at most MAX_DEP_DISTANCE
+ * (a producer's completion slot must still be live) and non-negative
+ * addresses (their lines index cache sets).  On failure a Python
+ * exception is set; the views already taken stay in *pool. */
+static int
+marshal_trace(PyObject *a, ViewPool *pool, int64_t n, Trace *tr)
+{
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: negative trace length");
+        return -1;
+    }
+    if ((tr->kinds = get_column(a, "kinds", pool, 0, 1, n)) == NULL
+        || (tr->src1 = get_column(a, "src1", pool, 0, 2, n)) == NULL
+        || (tr->src2 = get_column(a, "src2", pool, 0, 2, n)) == NULL
+        || (tr->pcs = get_column(a, "pcs", pool, 0, 4, n)) == NULL
+        || (tr->addrs = get_column(a, "addrs", pool, 1, 8, n)) == NULL
+        || (tr->taken = get_column(a, "taken", pool, 0, 1, n)) == NULL
+        || (tr->targets = get_column(a, "targets", pool, 0, 4, n)) == NULL)
+        return -1;
+    ColumnBounds b = {0, 0, 0};
+    int64_t i = 0;
+    for (; i + BOUNDS_BLOCK <= n; i += BOUNDS_BLOCK)
+        fold_bounds(tr, i, BOUNDS_BLOCK, &b);
+    fold_bounds(tr, i, n - i, &b);
+    if (b.kind >= NUM_CLASSES) {
+        PyErr_Format(PyExc_ValueError,
+                     "hotpath: kinds holds class %d, want below %d", b.kind,
+                     NUM_CLASSES);
+        return -1;
+    }
+    if (b.src > MAX_DEP_DISTANCE) {
+        PyErr_Format(PyExc_ValueError,
+                     "hotpath: src1/src2 hold dependency distance %d, "
+                     "want at most %d",
+                     b.src, MAX_DEP_DISTANCE);
+        return -1;
+    }
+    if (b.addr_bits < 0) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: addrs holds a negative address");
+        return -1;
+    }
+    return 0;
+}
+
 /* ---------------------------------------------------- GIL bridge shims */
 
 /* The compute stage runs with the GIL released; these shims are its
@@ -545,6 +703,18 @@ typedef struct {
     int64_t cyc;
 } IdleMemo;
 
+/* The producer of a source operand at dependency distance src of the
+ * instruction dispatched as sequence number seq, as MCDCore resolves it
+ * at dispatch: seq - src when 0 < src < seq, else 0 (no operand).  The
+ * issue scan recomputes it from the column at each test: storing two
+ * producers beside every queue entry instead cost ~4 % of the compute
+ * stage on dispatch-bound traces. */
+static ALWAYS_INLINE int64_t
+producer(int64_t src, int64_t seq)
+{
+    return src > 0 && src < seq ? seq - src : 0;
+}
+
 /* The issue scan's test for one source operand, produced by sequence
  * number p (0: no operand), of an entry of domain d at edge t, cycle
  * cyc.  A same-domain result is usable from its finish cycle on, a
@@ -610,10 +780,9 @@ typedef struct {
     int64_t *ad_decays, *ad_holds;
     const double *freq_table;
     int64_t *reg_requests, *reg_dirchg;
-    /* column + state buffers (views owned by pool) */
-    const int64_t *kinds, *pcs, *addrs, *taken_c, *targets_c;
-    const int64_t *dest_c, *qd_c, *p1_c, *p2_c;
-    int64_t *newline;
+    /* trace columns, ISA tables and state buffers (views owned by pool) */
+    Trace tr;
+    const int64_t *dest_tab, *domain_tab;
     const int64_t *lat_cycles, *complex_op, *simple_w, *complex_w, *q_cap;
     const double *clock_e, *idle_e, *e_issue_a, *e_simple_a, *e_complex_a;
     double *reg_cur, *reg_tgt, *reg_last;
@@ -722,23 +891,25 @@ marshal_run(PyObject *a, RunState *rs)
     const double *freq_table = NULL;
     int64_t *reg_requests = NULL, *reg_dirchg = NULL;
 
-    /* --- column buffers ----------------------------------------------- */
-    const int64_t *kinds = get_buffer(a, "kinds", pool, 0, total, NULL);
-    const int64_t *pcs = get_buffer(a, "pcs", pool, 0, total, NULL);
-    const int64_t *addrs = get_buffer(a, "addrs", pool, 0, total, NULL);
-    const int64_t *taken_c = get_buffer(a, "taken", pool, 0, total, NULL);
-    const int64_t *targets_c = get_buffer(a, "targets", pool, 0, total, NULL);
-    const int64_t *dest_c = get_buffer(a, "dest", pool, 0, total, NULL);
-    const int64_t *qd_c = get_buffer(a, "domain", pool, 0, total, NULL);
-    const int64_t *p1_c = get_buffer(a, "p1", pool, 0, total, NULL);
-    const int64_t *p2_c = get_buffer(a, "p2", pool, 0, total, NULL);
-    int64_t *newline = get_buffer(a, "newline", pool, 1, total, NULL);
-    if (!kinds || !pcs || !addrs || !taken_c || !targets_c || !dest_c || !qd_c
-        || !p1_c || !p2_c || !newline)
+    /* --- trace columns and the ISA tables ----------------------------- */
+    if (marshal_trace(a, pool, total, &rs->tr) < 0)
         goto fail;
+    const int64_t *dest_tab, *domain_tab;
+    if ((dest_tab = get_buffer(a, "dest_table", pool, 0, NUM_CLASSES, NULL)) == NULL
+        || (domain_tab = get_buffer(a, "domain_table", pool, 0, NUM_CLASSES, NULL))
+               == NULL)
+        goto fail;
+    for (int k = 0; k < NUM_CLASSES; k++) {
+        if (dest_tab[k] < -1 || dest_tab[k] > 1 || domain_tab[k] < 1
+            || domain_tab[k] > 3) {
+            PyErr_Format(PyExc_ValueError, "hotpath: bad ISA table entry for class %d",
+                         k);
+            goto fail;
+        }
+    }
 
-    const int64_t *lat_cycles = get_buffer(a, "lat_cycles", pool, 0, 8, NULL);
-    const int64_t *complex_op = get_buffer(a, "complex_op", pool, 0, 8, NULL);
+    const int64_t *lat_cycles = get_buffer(a, "lat_cycles", pool, 0, NUM_CLASSES, NULL);
+    const int64_t *complex_op = get_buffer(a, "complex_op", pool, 0, NUM_CLASSES, NULL);
     const int64_t *simple_w = get_buffer(a, "simple_w", pool, 0, 4, NULL);
     const int64_t *complex_w = get_buffer(a, "complex_w", pool, 0, 4, NULL);
     const int64_t *q_cap = get_buffer(a, "q_cap", pool, 0, 4, NULL);
@@ -913,16 +1084,8 @@ marshal_run(PyObject *a, RunState *rs)
     rs->freq_table = freq_table;
     rs->reg_requests = reg_requests;
     rs->reg_dirchg = reg_dirchg;
-    rs->kinds = kinds;
-    rs->pcs = pcs;
-    rs->addrs = addrs;
-    rs->taken_c = taken_c;
-    rs->targets_c = targets_c;
-    rs->dest_c = dest_c;
-    rs->qd_c = qd_c;
-    rs->p1_c = p1_c;
-    rs->p2_c = p2_c;
-    rs->newline = newline;
+    rs->dest_tab = dest_tab;
+    rs->domain_tab = domain_tab;
     rs->lat_cycles = lat_cycles;
     rs->complex_op = complex_op;
     rs->simple_w = simple_w;
@@ -1001,11 +1164,8 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     int64_t *ad_decays = rs->ad_decays, *ad_holds = rs->ad_holds;
     const double *freq_table = rs->freq_table;
     int64_t *reg_requests = rs->reg_requests, *reg_dirchg = rs->reg_dirchg;
-    const int64_t *kinds = rs->kinds, *pcs = rs->pcs, *addrs = rs->addrs;
-    const int64_t *taken_c = rs->taken_c, *targets_c = rs->targets_c;
-    const int64_t *dest_c = rs->dest_c, *qd_c = rs->qd_c;
-    const int64_t *p1_c = rs->p1_c, *p2_c = rs->p2_c;
-    int64_t *newline = rs->newline;
+    const Trace tr = rs->tr;
+    const int64_t *dest_tab = rs->dest_tab, *domain_tab = rs->domain_tab;
     const int64_t *lat_cycles = rs->lat_cycles, *complex_op = rs->complex_op;
     const int64_t *simple_w = rs->simple_w, *complex_w = rs->complex_w;
     const int64_t *q_cap = rs->q_cap;
@@ -1048,6 +1208,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     double q_t[4][QMAX];
     double q_retry[4][QMAX];
     int q_len[4] = {0, 0, 0, 0};
+    int64_t last_fetch_line = -1; /* one I-cache lookup per new line */
 
     int64_t epoch = 0; /* bumped by every dispatch and every issue */
     IdleMemo memo[4];
@@ -1125,7 +1286,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     break;
                 rob_head = (rob_head + 1) % rob_cap;
                 rob_n--;
-                int64_t dst = dest_c[seq - 1];
+                int64_t dst = dest_tab[tr.kinds[seq - 1]];
                 if (dst == 0)
                     int_free++;
                 else if (dst == 1)
@@ -1335,10 +1496,11 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                 while (fetched < decode_width) {
                     if (fi >= total)
                         break;
-                    if (newline[fi]) {
-                        newline[fi] = 0;
+                    const int64_t line = (int64_t)tr.pcs[fi] >> shift;
+                    if (line != last_fetch_line) {
+                        last_fetch_line = line;
                         access_energy += e_l1i;
-                        int level = hierarchy_access(&l1i, &l2, pcs[fi] >> shift);
+                        int level = hierarchy_access(&l1i, &l2, line);
                         count_access(cache_stats, 0, level);
                         if (level != LEVEL_L1) {
                             double delay =
@@ -1356,12 +1518,13 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                         stalled = 1;
                         break;
                     }
-                    int64_t qd = qd_c[fi];
+                    const int kind = tr.kinds[fi];
+                    int64_t qd = domain_tab[kind];
                     if (q_len[qd] >= q_cap[qd]) {
                         stalled = 1;
                         break;
                     }
-                    int64_t dst = dest_c[fi];
+                    int64_t dst = dest_tab[kind];
                     if (dst == 0) {
                         if (int_free <= 0) {
                             stalled = 1;
@@ -1380,12 +1543,11 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     int64_t slot = seq & RING_MASK;
                     fin_ns[slot] = INFINITY;
                     fin_domain[slot] = -1;
-                    int64_t kind = kinds[fi];
                     int mispredicted = 0;
                     if (kind == kind_branch) {
                         access_energy += e_bpred;
-                        int outcome = branch_access(&bp, pcs[fi], taken_c[fi],
-                                                    targets_c[fi]);
+                        int outcome = branch_access(&bp, tr.pcs[fi], tr.taken[fi],
+                                                    tr.targets[fi]);
                         bp_stats[0]++; /* lookups */
                         if (outcome != BRANCH_HIT) {
                             bp_stats[outcome]++; /* direction / BTB target */
@@ -1514,13 +1676,14 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     break;
                 }
                 int64_t seq = seqs[ei];
-                if (!operand_ready(p1_c[seq - 1], d, t, cyc, cross_thresh, fin_ns,
-                                   fin_cycle, fin_domain, &retries[ei], &scan)
-                    || !operand_ready(p2_c[seq - 1], d, t, cyc, cross_thresh,
-                                      fin_ns, fin_cycle, fin_domain,
+                if (!operand_ready(producer(tr.src1[seq - 1], seq), d, t, cyc,
+                                   cross_thresh, fin_ns, fin_cycle, fin_domain,
+                                   &retries[ei], &scan)
+                    || !operand_ready(producer(tr.src2[seq - 1], seq), d, t, cyc,
+                                      cross_thresh, fin_ns, fin_cycle, fin_domain,
                                       &retries[ei], &scan))
                     continue;
-                int64_t kind = kinds[seq - 1];
+                const int kind = tr.kinds[seq - 1];
                 double lat;
                 int64_t lat_c;
                 if (complex_op[kind]) {
@@ -1537,7 +1700,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                 } else if (kind == kind_load) {
                     sfree--;
                     int level =
-                        hierarchy_access(&l1d, &l2, addrs[seq - 1] >> shift);
+                        hierarchy_access(&l1d, &l2, tr.addrs[seq - 1] >> shift);
                     count_access(cache_stats, 2, level);
                     access_energy += e_simple; /* L1D probe */
                     if (level == LEVEL_L1) {
@@ -1558,7 +1721,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     sfree--;
                     count_access(cache_stats, 2,
                                  hierarchy_access(&l1d, &l2,
-                                                  addrs[seq - 1] >> shift));
+                                                  tr.addrs[seq - 1] >> shift));
                     access_energy += e_simple;
                     lat = period;
                     lat_c = 1;
@@ -1796,21 +1959,14 @@ warm_up(PyObject *self, PyObject *args)
     ViewPool pool;
     pool.count = 0;
     Uarch u;
+    Trace tr;
     PyObject *result = NULL;
     long long n, limit, kind_load, kind_store, kind_branch;
     if (get_long(a, "n", &n) || get_long(a, "limit", &limit)
         || get_long(a, "kind_load", &kind_load)
         || get_long(a, "kind_store", &kind_store)
-        || get_long(a, "kind_branch", &kind_branch))
-        goto done;
-    const int64_t *kinds = get_buffer(a, "kinds", &pool, 0, n, NULL);
-    const int64_t *pcs = get_buffer(a, "pcs", &pool, 0, n, NULL);
-    const int64_t *addrs = get_buffer(a, "addrs", &pool, 0, n, NULL);
-    const int64_t *taken = get_buffer(a, "taken", &pool, 0, n, NULL);
-    const int64_t *targets = get_buffer(a, "targets", &pool, 0, n, NULL);
-    const int64_t *newline = get_buffer(a, "newline", &pool, 0, n, NULL);
-    if (!kinds || !pcs || !addrs || !taken || !targets || !newline
-        || marshal_uarch(a, &pool, &u) < 0)
+        || get_long(a, "kind_branch", &kind_branch)
+        || marshal_trace(a, &pool, n, &tr) < 0 || marshal_uarch(a, &pool, &u) < 0)
         goto done;
 
     const int64_t end = limit < 0 ? 0 : (limit < n ? limit : n);
@@ -1818,14 +1974,18 @@ warm_up(PyObject *self, PyObject *args)
     const int shift = u.shift;
     const TagSets l1i = u.l1i, l1d = u.l1d, l2 = u.l2;
     const Predictor bp = u.bp;
+    int64_t last_line = -1;
     for (int64_t i = 0; i < end; i++) {
-        if (newline[i])
-            hierarchy_access(&l1i, &l2, pcs[i] >> shift);
-        const int64_t kind = kinds[i];
+        const int64_t line = (int64_t)tr.pcs[i] >> shift;
+        if (line != last_line) {
+            last_line = line;
+            hierarchy_access(&l1i, &l2, line);
+        }
+        const int kind = tr.kinds[i];
         if (kind == kind_branch)
-            branch_access(&bp, pcs[i], taken[i], targets[i]);
+            branch_access(&bp, tr.pcs[i], tr.taken[i], tr.targets[i]);
         else if (kind == kind_load || kind == kind_store)
-            hierarchy_access(&l1d, &l2, addrs[i] >> shift);
+            hierarchy_access(&l1d, &l2, tr.addrs[i] >> shift);
     }
     Py_END_ALLOW_THREADS
     result = PyLong_FromLongLong(end);
@@ -1853,5 +2013,13 @@ static struct PyModuleDef hotpath_module = {
 PyMODINIT_FUNC
 PyInit__hotpath(void)
 {
-    return PyModule_Create(&hotpath_module);
+    PyObject *module = PyModule_Create(&hotpath_module);
+    if (module == NULL)
+        return NULL;
+    if (PyModule_AddIntConstant(module, "NUM_CLASSES", NUM_CLASSES) < 0
+        || PyModule_AddIntConstant(module, "MAX_DEP_DISTANCE", MAX_DEP_DISTANCE) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

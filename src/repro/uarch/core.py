@@ -48,8 +48,8 @@ the trace a core is built over picks one:
 * the **native loop** (``_hotpath.c``, see :mod:`repro.uarch.native`)
   runs when the core is built over a
   :class:`~repro.uarch.compiled_trace.CompiledTrace`:
-  :meth:`MCDCore.native_marshal` hands it the precompiled numpy
-  columns plus this core's state, and folds the results back.  Every
+  :meth:`MCDCore.native_marshal` hands it the trace's numpy columns
+  plus this core's state, and folds the results back.  Every
   observable event (cache/predictor state, jitter stream consumption,
   energy accumulation order, controller snapshots) is sequenced exactly
   as in the reference interpreter, which the equivalence property tests
@@ -58,6 +58,7 @@ the trace a core is built over picks one:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.clocks.domain_clock import DomainClock
@@ -75,7 +76,12 @@ from repro.uarch.caches import CacheHierarchy, MemoryLevel
 from repro.uarch.compiled_trace import CompiledTrace
 from repro.uarch.frontend import TraceCursor
 from repro.uarch.functional_units import build_pools
-from repro.uarch.isa import DEST_REGISTER_TYPE, ISSUE_DOMAIN_INDEX, InstructionClass
+from repro.uarch.isa import (
+    DEST_REGISTER_TYPE,
+    ISSUE_DOMAIN_INDEX,
+    NUM_CLASSES,
+    InstructionClass,
+)
 from repro.uarch.queues import IssueQueue, RegisterFile, ReorderBuffer
 from repro.uarch.trace import TraceStream
 
@@ -90,9 +96,13 @@ _DOMAINS = (Domain.FRONT_END, Domain.INTEGER, Domain.FLOATING_POINT, Domain.LOAD
 _DOMAIN_INDEX = {dom: i for i, dom in enumerate(_DOMAINS)}
 
 # Destination register type per instruction class (0 int, 1 fp, -1 none)
-# and issue domain index per class, shared with the trace compiler.
+# and issue domain index per class.  The native loop derives both per
+# instruction from the same tables, handed over as NUM_CLASSES-entry
+# arrays.
 _DEST_TYPE = dict(DEST_REGISTER_TYPE)
 _ISSUE_DOMAIN = dict(ISSUE_DOMAIN_INDEX)
+_DEST_TABLE = array("q", (_DEST_TYPE[kind] for kind in range(NUM_CLASSES)))
+_DOMAIN_TABLE = array("q", (_ISSUE_DOMAIN[kind] for kind in range(NUM_CLASSES)))
 
 
 def _no_unit_error(kind: int) -> SimulationError:
@@ -257,14 +267,6 @@ class MCDCore:
         self.cursor = None if self.compiled is not None else TraceCursor(trace)
         self.total_instructions = trace.total_instructions
         self.hierarchy = CacheHierarchy(processor)
-        if (
-            self.compiled is not None
-            and self.compiled.line_shift != self.hierarchy.l1i.line_shift
-        ):
-            raise SimulationError(
-                f"compiled trace line shift {self.compiled.line_shift} does not "
-                f"match the cache line shift {self.hierarchy.l1i.line_shift}"
-            )
         self.predictor = CombiningBranchPredictor(processor)
         self.accounting = EnergyAccounting(
             mcd_config, energies, mcd_clocking=options.mcd
@@ -390,11 +392,7 @@ class MCDCore:
         predictor = self.predictor
         if isinstance(trace, CompiledTrace):
             count = _load_native().warm_up(
-                {
-                    **self._hotpath_args(trace),
-                    "newline": trace.arrays["newline"],
-                    "limit": limit,
-                }
+                {**self._hotpath_args(trace), "limit": limit}
             )
         else:
             line_shift = hierarchy.l1i.line_shift
@@ -486,9 +484,10 @@ class MCDCore:
     def _hotpath_args(self, comp: CompiledTrace) -> dict:
         """The argument-dict entries every ``_hotpath`` entry reads.
 
-        The trace columns the cache/predictor replay walks, the
-        geometry, and this core's cache, predictor and BTB buffers,
-        which the C side reads and updates in place.
+        The trace's seven base columns (read-only; each entry checks
+        their dtypes and ranges), the geometry, and this core's cache,
+        predictor and BTB buffers, which the C side reads and updates
+        in place.
         """
         l1i, l1d, l2 = self.hierarchy.l1i, self.hierarchy.l1d, self.hierarchy.l2
         predictor = self.predictor
@@ -496,6 +495,8 @@ class MCDCore:
         columns = comp.arrays
         return {
             "kinds": columns["kinds"],
+            "src1": columns["src1"],
+            "src2": columns["src2"],
             "pcs": columns["pcs"],
             "addrs": columns["addrs"],
             "taken": columns["taken"],
@@ -708,13 +709,9 @@ class MCDCore:
 
         args = {
             **self._hotpath_args(comp),
-            # columns
-            "dest": comp.arrays["dest"],
-            "domain": comp.arrays["domain"],
-            "p1": comp.arrays["p1"],
-            "p2": comp.arrays["p2"],
-            "newline": comp.arrays["newline"].copy(),
             # tables
+            "dest_table": _DEST_TABLE,
+            "domain_table": _DOMAIN_TABLE,
             "lat_cycles": lat_cycles,
             "complex_op": complex_op,
             "simple_w": simple_w,

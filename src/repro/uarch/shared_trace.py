@@ -4,8 +4,8 @@ The process sweep backend used to hand every worker its own copy of
 each trace: workers either re-read and re-checksummed the ``.npz`` store
 or regenerated the workload outright, and at sweep granularity that
 marshalling tax dominated the actual simulation work.  This module
-publishes the seven geometry-independent base columns of a compiled
-trace (:data:`~repro.uarch.compiled_trace._BASE_COLUMNS`) in one
+publishes the seven base columns of a compiled trace, in their narrow
+dtypes (:data:`~repro.uarch.compiled_trace.COLUMNS`), in one
 :class:`multiprocessing.shared_memory.SharedMemory` block per trace so
 every worker on the host maps the same read-only pages instead.
 
@@ -44,7 +44,7 @@ import os
 
 import numpy as np
 
-from repro.uarch.compiled_trace import _BASE_COLUMNS
+from repro.uarch.compiled_trace import _BASE_COLUMNS, narrow_columns
 
 logger = logging.getLogger(__name__)
 
@@ -76,10 +76,14 @@ class SharedTraceSegment:
 
     @classmethod
     def create(cls, key: str, columns) -> "SharedTraceSegment":
-        """Pack ``columns`` (the seven base columns) into a new segment."""
+        """Pack ``columns`` (the seven base columns) into a new segment.
+
+        Each column is range-checked and stored in its narrow dtype
+        (:func:`~repro.uarch.compiled_trace.narrow_columns`).
+        """
         from multiprocessing import shared_memory
 
-        arrays = [np.ascontiguousarray(col) for col in columns]
+        arrays = [np.ascontiguousarray(col) for col in narrow_columns(columns)]
         layout = []
         offset = 0
         for name, arr in zip(_BASE_COLUMNS, arrays):

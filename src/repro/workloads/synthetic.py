@@ -18,8 +18,8 @@ Generation is vectorised per block with numpy.  Consumers pick the
 representation: :meth:`SyntheticTrace.blocks` yields plain-list
 :class:`~repro.uarch.trace.InstructionBlock` objects (the reference
 per-instruction path), while :meth:`SyntheticTrace.columns` hands the
-raw numpy arrays for the whole trace to the trace compiler
-(:mod:`repro.uarch.compiled_trace`) without a per-block list
+whole trace's numpy arrays, narrowed block by block, to the trace
+compiler (:mod:`repro.uarch.compiled_trace`) without a per-block list
 round-trip.  Both draw from one generator routine, so the streams are
 identical instruction for instruction.
 """
@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.uarch.compiled_trace import narrow_columns
 from repro.uarch.isa import NUM_CLASSES, InstructionClass
 from repro.uarch.trace import MAX_DEP_DISTANCE, InstructionBlock
 from repro.workloads.phases import Phase
@@ -96,11 +97,14 @@ class SyntheticTrace:
 
         Returns ``(kinds, src1, src2, pcs, addrs, taken, targets)``
         concatenated over every block, drawn from the same seeded
-        stream as :meth:`blocks`.
+        stream as :meth:`blocks`.  Each block is range-checked and cast
+        to the compiled-trace dtypes
+        (:data:`~repro.uarch.compiled_trace.COLUMNS`) before the
+        concatenation, so no whole-trace wide copy is ever built.
         """
         parts: list[list[np.ndarray]] = [[] for _ in range(7)]
         for arrays in self._arrays():
-            for store, array in zip(parts, arrays):
+            for store, array in zip(parts, narrow_columns(arrays)):
                 store.append(array)
         return tuple(np.concatenate(store) for store in parts)
 

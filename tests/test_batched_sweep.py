@@ -501,7 +501,7 @@ class TestSharedTraceSegments:
         descriptor = export_shared_trace(bench, scale=SCALE)
         shared = shared_trace.shared_columns(descriptor["key"])
         assert shared is not None
-        rebuilt = from_columns(shared, local.line_shift)
+        rebuilt = from_columns(shared)
         assert rebuilt.arrays.keys() == local.arrays.keys()
         for name, column in local.arrays.items():
             assert np.array_equal(rebuilt.arrays[name], column), name

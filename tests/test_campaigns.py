@@ -14,7 +14,6 @@ import os
 import signal
 import subprocess
 import sys
-import textwrap
 import time
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from repro.campaigns import (
     CampaignJournal,
     CampaignRunner,
     CampaignSpec,
-    _minitoml,
 )
 from repro.cli import main
 from repro.errors import CampaignError
@@ -54,69 +52,6 @@ def write_campaign(tmp_path: Path, text: str = SMALL_CAMPAIGN) -> Path:
     path = tmp_path / "campaign.toml"
     path.write_text(text)
     return path
-
-
-class TestMiniToml:
-    """The bundled 3.10 fallback must agree with tomllib exactly."""
-
-    SAMPLES = [
-        SMALL_CAMPAIGN,
-        textwrap.dedent(
-            """
-            # comment
-            [campaign]
-            name = "x"          # trailing comment
-            [matrix]
-            benchmarks = [
-              "a", "b",
-            ]
-            configurations = ["c"]
-            seeds = [1, 2, 1_000]
-            scale = 0.05
-            [[matrix.overrides]]
-            [[matrix.overrides]]
-            decay_pct = 0.5
-            deep = -3
-            flag = true
-            other = false
-            label = "with \\"quotes\\" and \\\\ backslash"
-            """
-        ),
-    ]
-
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="tomllib is the 3.11+ reference"
-    )
-    @pytest.mark.parametrize("sample", SAMPLES)
-    def test_matches_tomllib(self, sample):
-        import tomllib
-
-        assert _minitoml.loads(sample) == tomllib.loads(sample)
-
-    def test_parses_the_campaign_format(self):
-        data = _minitoml.loads(self.SAMPLES[1])
-        assert data["campaign"]["name"] == "x"
-        assert data["matrix"]["seeds"] == [1, 2, 1000]
-        assert data["matrix"]["overrides"][1]["decay_pct"] == 0.5
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "name = ",  # missing value
-            "[unclosed",  # unterminated table header
-            'a = "unterminated',  # unterminated string
-            "a = [1, 2",  # unterminated array
-            "a.b = 1\na.b = 2",  # duplicate key
-            "= 3",  # no key
-        ],
-    )
-    def test_rejects_malformed_input(self, bad):
-        with pytest.raises(_minitoml.TOMLDecodeError):
-            _minitoml.loads(bad)
-
-    def test_errors_carry_line_numbers(self):
-        with pytest.raises(_minitoml.TOMLDecodeError, match="line 3"):
-            _minitoml.loads('[a]\nx = 1\ny = "broken')
 
 
 class TestCampaignSpec:

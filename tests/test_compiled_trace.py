@@ -9,37 +9,45 @@ store.  Tests that run a core over a compiled trace need the native
 loop and skip without it.
 """
 
+import logging
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.algorithm import SCALED_OPERATING_POINT
 from repro.config.processor import ProcessorConfig
 from repro.control.attack_decay import AttackDecayController
-from repro.errors import SimulationError
+from repro.errors import TraceError
 from repro.metrics.summary import summarize
 from repro.sim.engine import (
     SimulationSpec,
+    TraceCache,
     compiled_trace_for,
     run_spec,
     scaled_mcd_config,
 )
 from repro.uarch import native
 from repro.uarch.compiled_trace import (
+    COLUMNS,
     TraceStore,
     compile_trace,
     from_columns,
     trace_columns,
 )
 from repro.uarch.core import CoreOptions, MCDCore
+from repro.uarch.isa import NUM_CLASSES
+from repro.uarch.trace import MAX_DEP_DISTANCE
 from repro.workloads.catalog import BENCHMARKS, get_benchmark
 
-LINE_SHIFT = ProcessorConfig().line_bytes.bit_length() - 1
 SCALE = 0.05
 
 
-def _warmed_core(trace, bench, mcd=True, controller=True, record=False):
+def _warmed_core(
+    trace, bench, mcd=True, controller=True, record=False, processor=None
+):
     options = CoreOptions(
         mcd=mcd,
         seed=2,
@@ -47,7 +55,7 @@ def _warmed_core(trace, bench, mcd=True, controller=True, record=False):
         record_interval_trace=record,
     )
     core = MCDCore(
-        processor=ProcessorConfig(),
+        processor=processor or ProcessorConfig(),
         mcd_config=scaled_mcd_config(),
         trace=trace,
         controller=AttackDecayController(SCALED_OPERATING_POINT)
@@ -124,44 +132,47 @@ class TestRepresentation:
         assert [bool(x) for x in taken.tolist()] == flat["taken"]
         assert targets.tolist() == flat["targets"]
 
-    def test_compiled_trace_covers_the_stream(self):
+    def test_compiled_trace_is_the_seven_narrow_columns(self):
         trace = get_benchmark("adpcm").build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
+        compiled = compile_trace(trace)
         assert compiled.total_instructions == trace.total_instructions
-        assert compiled.__slots__ == ("n", "line_shift", "arrays")
-        for column in compiled.arrays.values():
-            assert column.dtype == np.int64 and len(column) == compiled.n
+        assert list(compiled.arrays) == [name for name, _, _, _ in COLUMNS]
+        for name, dtype, _, _ in COLUMNS:
+            column = compiled.arrays[name]
+            assert column.dtype == dtype and len(column) == compiled.n, name
+        total = sum(column.nbytes for column in compiled.arrays.values())
+        assert total == 22 * compiled.n
 
-    def test_newline_marks_fetch_line_changes(self):
-        trace = get_benchmark("adpcm").build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
-        lines = [pc >> LINE_SHIFT for pc in compiled.arrays["pcs"].tolist()]
-        expect = [1] + [int(lines[i] != lines[i - 1]) for i in range(1, compiled.n)]
-        assert compiled.arrays["newline"].tolist() == expect
+    def test_block_and_column_paths_agree(self):
+        """trace_columns narrows a block-only stream like a columns() one."""
+        from repro.uarch.trace import InstructionBlock, ListTrace
 
-    def test_templates_resolve_dependencies(self):
         trace = get_benchmark("gsm").build_trace(scale=SCALE)
-        _, src1, src2, _, _, _, _ = trace_columns(trace)
-        compiled = compile_trace(trace, LINE_SHIFT)
-        p1 = compiled.arrays["p1"].tolist()
-        p2 = compiled.arrays["p2"].tolist()
-        resolved = 0
-        for i in range(compiled.n):
-            seq = i + 1
-            s1, s2 = int(src1[i]), int(src2[i])
-            assert p1[i] == (seq - s1 if 0 < s1 <= i else 0)
-            assert p2[i] == (seq - s2 if 0 < s2 <= i else 0)
-            resolved += bool(p1[i]) + bool(p2[i])
-        assert resolved, "the trace should carry register dependencies"
+        by_blocks = trace_columns(ListTrace([InstructionBlock(), *trace.blocks()]))
+        for (name, dtype, _, _), ours, theirs in zip(
+            COLUMNS, by_blocks, trace_columns(trace)
+        ):
+            assert ours.dtype == theirs.dtype == dtype, name
+            assert np.array_equal(ours, theirs), name
+
+    def test_native_constants_match_the_trace_format(self):
+        hotpath = native.load_hotpath()
+        if hotpath is None:
+            pytest.skip("no native loop")
+        assert hotpath.NUM_CLASSES == NUM_CLASSES
+        assert hotpath.MAX_DEP_DISTANCE == MAX_DEP_DISTANCE
 
     def test_columns_are_read_only(self):
         columns = trace_columns(get_benchmark("adpcm").build_trace(scale=SCALE))
-        compiled = from_columns(columns, LINE_SHIFT)
+        compiled = from_columns(columns)
         for column in compiled.arrays.values():
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
         # Freezing the trace's views leaves the caller's arrays writable.
         assert all(column.flags.writeable for column in columns)
+        # Columns already in their dtypes are not copied.
+        for name, column in zip(compiled.arrays, columns):
+            assert np.shares_memory(compiled.arrays[name], column), name
 
     @needs_native
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
@@ -169,7 +180,7 @@ class TestRepresentation:
     def test_warm_up_leaves_identical_state_on_both_trace_forms(self, name, geometry):
         processor = GEOMETRIES[geometry]
         trace = get_benchmark(name).build_trace(scale=SCALE)
-        compiled = compile_trace(trace, processor.line_bytes.bit_length() - 1)
+        compiled = compile_trace(trace)
         n = compiled.n
         for limit in (-1, 0, 1, n // 2, n, n + 10):
             states = []
@@ -179,11 +190,95 @@ class TestRepresentation:
                 states.append(_uarch_state(core))
             assert states[0] == states[1], f"limit={limit}"
 
-    def test_line_shift_mismatch_rejected(self):
-        trace = get_benchmark("adpcm").build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT + 1)
-        with pytest.raises(SimulationError):
-            MCDCore(ProcessorConfig(), scaled_mcd_config(), compiled)
+
+# ----------------------------------------------------------- range checks
+def _holds(dtype, values):
+    info = np.iinfo(dtype)
+    return all(info.min <= v <= info.max for v in values)
+
+
+class TestRangeChecks:
+    """from_columns narrows in-range columns exactly and never wraps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_from_columns_checks_every_column(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        bad = data.draw(st.sampled_from([None, *range(len(COLUMNS))]), label="bad")
+        columns, expected = [], []
+        for index, (name, dtype, low, high) in enumerate(COLUMNS):
+            values = data.draw(
+                st.lists(st.integers(low, high), min_size=n, max_size=n), label=name
+            )
+            if index == bad:
+                at = data.draw(st.integers(0, n - 1))
+                values[at] = data.draw(st.sampled_from([low - 1, high + 1]))
+            candidates = [dtype, np.dtype(np.int64), np.dtype(np.uint64)]
+            wide = data.draw(st.sampled_from(candidates))
+            if not _holds(wide, values):
+                wide = next(c for c in candidates[1:] if _holds(c, values))
+            columns.append(np.array(values, dtype=wide))
+            expected.append(values)
+        if bad is None:
+            compiled = from_columns(tuple(columns))
+            for (name, dtype, _, _), values in zip(COLUMNS, expected):
+                assert compiled.arrays[name].dtype == dtype
+                assert compiled.arrays[name].tolist() == values
+        else:
+            with pytest.raises(TraceError, match=rf"column {COLUMNS[bad][0]} "):
+                from_columns(tuple(columns))
+
+    def test_non_integer_column_rejected(self):
+        columns = list(trace_columns(get_benchmark("adpcm").build_trace(scale=SCALE)))
+        columns[3] = columns[3].astype(np.float64)
+        with pytest.raises(TraceError, match="column pcs has dtype float64"):
+            from_columns(tuple(columns))
+
+    def test_mismatched_lengths_rejected(self):
+        columns = list(trace_columns(get_benchmark("adpcm").build_trace(scale=SCALE)))
+        columns[2] = columns[2][:-1]
+        with pytest.raises(TraceError, match="mismatched lengths"):
+            from_columns(tuple(columns))
+
+
+# ----------------------------------------------------- one trace, any lines
+@needs_native
+class TestOneTraceEveryGeometry:
+    """One compiled trace runs under every cache-line size.
+
+    No column depends on the line size, so a single ``CompiledTrace``
+    object, resolved once through the process-wide trace cache, must
+    reproduce the reference interpreter at 32-, 64- and 128-byte lines.
+    """
+
+    @pytest.mark.parametrize(
+        "controller", [False, True], ids=["no_controller", "attack_decay"]
+    )
+    @pytest.mark.parametrize("name", ["gcc", "mcf", "swim"])
+    def test_one_trace_matches_reference_at_every_line_size(
+        self, name, controller, monkeypatch
+    ):
+        import repro.sim.engine as engine
+
+        memo = TraceCache()
+        monkeypatch.setattr(engine, "_TRACE_MEMO", memo)
+        bench = get_benchmark(name)
+        trace = bench.build_trace(scale=SCALE)
+        compiled = compiled_trace_for(bench, scale=SCALE)
+        for line_bytes in (32, 64, 128):
+            processor = ProcessorConfig(line_bytes=line_bytes)
+            assert compiled_trace_for(bench, scale=SCALE) is compiled
+            runs = []
+            for form in (trace, compiled):
+                core = _warmed_core(
+                    form, bench, controller=controller, processor=processor
+                )
+                result = core.run()
+                runs.append(
+                    (asdict(result), summarize(result).to_dict(), _uarch_state(core))
+                )
+            assert runs[1] == runs[0], f"{line_bytes}-byte lines"
+        assert len(memo._items) == 1 and memo.misses == 1
 
 
 # ------------------------------------------------------------------ store
@@ -191,28 +286,28 @@ class TestTraceStore:
     def test_round_trip(self, tmp_path):
         store = TraceStore(tmp_path)
         trace = get_benchmark("epic").build_trace(scale=SCALE)
-        columns = trace_columns(trace)
         key = store.key({"benchmark": "epic", "scale": SCALE})
-        assert store.load(key, LINE_SHIFT) is None
-        store.store(key, columns)
-        loaded = store.load(key, LINE_SHIFT)
-        fresh = compile_trace(trace, LINE_SHIFT)
+        assert store.load(key) is None
+        fresh = compile_trace(trace)
+        store.store(key, fresh)
+        loaded = store.load(key)
         assert loaded.arrays.keys() == fresh.arrays.keys()
-        for name in ("kinds", "pcs", "addrs", "taken", "newline", "p1", "p2"):
-            assert np.array_equal(loaded.arrays[name], fresh.arrays[name]), name
+        for name, column in fresh.arrays.items():
+            assert loaded.arrays[name].dtype == column.dtype, name
+            assert np.array_equal(loaded.arrays[name], column), name
 
     def test_disabled_store_misses(self, tmp_path):
         store = TraceStore(tmp_path, enabled=False)
-        columns = trace_columns(get_benchmark("adpcm").build_trace(scale=SCALE))
+        compiled = compile_trace(get_benchmark("adpcm").build_trace(scale=SCALE))
         key = store.key({"x": 1})
-        store.store(key, columns)
-        assert store.load(key, LINE_SHIFT) is None
+        store.store(key, compiled)
+        assert store.load(key) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = TraceStore(tmp_path)
         key = store.key({"x": 2})
         (tmp_path / f"{key}.npz").write_bytes(b"not an npz")
-        assert store.load(key, LINE_SHIFT) is None
+        assert store.load(key) is None
 
     def test_keys_separate_identities(self):
         store = TraceStore()
@@ -233,23 +328,23 @@ class TestTraceStoreCorruption:
 
     def _stored(self, tmp_path):
         store = TraceStore(tmp_path)
-        columns = trace_columns(get_benchmark("adpcm").build_trace(scale=SCALE))
+        compiled = compile_trace(get_benchmark("adpcm").build_trace(scale=SCALE))
         key = store.key({"benchmark": "adpcm", "scale": SCALE})
-        store.store(key, columns)
+        store.store(key, compiled)
         return store, key, tmp_path / f"{key}.npz"
 
     def test_truncated_entry_is_a_miss(self, tmp_path):
         store, key, path = self._stored(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        assert store.load(key, LINE_SHIFT) is None
+        assert store.load(key) is None
 
     def test_tail_truncated_entry_is_a_miss(self, tmp_path):
         # Cut inside the zip central directory rather than a member.
         store, key, path = self._stored(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[:-20])
-        assert store.load(key, LINE_SHIFT) is None
+        assert store.load(key) is None
 
     def test_bitflipped_entry_is_a_miss_or_loads(self, tmp_path):
         # Flipping bytes mid-archive corrupts a member's zlib stream.
@@ -259,7 +354,7 @@ class TestTraceStoreCorruption:
         for i in range(mid, mid + 64):
             data[i] ^= 0xFF
         path.write_bytes(bytes(data))
-        store.load(key, LINE_SHIFT)  # must not raise
+        store.load(key)  # must not raise
 
     def test_missing_column_is_a_miss(self, tmp_path):
         import numpy as np
@@ -268,7 +363,7 @@ class TestTraceStoreCorruption:
         with np.load(path) as data:
             partial = {k: data[k] for k in list(data.files)[:-1]}
         np.savez(path, **partial)
-        assert store.load(key, LINE_SHIFT) is None
+        assert store.load(key) is None
 
     def test_mismatched_lengths_are_a_miss(self, tmp_path):
         import numpy as np
@@ -278,12 +373,28 @@ class TestTraceStoreCorruption:
             damaged = {k: data[k] for k in data.files}
         damaged["pcs"] = damaged["pcs"][:-5]
         np.savez(path, **damaged)
-        assert store.load(key, LINE_SHIFT) is None
+        assert store.load(key) is None
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("kinds", 200), ("src1", MAX_DEP_DISTANCE + 1), ("pcs", 2**40), ("addrs", -8)],
+    )
+    def test_out_of_range_value_is_a_logged_miss(self, tmp_path, caplog, name, value):
+        store, key, path = self._stored(tmp_path)
+        with np.load(path) as data:
+            damaged = {k: data[k] for k in data.files}
+        column = damaged[name].astype(np.int64)
+        column[7] = value
+        damaged[name] = column
+        np.savez(path, **damaged)
+        with caplog.at_level(logging.WARNING, logger="repro.uarch.compiled_trace"):
+            assert store.load(key) is None
+        assert f"column {name} " in caplog.text
 
     def test_empty_file_is_a_miss(self, tmp_path):
         store, key, path = self._stored(tmp_path)
         path.write_bytes(b"")
-        assert store.load(key, LINE_SHIFT) is None
+        assert store.load(key) is None
 
     @needs_native
     def test_engine_recomputes_through_corruption(self, tmp_path, monkeypatch):
@@ -345,7 +456,7 @@ class TestEquivalence:
     def test_catalog_identical(self, name):
         bench = get_benchmark(name)
         trace = bench.build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
+        compiled = compile_trace(trace)
         reference = _run(trace, bench, record=True)
         fast = _run(compiled, bench, record=True)
         assert asdict(fast) == asdict(reference)
@@ -353,14 +464,14 @@ class TestEquivalence:
     def test_native_run_over_frozen_trace_matches_reference(self):
         bench = get_benchmark("mcf")
         trace = bench.build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
+        compiled = compile_trace(trace)
         assert not any(c.flags.writeable for c in compiled.arrays.values())
         assert asdict(_run(compiled, bench)) == asdict(_run(trace, bench))
 
     def test_synchronous_baseline_identical(self):
         bench = get_benchmark("gcc")
         trace = bench.build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
+        compiled = compile_trace(trace)
         reference = _run(trace, bench, mcd=False)
         assert asdict(_run(compiled, bench, mcd=False)) == asdict(reference)
 
@@ -370,7 +481,7 @@ class TestEquivalence:
         crossing threshold (half a period) between two edges of a domain."""
         bench = get_benchmark(name)
         trace = bench.build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
+        compiled = compile_trace(trace)
         results = []
         for form in (trace, compiled):
             core = _warmed_core(form, bench, mcd=False, controller=False)
@@ -381,7 +492,7 @@ class TestEquivalence:
     def test_no_controller_identical(self):
         bench = get_benchmark("swim")
         trace = bench.build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
+        compiled = compile_trace(trace)
         reference = _run(trace, bench, controller=False)
         assert asdict(_run(compiled, bench, controller=False)) == asdict(reference)
 
@@ -393,7 +504,7 @@ class TestEquivalence:
         """The writeback leaves caches, predictor and BTB as the reference does."""
         bench = get_benchmark(name)
         trace = bench.build_trace(scale=SCALE)
-        compiled = compile_trace(trace, LINE_SHIFT)
+        compiled = compile_trace(trace)
         states = []
         for form in (trace, compiled):
             core = _warmed_core(form, bench, controller=controller)
@@ -424,8 +535,8 @@ class TestEquivalence:
 class TestCompiledTraceFor:
     def test_memoised_within_process(self):
         bench = get_benchmark("adpcm")
-        a = compiled_trace_for(bench, scale=SCALE, line_shift=LINE_SHIFT)
-        b = compiled_trace_for(bench, scale=SCALE, line_shift=LINE_SHIFT)
+        a = compiled_trace_for(bench, scale=SCALE)
+        b = compiled_trace_for(bench, scale=SCALE)
         assert a is b
 
     @needs_native

@@ -50,14 +50,14 @@ from repro.uarch.compiled_trace import compile_trace
 from repro.uarch.core import MCDCore
 from repro.uarch.isa import InstructionClass as K
 from repro.uarch.native import load_hotpath
-from repro.uarch.trace import InstructionBlock, ListTrace
+from repro.uarch.trace import MAX_DEP_DISTANCE, InstructionBlock, ListTrace
 
 block = InstructionBlock()
 for i in range(64):
     kind = (K.INT_ALU, K.LOAD, K.FP_ALU, K.BRANCH)[i % 4]
     block.append(kind, src1=1 if i else 0, pc=4 * i, addr=64 * i, taken=i % 8 == 3, target=8)
 processor = ProcessorConfig()
-trace = compile_trace(ListTrace([block]), processor.line_bytes.bit_length() - 1)
+trace = compile_trace(ListTrace([block]))
 core = MCDCore(
     processor,
     scaled_mcd_config(),
@@ -96,7 +96,21 @@ MARSHAL_CASES = {
     "history_out_of_range": ("warm_up", "args['hist'][3] = -1"),
     "empty_table": ("warm_up", "args['meta'] = array('q')"),
     "bad_geometry": ("warm_up", "args['l1i_ways'] = 0"),
+    "negative_address": ("run_compiled", "args['addrs'] = -args['addrs'] - 1"),
+    "domain_table_entry": ("run_compiled", "args['domain_table'] = array('q', [4] * 7)"),
+    "dest_table_short": ("run_batch", "args['dest_table'] = array('q', [0])"),
 }
+
+#: Column damage every entry point must reject; each runs on all three.
+COLUMN_DAMAGE = {
+    "kinds_200": "args['kinds'] = np.full(trace.n, 200, np.uint8)",
+    "src1_above_max_dep": "args['src1'] = np.full(trace.n, MAX_DEP_DISTANCE + 1, np.uint16)",
+    "kinds_int64": "args['kinds'] = args['kinds'].astype(np.int64)",
+    "src2_short": "args['src2'] = args['src2'][:-1]",
+}
+for _case, _damage in COLUMN_DAMAGE.items():
+    for _entry in ("run_compiled", "run_batch", "warm_up"):
+        MARSHAL_CASES[f"{_case}-{_entry}"] = (_entry, _damage)
 
 
 @needs_native
@@ -124,7 +138,7 @@ from repro.workloads.catalog import get_benchmark
 processor = ProcessorConfig(int_mult_div=0)
 trace = get_benchmark("gsm").build_trace(scale=0.02)
 if sys.argv[1] == "native":
-    trace = compile_trace(trace, processor.line_bytes.bit_length() - 1)
+    trace = compile_trace(trace)
 core = MCDCore(processor, scaled_mcd_config(), trace)
 try:
     core.run()

@@ -79,11 +79,8 @@ class TestEngine:
         from repro.uarch.core import MCDCore
         from repro.workloads.catalog import get_benchmark
 
-        shift = ProcessorConfig().line_bytes.bit_length() - 1
         trace = get_benchmark("adpcm").build_trace(scale=SCALE)
-        core = MCDCore(
-            ProcessorConfig(), scaled_mcd_config(), compile_trace(trace, shift)
-        )
+        core = MCDCore(ProcessorConfig(), scaled_mcd_config(), compile_trace(trace))
         with pytest.raises(SimulationError, match="native loop"):
             core.run()
         with pytest.raises(SimulationError, match="extension is unavailable"):

@@ -13,9 +13,9 @@ that promise:
   closed-loop runs, comparing summaries, controller diagnostics and
   regulator statistics against the serial reference;
 * unit coverage for the process-wide trace cache
-  (single-flight, LRU bound), the ``TraceStore`` column memo, the
-  ``CacheStore`` memory front, ``workers='auto'`` resolution, backend
-  selection, and the compiler-identity build stamp.
+  (single-flight, LRU bound), the ``CacheStore`` memory front,
+  ``workers='auto'`` resolution, backend selection, and the
+  compiler-identity build stamp.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 
-import numpy as np
 import pytest
 
 from repro.config.algorithm import SCALED_OPERATING_POINT
@@ -37,12 +36,10 @@ from repro.experiments.orchestrator import default_backend
 from repro.metrics.summary import summarize
 from repro.sim.engine import TraceCache, compiled_trace_for, scaled_mcd_config
 from repro.uarch import native
-from repro.uarch.compiled_trace import TraceStore, trace_columns
 from repro.uarch.core import CoreOptions, MCDCore
 from repro.workloads.catalog import get_benchmark
 
 SCALE = 0.05
-LINE_SHIFT = ProcessorConfig().line_bytes.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +139,7 @@ class TestSharedTraceStress:
     @pytest.fixture(scope="class")
     def shared_trace(self):
         bench = get_benchmark("adpcm")
-        return compiled_trace_for(bench, scale=SCALE, line_shift=LINE_SHIFT)
+        return compiled_trace_for(bench, scale=SCALE)
 
     @pytest.mark.parametrize(
         "path,threads",
@@ -248,44 +245,6 @@ class TestTraceCache:
 # ---------------------------------------------------------------------------
 # Store-level memos
 # ---------------------------------------------------------------------------
-
-
-class TestTraceStoreMemo:
-    def _columns(self):
-        bench = get_benchmark("adpcm")
-        return trace_columns(bench.build_trace(scale=0.02))
-
-    def test_memo_skips_disk_reread(self, tmp_path):
-        store = TraceStore(tmp_path, memo_entries=2)
-        columns = self._columns()
-        key = store.key({"x": 1})
-        store.store(key, columns)
-        first = store.load(key, LINE_SHIFT)
-        assert first is not None
-        # Remove the archive: a memo hit must still serve the trace.
-        (tmp_path / f"{key}.npz").unlink()
-        again = store.load(key, LINE_SHIFT)
-        assert again is not None
-        for name in ("kinds", "pcs"):
-            assert np.array_equal(again.arrays[name], first.arrays[name])
-
-    def test_memo_serves_other_line_shifts(self, tmp_path):
-        store = TraceStore(tmp_path, memo_entries=2)
-        key = store.key({"x": 2})
-        store.store(key, self._columns())
-        (tmp_path / f"{key}.npz").unlink()
-        narrow = store.load(key, LINE_SHIFT)
-        wide = store.load(key, LINE_SHIFT + 1)
-        assert narrow is not None and wide is not None
-        # Geometry re-derived.
-        assert not np.array_equal(narrow.arrays["newline"], wide.arrays["newline"])
-
-    def test_default_store_has_no_memo(self, tmp_path):
-        store = TraceStore(tmp_path)
-        key = store.key({"x": 3})
-        store.store(key, self._columns())
-        (tmp_path / f"{key}.npz").unlink()
-        assert store.load(key, LINE_SHIFT) is None
 
 
 class TestCacheStoreMemoryFront:

@@ -34,8 +34,6 @@ from repro.workloads.catalog import (
 )
 from repro.workloads.derived import DERIVED_BENCHMARKS
 
-LINE_SHIFT = ProcessorConfig().line_bytes.bit_length() - 1
-
 
 # ------------------------------------------------------------- operators
 class TestConcat:
@@ -257,7 +255,7 @@ class TestDifferentialFuzz:
         seed = 1 + case % 5
 
         reference = _run_path(spec, spec.build_trace(), mcd, controller, seed)
-        compiled = compile_trace(spec.build_trace(), LINE_SHIFT)
+        compiled = compile_trace(spec.build_trace())
         result = _run_path(spec, compiled, mcd, controller, seed)
 
         assert summarize(result) == summarize(reference), (
@@ -311,7 +309,7 @@ class TestClosedLoopNativeFuzz:
             if path == "generator":
                 trace = spec.build_trace()
             else:
-                trace = compile_trace(spec.build_trace(), LINE_SHIFT)
+                trace = compile_trace(spec.build_trace())
             controller = AttackDecayController(
                 SCALED_OPERATING_POINT, literal_listing=literal
             )
@@ -410,11 +408,11 @@ class TestEtfRoundTripFuzz:
         )
         imported = read_etf(path)
         original = _run_path(
-            spec, compile_trace(spec.build_trace(), LINE_SHIFT), True, True, 1
+            spec, compile_trace(spec.build_trace()), True, True, 1
         )
         replayed = _run_path(
             imported,
-            compile_trace(imported.build_trace(), LINE_SHIFT),
+            compile_trace(imported.build_trace()),
             True,
             True,
             1,
