@@ -7,8 +7,10 @@ closed-loop sweep (the Attack/Decay controller, the configuration
 behind the headline numbers) through each orchestrator backend:
 
 * ``serial``  — one run at a time in the calling thread;
-* ``process`` — the multiprocessing pool: spawn cost, per-worker npz
-  trace loads, registry snapshots, results round-tripped through disk;
+* ``process`` — the multiprocessing pool: spawn cost, registry
+  snapshots, each worker resolving every trace it runs itself (its own
+  trace cache, then the disk store, then generation), results
+  round-tripped through disk;
 * ``thread``  — the thread pool over the GIL-releasing native loop:
   one process, shared compiled-trace cache, write-through result
   front (skipped when no C compiler is available).
@@ -67,8 +69,8 @@ SWEEP_SEEDS = [1, 2]
 #: backend on the closed-loop sweep at >= FLOOR_WORKERS workers.
 THREAD_FLOOR = 1.5
 #: Acceptance floor: batched process-backend throughput over serial.
-#: Binds on multi-core hosts (CI runners), where batch cells plus
-#: shared-memory traces must at least pay for the pool's fixed costs;
+#: Binds on multi-core hosts (CI runners), where batch cells must at
+#: least pay for the pool's fixed costs and per-worker trace resolves;
 #: on a single core a pool can only ever approach serial from below,
 #: so the floor is skipped there.
 PROCESS_FLOOR = 1.0

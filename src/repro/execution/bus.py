@@ -15,7 +15,7 @@ Delivery contract
 * A subscriber exception **propagates to the publisher**.  That is a
   feature, not a hazard: it is exactly how a checkpointing subscriber
   cancels a sweep (the orchestrator treats it like Ctrl-C — backends
-  cancel, shared memory unlinks, the exception keeps propagating).
+  cancel, the exception keeps propagating).
   Subscribers that must never disturb execution (progress printers,
   stream buffers) catch their own errors.
 * Subscribe/unsubscribe are safe from any thread, including from

@@ -6,10 +6,9 @@ created; any thread may :meth:`~CancelToken.cancel` it (the daemon's
 checks the token at its natural preemption points — between cells on
 the serial backend, at task pickup and every future completion on the
 pool backends — and raises :class:`ExecutionCancelled`, which rides
-the same cleanup rails PR 8 built for Ctrl-C: thread pools cancel
-queued futures, process pools terminate and join, and exported
-``/dev/shm`` trace segments are unlinked before the exception reaches
-the caller.
+the same cleanup rails as Ctrl-C: thread pools cancel queued futures
+and process pools terminate and join before the exception reaches the
+caller.
 
 Cancellation is cooperative, not preemptive: a cell already simulating
 finishes (and is announced) before the token is honoured.  That keeps

@@ -18,9 +18,8 @@ and shares through the on-disk store, as always.
 Cancellation is the orchestrator's token protocol: ``cancel()`` fires
 the job's :class:`~repro.execution.cancel.CancelToken`, the run raises
 :class:`~repro.execution.cancel.ExecutionCancelled` at its next
-preemption point (after backend cleanup + shared-memory unlink), and
-the job's stream terminates with a
-:class:`~repro.execution.events.JobCancelled` event.
+preemption point (after backend cleanup), and the job's stream
+terminates with a :class:`~repro.execution.events.JobCancelled` event.
 """
 
 from __future__ import annotations

@@ -50,12 +50,10 @@ backends and leaves the serial backend per-run; an explicit
 results: outcomes are byte-identical to the per-run paths and still
 returned in matrix order.
 
-The process backend additionally publishes each unique trace's base
-columns in POSIX shared memory before the pool starts
-(:mod:`repro.uarch.shared_trace`): workers map the owner's read-only
-pages instead of re-reading ``.npz`` stores or regenerating workloads.
-Segments are unlinked in a ``finally`` when the sweep ends, with an
-``atexit`` guard covering crashed sweeps.
+Every backend resolves traces the same way: each run asks
+:func:`repro.sim.engine.compiled_trace_for`, which looks in its
+process's trace cache, then the on-disk store, then generates.  Thread
+workers share the owner's cache; process workers fill their own.
 
 Lifecycle events
 ----------------
@@ -78,11 +76,11 @@ Cancellation
 Interruption (Ctrl-C, an event subscriber raising, or a
 :class:`~repro.execution.cancel.CancelToken` firing) is a first-class
 event, not a crash: the thread backend cancels every queued cell
-(running ones finish their current simulation), the process backend
-terminates and joins its pool, and the shared-memory segments are
-unlinked synchronously before the exception propagates.  The cancel
-token is checked before the first cell and after every completed cell,
-and the thread backend also checks it when a worker picks a cell up;
+(running ones finish their current simulation) and the process
+backend terminates and joins its pool, both before the exception
+propagates.  The cancel token is checked before the first cell and
+after every completed cell, and the thread backend also checks it when
+a worker picks a cell up;
 :class:`~repro.execution.cancel.ExecutionCancelled` then rides the
 same cleanup rails as Ctrl-C.  Outcomes already announced stay
 announced — a checkpointing caller (:mod:`repro.campaigns`) therefore
@@ -210,10 +208,7 @@ def _init_worker(state: dict) -> None:
 
     Runs in every worker regardless of start method, so fork and spawn
     contexts execute identical scenario matrices; under fork it is a
-    no-op (every name is already present).  Also attaches any
-    shared-memory trace segments the owner exported — attach failures
-    are logged inside :func:`~repro.uarch.shared_trace
-    .install_shared_traces` and fall back to local trace builds.
+    no-op (every name is already present).
     """
     import signal
 
@@ -222,7 +217,6 @@ def _init_worker(state: dict) -> None:
         CONFIGURATIONS,
         CONTROLLERS,
     )
-    from repro.uarch.shared_trace import install_shared_traces
     from repro.workloads.catalog import restore_runtime_benchmarks
 
     # Pool teardown delivers SIGTERM; a forked worker inherits whatever
@@ -234,7 +228,6 @@ def _init_worker(state: dict) -> None:
     CONFIGURATIONS.restore(state["configurations"])
     CONTROLLERS.restore(state["controllers"])
     CLOCKING_MODES.restore(state["clocking_modes"])
-    install_shared_traces(state.get("shared_traces"))
 
 
 class Orchestrator:
@@ -440,8 +433,8 @@ class Orchestrator:
         announced, and the cancel token is checked after every cell.
         Closing the backend's generator on the way out — normal return,
         a raising subscriber, a fired token or Ctrl-C — runs its
-        cleanup (queued cells cancelled, pool terminated, shared
-        segments unlinked) before the exception propagates.
+        cleanup (queued cells cancelled, pool terminated and joined)
+        before the exception propagates.
         """
         scenarios = list(matrix.expand() if isinstance(matrix, Suite) else matrix)
         total = len(scenarios)
@@ -471,11 +464,11 @@ class Orchestrator:
                         done += 1
                     self._check_cancel()
         except (KeyboardInterrupt, ExecutionCancelled):
-            # Workers are already cancelled/terminated by the backend
-            # and the shared segments unlinked; announce the
-            # interruption and let the caller decide the exit path
-            # (the CLI exits 130, campaigns checkpoint and re-raise,
-            # the job manager emits a terminal JobCancelled event).
+            # Workers are already cancelled/terminated by the backend;
+            # announce the interruption and let the caller decide the
+            # exit path (the CLI exits 130, campaigns checkpoint and
+            # re-raise, the job manager emits a terminal JobCancelled
+            # event).
             logger.warning(
                 "%s: interrupted after %.1fs; cancelled remaining runs",
                 label, time.perf_counter() - started,
@@ -559,63 +552,21 @@ class Orchestrator:
         """The multiprocessing context honouring the configured method."""
         if self.start_method:
             return multiprocessing.get_context(self.start_method)
-        # Fork (where available) is cheapest: workers inherit compiled
-        # traces and registries directly.
+        # Fork (where available) is cheapest: workers start without
+        # re-importing the package and inherit the registries directly.
         try:
             return multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             return multiprocessing.get_context()
 
-    def _export_shared_traces(
-        self, scenarios: Sequence[Scenario]
-    ) -> tuple[list[dict], list[str]]:
-        """Publish every unique trace in the matrix to shared memory.
-
-        Owner-side half of the shared-trace lifecycle: one segment per
-        ``(benchmark, scale)``, exported before the pool starts so
-        workers map pages instead of rebuilding traces.  Best-effort —
-        a benchmark that fails to resolve or export simply ships no
-        segment and workers build it locally; the scenario itself
-        still runs (and reports its own error if the name is bogus).
-        Exports nothing when the native loop is not loaded: workers then
-        run the reference interpreter over generator traces and would
-        never read the columns.  Returns the descriptors to ship and the
-        segment keys to unlink when the sweep ends.
-        """
-        from repro.sim.engine import export_shared_trace
-        from repro.uarch.native import load_hotpath
-        from repro.workloads.catalog import get_benchmark
-
-        if load_hotpath() is None:
-            return [], []
-        descriptors: list[dict] = []
-        seen: set[tuple] = set()
-        for scenario in scenarios:
-            scale = scenario.scale if scenario.scale is not None else self.scale
-            identity = (scenario.benchmark, scale)
-            if identity in seen:
-                continue
-            seen.add(identity)
-            try:
-                descriptors.append(
-                    export_shared_trace(
-                        get_benchmark(scenario.benchmark), scale=scale
-                    )
-                )
-            except Exception:  # noqa: BLE001 - export is an optimisation
-                logger.debug(
-                    "shared-trace export failed for %s (scale %s); workers "
-                    "will build locally", scenario.benchmark, scale,
-                    exc_info=True,
-                )
-        return descriptors, [d["key"] for d in descriptors]
-
     def _process_cells(
         self, scenarios: Sequence[Scenario], cells: list[list[int]]
     ) -> Iterator[CompletedCell]:
-        """Process-pool backend: cells run in :mod:`multiprocessing` workers."""
-        from repro.uarch.shared_trace import unlink_exported
+        """Process-pool backend: cells run in :mod:`multiprocessing` workers.
 
+        Workers receive scenarios and settings only; each resolves its
+        traces through :func:`repro.sim.engine.compiled_trace_for`.
+        """
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
         mp_context = self._mp_context()
         # Workers reproduce this process's runtime registrations
@@ -625,34 +576,25 @@ class Orchestrator:
         state = _registry_state(
             require_picklable=mp_context.get_start_method() != "fork"
         )
-        descriptors, shared_keys = self._export_shared_traces(scenarios)
-        state["shared_traces"] = descriptors
         knobs = (cache_dir, self.use_cache, self.scale, self.seed)
         jobs = [(indices, [scenarios[i] for i in indices], *knobs) for indices in cells]
+        pool = mp_context.Pool(
+            processes=min(self.workers, len(cells)),
+            initializer=_init_worker,
+            initargs=(state,),
+        )
         try:
-            pool = mp_context.Pool(
-                processes=min(self.workers, len(cells)),
-                initializer=_init_worker,
-                initargs=(state,),
-            )
-            try:
-                for indices, outcomes in pool.imap_unordered(_pool_entry, jobs):
-                    # Worker starts are invisible across the process
-                    # boundary; announce start and finish together on
-                    # arrival so the per-scenario ordering holds.
-                    self._emit_started(indices, scenarios)
-                    yield indices, outcomes
-            finally:
-                # Never strand a pool behind a propagating interrupt:
-                # kill in-flight workers now and wait for them.
-                pool.terminate()
-                pool.join()
+            for indices, outcomes in pool.imap_unordered(_pool_entry, jobs):
+                # Worker starts are invisible across the process
+                # boundary; announce start and finish together on
+                # arrival so the per-scenario ordering holds.
+                self._emit_started(indices, scenarios)
+                yield indices, outcomes
         finally:
-            # Owner-side unlink: segment names vanish now; worker
-            # mappings (if any are somehow still alive) survive until
-            # closed.  The atexit guard in repro.uarch.shared_trace
-            # covers paths that never reach this finally.
-            unlink_exported(shared_keys)
+            # Never strand a pool behind a propagating interrupt:
+            # kill in-flight workers now and wait for them.
+            pool.terminate()
+            pool.join()
 
 
 def run_suite(

@@ -159,17 +159,16 @@ def compiled_trace_for(
     build, and the returned instance is safely shared across threads
     (its arrays are read-only).
     """
-    key = _trace_store_key(bench, scale, seed_offset)
+    # Deferred import: repro.experiments imports this module.
+    from repro.experiments.cache import CACHE_VERSION
+
+    payload = bench.trace_payload(scale, seed_offset)
+    payload["cache_version"] = CACHE_VERSION
+    key = _TRACE_STORE.key(payload)
 
     def build() -> CompiledTrace:
         from repro.experiments.executor import cache_enabled
-        from repro.uarch import shared_trace
 
-        # Cheapest first: a shared-memory segment exported by the sweep
-        # owner is already validated and needs no disk read.
-        shared = shared_trace.shared_columns(key)
-        if shared is not None:
-            return from_columns(shared)
         use_disk = cache_enabled()
         compiled = _TRACE_STORE.load(key) if use_disk else None
         if compiled is None:
@@ -180,40 +179,6 @@ def compiled_trace_for(
         return compiled
 
     return _TRACE_MEMO.get_or_build(key, build)
-
-
-def _trace_store_key(bench: BenchmarkSpec, scale: float, seed_offset: int) -> str:
-    """The content-hash store key of one benchmark trace identity."""
-    # Deferred import: repro.experiments imports this module.
-    from repro.experiments.cache import CACHE_VERSION
-
-    payload = bench.trace_payload(scale, seed_offset)
-    payload["cache_version"] = CACHE_VERSION
-    return _TRACE_STORE.key(payload)
-
-
-def export_shared_trace(
-    bench: BenchmarkSpec, scale: float = 1.0, seed_offset: int = 0
-) -> dict:
-    """Publish one benchmark trace's base columns in shared memory.
-
-    Owner-side hook for the process sweep backend: resolves the trace
-    through the disk store (generating and persisting on a cold store,
-    exactly like :func:`compiled_trace_for`), exports its columns via
-    :mod:`repro.uarch.shared_trace`, and returns the descriptor to ship
-    to workers.  Idempotent per trace.
-    """
-    from repro.experiments.executor import cache_enabled
-    from repro.uarch import shared_trace
-
-    key = _trace_store_key(bench, scale, seed_offset)
-    compiled = _TRACE_STORE.load(key) if cache_enabled() else None
-    if compiled is None:
-        trace = bench.build_trace(scale=scale, seed_offset=seed_offset)
-        compiled = from_columns(trace_columns(trace))
-        if cache_enabled():
-            _TRACE_STORE.store(key, compiled)
-    return shared_trace.export_columns(key, compiled.columns())
 
 
 @dataclass

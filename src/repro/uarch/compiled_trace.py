@@ -53,7 +53,7 @@ DEFAULT_TRACE_DIR = (
 
 #: The base columns in trace order: each one's name, the narrow dtype it
 #: is held in everywhere (generated columns, compiled traces, the disk
-#: store, shared memory) and the closed range its values must lie in.
+#: store) and the closed range its values must lie in.
 COLUMNS: tuple[tuple[str, np.dtype, int, int], ...] = (
     ("kinds", np.dtype(np.uint8), 0, NUM_CLASSES - 1),
     ("src1", np.dtype(np.uint16), 0, MAX_DEP_DISTANCE),

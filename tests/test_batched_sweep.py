@@ -1,11 +1,9 @@
-"""Batched native sweeps + shared-memory traces: the differential harness.
+"""Batched native sweeps: the differential harness.
 
-The batch entry point (``_hotpath.run_batch``) and the shared-memory
-trace layer only earn their keep if they are invisible in the results:
-a batched sweep must be byte-identical to the per-run paths on every
-backend, at every batch size, for every controller variant — and a
-sweep must never leak a ``/dev/shm`` segment, however it ends.  This
-module locks both properties down:
+The batch entry point (``_hotpath.run_batch``) only earns its keep if
+it is invisible in the results: a batched sweep must be byte-identical
+to the per-run paths on every backend, at every batch size, for every
+controller variant.  This module locks that property down:
 
 * an engine-level differential fuzz — a seeded matrix of specs
   (catalog + derived stressor benchmarks, both ``literal_listing``
@@ -15,14 +13,14 @@ module locks both properties down:
   :func:`~repro.sim.engine.run_spec` and the pure-Python reference
   interpreter (>= 30 compared cases in total);
 * an orchestrator-level differential: serial / thread / process
-  backends x batch sizes {1, 3, matrix, > matrix}, fork and spawn,
-  all equal to the serial per-run reference, with per-scenario error
-  isolation inside a batch cell;
-* shared-memory lifecycle: segment round-trip, read-only views,
-  idempotent unlink, attach-failure fallback (logged, non-fatal),
-  owner-side cleanup after normal sweeps and after a worker raises
-  mid-batch — asserted against the OS segment namespace (``psutil``
-  when available, else a ``/dev/shm`` scan);
+  backends x batch sizes {1, 3, matrix, > matrix}, fork, spawn and
+  forkserver, all equal to the serial per-run reference, with
+  per-scenario error isolation inside a batch cell;
+* process workers resolving their own traces through
+  :func:`~repro.sim.engine.compiled_trace_for` — the owner builds
+  none, workers fill, reuse and repair the disk store, inherit the
+  owner's memo under fork and skip a disabled store — and every
+  process sweep, finished, failed or cancelled, joining its workers;
 * unit coverage for ``parse_batch`` / ``default_batch``,
   ``Orchestrator._resolve_batch`` / ``_batch_cells`` edge cases
   (serial with an explicit batch, batch > matrix, the 32-cell cap),
@@ -33,27 +31,35 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import multiprocessing
 import random
 from collections import Counter
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config.algorithm import AttackDecayParams
 from repro.control.attack_decay import AttackDecayController
 from repro.errors import ExperimentError
+from repro.execution import CancelToken, CellFinished, EventBus, ExecutionCancelled
 from repro.experiments import Orchestrator, Scenario, Suite
 from repro.experiments.executor import default_batch, parse_batch
 from repro.metrics.summary import summarize
+from repro.sim import engine
 from repro.sim.engine import (
     SimulationSpec,
-    export_shared_trace,
+    TraceCache,
+    compiled_trace_for,
     run_spec,
     run_specs_batch,
 )
-from repro.uarch import shared_trace
-from repro.uarch.compiled_trace import _BASE_COLUMNS
-from repro.workloads.catalog import get_benchmark
+from repro.uarch import native
+from repro.uarch.compiled_trace import TraceStore, from_columns, trace_columns
+from repro.workloads.catalog import BenchmarkSpec, get_benchmark
+
+needs_native = pytest.mark.skipif(
+    native.load_hotpath() is None, reason="no native loop"
+)
 
 SCALE = 0.05
 #: Legend-labelled configuration names select the controller variant:
@@ -61,23 +67,6 @@ SCALE = 0.05
 _LEGEND = AttackDecayParams().legend()
 CONFIG_PLAIN = f"attack_decay[{_LEGEND}]"
 CONFIG_LITERAL = f"attack_decay[{_LEGEND}][literal]"
-
-
-def _shm_segments() -> set[str] | None:
-    """Live POSIX shared-memory segment names, or None when unknowable.
-
-    ``psutil`` has no first-class shm API, but its presence confirms a
-    POSIX host where ``/dev/shm`` is authoritative; without either
-    signal (non-POSIX platforms) leak checks are skipped.
-    """
-    try:
-        import psutil  # noqa: F401  - availability probe only
-    except ImportError:
-        pass
-    root = Path("/dev/shm")
-    if not root.is_dir():
-        return None
-    return {entry.name for entry in root.glob("psm_*")}
 
 
 def _summary_dict(result) -> dict:
@@ -214,6 +203,7 @@ class TestBatchedBackends:
             ("process", 2, 3, None),
             ("process", 2, 99, None),  # batch > matrix clamps, still one cell set
             ("process", 2, 8, "spawn"),
+            ("process", 2, 8, "forkserver"),
         ],
     )
     def test_backend_batch_matches_serial(
@@ -427,131 +417,194 @@ class TestBatchResolution:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory trace lifecycle
+# Process workers resolve their own traces
 # ---------------------------------------------------------------------------
 
 
-class TestSharedTraceSegments:
-    def teardown_method(self):
-        shared_trace.detach_all()
-        shared_trace.unlink_exported()
-
-    def test_round_trip_and_read_only_views(self):
-        descriptor = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        assert set(descriptor) == {"key", "name", "layout"}
-        assert [entry[0] for entry in descriptor["layout"]] == list(_BASE_COLUMNS)
-
-        owned = shared_trace.shared_columns(descriptor["key"])
-        assert owned is not None
-        segment = shared_trace.SharedTraceSegment.attach(descriptor)
-        try:
-            for owner_col, attached_col in zip(owned, segment.columns()):
-                assert not attached_col.flags.writeable
-                assert not owner_col.flags.writeable
-                assert attached_col.tolist() == owner_col.tolist()
-        finally:
-            segment.close()
-
-    def test_export_is_idempotent_and_unlink_forgets(self):
-        first = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        second = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        assert first["name"] == second["name"]
-        key = first["key"]
-        assert shared_trace.shared_columns(key) is not None
-        shared_trace.unlink_exported([key])
-        assert shared_trace.shared_columns(key) is None
-        # Idempotent: unlinking an already-gone key must not raise.
-        shared_trace.unlink_exported([key])
-
-    def test_attach_failure_is_logged_and_non_fatal(self, caplog):
-        bogus = {"key": "no-such-trace", "name": "psm_repro_gone", "layout": []}
-        with caplog.at_level(logging.WARNING, logger="repro.uarch.shared_trace"):
-            attached = shared_trace.install_shared_traces([bogus])
-        assert attached == 0
-        assert shared_trace.shared_columns("no-such-trace") is None
-        assert any(
-            "falling back to local build" in record.message
-            for record in caplog.records
-        )
-
-    def test_no_export_without_native_loop(self, monkeypatch):
-        # Workers without the native loop run the reference interpreter
-        # over generator traces, so exporting columns would be waste.
-        from repro.uarch import native
-
-        monkeypatch.setattr(native, "_cached", None)
-        monkeypatch.setattr(native, "_attempted", True)
-        scenarios = [Scenario("adpcm", CONFIG_PLAIN, scale=SCALE)]
-        assert Orchestrator()._export_shared_traces(scenarios) == ([], [])
-
-    def test_install_skips_keys_the_owner_already_serves(self):
-        descriptor = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        # A forked worker inherits the export; attaching again would
-        # only duplicate the mapping.
-        assert shared_trace.install_shared_traces([descriptor]) == 0
-
-    def test_shared_columns_build_byte_identical_traces(self):
-        import numpy as np
-
-        from repro.sim.engine import compiled_trace_for
-        from repro.uarch.compiled_trace import from_columns
-
-        bench = get_benchmark("adpcm")
-        local = compiled_trace_for(bench, scale=SCALE)
-        descriptor = export_shared_trace(bench, scale=SCALE)
-        shared = shared_trace.shared_columns(descriptor["key"])
-        assert shared is not None
-        rebuilt = from_columns(shared)
-        assert rebuilt.arrays.keys() == local.arrays.keys()
-        for name, column in local.arrays.items():
-            assert np.array_equal(rebuilt.arrays[name], column), name
+@pytest.fixture(scope="module")
+def worker_suite():
+    return Suite(
+        benchmarks=["adpcm", "gsm"],
+        configurations=[CONFIG_PLAIN],
+        seeds=[1, 2],
+        scale=SCALE,
+        name="worker-traces",
+    )
 
 
-class TestSweepLeavesNoSegments:
-    @pytest.fixture(scope="class")
-    def suite(self):
-        return Suite(
-            benchmarks=["adpcm", "gsm"],
-            configurations=[CONFIG_PLAIN],
-            seeds=[1, 2],
-            scale=SCALE,
-            name="leak-check",
-        )
+@pytest.fixture(scope="module")
+def worker_reference(worker_suite, tmp_path_factory):
+    results = Orchestrator(
+        workers=1, backend="serial", batch=1,
+        cache_dir=tmp_path_factory.mktemp("worker-ref"), use_cache=False,
+    ).run(worker_suite)
+    assert not results.errors, [o.error for o in results.errors]
+    return results.to_dict()
 
-    @pytest.mark.parametrize("start_method", [None, "spawn"])
-    def test_process_sweep_unlinks_segments(self, suite, start_method, tmp_path):
-        before = _shm_segments()
-        if before is None:
-            pytest.skip("no observable POSIX shared-memory namespace")
-        results = Orchestrator(
-            workers=2, backend="process", batch=2,
-            start_method=start_method, cache_dir=tmp_path, use_cache=False,
-        ).run(suite)
+
+def _process_sweep(suite, tmp_path, start_method="fork", scenarios=None):
+    return Orchestrator(
+        workers=2, backend="process", batch=2, start_method=start_method,
+        cache_dir=tmp_path / "results", use_cache=False,
+    ).run(suite if scenarios is None else scenarios)
+
+
+def _same_trace(a, b) -> bool:
+    return a.arrays.keys() == b.arrays.keys() and all(
+        np.array_equal(a.arrays[name], b.arrays[name]) for name in a.arrays
+    )
+
+
+@needs_native
+class TestWorkersResolveTheirOwnTraces:
+    """Process workers take :func:`compiled_trace_for`'s one path.
+
+    The owner ships scenarios and settings only; each worker resolves
+    its traces through the memo, then the disk store, then generation.
+    Forked workers inherit the owner's module state, so patching
+    ``engine._TRACE_STORE``, ``engine._TRACE_MEMO`` or
+    ``BenchmarkSpec.build_trace`` before the pool starts reaches them.
+    """
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        store = TraceStore(tmp_path / "traces")
+        monkeypatch.setattr(engine, "_TRACE_STORE", store)
+        monkeypatch.setattr(engine, "_TRACE_MEMO", TraceCache())
+        return store
+
+    @staticmethod
+    def _entries(store):
+        return sorted(store.directory.glob("*.npz"))
+
+    @staticmethod
+    def _warm(suite):
+        for name in suite.benchmarks:
+            compiled_trace_for(get_benchmark(name), scale=SCALE)
+
+    @staticmethod
+    def _forbid_generation(monkeypatch):
+        def refuse(self, scale=1.0, seed_offset=0):
+            raise AssertionError(f"{self.name}: trace generated, not resolved")
+
+        monkeypatch.setattr(BenchmarkSpec, "build_trace", refuse)
+
+    def test_owner_builds_no_trace(
+        self, worker_suite, worker_reference, store, tmp_path
+    ):
+        results = _process_sweep(worker_suite, tmp_path)
         assert not results.errors, [o.error for o in results.errors]
-        assert _shm_segments() == before
+        assert results.to_dict() == worker_reference
+        assert engine._TRACE_MEMO.misses == 0
+        assert not engine._TRACE_MEMO._items
 
-    def test_segments_unlinked_after_worker_failure(self, suite, tmp_path):
+    def test_workers_fill_the_store(
+        self, worker_suite, worker_reference, store, tmp_path
+    ):
+        results = _process_sweep(worker_suite, tmp_path)
+        assert results.to_dict() == worker_reference
+        stored = [store.load(path.stem) for path in self._entries(store)]
+        assert len(stored) == len(worker_suite.benchmarks)
+        # One entry per unique trace, byte-identical to a fresh build.
+        for name in worker_suite.benchmarks:
+            trace = get_benchmark(name).build_trace(scale=SCALE)
+            fresh = from_columns(trace_columns(trace))
+            assert sum(_same_trace(fresh, entry) for entry in stored) == 1, name
+
+    def test_workers_load_the_store(
+        self, worker_suite, worker_reference, store, tmp_path, monkeypatch
+    ):
+        self._warm(worker_suite)
+        assert len(self._entries(store)) == len(worker_suite.benchmarks)
+        # An empty memo sends the workers to disk; a generation raises.
+        monkeypatch.setattr(engine, "_TRACE_MEMO", TraceCache())
+        self._forbid_generation(monkeypatch)
+        results = _process_sweep(worker_suite, tmp_path)
+        assert not results.errors, [o.error for o in results.errors]
+        assert results.to_dict() == worker_reference
+
+    def test_forked_workers_inherit_the_owner_memo(
+        self, worker_suite, worker_reference, store, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        self._warm(worker_suite)
+        assert self._entries(store) == []
+        self._forbid_generation(monkeypatch)
+        results = _process_sweep(worker_suite, tmp_path)
+        assert not results.errors, [o.error for o in results.errors]
+        assert results.to_dict() == worker_reference
+
+    def test_workers_rebuild_through_a_corrupt_store(
+        self, worker_suite, worker_reference, store, tmp_path, monkeypatch
+    ):
+        self._warm(worker_suite)
+        entries = self._entries(store)
+        assert len(entries) == len(worker_suite.benchmarks)
+        for path in entries:
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 3])
+        monkeypatch.setattr(engine, "_TRACE_MEMO", TraceCache())
+        results = _process_sweep(worker_suite, tmp_path)
+        assert not results.errors, [o.error for o in results.errors]
+        assert results.to_dict() == worker_reference
+        # Each worker's miss rewrote the entry whole.
+        assert self._entries(store) == entries
+        assert all(store.load(path.stem) is not None for path in entries)
+
+    def test_workers_skip_a_disabled_store(
+        self, worker_suite, worker_reference, store, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        results = _process_sweep(worker_suite, tmp_path)
+        assert not results.errors, [o.error for o in results.errors]
+        assert results.to_dict() == worker_reference
+        assert self._entries(store) == []
+
+
+class TestProcessSweepsLeaveNoWorkers:
+    """However a process sweep ends, its pool is terminated and joined."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_finished_sweep_joins_its_workers(
+        self, worker_suite, worker_reference, start_method, tmp_path
+    ):
+        results = _process_sweep(worker_suite, tmp_path, start_method)
+        assert results.to_dict() == worker_reference
+        assert multiprocessing.active_children() == []
+
+    def test_workers_joined_after_a_scenario_fails(self, worker_suite, tmp_path):
         from repro.experiments import CONFIGURATIONS, register_configuration
 
-        before = _shm_segments()
-        if before is None:
-            pytest.skip("no observable POSIX shared-memory namespace")
-
-        @register_configuration("leak_explode")
+        @register_configuration("teardown_explode")
         def exploding(ctx, benchmark, scale, seed):
             """Test entry that always fails."""
-            raise RuntimeError("injected leak-check failure")
+            raise RuntimeError("injected teardown-check failure")
 
         scenarios = [
-            *suite.expand(),
-            Scenario("adpcm", "leak_explode", scale=SCALE),
+            *worker_suite.expand(),
+            Scenario("adpcm", "teardown_explode", scale=SCALE),
         ]
         try:
-            results = Orchestrator(
-                workers=2, backend="process", batch=2,
-                cache_dir=tmp_path, use_cache=False,
-            ).run(scenarios)
+            results = _process_sweep(worker_suite, tmp_path, scenarios=scenarios)
         finally:
-            CONFIGURATIONS.unregister("leak_explode")
+            CONFIGURATIONS.unregister("teardown_explode")
         assert len(results.errors) == 1
-        assert _shm_segments() == before
+        assert multiprocessing.active_children() == []
+
+    def test_cancelled_sweep_joins_its_workers(self, worker_suite, tmp_path):
+        # The propagating exception keeps the sweep's frames, and so its
+        # pool object, alive: only an explicit terminate-and-join
+        # reaps the workers here.
+        token = CancelToken()
+        bus = EventBus()
+        bus.subscribe(
+            lambda event: token.cancel() if isinstance(event, CellFinished) else None
+        )
+        orchestrator = Orchestrator(
+            workers=2, backend="process", batch=1, cache_dir=tmp_path,
+            use_cache=False, events=bus, cancel=token,
+        )
+        with pytest.raises(ExecutionCancelled):
+            orchestrator.run(worker_suite)
+        assert multiprocessing.active_children() == []

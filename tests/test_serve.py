@@ -4,7 +4,7 @@ Every test runs a :class:`~repro.execution.serve.BackgroundServer` on
 an ephemeral port and speaks to it with :mod:`http.client` — the same
 wire a curl user sees: job submission, ordered NDJSON event streams,
 result retrieval, dedup of concurrent identical jobs, and mid-flight
-cancellation that leaves ``/dev/shm`` clean.
+cancellation of a process-backend job.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import threading
 import time
 from http.client import HTTPConnection
-from pathlib import Path
 
 import pytest
 
@@ -58,13 +57,6 @@ def submit(server, body=MATRIX_BODY):
     status, payload = request(server, "POST", "/jobs", body=body)
     assert status == 201, payload
     return payload["id"]
-
-
-def _shm_segments() -> set[str]:
-    shm = Path("/dev/shm")
-    if not shm.is_dir():
-        return set()
-    return {p.name for p in shm.glob("psm_*")}
 
 
 @pytest.fixture
@@ -254,7 +246,7 @@ class TestServeCancel:
     # Forking pool workers from the daemon's threaded process trips the
     # 3.12 multi-threaded-fork DeprecationWarning; irrelevant here.
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_cancel_mid_flight_frees_shared_memory(self, server):
+    def test_cancel_mid_flight_stops_a_process_job(self, server):
         from repro.experiments import CONFIGURATIONS, register_configuration
 
         @register_configuration("sleepy_http")
@@ -264,7 +256,6 @@ class TestServeCancel:
             factory = CONFIGURATIONS.get("sync")
             return factory(ctx, benchmark, scale=scale, seed=seed)
 
-        before = _shm_segments()
         try:
             job_id = submit(
                 server,
@@ -296,6 +287,5 @@ class TestServeCancel:
             assert payload["state"] == "cancelled"
             status, _ = request(server, "GET", f"/jobs/{job_id}/results")
             assert status == 409
-            assert _shm_segments() <= before, "leaked /dev/shm segments"
         finally:
             CONFIGURATIONS.unregister("sleepy_http")
