@@ -1,7 +1,7 @@
-"""Ablations of design choices called out in Section 3.1 / DESIGN.md.
+"""Ablations of design choices called out in Section 3.1 / docs/design.md.
 
 * **literal vs corrected PerfDegThreshold guard** — as printed,
-  Listing 1's guard is a tautology (DESIGN.md substitution #4);
+  Listing 1's guard is a tautology (docs/design.md substitution #4);
   measuring both shows what the guard buys.
 * **endstop forcing on/off** — the paper reports insensitivity between
   2 and 25 intervals but degradation with an infinite endstop.

@@ -72,8 +72,10 @@ class DomainClock:
     def jitter(self) -> JitterModel:
         """This clock's jitter source.
 
-        The native core loop draws samples from its buffer directly
-        (one per edge, exactly as :meth:`advance` would), so both
+        The native core loop consumes its samples directly (one per
+        edge, exactly as :meth:`advance` would), drawing each block
+        from the same bit generator as
+        :meth:`~repro.clocks.jitter.GaussianJitter._draw`, so both
         simulation paths consume the same seeded stream.
         """
         return self._jitter

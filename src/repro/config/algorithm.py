@@ -84,7 +84,7 @@ class AttackDecayParams:
     interval_instructions:
         Control interval length in retired instructions (paper: 10,000;
         the workload catalog scales this together with run length, see
-        DESIGN.md substitution #2).
+        docs/design.md substitution #2).
     """
 
     deviation_threshold_pct: float = 1.75
@@ -181,7 +181,7 @@ PAPER_OPERATING_POINT = AttackDecayParams()
 
 #: The operating point used for this repository's headline runs.  The
 #: catalog compresses run lengths ~20-2000x and the control interval
-#: ~20x (DESIGN.md substitution #2), which (a) leaves far fewer
+#: ~20x (docs/design.md substitution #2), which (a) leaves far fewer
 #: intervals for the decay to accumulate over and (b) makes the
 #: per-interval queue-utilization counter noisier.  Decay and
 #: DeviationThreshold are rescaled within their Table 2 sweep ranges to

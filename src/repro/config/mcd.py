@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigError
 
@@ -105,6 +105,11 @@ class MCDConfig:
     mcd_clock_energy_overhead: float = 1.10
 
     def __post_init__(self) -> None:
+        # NaN passes every ordering test below, and inf several.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.min_frequency_mhz <= 0:
             raise ConfigError("min_frequency_mhz must be positive")
         if self.max_frequency_mhz <= self.min_frequency_mhz:

@@ -9,7 +9,8 @@ paper fixes implicitly (memory latency, cache line size).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigError
 
@@ -75,6 +76,11 @@ class ProcessorConfig:
     fp_sqrt_latency: int = 24
 
     def __post_init__(self) -> None:
+        # NaN passes every ordering test below, and inf several.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         positive_fields = (
             "bpred_l1_entries",
             "bpred_history_bits",

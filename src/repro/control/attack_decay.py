@@ -15,7 +15,7 @@ control interval:
   extreme, an attack in the opposite direction is forced.
 
 The printed listing's guard ``(PrevIPC / IPC) >= PerfDegThreshold`` is
-a tautology for the paper's threshold range (see DESIGN.md
+a tautology for the paper's threshold range (see docs/design.md
 substitution #4); the default here implements the prose semantics
 (decreases proceed only while recent IPC degradation is within the
 threshold) and ``literal_listing=True`` reproduces the listing exactly.
@@ -76,7 +76,7 @@ class AttackDecayController:
         counter ~20x noisier than the hardware the algorithm was
         designed around — noise that spuriously blocks the decrease
         paths about half the time.  An alpha of ~0.3 restores the
-        paper's effective averaging horizon (DESIGN.md substitution
+        paper's effective averaging horizon (docs/design.md substitution
         #2).  Queue utilization is never smoothed: attack-mode reaction
         speed is the algorithm's point.  Set to 1.0 to disable
         smoothing (raw Listing-1 inputs).

@@ -8,7 +8,7 @@ foresight, targeting a performance degradation cap (1 % or 5 % above
 the baseline MCD processor).
 
 We reproduce its interface and character with a profile-driven
-schedule (DESIGN.md substitution #5):
+schedule (docs/design.md substitution #5):
 
 1. :class:`OfflineProfiler` rides along a run at maximum frequencies
    and records, per control interval, each domain's *busy fraction*

@@ -96,8 +96,10 @@ import multiprocessing
 import os
 import pickle
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import closing
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -145,6 +147,26 @@ def _pool_entry(args: tuple) -> CompletedCell:
     """
     indices, scenarios, cache_dir, use_cache, scale, seed = args
     return indices, execute_cell(scenarios, cache_dir, use_cache, scale, seed)
+
+
+def _worker_main(conn, state: dict) -> None:
+    """Process-backend worker: run each cell ``conn`` delivers, reply.
+
+    A reply is ``(True, completed cell)``, or ``(False, exception)``
+    for an error the cell did not capture into its outcomes, which the
+    parent re-raises.  The loop ends when the parent closes its end.
+    """
+    _init_worker(state)
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, _pool_entry(job))
+        except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+            reply = (False, exc)
+        conn.send(reply)
 
 
 def _registry_state(require_picklable: bool) -> dict:
@@ -204,7 +226,7 @@ def _registry_state(require_picklable: bool) -> dict:
 
 
 def _init_worker(state: dict) -> None:
-    """Pool initializer: reproduce the parent's runtime registrations.
+    """Worker start-up: reproduce the parent's runtime registrations.
 
     Runs in every worker regardless of start method, so fork and spawn
     contexts execute identical scenario matrices; under fork it is a
@@ -219,7 +241,7 @@ def _init_worker(state: dict) -> None:
     )
     from repro.workloads.catalog import restore_runtime_benchmarks
 
-    # Pool teardown delivers SIGTERM; a forked worker inherits whatever
+    # Teardown delivers SIGTERM; a forked worker inherits whatever
     # handler the parent installed (the serve daemon maps SIGTERM to
     # KeyboardInterrupt), which would turn every cancel into a worker
     # traceback.  Workers always die silently on terminate.
@@ -566,35 +588,71 @@ class Orchestrator:
 
         Workers receive scenarios and settings only; each resolves its
         traces through :func:`repro.sim.engine.compiled_trace_for`.
+        Each worker owns one pipe and gets its next cell when it returns
+        one; cells arrive in completion order.
         """
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
         mp_context = self._mp_context()
         # Workers reproduce this process's runtime registrations
-        # through the initializer, so every start method sees the same
+        # through _init_worker, so every start method sees the same
         # benchmark/configuration namespace (fork used to be the only
         # one that did; spawn silently dropped them).
         state = _registry_state(
             require_picklable=mp_context.get_start_method() != "fork"
         )
         knobs = (cache_dir, self.use_cache, self.scale, self.seed)
-        jobs = [(indices, [scenarios[i] for i in indices], *knobs) for indices in cells]
-        pool = mp_context.Pool(
-            processes=min(self.workers, len(cells)),
-            initializer=_init_worker,
-            initargs=(state,),
+        jobs = deque(
+            (indices, [scenarios[i] for i in indices], *knobs) for indices in cells
         )
+        workers = {}  # parent end of a worker's pipe -> its process
         try:
-            for indices, outcomes in pool.imap_unordered(_pool_entry, jobs):
-                # Worker starts are invisible across the process
-                # boundary; announce start and finish together on
-                # arrival so the per-scenario ordering holds.
-                self._emit_started(indices, scenarios)
-                yield indices, outcomes
+            for _ in range(min(self.workers, len(cells))):
+                conn, worker_conn = mp_context.Pipe()
+                worker = mp_context.Process(
+                    target=_worker_main, args=(worker_conn, state), daemon=True
+                )
+                worker.start()
+                worker_conn.close()
+                workers[conn] = worker
+            busy = set()
+            for conn in workers:
+                conn.send(jobs.popleft())
+                busy.add(conn)
+            while busy:
+                for conn in wait(busy):
+                    try:
+                        ok, payload = conn.recv()
+                    except EOFError:
+                        worker = workers[conn]
+                        worker.join(5)
+                        raise ExperimentError(
+                            f"process worker {worker.pid} died mid-cell "
+                            f"(exit code {worker.exitcode})"
+                        ) from None
+                    if not ok:
+                        raise payload
+                    if jobs:
+                        conn.send(jobs.popleft())
+                    else:
+                        busy.discard(conn)
+                    indices, outcomes = payload
+                    # Worker starts are invisible across the process
+                    # boundary; announce start and finish together on
+                    # arrival so the per-scenario ordering holds.
+                    self._emit_started(indices, scenarios)
+                    yield indices, outcomes
         finally:
-            # Never strand a pool behind a propagating interrupt:
-            # kill in-flight workers now and wait for them.
-            pool.terminate()
-            pool.join()
+            # Never strand workers behind a propagating interrupt: kill
+            # in-flight ones now and wait for them.  No lock is shared
+            # between workers, so one killed mid-reply cannot block the
+            # others or this process (multiprocessing.Pool shares its
+            # result queue's lock, and terminating a worker that holds
+            # it hangs Pool.terminate).
+            for worker in workers.values():
+                worker.terminate()
+            for conn, worker in workers.items():
+                worker.join()
+                conn.close()
 
 
 def run_suite(

@@ -11,7 +11,7 @@ breakdown the paper's accounting implies:
 * clock tree ~29 % of total chip power, so the MCD +10 % clock energy
   overhead costs ~2.9 % of total energy (Section 4).
 
-See DESIGN.md substitution #3.
+See docs/design.md substitution #3.
 """
 
 from __future__ import annotations

@@ -140,11 +140,11 @@ def build() -> str:
     lines.append("# EXPERIMENTS — paper vs measured\n")
     lines.append(
         "Reproduction of Semeraro et al., MICRO 2002, on the scaled "
-        "synthetic substrate described in DESIGN.md. Absolute numbers "
+        "synthetic substrate described in docs/design.md. Absolute numbers "
         "are not comparable to the paper's SimpleScalar/Wattch stack; "
         "the *shape* — orderings, ratios, knees — is the reproduction "
         "target. Headline runs use the scaled operating point "
-        "(DESIGN.md substitution #2); every scaled value lies inside "
+        "(docs/design.md substitution #2); every scaled value lies inside "
         "the paper's Table 2 sweep ranges.\n"
     )
 

@@ -43,7 +43,7 @@ from repro.workloads.catalog import BenchmarkSpec, get_benchmark
 #: length (and interval length) by roughly 20-30x, so the slew rate is
 #: compressed alongside to preserve the ratio of actuation delay to
 #: control interval — otherwise the regulator, not the algorithm, would
-#: dominate the scaled results (DESIGN.md substitution #2).
+#: dominate the scaled results (docs/design.md substitution #2).
 SCALED_SLEW_NS_PER_MHZ = 1.5
 
 

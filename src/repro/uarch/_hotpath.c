@@ -24,9 +24,11 @@
  * and run inline at each interval rollover — the closed-loop run then
  * makes zero per-interval Python crossings.  Custom controllers and
  * interval recording fall back to the per-interval `rollover` Python
- * callback.  See repro/uarch/native.py for the build/load glue and
- * controller marshalling, and MCDCore.native_marshal for the Python
- * side of the boundary.
+ * callback.  MCD clock jitter is drawn here too, from each clock's own
+ * numpy bit generator, bit for bit as GaussianJitter._draw draws it
+ * (see "clock jitter" below).  See repro/uarch/native.py for the
+ * build/load glue and controller marshalling, and
+ * MCDCore.native_marshal for the Python side of the boundary.
  *
  * Execution is staged around a per-run RunState struct so a whole
  * sweep can run on a thread pool inside one process:
@@ -35,10 +37,10 @@
  *                validation (GIL held);
  *   2. compute — the event loop, pure C over the RunState and the
  *                buffers it views, with the GIL RELEASED
- *                (PyEval_SaveThread).  Its only Python crossings are
- *                the jitter `refill` and the per-interval `rollover`
- *                callbacks, bridged through shims that re-acquire the
- *                GIL for the call;
+ *                (PyEval_SaveThread).  It draws its own jitter blocks;
+ *                its only Python crossing is the per-interval
+ *                `rollover` callback, bridged through a shim that
+ *                re-acquires the GIL for the call;
  *   3. result  — build the per-run result dict (GIL held); the Python
  *                `finish` closure folds it and the counter buffers into
  *                the owning objects.
@@ -55,22 +57,27 @@
  * the runs, and the run loop touches the state through the same access
  * helpers, so the two cannot drift apart.
  *
- * Reentrancy audit: this file holds NO mutable state with static
- * storage duration — every array, ring buffer, counter, the fetch-line
- * tracker and the idle-scan memo lives on the compute stage's stack or
- * in per-call PyMem allocations.  The writable buffers handed in through
- * the argument dict belong to one core: its cache/predictor/BTB arrays
- * and the per-run tables MCDCore.native_marshal creates.  No trace
- * column is writable: the columns and the ISA tables are viewed
- * read-only and shared across runs and threads.  No core runs
- * concurrently with itself, so concurrent calls from different threads
- * never share writable memory, which is what makes the thread-pool
- * sweep backend sound.  While a call holds a buffer view, array('q')
- * refuses to resize, so the GIL-free stages cannot see a buffer move.
+ * Reentrancy audit: the only state with static storage duration is the
+ * ziggurat's two 256-entry tables (zig_wi, zig_ki), written once by
+ * PyInit__hotpath with the GIL held and read-only after that.  Every
+ * array, ring buffer, counter, the fetch-line tracker, the idle-scan
+ * memo and the jitter sample buffers live on the compute stage's stack
+ * or in per-call PyMem allocations.  The writable memory handed in
+ * through the argument dict belongs to one core: its cache/predictor/BTB
+ * arrays, the per-run tables MCDCore.native_marshal creates, and the
+ * states of its four jitter bit generators, which the compute stage
+ * advances without numpy's per-generator lock.  No trace column is
+ * writable: the columns and the ISA tables are viewed read-only and
+ * shared across runs and threads.  No core runs concurrently with
+ * itself, so concurrent calls from different threads never share
+ * writable memory, which is what makes the thread-pool sweep backend
+ * sound.  While a call holds a buffer view, array('q') refuses to
+ * resize, so the GIL-free stages cannot see a buffer move.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <numpy/random/distributions.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -591,49 +598,272 @@ marshal_trace(PyObject *a, ViewPool *pool, int64_t n, Trace *tr)
     return 0;
 }
 
-/* ---------------------------------------------------- GIL bridge shims */
+/* -------------------------------------------------------- clock jitter */
 
-/* The compute stage runs with the GIL released; these shims are its
- * only two Python crossings.  Each re-acquires the GIL just for the
- * callback and releases it again before returning, so other threads'
- * compute stages keep running while this one calls back.  On failure
- * the Python exception is left pending in this thread's state and -1
- * is returned; the caller must break out of the loop and touch no
- * Python API until the compute stage ends with the GIL re-acquired. */
+/* Each MCD domain clock adds one N(0, sigma) sample to every cycle it
+ * runs, drawn from its GaussianJitter's numpy bit generator in blocks
+ * of `block` samples consumed from the tail.  A block is exactly what
+ * GaussianJitter._draw returns: rng.normal(0.0, sigma, block), which is
+ * 0.0 + sigma * z per sample with z from numpy's random_standard_normal,
+ * then np.clip to +-clip when clip > 0.  The compute stage draws every
+ * block itself, so a run makes no Python crossing for jitter.
+ *
+ * z comes from numpy's own ziggurat.  Its fast path (98.5 % of draws)
+ * is inlined below with a branchless sign: numpy negates through a
+ * data-dependent branch, mispredicted on half the draws, and that
+ * branch, not the generator, was most of a sample's cost.  A draw
+ * that leaves the fast path hands its word back to numpy's
+ * random_standard_normal through a replay generator, so numpy's code
+ * does the wedge and the tail.  The fast path's two tables are not
+ * copied from numpy's source: module init probes them out of numpy's
+ * function and then checks the fast path against it bit for bit
+ * (derive_ziggurat), so a numpy whose draw differs fails the import
+ * instead of drifting.
+ *
+ * These two tables are the file's only static state: written once by
+ * PyInit__hotpath with the GIL held, read-only after that. */
+static double zig_wi[256];   /* x = rabs * wi[idx] */
+static uint64_t zig_ki[256]; /* fast path while rabs < ki[idx] */
 
-static int
-refill_jitter(PyObject *refill, int d, double **jbuf, Py_ssize_t *jlen,
-              PyThreadState **tstate)
+#define ZIG_RABS_BITS 52
+#define ZIG_RABS_MASK ((UINT64_C(1) << ZIG_RABS_BITS) - 1)
+
+/* The generator numpy's slow path runs on: its first word is the one the
+ * fast path rejected, every later call forwards to the real generator. */
+typedef struct {
+    bitgen_t *source;
+    uint64_t first;
+    int pending;
+} Replay;
+
+static uint64_t
+replay_uint64(void *st)
 {
-    int status = -1;
-    PyEval_RestoreThread(*tstate);
-    PyObject *arr = PyObject_CallFunction(refill, "i", d);
-    if (arr != NULL) {
-        Py_buffer jview;
-        if (PyObject_GetBuffer(arr, &jview, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)
-            == 0) {
-            Py_ssize_t k = jview.len / sizeof(double);
-            double *fresh = NULL;
-            if (jview.format == NULL || strcmp(jview.format, "d") != 0) {
-                PyErr_SetString(PyExc_TypeError,
-                                "hotpath: refill must return float64");
-            } else if ((fresh = PyMem_Malloc((k ? k : 1) * sizeof(double)))
-                       == NULL) {
-                PyErr_NoMemory();
-            } else {
-                memcpy(fresh, jview.buf, k * sizeof(double));
-                PyMem_Free(*jbuf);
-                *jbuf = fresh;
-                *jlen = k;
-                status = 0;
-            }
-            PyBuffer_Release(&jview);
-        }
-        Py_DECREF(arr);
+    Replay *rp = st;
+    if (rp->pending) {
+        rp->pending = 0;
+        return rp->first;
     }
-    *tstate = PyEval_SaveThread();
-    return status;
+    return rp->source->next_uint64(rp->source->state);
 }
+
+static uint32_t
+replay_uint32(void *st)
+{
+    Replay *rp = st;
+    return rp->source->next_uint32(rp->source->state);
+}
+
+static double
+replay_double(void *st)
+{
+    Replay *rp = st;
+    return rp->source->next_double(rp->source->state);
+}
+
+/* random_standard_normal(bg), bit for bit and word for word: the word's
+ * low byte picks the layer, bit 8 is the sign, bits 9..60 are rabs. */
+static ALWAYS_INLINE double
+standard_normal(bitgen_t *bg)
+{
+    const uint64_t r = bg->next_uint64(bg->state);
+    const int idx = (int)(r & 0xff);
+    const uint64_t rabs = (r >> 9) & ZIG_RABS_MASK;
+    if (rabs < zig_ki[idx]) {
+        double x = (double)rabs * zig_wi[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (r >> 8 & 1) << 63;
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
+    Replay rp = {bg, r, 1};
+    bitgen_t replay = {&rp, replay_uint64, replay_uint32, replay_double,
+                       replay_uint64};
+    return random_standard_normal(&replay);
+}
+
+/* One domain's stream: the core's bit generator (owned by its
+ * GaussianJitter, borrowed through the capsule) and _draw's parameters. */
+typedef struct {
+    bitgen_t *bg;
+    double sigma, clip;
+    Py_ssize_t block;
+} JitterStream;
+
+/* GaussianJitter._draw into buf[0 .. block). */
+static void
+draw_jitter(const JitterStream *js, double *buf)
+{
+    bitgen_t *bg = js->bg;
+    const double sigma = js->sigma, hi = js->clip, lo = -js->clip;
+    const int clip = hi > 0;
+    for (Py_ssize_t i = 0; i < js->block; i++) {
+        double x = 0.0 + sigma * standard_normal(bg);
+        if (clip) {
+            x = x > lo ? x : lo; /* np.clip: min(max(x, lo), hi) */
+            x = x < hi ? x : hi;
+        }
+        buf[i] = x;
+    }
+}
+
+/* A scripted generator for probing numpy's draw: its first word is
+ * `first`, later words are 0 (layer 0, rabs 0, which ends any draw),
+ * and every next_double returns 0.5 (which accepts any tail candidate)
+ * and is counted: only the slow path calls next_double. */
+typedef struct {
+    uint64_t first;
+    int words, doubles;
+} Script;
+
+static uint64_t
+script_uint64(void *st)
+{
+    Script *s = st;
+    return s->words++ ? 0 : s->first;
+}
+
+static uint32_t
+script_uint32(void *st)
+{
+    (void)st;
+    return 0;
+}
+
+static double
+script_double(void *st)
+{
+    Script *s = st;
+    s->doubles++;
+    return 0.5;
+}
+
+/* numpy's draw for the single word `word`; *slow says whether it left
+ * the fast path. */
+static double
+probe_normal(uint64_t word, int *slow)
+{
+    Script s = {word, 0, 0};
+    bitgen_t bg = {&s, script_uint64, script_uint32, script_double, script_uint64};
+    const double x = random_standard_normal(&bg);
+    *slow = s.doubles > 0;
+    return x;
+}
+
+/* Whether standard_normal and numpy's draw agree on the word `word`:
+ * the same bits, from the same words and doubles. */
+static int
+agrees_on(uint64_t word)
+{
+    Script want = {word, 0, 0}, got = {word, 0, 0};
+    bitgen_t want_bg = {&want, script_uint64, script_uint32, script_double,
+                        script_uint64};
+    bitgen_t got_bg = {&got, script_uint64, script_uint32, script_double,
+                       script_uint64};
+    const double x = random_standard_normal(&want_bg);
+    const double y = standard_normal(&got_bg);
+    return memcmp(&x, &y, sizeof x) == 0 && want.words == got.words
+           && want.doubles == got.doubles;
+}
+
+/* The self-check's generator: splitmix64, with numpy's 53-bit doubles. */
+static uint64_t
+splitmix_uint64(void *st)
+{
+    uint64_t z = (*(uint64_t *)st += UINT64_C(0x9e3779b97f4a7c15));
+    z = (z ^ (z >> 30)) * UINT64_C(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94d049bb133111eb);
+    return z ^ (z >> 31);
+}
+
+static uint32_t
+splitmix_uint32(void *st)
+{
+    return (uint32_t)(splitmix_uint64(st) >> 32);
+}
+
+static double
+splitmix_double(void *st)
+{
+    return (double)(splitmix_uint64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+#define ZIG_CHECK_DRAWS (1 << 16)
+
+/* The ImportError of a failed self-check. */
+static int
+self_check_failed(const char *what, long long which)
+{
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    PyObject *version = numpy ? PyObject_GetAttrString(numpy, "__version__") : NULL;
+    Py_XDECREF(numpy);
+    if (version != NULL) {
+        PyErr_Format(PyExc_ImportError,
+                     "hotpath: the in-C normal draw disagrees with numpy %S's "
+                     "random_standard_normal at %s %lld",
+                     version, what, which);
+        Py_DECREF(version);
+    }
+    return -1;
+}
+
+/* Derive zig_wi and zig_ki from numpy's random_standard_normal, then
+ * check the fast path against it (GIL held, once, from module init).
+ * wi[i] is numpy's draw for rabs 1 in layer i; ki[i] is the smallest
+ * rabs that leaves the fast path in layer i, found by bisection (2^52
+ * when none does).  The check covers each layer's edge, rabs ki - 1
+ * and ki with either sign, then ZIG_CHECK_DRAWS draws from two equal
+ * splitmix64 streams, one through numpy's function and one through
+ * standard_normal: every draw must agree bit for bit and leave the two
+ * streams equal.  Raises ImportError naming numpy's version when it
+ * does not. */
+static int
+derive_ziggurat(void)
+{
+    int slow;
+    for (int i = 0; i < 256; i++) {
+        zig_wi[i] = probe_normal((UINT64_C(1) << 9) | (uint64_t)i, &slow);
+        uint64_t lo = 0, hi = UINT64_C(1) << ZIG_RABS_BITS;
+        while (lo < hi) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+            probe_normal((mid << 9) | (uint64_t)i, &slow);
+            if (slow)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        zig_ki[i] = lo;
+        for (uint64_t sign = 0; sign < 2; sign++) {
+            const uint64_t word = (lo << 9) | (sign << 8) | (uint64_t)i;
+            if ((lo > 0 && !agrees_on(word - (UINT64_C(1) << 9)))
+                || (lo < (UINT64_C(1) << ZIG_RABS_BITS) && !agrees_on(word)))
+                return self_check_failed("the edge of layer", i);
+        }
+    }
+    uint64_t numpy_state = 2002, fast_state = 2002;
+    bitgen_t numpy_bg = {&numpy_state, splitmix_uint64, splitmix_uint32,
+                         splitmix_double, splitmix_uint64};
+    bitgen_t fast_bg = {&fast_state, splitmix_uint64, splitmix_uint32,
+                        splitmix_double, splitmix_uint64};
+    for (int k = 0; k < ZIG_CHECK_DRAWS; k++) {
+        const double want = random_standard_normal(&numpy_bg);
+        const double got = standard_normal(&fast_bg);
+        if (memcmp(&want, &got, sizeof want) != 0 || numpy_state != fast_state)
+            return self_check_failed("draw", k);
+    }
+    return 0;
+}
+
+/* ---------------------------------------------------- GIL bridge shim */
+
+/* The compute stage runs with the GIL released; this shim is its only
+ * Python crossing.  It re-acquires the GIL just for the callback and
+ * releases it again before returning, so other threads' compute stages
+ * keep running while this one calls back.  On failure the Python
+ * exception is left pending in this thread's state and -1 is returned;
+ * the caller must break out of the loop and touch no Python API until
+ * the compute stage ends with the GIL re-acquired. */
 
 static int
 rollover_callback(PyObject *rollover, long long index, long long retired,
@@ -795,13 +1025,16 @@ typedef struct {
     double *cur_freq;
     /* cache/predictor/BTB state (views owned by pool) */
     Uarch u;
-    /* jitter streams and ROB (per-run PyMem allocations) */
+    /* jitter streams (MCD mode) and their sample buffers, each holding
+     * max(leftover, block) doubles, and the ROB (per-run PyMem
+     * allocations) */
+    JitterStream jit[4];
     double *jbuf[4];
     Py_ssize_t jlen[4];
     int64_t *rob_seq;
-    /* python callbacks (borrowed from the argument dict, which the
+    /* the python callback (borrowed from the argument dict, which the
      * caller keeps alive for the duration of the call) */
-    PyObject *refill, *rollover;
+    PyObject *rollover;
     /* compute outputs */
     int64_t int_free, fp_free;
     int64_t retired, memory_accesses, dispatch_stall_cycles;
@@ -820,6 +1053,96 @@ free_run(RunState *rs)
     for (int d = 0; d < 4; d++)
         PyMem_Free(rs->jbuf[d]);
     memset(rs, 0, sizeof(*rs));
+}
+
+/* The jitter streams and their buffers (GIL held).  jbufs lists each
+ * clock's leftover samples (GaussianJitter._buffer, consumed from the
+ * tail, exactly like list.pop).  In MCD mode, jitter lists one
+ * (capsule, sigma, clip, block) tuple per domain: the capsule of its
+ * GaussianJitter's numpy bit generator and _draw's parameters; sync
+ * runs draw nothing and pass None.  Each buffer holds max(leftover,
+ * block) doubles, so the compute stage draws into it in place. */
+static int
+marshal_jitter(PyObject *a, int mcd_mode, RunState *rs)
+{
+    PyObject *jlists = PyDict_GetItemString(a, "jbufs");
+    PyObject *streams = PyDict_GetItemString(a, "jitter");
+    if (!jlists || !streams) {
+        PyErr_SetString(PyExc_KeyError, "hotpath: missing object arg");
+        return -1;
+    }
+    if (!PyList_Check(jlists) || PyList_GET_SIZE(jlists) != 4) {
+        PyErr_SetString(PyExc_TypeError, "hotpath: jbufs must be a list of 4 lists");
+        return -1;
+    }
+    if (mcd_mode && (!PyList_Check(streams) || PyList_GET_SIZE(streams) != 4)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "hotpath: an MCD run needs a list of 4 jitter streams");
+        return -1;
+    }
+    for (int d = 0; d < 4; d++) {
+        PyObject *lst = PyList_GET_ITEM(jlists, d);
+        if (!PyList_Check(lst)) {
+            PyErr_SetString(PyExc_TypeError, "hotpath: jbufs must be a list of 4 lists");
+            return -1;
+        }
+        const Py_ssize_t k = PyList_GET_SIZE(lst);
+        Py_ssize_t size = k;
+        if (mcd_mode) {
+            JitterStream *js = &rs->jit[d];
+            PyObject *entry = PyList_GET_ITEM(streams, d);
+            if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
+                PyErr_Format(PyExc_TypeError,
+                             "hotpath: jitter[%d] must be a (capsule, sigma, "
+                             "clip, block) tuple", d);
+                return -1;
+            }
+            PyObject *capsule = PyTuple_GET_ITEM(entry, 0);
+            if (!PyCapsule_CheckExact(capsule)) {
+                PyErr_Format(PyExc_TypeError,
+                             "hotpath: jitter[%d] holds no bit-generator capsule", d);
+                return -1;
+            }
+            /* Raises ValueError for a capsule of another name. */
+            if ((js->bg = PyCapsule_GetPointer(capsule, "BitGenerator")) == NULL)
+                return -1;
+            js->sigma = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 1));
+            if (js->sigma == -1.0 && PyErr_Occurred())
+                return -1;
+            js->clip = PyFloat_AsDouble(PyTuple_GET_ITEM(entry, 2));
+            if (js->clip == -1.0 && PyErr_Occurred())
+                return -1;
+            js->block = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 3));
+            if (js->block == -1 && PyErr_Occurred())
+                return -1;
+            if (!(isfinite(js->sigma) && js->sigma >= 0.0)
+                || !(isfinite(js->clip) && js->clip >= 0.0)) {
+                PyErr_Format(PyExc_ValueError,
+                             "hotpath: jitter[%d] needs a finite, non-negative "
+                             "sigma and clip", d);
+                return -1;
+            }
+            if (js->block < 1) {
+                PyErr_Format(PyExc_ValueError,
+                             "hotpath: jitter[%d] block must be positive", d);
+                return -1;
+            }
+            if (size < js->block)
+                size = js->block;
+        }
+        rs->jbuf[d] = PyMem_Malloc((size ? size : 1) * sizeof(double));
+        if (rs->jbuf[d] == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t j = 0; j < k; j++) {
+            rs->jbuf[d][j] = PyFloat_AsDouble(PyList_GET_ITEM(lst, j));
+            if (PyErr_Occurred())
+                return -1;
+        }
+        rs->jlen[d] = k;
+    }
+    return 0;
 }
 
 /* Stage 1: all PyObject access and buffer extraction (GIL held).
@@ -980,40 +1303,13 @@ marshal_run(PyObject *a, RunState *rs)
     }
 
     /* --- python-object state ------------------------------------------ */
-    PyObject *jlists = PyDict_GetItemString(a, "jbufs");
-    PyObject *refill = PyDict_GetItemString(a, "refill");
     PyObject *rollover = PyDict_GetItemString(a, "rollover");
-    if (!jlists || !refill || !rollover) {
+    if (!rollover) {
         PyErr_SetString(PyExc_KeyError, "hotpath: missing object arg");
         goto fail;
     }
-    if (marshal_uarch(a, pool, &rs->u) < 0)
+    if (marshal_uarch(a, pool, &rs->u) < 0 || marshal_jitter(a, mcd_mode, rs) < 0)
         goto fail;
-
-    /* Jitter buffers (consumed from the tail, exactly like list.pop). */
-    if (!PyList_Check(jlists) || PyList_GET_SIZE(jlists) != 4) {
-        PyErr_SetString(PyExc_TypeError, "hotpath: jbufs must be a list of 4 lists");
-        goto fail;
-    }
-    for (int d = 0; d < 4; d++) {
-        PyObject *lst = PyList_GET_ITEM(jlists, d);
-        if (!PyList_Check(lst)) {
-            PyErr_SetString(PyExc_TypeError, "hotpath: jbufs must be a list of 4 lists");
-            goto fail;
-        }
-        Py_ssize_t k = PyList_GET_SIZE(lst);
-        rs->jbuf[d] = PyMem_Malloc((k ? k : 1) * sizeof(double));
-        if (rs->jbuf[d] == NULL) {
-            PyErr_NoMemory();
-            goto fail;
-        }
-        for (Py_ssize_t j = 0; j < k; j++) {
-            rs->jbuf[d][j] = PyFloat_AsDouble(PyList_GET_ITEM(lst, j));
-            if (PyErr_Occurred())
-                goto fail;
-        }
-        rs->jlen[d] = k;
-    }
 
     /* Validation that used to sit in the run-local setup: raise while
      * errors still can be raised cheaply, before any compute starts. */
@@ -1112,7 +1408,6 @@ marshal_run(PyObject *a, RunState *rs)
     rs->cache_stats = cache_stats;
     rs->bp_stats = bp_stats;
     rs->cur_freq = cur_freq;
-    rs->refill = refill;
     rs->rollover = rollover;
     return 0;
 
@@ -1121,8 +1416,8 @@ fail:
 }
 
 /* Stage 2: the event loop.  Called with the GIL RELEASED (*tstate_p
- * holds the saved thread state); the refill/rollover shims re-acquire
- * it per crossing and the updated state flows back through tstate_p.
+ * holds the saved thread state); the rollover shim re-acquires it per
+ * crossing and the updated state flows back through tstate_p.
  * Returns 0 on success — including simulator-level "trace exhausted",
  * which reports through rs->error — and -1 when a Python callback
  * raised; the caller must PyEval_RestoreThread before touching the
@@ -1187,10 +1482,11 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     const int shift = rs->u.shift;
     const TagSets l1i = rs->u.l1i, l1d = rs->u.l1d, l2 = rs->u.l2;
     const Predictor bp = rs->u.bp;
+    const JitterStream *jit = rs->jit;
     double **jbuf = rs->jbuf;
     Py_ssize_t *jlen = rs->jlen;
     int64_t *rob_seq = rs->rob_seq;
-    PyObject *refill = rs->refill, *rollover = rs->rollover;
+    PyObject *rollover = rs->rollover;
     PyThreadState *tstate = *tstate_p;
     /* --- local run state ---------------------------------------------- */
     double fin_ns[RING];
@@ -1627,10 +1923,9 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
             /* inlined clock advance */
             double step;
             if (mcd_mode) {
-                if (jlen[0] == 0
-                    && refill_jitter(refill, 0, &jbuf[0], &jlen[0], &tstate) < 0) {
-                    py_error = 1;
-                    break;
+                if (jlen[0] == 0) {
+                    draw_jitter(&jit[0], jbuf[0]);
+                    jlen[0] = jit[0].block;
                 }
                 step = cur_period[0] + jbuf[0][--jlen[0]];
                 if (step < MIN_STEP_NS)
@@ -1776,10 +2071,9 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
             /* inlined clock advance */
             double step;
             if (mcd_mode) {
-                if (jlen[d] == 0
-                    && refill_jitter(refill, d, &jbuf[d], &jlen[d], &tstate) < 0) {
-                    py_error = 1;
-                    break;
+                if (jlen[d] == 0) {
+                    draw_jitter(&jit[d], jbuf[d]);
+                    jlen[d] = jit[d].block;
                 }
                 step = cur_period[d] + jbuf[d][--jlen[d]];
                 if (step < MIN_STEP_NS)
@@ -1911,8 +2205,8 @@ run_batch(PyObject *self, PyObject *args)
     }
 
     /* Stage 2: one GIL release for the whole batch.  The only Python
-     * crossings until every run has computed are the per-run
-     * refill/rollover bridge shims. */
+     * crossings until every run has computed are the per-run rollover
+     * bridge shim's. */
     if (!failed) {
         PyThreadState *tstate = PyEval_SaveThread();
         for (Py_ssize_t i = 0; i < n; i++) {
@@ -2013,6 +2307,8 @@ static struct PyModuleDef hotpath_module = {
 PyMODINIT_FUNC
 PyInit__hotpath(void)
 {
+    if (derive_ziggurat() < 0)
+        return NULL;
     PyObject *module = PyModule_Create(&hotpath_module);
     if (module == NULL)
         return NULL;

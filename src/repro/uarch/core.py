@@ -545,7 +545,15 @@ class MCDCore:
         is marshalled into flat registers and run *inside* the C loop —
         the whole closed-loop run then makes zero per-interval Python
         crossings.  Custom controllers and ``record_interval_trace``
-        consumers fall back to the per-interval ``rollover`` callback.
+        consumers fall back to the per-interval ``rollover`` callback,
+        the C loop's only Python crossing.
+
+        In MCD mode each clock's :class:`GaussianJitter` hands the C
+        loop its numpy bit generator (as a capsule) and ``_draw``'s
+        parameters; the loop draws every block itself, advancing each
+        generator exactly as ``_draw`` would.  A capsule does not keep
+        its generator alive: the core does, and ``finish`` holds the
+        core.
         """
         import numpy as np
 
@@ -628,10 +636,6 @@ class MCDCore:
             native_ctrl_args = native_controller_args(
                 controller, self.mcd_config, regulators[0].scale
             )
-
-        def refill(d: int):
-            """Domain ``d``'s next jitter block, consumed from the tail."""
-            return jitters[d]._draw()
 
         intervals: list[IntervalRecord] = []
 
@@ -740,7 +744,10 @@ class MCDCore:
             "cache_stats": cache_stats,
             "bp_stats": bp_stats,
             "jbufs": [getattr(j, "_buffer", []) for j in jitters],
-            "refill": refill,
+            "jitter": [j.native_stream() for j in jitters] if opts.mcd else None,
+            # The C loop draws jitter itself; the key stays for wrappers
+            # that instrument the argument dict's callbacks by name.
+            "refill": None,
             "rollover": rollover,
             # scalars
             "decode_width": proc.decode_width,

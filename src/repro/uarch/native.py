@@ -5,17 +5,22 @@ over a generator trace, and its C translation in ``_hotpath.c`` over a
 compiled trace.  This module owns the second: it compiles the C source
 into a shared object on first use (plain ``cc -O2 -fPIC -shared``, no
 build system, no new dependencies) and loads it as a CPython extension
-module.
+module.  The C loop draws clock jitter with numpy's own normal
+sampler, so the build compiles against numpy's headers and links
+``numpy/random/lib/libnpyrandom.a``, numpy's documented C API for its
+distributions.
 
 Floating-point identity is part of the contract, so the build disables
 FP contraction (``-ffp-contract=off``): a fused multiply-add rounds
 once where CPython rounds twice, and the equivalence property tests
 would catch the drift.
 
-The artifact stamp covers everything that determines codegen: the C
-source, the interpreter ABI, and the resolved compiler (path plus
-``--version`` output), so switching ``CC`` or upgrading the toolchain
-rebuilds instead of silently reusing a stale ``.so``.
+The artifact stamp covers everything the ``.so`` is built from: the C
+source, the interpreter ABI, the resolved compiler (path plus
+``--version`` output), the full compile command, numpy's version and
+the SHA-1 of the numpy library it embeds, so switching ``CC``, editing
+a flag, or upgrading the toolchain or numpy rebuilds instead of
+silently reusing a stale ``.so``.
 
 Loading is thread-safe: the first caller (from any thread — the
 orchestrator's thread backend probes this module concurrently)
@@ -122,38 +127,62 @@ def compiler_info() -> dict | None:
     return _compiler_info_cache
 
 
+#: Code generation flags of every build.
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _npyrandom_library() -> Path:
+    """numpy's static distributions library, which the extension embeds."""
+    import numpy as np
+
+    return Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a"
+
+
+def _compile_command(compiler: str, output: str) -> list[str]:
+    """The command that builds ``_hotpath.c`` into ``output``."""
+    import numpy as np
+
+    return [
+        compiler,
+        *_FLAGS,
+        f"-I{sysconfig.get_paths()['include']}",
+        f"-I{np.get_include()}",
+        str(_SOURCE),
+        "-o",
+        output,
+        str(_npyrandom_library()),
+        "-lm",
+    ]
+
+
 def _build_stamp(compiler: str) -> str:
     """Content hash naming the built artifact.
 
-    Covers the C source, the interpreter ABI, and the compiler
-    identity, so changing any of them builds (and loads) a fresh
-    ``.so`` instead of reusing one produced by different codegen.
+    Covers the C source, the interpreter ABI, the compiler identity,
+    the full compile command, numpy's version and the SHA-1 of
+    ``libnpyrandom.a``, so changing any of them builds (and loads) a
+    fresh ``.so`` instead of reusing one built from something else.
+    A numpy without the library fails here, and the loader falls back
+    as it does for any failed build.
     """
-    payload = (
-        _SOURCE.read_bytes()
-        + sysconfig.get_python_version().encode()
-        + _compiler_identity(compiler)
+    import numpy as np
+
+    parts = (
+        _SOURCE.read_bytes(),
+        sysconfig.get_python_version().encode(),
+        _compiler_identity(compiler),
+        "\0".join(_compile_command(compiler, "<output>")).encode(),
+        np.__version__.encode(),
+        hashlib.sha1(_npyrandom_library().read_bytes()).hexdigest().encode(),
     )
-    return hashlib.sha1(payload).hexdigest()[:16]
+    return hashlib.sha1(b"\n".join(parts)).hexdigest()[:16]
 
 
 def _compile(so_path: Path, compiler: str) -> bool:
     """Compile ``_hotpath.c`` into ``so_path``; False when impossible."""
-    include = sysconfig.get_paths()["include"]
     so_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = so_path.with_suffix(f".{os.getpid()}.tmp.so")
-    cmd = [
-        compiler,
-        "-O2",
-        "-fPIC",
-        "-shared",
-        "-ffp-contract=off",
-        f"-I{include}",
-        str(_SOURCE),
-        "-o",
-        str(tmp),
-        "-lm",
-    ]
+    cmd = _compile_command(compiler, str(tmp))
     try:
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120, check=False

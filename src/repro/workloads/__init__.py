@@ -5,7 +5,7 @@ The paper evaluates 30 applications from MediaBench, Olden and Spec2000
 each with a deterministic, seeded *synthetic workload model* whose
 instruction stream reproduces the benchmark's published character —
 instruction mix, dependency structure, cache/branch behaviour and phase
-structure — through the real predictor, caches and pipeline (DESIGN.md
+structure — through the real predictor, caches and pipeline (docs/design.md
 substitution #1).
 """
 

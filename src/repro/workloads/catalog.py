@@ -4,7 +4,7 @@ Each entry is a synthetic stand-in for one benchmark from MediaBench,
 Olden or Spec2000, with phases tuned to the application's published
 character (instruction mix, locality, branchiness, phase structure).
 Simulation windows are scaled from the paper's 5 M–200 M instruction
-windows down to 60 k–160 k so a pure-Python cycle simulator can sweep
+windows down to 80 k–160 k so a pure-Python cycle simulator can sweep
 all 30 applications; the control interval is scaled alongside (500
 instructions) so every run still spans hundreds of control intervals —
 the quantity that matters for Attack/Decay dynamics.  Aggregation

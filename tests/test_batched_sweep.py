@@ -32,7 +32,9 @@ from __future__ import annotations
 import dataclasses
 import logging
 import multiprocessing
+import os
 import random
+import signal
 from collections import Counter
 
 import numpy as np
@@ -590,6 +592,30 @@ class TestProcessSweepsLeaveNoWorkers:
         finally:
             CONFIGURATIONS.unregister("teardown_explode")
         assert len(results.errors) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_dying_mid_cell_fails_the_sweep(self, worker_suite, tmp_path):
+        # A pool that replaces a dead worker waits forever for its cell.
+        from repro.experiments import CONFIGURATIONS, register_configuration
+
+        owner = os.getpid()
+
+        @register_configuration("teardown_worker_dies")
+        def dying(ctx, benchmark, scale, seed):
+            """Test entry whose worker process is killed mid-cell."""
+            if os.getpid() == owner:
+                raise RuntimeError("meant to run in a worker process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        scenarios = [
+            *worker_suite.expand(),
+            Scenario("adpcm", "teardown_worker_dies", scale=SCALE),
+        ]
+        try:
+            with pytest.raises(ExperimentError, match=r"died mid-cell \(exit code -9\)"):
+                _process_sweep(worker_suite, tmp_path, scenarios=scenarios)
+        finally:
+            CONFIGURATIONS.unregister("teardown_worker_dies")
         assert multiprocessing.active_children() == []
 
     def test_cancelled_sweep_joins_its_workers(self, worker_suite, tmp_path):

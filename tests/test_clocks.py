@@ -44,6 +44,13 @@ class TestJitter:
         with pytest.raises(ValueError):
             GaussianJitter(-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("field", ["sigma_ns", "clip_sigmas"])
+    def test_non_finite_or_negative_parameter_rejected(self, field, value):
+        kwargs = {"sigma_ns": 0.110, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            GaussianJitter(**kwargs)
+
 
 class TestDomainClock:
     def test_initial_edge_at_phase(self):

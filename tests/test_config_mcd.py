@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config.mcd import CONTROLLED_DOMAINS, Domain, MCDConfig
+from repro.config.processor import ProcessorConfig
 from repro.errors import ConfigError
 
 
@@ -113,6 +114,27 @@ class TestValidation:
     def test_bad_values_raise(self, kwargs):
         with pytest.raises(ConfigError):
             MCDConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            (MCDConfig, "min_frequency_mhz"),
+            (MCDConfig, "max_frequency_mhz"),
+            (MCDConfig, "min_voltage_v"),
+            (MCDConfig, "max_voltage_v"),
+            (MCDConfig, "slew_ns_per_mhz"),
+            (MCDConfig, "jitter_sigma_ns"),
+            (MCDConfig, "sync_window_ns"),
+            (MCDConfig, "mcd_clock_energy_overhead"),
+            (ProcessorConfig, "memory_latency_ns"),
+        ],
+    )
+    def test_non_finite_float_field_raises_naming_it(self, config, field, value):
+        # NaN passes every `< 0` check: a NaN jitter sigma used to hang
+        # both interpreters, a NaN window or memory latency to "work".
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            config(**{field: value})
 
 
 class TestDomains:

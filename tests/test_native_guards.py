@@ -2,36 +2,86 @@
 
 Each case runs in a child process: a regression that corrupts memory
 or never returns then fails one test (non-zero exit, or the timeout)
-instead of taking pytest down with it.  The marshal cases need the
-native loop and skip without it.
+instead of taking pytest down with it.  The children are forked from
+this process, which has already imported the simulator and loaded the
+extension, so a case costs a fork rather than an interpreter start.
+The marshal cases need the native loop and skip without it.
 """
 
+import faulthandler
 import os
+import signal
 import subprocess
 import sys
-from pathlib import Path
+import tempfile
+import time
+import traceback
 
 import pytest
 
 from repro.uarch import native
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 needs_native = pytest.mark.skipif(
     native.load_hotpath() is None, reason="no native loop"
 )
 
+#: Seconds a child may run before it is killed and its case fails.
+CHILD_TIMEOUT_S = 120
+
+
+def _exec_as_main(code: str) -> int:
+    """Run ``code`` as ``python -c`` would; its exit status."""
+    try:
+        exec(compile(code, "<string>", "exec"), {"__name__": "__main__"})
+    except SystemExit as exc:
+        if exc.code is None or isinstance(exc.code, int):
+            return exc.code or 0
+        print(exc.code, file=sys.stderr)
+        return 1
+    except BaseException:  # noqa: BLE001 - reported like an uncaught error
+        traceback.print_exc()
+        return 1
+    return 0
+
 
 def _run_child(code: str, *argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+    """``python -c code *argv`` in a forked child, output captured."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.dup2(out.fileno(), 1)
+                os.dup2(err.fileno(), 2)
+                sys.stdout = open(1, "w", closefd=False)
+                sys.stderr = open(2, "w", closefd=False)
+                faulthandler.enable(sys.stderr)
+                sys.argv = ["-c", *argv]
+                status = _exec_as_main(code)
+            finally:
+                try:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+        deadline = time.monotonic() + CHILD_TIMEOUT_S
+        while True:
+            done, wait_status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail(f"the child did not finish in {CHILD_TIMEOUT_S} s")
+            time.sleep(0.002)
+        out.seek(0)
+        err.seek(0)
+        return subprocess.CompletedProcess(
+            ["-c", *argv],
+            os.waitstatus_to_exitcode(wait_status),
+            out.read().decode(errors="replace"),
+            err.read().decode(errors="replace"),
+        )
 
 
 # A closed-loop core over a short compiled trace; argv[1] names the
@@ -110,6 +160,27 @@ COLUMN_DAMAGE = {
 }
 for _case, _damage in COLUMN_DAMAGE.items():
     for _entry in ("run_compiled", "run_batch", "warm_up"):
+        MARSHAL_CASES[f"{_case}-{_entry}"] = (_entry, _damage)
+
+#: Damage to the MCD jitter streams, one (capsule, sigma, clip, block)
+#: tuple per domain; both run entry points must reject each.  _STREAM
+#: replaces field {i} of domain 1's tuple with {value}.
+_STREAM = "args['jitter'][1] = (*args['jitter'][1][:{i}], {value}, *args['jitter'][1][{i} + 1:])"
+JITTER_DAMAGE = {
+    "jitter_not_a_capsule": _STREAM.format(i=0, value="object()"),
+    "jitter_capsule_of_another_name": "import datetime; "
+    + _STREAM.format(i=0, value="datetime.datetime_CAPI"),
+    "jitter_block_zero": _STREAM.format(i=3, value=0),
+    "jitter_sigma_negative": _STREAM.format(i=1, value=-0.1),
+    "jitter_sigma_nan": _STREAM.format(i=1, value="float('nan')"),
+    "jitter_clip_negative": _STREAM.format(i=2, value=-0.3),
+    "jitter_clip_inf": _STREAM.format(i=2, value="float('inf')"),
+    "jitter_entry_missing": "args['jitter'] = args['jitter'][:3]",
+    "jitter_none_in_mcd_mode": "args['jitter'] = None",
+    "jitter_entry_not_a_tuple": "args['jitter'][2] = list(args['jitter'][2])",
+}
+for _case, _damage in JITTER_DAMAGE.items():
+    for _entry in ("run_compiled", "run_batch"):
         MARSHAL_CASES[f"{_case}-{_entry}"] = (_entry, _damage)
 
 

@@ -1,6 +1,6 @@
 """Focused tests of the crossing rules inside the core.
 
-These pin the timing semantics DESIGN.md §4 describes: the synchronous
+These pin the timing semantics docs/design.md §4 describes: the synchronous
 baseline's crossing threshold degenerates to the classic next-edge
 pipeline stage, and MCD crossings pay the Sjogren-Myers window.
 """

@@ -381,6 +381,26 @@ class TestBuildStamp:
         assert native._build_stamp("ccA") != native._build_stamp("ccB")
         assert native._build_stamp("ccA") == native._build_stamp("ccA")
 
+    def test_stamp_tracks_flags_numpy_version_and_library(self, monkeypatch, tmp_path):
+        import numpy as np
+
+        monkeypatch.setattr(native, "_compiler_identity", lambda compiler: b"cc 1.0")
+        library = tmp_path / "libnpyrandom.a"
+        library.write_bytes(b"numpy's distributions")
+        monkeypatch.setattr(native, "_npyrandom_library", lambda: library)
+        base = native._build_stamp("cc")
+        changes = {
+            "flags": lambda m: m.setattr(native, "_FLAGS", (*native._FLAGS, "-DNDEBUG")),
+            "numpy": lambda m: m.setattr(np, "__version__", np.__version__ + ".post1"),
+            "library": lambda m: library.write_bytes(b"numpy's distributions, rebuilt"),
+        }
+        for name, change in changes.items():
+            with monkeypatch.context() as m:
+                change(m)
+                assert native._build_stamp("cc") != base, name
+            library.write_bytes(b"numpy's distributions")
+            assert native._build_stamp("cc") == base, name
+
     def test_identity_includes_resolved_path_and_banner(self):
         compiler = native._resolve_compiler()
         if compiler is None:
