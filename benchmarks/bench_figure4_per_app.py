@@ -13,13 +13,13 @@ from repro.sim.paper_results import compute_paper_results
 CONFIGS = ("mcd_base", "dynamic_1", "dynamic_5", "attack_decay")
 
 
-def build_figure4(runner):
-    results = compute_paper_results(runner, include_globals=False)
+def build_figure4(orchestrator):
+    results = compute_paper_results(orchestrator, include_globals=False)
     return results
 
 
-def test_figure4(benchmark, runner):
-    results = benchmark.pedantic(build_figure4, args=(runner,), rounds=1, iterations=1)
+def test_figure4(benchmark, orchestrator):
+    results = benchmark.pedantic(build_figure4, args=(orchestrator,), rounds=1, iterations=1)
     benchmarks = results.benchmarks
 
     payload = {}

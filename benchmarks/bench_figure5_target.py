@@ -14,12 +14,12 @@ from repro.sim.sweeps import sweep_perf_deg_target
 TARGETS = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
 
 
-def run_sweep(runner):
-    return sweep_perf_deg_target(runner, TARGETS, SWEEP_BENCHMARKS)
+def run_sweep(orchestrator):
+    return sweep_perf_deg_target(orchestrator, TARGETS, SWEEP_BENCHMARKS)
 
 
-def test_figure5(benchmark, runner):
-    points = benchmark.pedantic(run_sweep, args=(runner,), rounds=1, iterations=1)
+def test_figure5(benchmark, orchestrator):
+    points = benchmark.pedantic(run_sweep, args=(orchestrator,), rounds=1, iterations=1)
     targets = [p.value for p in points]
     achieved = [p.aggregate.performance_degradation * 100 for p in points]
     edp = [p.aggregate.edp_improvement * 100 for p in points]

@@ -18,17 +18,17 @@ SWEEPS = {
 }
 
 
-def run_all(runner):
+def run_all(orchestrator):
     results = {}
     for parameter, values in SWEEPS.items():
         results[parameter] = sweep_attack_decay_parameter(
-            runner, parameter, values, SWEEP_BENCHMARKS
+            orchestrator, parameter, values, SWEEP_BENCHMARKS
         )
     return results
 
 
-def test_figure6(benchmark, runner):
-    results = benchmark.pedantic(run_all, args=(runner,), rounds=1, iterations=1)
+def test_figure6(benchmark, orchestrator):
+    results = benchmark.pedantic(run_all, args=(orchestrator,), rounds=1, iterations=1)
     payload = {}
     for parameter, points in results.items():
         xs = [p.value for p in points]

@@ -19,8 +19,8 @@ from repro.reporting.tables import format_table
 from repro.sim.paper_results import compute_paper_results
 
 
-def build_table6(runner):
-    results = compute_paper_results(runner)
+def build_table6(orchestrator):
+    results = compute_paper_results(orchestrator)
     rows = results.table6_rows()
     display = [
         (
@@ -46,9 +46,9 @@ def build_table6(runner):
     return table, results
 
 
-def test_table6(benchmark, runner):
+def test_table6(benchmark, orchestrator):
     table, results = benchmark.pedantic(
-        build_table6, args=(runner,), rounds=1, iterations=1
+        build_table6, args=(orchestrator,), rounds=1, iterations=1
     )
     print("\n" + table)
     rows = {r.algorithm: r for r in results.table6_rows()}

@@ -33,7 +33,6 @@ import pytest
 from repro.experiments import Orchestrator
 from repro.ioutil import atomic_write
 from repro.resultdb import ResultDB
-from repro.sim.experiment import ExperimentRunner
 
 logger = logging.getLogger(__name__)
 
@@ -66,12 +65,6 @@ RESULTS_DIR = _DEFAULT_RESULTS_DIR
 def resultdb_enabled() -> bool:
     """Whether benches append to the result DB (``REPRO_RESULTDB`` != 0)."""
     return os.environ.get("REPRO_RESULTDB", "1") != "0"
-
-
-@pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """One cached experiment runner shared by the whole bench session."""
-    return ExperimentRunner()
 
 
 @pytest.fixture(scope="session")

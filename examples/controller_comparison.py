@@ -11,35 +11,49 @@ Run:  python examples/controller_comparison.py [benchmark ...]
 
 import sys
 
-from repro import ExperimentRunner, aggregate
+from repro import Orchestrator, Scenario, aggregate, compare
 from repro.config.algorithm import SCALED_OPERATING_POINT
+from repro.experiments.builtins import attack_decay_scenario
+from repro.sim.paper_results import match_global_frequencies, run_or_raise
 
 DEFAULT_MIX = ["adpcm", "epic", "mcf", "gcc", "swim"]
 
 
 def main() -> None:
     benchmarks = sys.argv[1:] or DEFAULT_MIX
-    runner = ExperimentRunner()
+    orchestrator = Orchestrator()  # REPRO_WORKERS, REPRO_SCALE, REPRO_CACHE
 
     print(f"Benchmarks: {', '.join(benchmarks)}\n")
-    lines: list[tuple[str, object]] = []
-
-    for label, make in (
-        (
-            "Attack/Decay",
-            lambda b: runner.attack_decay(b, SCALED_OPERATING_POINT),
-        ),
-        ("Dynamic-1%", lambda b: runner.dynamic(b, 1.0)),
-        ("Dynamic-5%", lambda b: runner.dynamic(b, 5.0)),
-    ):
-        print(f"running {label} ...")
-        comparisons = {b: runner.compare_to_mcd_base(make(b)) for b in benchmarks}
-        lines.append((label, aggregate(comparisons)))
+    scenarios = []
+    for b in benchmarks:
+        attack_decay = attack_decay_scenario(b, SCALED_OPERATING_POINT)
+        scenarios += [
+            Scenario(b, "mcd_base"),
+            attack_decay,
+            Scenario(b, "dynamic_1"),
+            Scenario(b, "dynamic_5"),
+        ]
+    print(f"running {len(scenarios)} scenarios ...")
+    results = run_or_raise(orchestrator, scenarios)
+    lines = [
+        (label, results.aggregate(configuration, "mcd_base"))
+        for label, configuration in (
+            ("Attack/Decay", attack_decay.configuration),
+            ("Dynamic-1%", "dynamic_1"),
+            ("Dynamic-5%", "dynamic_5"),
+        )
+    ]
 
     attack_deg = lines[0][1].performance_degradation
     print("running Global (matched to Attack/Decay degradation) ...")
-    mhz, records = runner.global_suite_matched(benchmarks, attack_deg)
-    comparisons = {b: runner.compare_to_mcd_base(r) for b, r in records.items()}
+    matches = match_global_frequencies(
+        orchestrator, results, {"attack_decay": attack_deg}, benchmarks
+    )
+    mhz, records = matches["attack_decay"]
+    comparisons = {
+        b: compare(r.summary, results.get(b, "mcd_base").summary)
+        for b, r in records.items()
+    }
     lines.append((f"Global @ {mhz:.0f} MHz", aggregate(comparisons)))
 
     print()

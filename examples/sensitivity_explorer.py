@@ -12,7 +12,7 @@ Run:  python examples/sensitivity_explorer.py [parameter]
 
 import sys
 
-from repro import ExperimentRunner
+from repro import Orchestrator
 from repro.reporting.figures import ascii_chart
 from repro.sim.sweeps import sweep_attack_decay_parameter
 
@@ -31,10 +31,10 @@ def main() -> None:
     if parameter not in SWEEPS:
         raise SystemExit(f"unknown parameter {parameter!r}; pick from {list(SWEEPS)}")
     values = SWEEPS[parameter]
-    runner = ExperimentRunner()
+    orchestrator = Orchestrator()  # REPRO_WORKERS, REPRO_SCALE, REPRO_CACHE
 
     print(f"Sweeping {parameter} over {values} on {', '.join(MIX)} ...")
-    points = sweep_attack_decay_parameter(runner, parameter, values, MIX)
+    points = sweep_attack_decay_parameter(orchestrator, parameter, values, MIX)
 
     xs = [p.value for p in points]
     edp = [p.aggregate.edp_improvement * 100 for p in points]

@@ -71,7 +71,7 @@ from repro.experiments import (
     run_suite,
 )
 from repro.metrics import Comparison, RunSummary, aggregate, compare, summarize
-from repro.sim import ExperimentRunner, SimulationSpec, run_spec
+from repro.sim import SimulationSpec, run_spec
 from repro.uarch import CoreOptions, CoreResult, MCDCore
 from repro.workloads import BENCHMARKS, Phase, SyntheticTrace, get_benchmark
 
@@ -92,7 +92,6 @@ __all__ = [
     "CoreResult",
     "Domain",
     "ExecutionContext",
-    "ExperimentRunner",
     "FixedFrequencyController",
     "GlobalDVFSController",
     "MCDConfig",

@@ -76,13 +76,13 @@ from repro.experiments import (
     CONTROLLERS,
     Orchestrator,
     Suite,
+    quick_benchmarks,
 )
-from repro.metrics.aggregate import aggregate
+from repro.experiments.builtins import attack_decay_scenario
 from repro.metrics.summary import summarize_phases
 from repro.reporting.tables import format_table, phase_table, resultset_table
 from repro.resultdb.gate import DEFAULT_TOLERANCE
 from repro.sim.engine import SimulationSpec, run_spec
-from repro.sim.experiment import ExperimentRunner, quick_benchmarks
 from repro.uarch.etf import export_benchmark, read_etf
 from repro.version import PAPER_VENUE, __version__
 from repro.workloads.catalog import (
@@ -286,18 +286,38 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    for name in args.benchmarks:
-        get_benchmark(name)
-    runner = ExperimentRunner(scale=args.scale, seed=args.seed)
+    try:
+        # The Suite validates benchmarks and scale; the Attack/Decay
+        # operating point travels as overrides, which a Suite cannot
+        # give one configuration alone.
+        scenarios = Suite(
+            benchmarks=args.benchmarks,
+            configurations=["mcd_base", "dynamic_1", "dynamic_5"],
+            seeds=[args.seed],
+            scale=args.scale,
+            name="compare",
+        ).expand()
+        attack_decay = [
+            attack_decay_scenario(
+                b, SCALED_OPERATING_POINT, seed=args.seed, scale=args.scale
+            )
+            for b in args.benchmarks
+        ]
+        results = Orchestrator().run(scenarios + attack_decay)
+    except ExperimentError as exc:
+        print(f"compare: error: {exc}", file=sys.stderr)
+        return 2
+    for outcome in results.errors:
+        print(f"FAILED {outcome.scenario.run_id}:\n{outcome.error}")
+    if results.errors:
+        return 1
     rows = []
-    for label, make in (
-        ("Attack/Decay", lambda b: runner.attack_decay(b, SCALED_OPERATING_POINT)),
-        ("Dynamic-1%", lambda b: runner.dynamic(b, 1.0)),
-        ("Dynamic-5%", lambda b: runner.dynamic(b, 5.0)),
+    for label, configuration in (
+        ("Attack/Decay", attack_decay[0].configuration),
+        ("Dynamic-1%", "dynamic_1"),
+        ("Dynamic-5%", "dynamic_5"),
     ):
-        agg = aggregate(
-            {b: runner.compare_to_mcd_base(make(b)) for b in args.benchmarks}
-        )
+        agg = results.aggregate(configuration, "mcd_base")
         rows.append(
             (
                 label,

@@ -9,8 +9,9 @@ energy savings — a power-savings-to-performance-degradation ratio of
 about 2, versus 4.6 for Attack/Decay.
 
 :class:`GlobalDVFSController` applies one scaling factor to every
-domain including the front end.  The search for the factor matching a
-target degradation lives in :mod:`repro.sim.experiment`.
+domain including the front end.  The search for the frequency matching
+a target degradation is
+:func:`repro.sim.paper_results.match_global_frequencies`.
 """
 
 from __future__ import annotations

@@ -100,7 +100,8 @@ def build_offline_schedule(
         demand-based schedule (1.0); values above 1.0 push below the
         demand estimate.  The original off-line algorithm re-analyses
         the whole run until the dilation budget is met; the iterative
-        search in :meth:`repro.sim.experiment.ExperimentRunner.dynamic`
+        search in
+        :func:`repro.experiments.builtins.dynamic_configuration`
         adjusts this knob from *measured* degradation, which plays the
         same role.
 

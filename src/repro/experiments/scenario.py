@@ -10,6 +10,7 @@ the :class:`~repro.experiments.orchestrator.Orchestrator` executes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -125,7 +126,7 @@ class Suite:
     name: str = "suite"
 
     def expand(self) -> list[Scenario]:
-        """The full run matrix, validated against catalog and registry.
+        """The full run matrix, validated against catalog, registry and scale.
 
         Order is deterministic: overrides, then seeds, then benchmarks,
         then configurations, varying fastest on the right.
@@ -136,6 +137,13 @@ class Suite:
             raise ExperimentError(f"suite {self.name!r} has no configurations")
         if not self.seeds:
             raise ExperimentError(f"suite {self.name!r} has no seeds")
+        if self.scale is not None and not (
+            isinstance(self.scale, (int, float)) and 0 < self.scale < math.inf
+        ):
+            raise ExperimentError(
+                f"suite {self.name!r} scale must be a positive finite number, "
+                f"got {self.scale!r}"
+            )
         unknown = [b for b in self.benchmarks if not is_known_benchmark(b)]
         if unknown:
             raise ExperimentError(f"unknown benchmarks in suite: {unknown}")

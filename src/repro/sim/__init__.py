@@ -1,45 +1,11 @@
-"""Simulation drivers: single runs, cached experiments, parameter sweeps.
+"""Simulation drivers: single runs, the paper's artifacts, parameter sweeps.
 
-The experiment-layer names (:class:`ExperimentRunner`, sweeps, ...) are
-imported lazily so that :mod:`repro.experiments` — which the experiment
-facade is built on, and which itself uses :mod:`repro.sim.engine` — can
-be imported first without a cycle.
+:mod:`repro.sim.engine` turns a :class:`SimulationSpec` into a run.
+:mod:`repro.sim.paper_results` (Table 6, Figure 4) and
+:mod:`repro.sim.sweeps` (Figures 5-7) build on :mod:`repro.experiments`,
+which itself imports the engine, so import them from their modules.
 """
 
 from repro.sim.engine import SimulationSpec, run_spec
 
-_LAZY = {
-    "ExperimentRunner": ("repro.sim.experiment", "ExperimentRunner"),
-    "RunRecord": ("repro.sim.experiment", "RunRecord"),
-    "benchmark_scale": ("repro.sim.experiment", "benchmark_scale"),
-    "quick_benchmarks": ("repro.sim.experiment", "quick_benchmarks"),
-    "sweep_attack_decay_parameter": (
-        "repro.sim.sweeps",
-        "sweep_attack_decay_parameter",
-    ),
-    "sweep_perf_deg_target": ("repro.sim.sweeps", "sweep_perf_deg_target"),
-}
-
-__all__ = [
-    "ExperimentRunner",
-    "RunRecord",
-    "SimulationSpec",
-    "benchmark_scale",
-    "quick_benchmarks",
-    "run_spec",
-    "sweep_attack_decay_parameter",
-    "sweep_perf_deg_target",
-]
-
-
-def __getattr__(name: str):
-    """Resolve experiment-layer names on first use (PEP 562)."""
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
+__all__ = ["SimulationSpec", "run_spec"]

@@ -10,14 +10,16 @@ power/performance ratio against the swept value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.config.algorithm import ATTACK_DECAY_PARAMETER_RANGES, AttackDecayParams
 from repro.errors import ExperimentError
+from repro.experiments.builtins import attack_decay_scenario
+from repro.experiments.orchestrator import Orchestrator
+from repro.experiments.scenario import Scenario
 from repro.metrics.aggregate import AggregateResult, aggregate
-
-if TYPE_CHECKING:  # runner is only an annotation; avoids an import cycle
-    from repro.sim.experiment import ExperimentRunner
+from repro.metrics.summary import compare
+from repro.sim.paper_results import run_or_raise
 
 #: Figure legends: the fixed operating points used for each sweep.
 FIGURE6_BASE = {
@@ -55,7 +57,7 @@ class SweepPoint:
 
 
 def sweep_attack_decay_parameter(
-    runner: ExperimentRunner,
+    orchestrator: Orchestrator,
     parameter: str,
     values: Sequence[float],
     benchmarks: Sequence[str],
@@ -63,15 +65,20 @@ def sweep_attack_decay_parameter(
 ) -> list[SweepPoint]:
     """Sweep one parameter; aggregate vs the baseline MCD processor.
 
+    Every value x benchmark Attack/Decay scenario, plus one
+    ``mcd_base`` per benchmark, runs as one orchestrator sweep; a
+    failed run raises :class:`~repro.errors.ExperimentError` naming it.
+
     Parameters
     ----------
-    runner:
-        The cached experiment runner.
+    orchestrator:
+        Runs the sweep (workers, cache, scale and seed).
     parameter:
         Field name on :class:`AttackDecayParams`
         (e.g. ``"decay_pct"``).
     values:
-        Values to sweep (validated against the Table 2 range).
+        Values to sweep (validated against the Table 2 range;
+        ``endstop_intervals`` values must be whole numbers).
     benchmarks:
         Benchmark subset to average over.
     base_params:
@@ -87,33 +94,41 @@ def sweep_attack_decay_parameter(
     rng = ATTACK_DECAY_PARAMETER_RANGES[_SWEEPABLE[parameter]]
     if base_params is None:
         base_params = FIGURE6_BASE.get(parameter, AttackDecayParams())
-    points: list[SweepPoint] = []
+    scenarios = [Scenario(bench, "mcd_base") for bench in benchmarks]
     for value in values:
         if not rng.contains(value):
             raise ExperimentError(
                 f"{parameter}={value} outside Table 2 range [{rng.low}, {rng.high}]"
             )
         if parameter == "endstop_intervals":
+            if value != int(value):
+                raise ExperimentError(
+                    f"endstop_intervals={value} is not a whole number of intervals"
+                )
             params = base_params.with_(endstop_intervals=int(value))
         else:
             params = base_params.with_(**{parameter: value})
-        comparisons = {}
-        for bench in benchmarks:
-            record = runner.attack_decay(bench, params)
-            comparisons[bench] = runner.compare_to_mcd_base(record)
+        scenarios.extend(attack_decay_scenario(bench, params) for bench in benchmarks)
+    width = len(benchmarks)
+    records = run_or_raise(orchestrator, scenarios).records
+    bases = {r.benchmark: r.summary for r in records[:width]}
+    points: list[SweepPoint] = []
+    for i, value in enumerate(values, start=1):
+        row = records[i * width : (i + 1) * width]
+        comparisons = {r.benchmark: compare(r.summary, bases[r.benchmark]) for r in row}
         points.append(SweepPoint(value=value, aggregate=aggregate(comparisons)))
     return points
 
 
 def sweep_perf_deg_target(
-    runner: ExperimentRunner,
+    orchestrator: Orchestrator,
     targets_pct: Sequence[float],
     benchmarks: Sequence[str],
     base_params: AttackDecayParams | None = None,
 ) -> list[SweepPoint]:
     """Figure 5: sweep the PerfDegThreshold (the degradation target)."""
     return sweep_attack_decay_parameter(
-        runner,
+        orchestrator,
         "perf_deg_threshold_pct",
         targets_pct,
         benchmarks,

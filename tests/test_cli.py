@@ -148,6 +148,45 @@ class TestSweepErrorPaths:
         assert "REPRO_START_METHOD" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_scale_rejected_before_any_cell(self, capsys, monkeypatch, scale):
+        from repro.experiments.executor import ExecutionContext
+
+        cells = []
+        monkeypatch.setattr(ExecutionContext, "run_batch", cells.append)
+        rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync",
+                   "--scale", scale, "--no-cache"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: error:")
+        assert "scale" in err
+        assert cells == []
+
+
+class TestCompare:
+    """compare runs through one orchestrator and fails the way sweep does."""
+
+    def test_unknown_benchmark(self, capsys):
+        assert main(["compare", "nonesuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("compare: error:")
+        assert "nonesuch" in err
+
+    def test_negative_scale(self, capsys):
+        assert main(["compare", "adpcm", "--scale", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("compare: error:")
+        assert "-1" in err
+
+    def test_prints_the_three_algorithms(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        assert main(["compare", "adpcm", "gsm", "--scale", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "Comparison vs baseline MCD (adpcm, gsm)" in out
+        for label in ("Attack/Decay", "Dynamic-1%", "Dynamic-5%"):
+            assert label in out
+
+
 class TestTraceCommands:
     """export-trace / import-trace, including the failure paths."""
 

@@ -21,7 +21,6 @@ from repro.experiments.builtins import attack_decay_scenario
 from repro.experiments.results import RunOutcome, RunRecord
 from repro.metrics.summary import RunSummary, summarize
 from repro.sim.engine import SimulationSpec, run_spec
-from repro.sim.experiment import ExperimentRunner
 
 #: A tiny scale so the whole module runs in seconds.
 SCALE = 0.05
@@ -121,6 +120,12 @@ class TestSuite:
             Suite(benchmarks=[], configurations=["sync"]).expand()
         with pytest.raises(ExperimentError):
             Suite(benchmarks=["adpcm"], configurations=["sync"], seeds=[]).expand()
+
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_scale_rejected(self, scale):
+        suite = Suite(benchmarks=["adpcm"], configurations=["sync"], scale=scale)
+        with pytest.raises(ExperimentError, match="scale"):
+            suite.expand()
 
     def test_scenario_round_trip(self):
         scenario = Scenario(
@@ -372,22 +377,12 @@ class TestResultSet:
         assert RunOutcome.from_dict(outcome.to_dict()) == outcome
 
 
-class TestFacadeEquivalence:
-    """ExperimentRunner must behave exactly as the seed runner did."""
+class TestAttackDecayScenarios:
+    """An Attack/Decay scenario runs exactly the operating point given."""
 
-    @pytest.fixture
-    def runner(self, tmp_path) -> ExperimentRunner:
-        return ExperimentRunner(cache_dir=tmp_path, scale=SCALE, seed=1)
-
-    def test_sync_baseline(self, runner):
-        direct = summarize(
-            run_spec(SimulationSpec(benchmark="adpcm", mcd=False, scale=SCALE, seed=1))
-        )
-        assert runner.sync_baseline("adpcm").summary == direct
-
-    def test_attack_decay_params_respected(self, runner):
+    def test_attack_decay_params_respected(self, ctx):
         params = AttackDecayParams(decay_pct=1.0, interval_instructions=500)
-        record = runner.attack_decay("adpcm", params)
+        record = ctx.run(attack_decay_scenario("adpcm", params))
         direct = summarize(
             run_spec(
                 SimulationSpec(
@@ -402,7 +397,7 @@ class TestFacadeEquivalence:
         assert record.summary == direct
         assert record.configuration == f"attack_decay[{params.legend()}]"
 
-    def test_attack_decay_non_legend_fields_in_cache_identity(self, runner):
+    def test_attack_decay_non_legend_fields_in_cache_identity(self, ctx):
         # The legend covers only four fields; the rest must still be
         # part of the cache identity (the seed runner collided them).
         coarse = attack_decay_scenario("adpcm", AttackDecayParams())
@@ -410,12 +405,7 @@ class TestFacadeEquivalence:
             "adpcm", AttackDecayParams(interval_instructions=500)
         )
         assert coarse.configuration == fine.configuration
-        assert runner.context.cache_key(coarse) != runner.context.cache_key(fine)
-
-    def test_run_scenario_shares_cache_with_methods(self, runner):
-        via_method = runner.mcd_baseline("adpcm")
-        via_scenario = runner.run_scenario(Scenario("adpcm", "mcd_base"))
-        assert via_method == via_scenario
+        assert ctx.cache_key(coarse) != ctx.cache_key(fine)
 
     def test_attack_decay_scenario_helper_round_trip(self):
         params = AttackDecayParams(decay_pct=0.5, endstop_intervals=5)
@@ -423,7 +413,7 @@ class TestFacadeEquivalence:
         assert scenario.configuration == f"attack_decay[{params.legend()}]"
         assert dict(scenario.overrides) == {"endstop_intervals": 5}
 
-    def test_attack_decay_exact_fractional_params(self, runner):
+    def test_attack_decay_exact_fractional_params(self, ctx):
         # The legend string is fixed-precision; values it cannot
         # represent must still be simulated exactly (and cached
         # distinctly), via overrides that win over the parsed name.
@@ -436,10 +426,8 @@ class TestFacadeEquivalence:
             "adpcm", AttackDecayParams(reaction_change_pct=2.6)
         )
         assert scenario.configuration == rounded.configuration
-        assert runner.context.cache_key(scenario) != runner.context.cache_key(
-            rounded
-        )
-        record = runner.attack_decay("adpcm", params)
+        assert ctx.cache_key(scenario) != ctx.cache_key(rounded)
+        record = ctx.run(scenario)
         direct = summarize(
             run_spec(
                 SimulationSpec(

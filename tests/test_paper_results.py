@@ -3,21 +3,92 @@
 import pytest
 
 from repro.config.algorithm import SCALED_OPERATING_POINT
-from repro.sim.experiment import ExperimentRunner
-from repro.sim.paper_results import PaperResults, compute_paper_results
+from repro.config.mcd import MCDConfig
+from repro.dvfs.scale import frequency_scale
+from repro.errors import ExperimentError
+from repro.execution import (
+    CancelToken,
+    CellFinished,
+    CellStarted,
+    EventBus,
+    ExecutionCancelled,
+)
+from repro.experiments import ExecutionContext, Orchestrator, ResultSet, Scenario
+from repro.sim.paper_results import (
+    TABLE6_ALGORITHMS,
+    PaperResults,
+    compute_paper_results,
+    match_global_frequencies,
+)
+
+SCALE = 0.08
+BENCHMARKS = ["adpcm", "gsm"]
+
+
+def serial_global_search(run, benchmarks, target, iterations=7):
+    """The per-scenario serial bisection the lockstep search replaced.
+
+    ``run`` executes one scenario and returns its record.  Kept here as
+    the oracle for :func:`match_global_frequencies`.
+    """
+    scale = frequency_scale(MCDConfig())
+    bases = {b: run(Scenario(b, "mcd_base")).summary for b in benchmarks}
+
+    def avg_deg_at(index):
+        mhz = scale.quantize(float(scale.frequencies_mhz[index]))
+        records = {b: run(Scenario(b, f"global@{mhz:.3f}")) for b in benchmarks}
+        degs = [
+            records[b].summary.wall_time_ns / bases[b].wall_time_ns - 1.0
+            for b in benchmarks
+        ]
+        return sum(degs) / len(degs), records
+
+    lo, hi = 0, len(scale) - 1
+    best_index, best_err, best_records = hi, float("inf"), {}
+    for _ in range(iterations):
+        if lo > hi:
+            break
+        mid = (lo + hi) // 2
+        deg, records = avg_deg_at(mid)
+        err = abs(deg - target)
+        if err < best_err:
+            best_index, best_err, best_records = mid, err, records
+        if deg > target:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return float(scale.frequencies_mhz[best_index]), best_records
+
+
+def is_global(scenario: Scenario) -> bool:
+    return scenario.configuration.startswith("global@")
 
 
 @pytest.fixture(scope="module")
-def results(tmp_path_factory) -> PaperResults:
-    runner = ExperimentRunner(
-        cache_dir=tmp_path_factory.mktemp("cache"), scale=0.08, seed=1
+def observed(tmp_path_factory):
+    """Table 6 on two benchmarks, with every published event recorded."""
+    bus = EventBus()
+    events = []
+    bus.subscribe(events.append)
+    orchestrator = Orchestrator(
+        cache_dir=tmp_path_factory.mktemp("cache"),
+        scale=SCALE,
+        seed=1,
+        use_cache=True,
+        events=bus,
     )
-    return compute_paper_results(
-        runner,
-        benchmarks=["adpcm", "gsm"],
+    results = compute_paper_results(
+        orchestrator,
+        benchmarks=BENCHMARKS,
         params=SCALED_OPERATING_POINT,
         include_globals=True,
     )
+    return results, events
+
+
+@pytest.fixture(scope="module")
+def results(observed) -> PaperResults:
+    return observed[0]
 
 
 class TestPaperResults:
@@ -45,6 +116,82 @@ class TestPaperResults:
             agg = results.aggregate_vs_mcd(algorithm)
             assert -1.0 < agg.performance_degradation < 1.0
             assert -1.0 < agg.energy_savings < 1.0
+
+
+class TestGlobalSearch:
+    def test_every_global_step_scenario_publishes_cell_finished(
+        self, observed, tmp_path
+    ):
+        results, events = observed
+        ctx = ExecutionContext(cache_dir=tmp_path, scale=SCALE, seed=1, use_cache=False)
+        visited = []
+
+        def run(scenario):
+            visited.append(scenario)
+            return ctx.run(scenario)
+
+        for algorithm in TABLE6_ALGORITHMS:
+            target = results.aggregate_vs_mcd(algorithm).performance_degradation
+            mhz, _ = serial_global_search(run, BENCHMARKS, target)
+            assert results.global_frequency[algorithm] == mhz
+        finished = [
+            e.outcome.scenario
+            for e in events
+            if isinstance(e, CellFinished) and is_global(e.outcome.scenario)
+        ]
+        # Each scenario the searches visit runs once, however many
+        # algorithms or steps visit it.
+        assert len(finished) == len(set(finished))
+        assert set(finished) == {s for s in visited if is_global(s)}
+
+    def test_cancel_after_the_first_step_stops_the_search(self, tmp_path):
+        token = CancelToken()
+        bus = EventBus()
+        started = []
+        finished = []
+
+        def on_event(event):
+            if isinstance(event, CellStarted):
+                started.append(event.run_id)
+            elif isinstance(event, CellFinished) and is_global(event.outcome.scenario):
+                finished.append(event)
+                if len(finished) == event.total:
+                    token.cancel()  # the first Global step is complete
+
+        bus.subscribe(on_event)
+        orchestrator = Orchestrator(
+            cache_dir=tmp_path,
+            scale=SCALE,
+            use_cache=False,
+            events=bus,
+            cancel=token,
+        )
+        with pytest.raises(ExecutionCancelled):
+            compute_paper_results(orchestrator, benchmarks=BENCHMARKS)
+        steps = {run_id.split(":")[1] for run_id in started if ":global@" in run_id}
+        assert len(steps) == 1
+        assert len(finished) == len(BENCHMARKS)
+
+    def test_lockstep_search_matches_the_serial_oracle(self, tmp_path):
+        benchmarks = ["adpcm", "gsm", "mcf"]
+        targets = {"low": 0.02, "mid": 0.05, "high": 0.10}
+        orchestrator = Orchestrator(
+            workers=2, backend="thread", cache_dir=tmp_path, scale=SCALE,
+            use_cache=False,
+        )
+        base = orchestrator.run([Scenario(b, "mcd_base") for b in benchmarks])
+        matches = match_global_frequencies(orchestrator, base, targets, benchmarks)
+        ctx = ExecutionContext(cache_dir=tmp_path, scale=SCALE, seed=1, use_cache=False)
+        for label, target in targets.items():
+            assert matches[label] == serial_global_search(ctx.run, benchmarks, target)
+        # The three searches part ways, so the differential covers
+        # steps that run different frequencies side by side.
+        assert len({mhz for mhz, _ in matches.values()}) > 1
+
+    def test_search_needs_benchmarks(self, tmp_path):
+        orchestrator = Orchestrator(cache_dir=tmp_path, scale=SCALE, use_cache=False)
+        with pytest.raises(ExperimentError, match="needs benchmarks"):
+            match_global_frequencies(orchestrator, ResultSet([]), {"x": 0.05}, [])
 
 
 class TestExperimentsWriter:

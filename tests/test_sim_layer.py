@@ -1,4 +1,4 @@
-"""Tests for the engine, experiment runner and sweeps (small scale)."""
+"""Tests for the engine, scenario execution and sweeps (small scale)."""
 
 import pytest
 
@@ -6,17 +6,27 @@ from repro.config.algorithm import AttackDecayParams
 from repro.config.mcd import Domain
 from repro.control.attack_decay import AttackDecayController
 from repro.errors import ExperimentError
+from repro.execution import EventBus
+from repro.execution.events import CellStarted
+from repro.experiments import ExecutionContext, Orchestrator, RunRecord, Scenario
+from repro.experiments.builtins import attack_decay_scenario
+from repro.metrics.aggregate import aggregate
+from repro.metrics.summary import compare
 from repro.sim.engine import SimulationSpec, run_spec
-from repro.sim.experiment import ExperimentRunner, RunRecord
-from repro.sim.sweeps import sweep_attack_decay_parameter
+from repro.sim.sweeps import FIGURE6_BASE, sweep_attack_decay_parameter
 
 #: A tiny scale so the whole module runs in seconds.
 SCALE = 0.08
 
 
 @pytest.fixture
-def runner(tmp_path) -> ExperimentRunner:
-    return ExperimentRunner(cache_dir=tmp_path, scale=SCALE, seed=1)
+def ctx(tmp_path) -> ExecutionContext:
+    return ExecutionContext(cache_dir=tmp_path, scale=SCALE, seed=1, use_cache=True)
+
+
+@pytest.fixture
+def orchestrator(tmp_path) -> Orchestrator:
+    return Orchestrator(cache_dir=tmp_path, scale=SCALE, seed=1, use_cache=True)
 
 
 @pytest.fixture
@@ -138,36 +148,33 @@ class TestEngine:
         assert slow.energy < full.energy
 
 
-class TestExperimentRunner:
-    def test_cache_round_trip(self, runner):
-        first = runner.sync_baseline("adpcm")
-        second = runner.sync_baseline("adpcm")
+class TestExecutionContext:
+    def test_cache_round_trip(self, ctx, tmp_path):
+        first = ctx.run(Scenario("adpcm", "sync"))
+        second = ctx.run(Scenario("adpcm", "sync"))
         assert first.summary == second.summary
-        # A fresh runner sharing the cache dir loads from disk.
-        other = ExperimentRunner(cache_dir=runner.cache_dir, scale=SCALE, seed=1)
-        third = other.sync_baseline("adpcm")
+        # A fresh context sharing the cache dir loads from disk.
+        other = ExecutionContext(cache_dir=tmp_path, scale=SCALE, seed=1, use_cache=True)
+        third = other.run(Scenario("adpcm", "sync"))
         assert third.summary == first.summary
 
-    def test_cache_key_distinguishes_configurations(self, runner):
-        sync = runner.sync_baseline("adpcm")
-        mcd = runner.mcd_baseline("adpcm")
+    def test_cache_key_distinguishes_configurations(self, ctx):
+        sync = ctx.run(Scenario("adpcm", "sync"))
+        mcd = ctx.run(Scenario("adpcm", "mcd_base"))
         assert sync.summary != mcd.summary
 
-    def test_attack_decay_record(self, runner):
-        record = runner.attack_decay("adpcm", AttackDecayParams(decay_pct=1.0))
-        comparison = runner.compare_to_mcd_base(record)
+    def test_attack_decay_record(self, ctx):
+        record = ctx.run(
+            attack_decay_scenario("adpcm", AttackDecayParams(decay_pct=1.0))
+        )
+        base = ctx.run(Scenario("adpcm", "mcd_base"))
+        comparison = compare(record.summary, base.summary)
         assert -0.05 < comparison.performance_degradation < 0.5
 
-    def test_dynamic_targets_monotone(self, runner):
-        d1 = runner.dynamic("gsm", 1.0, iterations=2)
-        d5 = runner.dynamic("gsm", 5.0, iterations=2)
+    def test_dynamic_targets_monotone(self, ctx):
+        d1 = ctx.run(Scenario("gsm", "dynamic_1", overrides={"iterations": 2}))
+        d5 = ctx.run(Scenario("gsm", "dynamic_5", overrides={"iterations": 2}))
         assert d5.summary.energy <= d1.summary.energy
-
-    def test_global_matched_converges(self, runner):
-        base = runner.mcd_baseline("adpcm").summary
-        target = base.wall_time_ns * 1.05
-        record = runner.global_matched("adpcm", target)
-        assert record.summary.wall_time_ns == pytest.approx(target, rel=0.04)
 
     def test_run_record_round_trip(self):
         from repro.metrics.summary import RunSummary
@@ -181,22 +188,82 @@ class TestExperimentRunner:
 
 
 class TestSweeps:
-    def test_sweep_produces_points(self, runner):
+    def test_sweep_produces_points(self, orchestrator):
         points = sweep_attack_decay_parameter(
-            runner, "decay_pct", [0.5, 1.0], ["adpcm"]
+            orchestrator, "decay_pct", [0.5, 1.0], ["adpcm"]
         )
         assert len(points) == 2
         assert points[0].value == 0.5
         assert points[0].aggregate.count == 1
 
-    def test_out_of_range_value_rejected(self, runner):
-        with pytest.raises(ExperimentError):
-            sweep_attack_decay_parameter(runner, "decay_pct", [5.0], ["adpcm"])
+    def test_sweep_is_one_orchestrated_run(self, tmp_path):
+        # Every value x benchmark scenario and one baseline per
+        # benchmark start in a single matrix, as the events show.
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        orchestrator = Orchestrator(
+            cache_dir=tmp_path, scale=SCALE, use_cache=False, events=bus
+        )
+        points = sweep_attack_decay_parameter(
+            orchestrator, "decay_pct", [0.5, 1.0], ["adpcm", "gsm"]
+        )
+        started = [e for e in events if isinstance(e, CellStarted)]
+        assert len(started) == 6
+        assert {e.total for e in started} == {6}
+        assert sum(e.run_id.endswith(":mcd_base") for e in started) == 2
+        ctx = ExecutionContext(cache_dir=tmp_path, scale=SCALE, use_cache=False)
+        for point in points:
+            params = FIGURE6_BASE["decay_pct"].with_(decay_pct=point.value)
+            expected = aggregate(
+                {
+                    b: compare(
+                        ctx.run(attack_decay_scenario(b, params)).summary,
+                        ctx.run(Scenario(b, "mcd_base")).summary,
+                    )
+                    for b in ("adpcm", "gsm")
+                }
+            )
+            assert point.aggregate == expected
 
-    def test_unknown_parameter_rejected(self, runner):
-        with pytest.raises(ExperimentError):
-            sweep_attack_decay_parameter(runner, "nope", [0.5], ["adpcm"])
+    def test_fractional_endstop_rejected(self, orchestrator):
+        # int(2.7) would simulate 2 intervals under a 2.7 label.
+        with pytest.raises(ExperimentError, match="2.7"):
+            sweep_attack_decay_parameter(
+                orchestrator, "endstop_intervals", [2.0, 2.7], ["adpcm"]
+            )
 
-    def test_empty_benchmarks_rejected(self, runner):
+    def test_whole_endstop_values_accepted(self, orchestrator):
+        points = sweep_attack_decay_parameter(
+            orchestrator, "endstop_intervals", [2.0, 5], ["adpcm"]
+        )
+        assert [p.value for p in points] == [2.0, 5]
+
+    def test_failed_run_raises_naming_it(self, tmp_path, monkeypatch):
+        from repro.experiments import executor
+
+        real = executor.run_spec
+
+        def failing(spec):
+            if spec.controller is not None:
+                raise RuntimeError("boom")
+            return real(spec)
+
+        monkeypatch.setattr(executor, "run_spec", failing)
+        orchestrator = Orchestrator(
+            cache_dir=tmp_path, scale=SCALE, use_cache=False, backend="serial"
+        )
+        with pytest.raises(ExperimentError, match="adpcm:attack_decay"):
+            sweep_attack_decay_parameter(orchestrator, "decay_pct", [0.5], ["adpcm"])
+
+    def test_out_of_range_value_rejected(self, orchestrator):
         with pytest.raises(ExperimentError):
-            sweep_attack_decay_parameter(runner, "decay_pct", [0.5], [])
+            sweep_attack_decay_parameter(orchestrator, "decay_pct", [5.0], ["adpcm"])
+
+    def test_unknown_parameter_rejected(self, orchestrator):
+        with pytest.raises(ExperimentError):
+            sweep_attack_decay_parameter(orchestrator, "nope", [0.5], ["adpcm"])
+
+    def test_empty_benchmarks_rejected(self, orchestrator):
+        with pytest.raises(ExperimentError):
+            sweep_attack_decay_parameter(orchestrator, "decay_pct", [0.5], [])
