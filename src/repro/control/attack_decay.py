@@ -28,16 +28,8 @@ from typing import Mapping
 
 from repro.config.algorithm import AttackDecayParams
 from repro.config.mcd import CONTROLLED_DOMAINS, Domain, MCDConfig
-from repro.control.base import IntervalSnapshot
+from repro.control.base import CORE_DOMAIN_INDEX, IntervalSnapshot, has_instance_hooks
 from repro.errors import ControlError
-
-#: Domain -> hot-loop index, matching the core's domain ordering.
-_NATIVE_DOMAIN_INDEX = {
-    Domain.FRONT_END: 0,
-    Domain.INTEGER: 1,
-    Domain.FLOATING_POINT: 2,
-    Domain.LOAD_STORE: 3,
-}
 
 
 @dataclass
@@ -219,17 +211,16 @@ class AttackDecayController:
             return None
         if self.instantaneous or self._config is None or not self.states:
             return None
-        # Instance-level hook replacement (rare, but legal) must keep
-        # the Python callback path, which actually calls the hooks.
-        if "on_interval" in self.__dict__ or "begin" in self.__dict__:
+        if has_instance_hooks(self):
             return None
         controlled = [0, 0, 0, 0]
         frequency_mhz = [0.0, 0.0, 0.0, 0.0]
         for domain in self.domains:
-            index = _NATIVE_DOMAIN_INDEX[domain]
+            index = CORE_DOMAIN_INDEX[domain]
             controlled[index] = 1
             frequency_mhz[index] = self.states[domain].frequency_mhz
         return {
+            "mode": "attack_decay",
             **self.params.native_values(),
             "literal_listing": 1 if self.literal_listing else 0,
             "smoothing_alpha": self.smoothing_alpha,
@@ -263,7 +254,7 @@ class AttackDecayController:
         self.prev_ipc = float(prev_ipc)
         self._smoothed_ipc = float(smoothed_ipc)
         for domain in self.domains:
-            i = _NATIVE_DOMAIN_INDEX[domain]
+            i = CORE_DOMAIN_INDEX[domain]
             state = self.states[domain]
             state.frequency_mhz = float(frequency_mhz[i])
             state.prev_queue_utilization = float(prev_queue_utilization[i])

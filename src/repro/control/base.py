@@ -16,6 +16,26 @@ from typing import Mapping, Protocol, runtime_checkable
 
 from repro.config.mcd import Domain, MCDConfig
 
+#: The order of every per-domain register the core keeps and its native
+#: loop exchanges with a controller: index ``i`` is ``CORE_DOMAINS[i]``.
+CORE_DOMAINS = (
+    Domain.FRONT_END,
+    Domain.INTEGER,
+    Domain.FLOATING_POINT,
+    Domain.LOAD_STORE,
+)
+CORE_DOMAIN_INDEX = {domain: i for i, domain in enumerate(CORE_DOMAINS)}
+
+
+def has_instance_hooks(controller) -> bool:
+    """Whether ``begin``/``on_interval`` were replaced on the instance.
+
+    Replacing them is rare but legal; such a controller must keep the
+    per-interval callback, the only path that calls the replacement,
+    so its ``native_spec`` returns None.
+    """
+    return "on_interval" in controller.__dict__ or "begin" in controller.__dict__
+
 
 @dataclass(frozen=True)
 class IntervalSnapshot:

@@ -22,15 +22,22 @@ schedule (docs/design.md substitution #5):
 3. :class:`OfflineController` replays the schedule with instantaneous
    transitions — the paper notes the off-line algorithm pre-requests
    changes, so regulator slew is not a source of error for it.
+
+The stock profiler and controller also run inside the native loop
+(:mod:`repro.uarch.native`): :meth:`OfflineProfiler.native_spec` and
+:meth:`OfflineController.native_spec` say when that is sound, and the
+run then makes no per-interval Python call.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.config.mcd import CONTROLLED_DOMAINS, Domain, MCDConfig
-from repro.control.base import IntervalSnapshot
+from repro.control.base import CORE_DOMAIN_INDEX, IntervalSnapshot, has_instance_hooks
 from repro.dvfs.scale import frequency_scale
 from repro.errors import ControlError
 
@@ -61,10 +68,31 @@ class OfflineProfiler:
 
     def on_interval(self, snapshot: IntervalSnapshot) -> dict[Domain, float]:
         """Record the interval; request no changes."""
-        self.profile.busy_fraction.append(dict(snapshot.busy_fraction))
-        self.profile.queue_utilization.append(dict(snapshot.queue_utilization))
-        self.profile.ipc.append(snapshot.ipc)
+        self.record(snapshot.busy_fraction, snapshot.queue_utilization, snapshot.ipc)
         return {}
+
+    def record(
+        self,
+        busy_fraction: Mapping[Domain, float],
+        queue_utilization: Mapping[Domain, float],
+        ipc: float,
+    ) -> None:
+        """Append one interval's observations to the profile."""
+        self.profile.busy_fraction.append(dict(busy_fraction))
+        self.profile.queue_utilization.append(dict(queue_utilization))
+        self.profile.ipc.append(ipc)
+
+    def native_spec(self) -> dict | None:
+        """The native loop's form of this profiler, or None.
+
+        A stock profiler without instance hooks runs inside the C loop,
+        which logs each interval's raw observables; the fold then passes
+        each interval to :meth:`record` exactly as :meth:`on_interval`
+        would.
+        """
+        if type(self) is not OfflineProfiler or has_instance_hooks(self):
+            return None
+        return {"mode": "profile"}
 
 
 def build_offline_schedule(
@@ -109,10 +137,14 @@ def build_offline_schedule(
     -------
     One ``{domain: MHz}`` mapping per interval.
     """
-    if target_degradation_pct < 0:
-        raise ControlError("target_degradation_pct must be >= 0")
-    if aggressiveness < 0:
-        raise ControlError("aggressiveness must be >= 0")
+    for name, value in (
+        ("target_degradation_pct", target_degradation_pct),
+        ("latency_guard", latency_guard),
+        ("aggressiveness", aggressiveness),
+    ):
+        # A NaN would quantise every step to the minimum frequency.
+        if not (_is_number(value) and math.isfinite(value) and value >= 0):
+            raise ControlError(f"{name} must be a finite number >= 0, got {value!r}")
     scale = frequency_scale(config)
     dilation = 1.0 + target_degradation_pct / 100.0
     fmax = config.max_frequency_mhz
@@ -131,15 +163,45 @@ def build_offline_schedule(
     return schedule
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (floats first: the ABC check is slow)."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
+def _validated_step(index: int, step) -> dict[Domain, float]:
+    """A copy of one schedule step, or ControlError naming the fault."""
+    if not isinstance(step, Mapping):
+        raise ControlError(f"schedule[{index}] must be a mapping, got {step!r}")
+    step = dict(step)
+    for domain, mhz in step.items():
+        if not isinstance(domain, Domain) or domain not in CORE_DOMAIN_INDEX:
+            raise ControlError(
+                f"schedule[{index}] key {domain!r} is not a core clock domain"
+            )
+        # NaN fails the comparison too.
+        if not (_is_number(mhz) and 0 < mhz < math.inf):
+            raise ControlError(
+                f"schedule[{index}][{domain.value}] must be a finite, "
+                f"positive MHz, got {mhz!r}"
+            )
+    return step
+
+
 class OfflineController:
-    """Replays a pre-computed schedule with perfect foresight."""
+    """Replays a pre-computed schedule with perfect foresight.
+
+    The schedule is validated and copied at construction: every step
+    maps core clock domains to finite, positive MHz.
+    """
 
     instantaneous = True
 
     def __init__(self, schedule: list[dict[Domain, float]]) -> None:
         if not schedule:
             raise ControlError("schedule must not be empty")
-        self.schedule = schedule
+        self.schedule = [_validated_step(i, step) for i, step in enumerate(schedule)]
         self._position = 0
 
     def begin(self, config: MCDConfig, initial_mhz: Mapping[Domain, float]) -> None:
@@ -151,3 +213,29 @@ class OfflineController:
         index = min(self._position, len(self.schedule) - 1)
         self._position += 1
         return dict(self.schedule[index])
+
+    def native_spec(self) -> dict | None:
+        """The native loop's form of this controller, or None.
+
+        A stock controller without instance hooks, rewound by
+        :meth:`begin`, replays inside the C loop when every step lists
+        the same domains in the same order, as
+        :func:`build_offline_schedule`'s steps do: ``domains`` holds
+        their core indices and ``rows`` each step's MHz.  The C loop
+        snaps those domains to row ``min(k, len(rows) - 1)`` at
+        interval ``k``; the fold moves ``_position`` on by the interval
+        count.
+        """
+        if type(self) is not OfflineController or has_instance_hooks(self):
+            return None
+        if self._position != 0:
+            return None
+        # Key tuples compare without hashing a Domain.
+        domains = tuple(self.schedule[0])
+        if any(tuple(step) != domains for step in self.schedule):
+            return None
+        return {
+            "mode": "replay",
+            "domains": [CORE_DOMAIN_INDEX[domain] for domain in domains],
+            "rows": [list(step.values()) for step in self.schedule],
+        }

@@ -22,6 +22,8 @@ can be composed from named pieces.
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 
 from repro.config.algorithm import AttackDecayParams
@@ -34,6 +36,7 @@ from repro.control.offline import (
     OfflineProfiler,
     build_offline_schedule,
 )
+from repro.errors import ExperimentError
 from repro.experiments.registry import (
     CLOCKING_MODES,
     register_clocking_mode,
@@ -244,18 +247,35 @@ def dynamic_configuration(
     Profiles the benchmark at maximum frequencies, builds the
     demand-based per-interval schedule, and iterates the schedule's
     aggressiveness against *measured* degradation (relative to the
-    baseline MCD processor) — the off-line algorithm's whole point is
-    that it may re-analyse the complete run until its dilation budget
-    is met.  Returns the best run's summary directly (a multi-run
-    search, not a single spec).
+    baseline MCD processor, whose run is the profiling run itself) —
+    the off-line algorithm's whole point is that it may re-analyse the
+    complete run until its dilation budget is met.  Returns the best
+    run's summary directly (a multi-run search, not a single spec):
+    ``iterations`` caps the schedules tried, so the search runs at most
+    ``1 + iterations`` simulations.
     """
-    profile = ctx.profile(benchmark, scale=scale, seed=seed)
-    base = ctx.summary(benchmark, "mcd_base", scale=scale, seed=seed)
+    if isinstance(target_pct, bool) or not (
+        isinstance(target_pct, numbers.Real)
+        and math.isfinite(target_pct)
+        and target_pct >= 0
+    ):
+        raise ExperimentError(
+            f"target_pct must be a finite number >= 0, got {target_pct!r}"
+        )
+    if (
+        isinstance(iterations, bool)
+        or not isinstance(iterations, numbers.Integral)
+        or iterations < 1
+    ):
+        raise ExperimentError(
+            f"iterations must be a positive integer, got {iterations!r}"
+        )
+    profile, base = ctx.profile(benchmark, scale=scale, seed=seed)
     target = target_pct / 100.0
     lam = 1.0
     best: RunSummary | None = None
     best_err = float("inf")
-    for _ in range(max(1, iterations)):
+    for _ in range(iterations):
         schedule = build_offline_schedule(
             profile, MCDConfig(), target_pct, aggressiveness=lam
         )
@@ -269,7 +289,7 @@ def dynamic_configuration(
         summary = summarize(run_spec(spec))
         deg = summary.wall_time_ns / base.wall_time_ns - 1.0
         err = abs(deg - target)
-        if err < best_err:
+        if best is None or err < best_err:
             best, best_err = summary, err
         if err <= 0.3 * target + 0.002:
             break
@@ -277,7 +297,6 @@ def dynamic_configuration(
             lam = min(lam * 1.8, 3.0)
         else:
             lam = min(3.0, max(0.1, lam * (target / deg) ** 0.7))
-    assert best is not None
     return best
 
 

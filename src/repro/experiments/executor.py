@@ -32,8 +32,10 @@ import os
 import threading
 import traceback
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.concurrency import SingleFlight
+from repro.control.offline import OfflineProfile, OfflineProfiler
 from repro.errors import ExperimentError
 from repro.experiments.cache import CacheStore
 from repro.experiments.registry import CONFIGURATIONS
@@ -170,6 +172,17 @@ def default_batch() -> int | None:
     return parse_batch(os.environ.get("REPRO_BATCH", "auto"), "REPRO_BATCH")
 
 
+class ProfiledRun(NamedTuple):
+    """The off-line profile of one run at maximum frequencies, and its summary.
+
+    The profiler is passive, so ``summary`` is exactly the summary of
+    the same benchmark, scale and seed under ``mcd_base``.
+    """
+
+    profile: OfflineProfile
+    summary: RunSummary
+
+
 #: Write-through memory front on each context's result store: results
 #: computed by any thread of a thread-pool sweep are immediately
 #: visible to the others without a disk read (entries are small result
@@ -233,7 +246,7 @@ class ExecutionContext:
         self.dedup_hits = 0
         self._dedup_stats_lock = threading.Lock()
         self._results_flight = SingleFlight()
-        self._profiles: dict[tuple[str, float, int], object] = {}
+        self._profiles: dict[tuple[str, float, int], ProfiledRun] = {}
         self._profiles_flight = SingleFlight()
 
     # --- effective scenario parameters ------------------------------------
@@ -447,16 +460,16 @@ class ExecutionContext:
 
     def profile(
         self, benchmark: str, scale: float | None = None, seed: int | None = None
-    ):
+    ) -> ProfiledRun:
         """Profile a benchmark at maximum frequencies (memoised).
 
-        The profile drives the off-line Dynamic schedules; one
-        profiling run per (benchmark, scale, seed) per context, even
-        under the thread backend — concurrent callers for one key wait
-        on the first thread's profiling run and share its result.
+        The profile drives the off-line Dynamic schedules, and the
+        run's summary is their ``mcd_base`` baseline: the profiler
+        changes no frequency, so the run *is* the baseline MCD run.
+        One profiling run per (benchmark, scale, seed) per context,
+        even under the thread backend — concurrent callers for one key
+        wait on the first thread's profiling run and share its result.
         """
-        from repro.control.offline import OfflineProfiler
-
         scale = self.scale if scale is None else scale
         seed = self.seed if seed is None else seed
         key = (benchmark, scale, seed)
@@ -470,14 +483,14 @@ class ExecutionContext:
                 scale=scale,
                 seed=seed,
             )
-            run_spec(spec)
-            return profiler.profile
+            summary = summarize(run_spec(spec))
+            return ProfiledRun(profiler.profile, summary)
 
-        profile, _ = self._profiles_flight.run(
+        profiled, _ = self._profiles_flight.run(
             key, lambda: self._profiles.get(key), build,
             lambda value: self._profiles.setdefault(key, value),
         )
-        return profile
+        return profiled
 
 
 #: Per-process context reuse, so a pool worker keeps its in-memory

@@ -19,16 +19,19 @@
  * flat array('q') buffers (SetAssociativeCache, CombiningBranchPredictor,
  * BranchTargetBuffer), which the C side validates once and then reads
  * and updates in place: no conversion at entry, nothing to write back
- * at exit.  A stock Attack/Decay controller (paper Listing 1, plus the
- * regulator's request quantisation) is marshalled into flat registers
- * and run inline at each interval rollover — the closed-loop run then
- * makes zero per-interval Python crossings.  Custom controllers and
- * interval recording fall back to the per-interval `rollover` Python
- * callback.  MCD clock jitter is drawn here too, from each clock's own
- * numpy bit generator, bit for bit as GaussianJitter._draw draws it
- * (see "clock jitter" below).  See repro/uarch/native.py for the
- * build/load glue and controller marshalling, and
- * MCDCore.native_marshal for the Python side of the boundary.
+ * at exit.  Three stock controllers run inline at each interval
+ * rollover, marshalled into flat buffers: Attack/Decay (paper Listing 1,
+ * plus the regulator's request quantisation), the off-line profiler (a
+ * log of each interval's raw observables, from which Python derives the
+ * profile) and the off-line schedule replay (pre-quantised rows of four
+ * MHz).  Such a run makes zero per-interval Python crossings.  Custom
+ * controllers and interval recording fall back to the per-interval
+ * `rollover` Python callback.  MCD clock jitter is drawn here too, from
+ * each clock's own numpy bit generator, bit for bit as
+ * GaussianJitter._draw draws it (see "clock jitter" below).  See
+ * repro/uarch/native.py for the build/load glue and controller
+ * marshalling, and MCDCore.native_marshal for the Python side of the
+ * boundary.
  *
  * Execution is staged around a per-run RunState struct so a whole
  * sweep can run on a thread pool inside one process:
@@ -93,6 +96,14 @@
 #define MAX_DEP_DISTANCE 512
 _Static_assert(RING > MAX_DEP_DISTANCE,
                "a producer's completion slot must be live when its consumers dispatch");
+/* What the interval rollover runs besides the `rollover` callback
+ * (the native_ctrl argument): nothing, Attack/Decay (paper Listing 1),
+ * the off-line profiler's log or the off-line schedule replay; and the
+ * doubles per interval in a profile log.  Exported as module
+ * attributes, like the trace-format constants, and equal to
+ * repro.uarch.native's CTRL_* and LOG_FIELDS. */
+enum { CTRL_NONE, CTRL_ATTACK_DECAY, CTRL_PROFILE, CTRL_REPLAY };
+#define LOG_FIELDS 12
 
 /* ---------------------------------------------------------------- util */
 
@@ -125,8 +136,9 @@ get_double(PyObject *dict, const char *key, double *out)
 }
 
 /* The buffer views one call may hold: a run takes at most 61 (48 for
- * its columns, tables and controller registers, 13 for the cache,
- * predictor and BTB state); take_view raises rather than overflow. */
+ * its columns, tables and Attack/Decay's registers, the largest
+ * controller mode, and 13 for the cache, predictor and BTB state);
+ * take_view raises rather than overflow. */
 #define MAX_VIEWS 64
 
 typedef struct {
@@ -191,10 +203,27 @@ get_buffer(PyObject *dict, const char *key, ViewPool *pool, int writable,
     return view->buf;
 }
 
+/* view's struct format string ("B" when the exporter gives none). */
+static const char *
+view_format(const Py_buffer *view)
+{
+    return view->format != NULL ? view->format : "B";
+}
+
+/* Whether view's format is one native-order struct code out of codes
+ * (such as numpy's "B", "H", "I", "l" or "d"), itemsize bytes wide. */
+static int
+format_is(const Py_buffer *view, const char *codes, Py_ssize_t itemsize)
+{
+    const char *format = view_format(view);
+    const char *code = format[0] == '@' || format[0] == '=' ? format + 1 : format;
+    return code[0] != '\0' && code[1] == '\0' && strchr(codes, code[0]) != NULL
+           && view->itemsize == itemsize;
+}
+
 /* A read-only trace column of at least min_len native-order integers,
  * itemsize bytes each, signed or not as is_signed says: its buffer
- * format (struct syntax, such as numpy's "B", "H", "I" or "l") and
- * itemsize are both checked. */
+ * format and itemsize are both checked. */
 static const void *
 get_column(PyObject *dict, const char *key, ViewPool *pool, int is_signed,
            Py_ssize_t itemsize, Py_ssize_t min_len)
@@ -202,21 +231,41 @@ get_column(PyObject *dict, const char *key, ViewPool *pool, int is_signed,
     Py_buffer *view = take_view(dict, key, pool, PyBUF_FORMAT);
     if (view == NULL)
         return NULL;
-    const char *format = view->format != NULL ? view->format : "B";
-    const char *code = format[0] == '@' || format[0] == '=' ? format + 1 : format;
-    if (code[0] == '\0' || code[1] != '\0'
-        || strchr(is_signed ? "bhilq" : "BHILQ", code[0]) == NULL
-        || view->itemsize != itemsize) {
+    if (!format_is(view, is_signed ? "bhilq" : "BHILQ", itemsize)) {
         PyErr_Format(PyExc_TypeError,
                      "hotpath: column %s has format '%s' and itemsize %zd, "
                      "want %s integers of %zd bytes",
-                     key, format, view->itemsize,
+                     key, view_format(view), view->itemsize,
                      is_signed ? "signed" : "unsigned", itemsize);
         return NULL;
     }
     Py_ssize_t len;
     if (view_length(view, key, itemsize, min_len, &len) < 0)
         return NULL;
+    return view->buf;
+}
+
+/* A buffer of at least min_len native float64 values, format checked
+ * (its length lands in *len_out when that is not NULL). */
+static double *
+get_doubles(PyObject *dict, const char *key, ViewPool *pool, int writable,
+            Py_ssize_t min_len, Py_ssize_t *len_out)
+{
+    Py_buffer *view =
+        take_view(dict, key, pool, PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0));
+    if (view == NULL)
+        return NULL;
+    if (!format_is(view, "d", 8)) {
+        PyErr_Format(PyExc_TypeError,
+                     "hotpath: %s has format '%s' and itemsize %zd, want float64",
+                     key, view_format(view), view->itemsize);
+        return NULL;
+    }
+    Py_ssize_t len;
+    if (view_length(view, key, 8, min_len, &len) < 0)
+        return NULL;
+    if (len_out != NULL)
+        *len_out = len;
     return view->buf;
 }
 
@@ -999,7 +1048,7 @@ typedef struct {
     int call_rollover;
     double mem_latency, window, vmin, fmin, vslope, vmax_sq_inv;
     double e_l1i, e_l2, e_bpred, e_retire, e_disp_fetch;
-    /* native closed-loop controller */
+    /* native controller: the mode, then Attack/Decay's registers */
     int native_ctrl;
     double ad_dev, ad_reaction, ad_decay, ad_perf_deg, ad_alpha;
     double cfg_min_mhz, cfg_max_mhz, freq_step;
@@ -1010,6 +1059,13 @@ typedef struct {
     int64_t *ad_decays, *ad_holds;
     const double *freq_table;
     int64_t *reg_requests, *reg_dirchg;
+    /* the off-line profiler's log (off_log_rows rows of LOG_FIELDS) and
+     * the schedule replay's rows of four MHz and domain mask */
+    double *off_log;
+    int64_t off_log_rows;
+    const double *off_sched;
+    int64_t off_sched_rows;
+    const int64_t *off_mask;
     /* trace columns, ISA tables and state buffers (views owned by pool) */
     Trace tr;
     const int64_t *dest_tab, *domain_tab;
@@ -1037,7 +1093,7 @@ typedef struct {
     PyObject *rollover;
     /* compute outputs */
     int64_t int_free, fp_free;
-    int64_t retired, memory_accesses, dispatch_stall_cycles;
+    int64_t retired, memory_accesses, dispatch_stall_cycles, intervals;
     double wall;
     const char *error;
 } RunState;
@@ -1197,11 +1253,20 @@ marshal_run(PyObject *a, RunState *rs)
                   kind_branch = kind_branch_ll;
     const int call_rollover = (int)call_rollover_ll;
     int64_t int_free = int_free_ll, fp_free = fp_free_ll;
+    if (interval_len < 1) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: interval_len must be positive");
+        goto fail;
+    }
 
-    /* --- native closed-loop controller (attack/decay, Listing 1) ------ */
+    /* --- native controller -------------------------------------------- */
     long long native_ctrl_ll = 0;
     if (get_long(a, "native_ctrl", &native_ctrl_ll))
         goto fail;
+    if (native_ctrl_ll < CTRL_NONE || native_ctrl_ll > CTRL_REPLAY) {
+        PyErr_Format(PyExc_ValueError, "hotpath: unknown native_ctrl mode %lld",
+                     native_ctrl_ll);
+        goto fail;
+    }
     const int native_ctrl = (int)native_ctrl_ll;
     double ad_dev = 0.0, ad_reaction = 0.0, ad_decay = 0.0, ad_perf_deg = 0.0;
     double ad_alpha = 1.0, cfg_min_mhz = 0.0, cfg_max_mhz = 0.0, freq_step = 1.0;
@@ -1213,6 +1278,10 @@ marshal_run(PyObject *a, RunState *rs)
     int64_t *ad_decays = NULL, *ad_holds = NULL;
     const double *freq_table = NULL;
     int64_t *reg_requests = NULL, *reg_dirchg = NULL;
+    double *off_log = NULL;
+    int64_t off_log_rows = 0, off_sched_rows = 0;
+    const double *off_sched = NULL;
+    const int64_t *off_mask = NULL;
 
     /* --- trace columns and the ISA tables ----------------------------- */
     if (marshal_trace(a, pool, total, &rs->tr) < 0)
@@ -1265,7 +1334,7 @@ marshal_run(PyObject *a, RunState *rs)
         || !cur_freq)
         goto fail;
 
-    if (native_ctrl) {
+    if (native_ctrl == CTRL_ATTACK_DECAY) {
         if (get_double(a, "ad_dev", &ad_dev)
             || get_double(a, "ad_reaction", &ad_reaction)
             || get_double(a, "ad_decay", &ad_decay)
@@ -1299,6 +1368,41 @@ marshal_run(PyObject *a, RunState *rs)
         if (freq_points < 1 || table_n < freq_points) {
             PyErr_SetString(PyExc_ValueError, "hotpath: bad frequency table");
             goto fail;
+        }
+    } else if (native_ctrl == CTRL_PROFILE) {
+        /* A run of total instructions rolls over at most
+         * total / interval_len times; one row more is to spare. */
+        off_log_rows = total / interval_len + 1;
+        if ((off_log = get_doubles(a, "off_log", pool, 1, off_log_rows * LOG_FIELDS,
+                                   NULL)) == NULL)
+            goto fail;
+    } else if (native_ctrl == CTRL_REPLAY) {
+        Py_ssize_t sched_n = 0;
+        if ((off_sched = get_doubles(a, "off_sched", pool, 0, 4, &sched_n)) == NULL
+            || (off_mask = get_buffer(a, "off_mask", pool, 0, 4, NULL)) == NULL)
+            goto fail;
+        if (sched_n % 4) {
+            PyErr_Format(PyExc_ValueError,
+                         "hotpath: off_sched holds %zd values, want rows of 4",
+                         sched_n);
+            goto fail;
+        }
+        off_sched_rows = sched_n / 4;
+        for (int i = 0; i < 4; i++) {
+            if (off_mask[i] != 0 && off_mask[i] != 1) {
+                PyErr_SetString(PyExc_ValueError, "hotpath: off_mask must hold 0 or 1");
+                goto fail;
+            }
+            for (int64_t r = 0; off_mask[i] && r < off_sched_rows; r++) {
+                const double mhz = off_sched[4 * r + i];
+                if (!(isfinite(mhz) && mhz > 0.0)) {
+                    PyErr_Format(PyExc_ValueError,
+                                 "hotpath: off_sched row %lld sets domain %d to a "
+                                 "frequency that is not finite and positive",
+                                 (long long)r, i);
+                    goto fail;
+                }
+            }
         }
     }
 
@@ -1380,6 +1484,11 @@ marshal_run(PyObject *a, RunState *rs)
     rs->freq_table = freq_table;
     rs->reg_requests = reg_requests;
     rs->reg_dirchg = reg_dirchg;
+    rs->off_log = off_log;
+    rs->off_log_rows = off_log_rows;
+    rs->off_sched = off_sched;
+    rs->off_sched_rows = off_sched_rows;
+    rs->off_mask = off_mask;
     rs->dest_tab = dest_tab;
     rs->domain_tab = domain_tab;
     rs->lat_cycles = lat_cycles;
@@ -1459,6 +1568,11 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     int64_t *ad_decays = rs->ad_decays, *ad_holds = rs->ad_holds;
     const double *freq_table = rs->freq_table;
     int64_t *reg_requests = rs->reg_requests, *reg_dirchg = rs->reg_dirchg;
+    double *off_log = rs->off_log;
+    const int64_t off_log_rows = rs->off_log_rows;
+    const double *off_sched = rs->off_sched;
+    const int64_t off_sched_rows = rs->off_sched_rows;
+    const int64_t *off_mask = rs->off_mask;
     const Trace tr = rs->tr;
     const int64_t *dest_tab = rs->dest_tab, *domain_tab = rs->domain_tab;
     const int64_t *lat_cycles = rs->lat_cycles, *complex_op = rs->complex_op;
@@ -1640,30 +1754,49 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                 }
                 int64_t occ1 = q_occ[1], occ2 = q_occ[2], occ3 = q_occ[3];
                 q_occ[1] = q_occ[2] = q_occ[3] = 0;
+                const int64_t k = interval_index - 1;
+                /* Whether a controller ran and may have moved a
+                 * regulator. */
+                int controlled = 1;
                 if (call_rollover) {
                     if (rollover_callback(
-                            rollover, (long long)(interval_index - 1),
-                            (long long)retired, t, duration, (long long)occ1,
-                            (long long)occ2, (long long)occ3,
-                            busy_in_interval, (long long)memory_accesses,
-                            &tstate) < 0) {
+                            rollover, (long long)k, (long long)retired, t,
+                            duration, (long long)occ1, (long long)occ2,
+                            (long long)occ3, busy_in_interval,
+                            (long long)memory_accesses, &tstate) < 0) {
                         py_error = 1;
                         break;
                     }
-                    /* Pick up controller-applied regulator changes.
-                     * NOTE: vscale deliberately stays the value bound
-                     * at the top of this cycle, like the reference
-                     * interpreter. */
-                    for (int i = 0; i < 4; i++) {
-                        slewing[i] = reg_cur[i] != reg_tgt[i];
-                        if (reg_cur[i] != cur_freq[i]) {
-                            cur_freq[i] = reg_cur[i];
-                            cur_period[i] = 1e3 / reg_cur[i];
-                            double v = vmin + (reg_cur[i] - fmin) * vslope;
-                            cur_vscale[i] = v * v * vmax_sq_inv;
+                } else if (native_ctrl == CTRL_PROFILE) {
+                    /* OfflineProfiler run inline: log the raw
+                     * observables; the fold derives the profile from
+                     * them as the callback derives its snapshot
+                     * (repro.uarch.native.interval_observables).
+                     * marshal_run sized the log for every interval. */
+                    if (k < off_log_rows) {
+                        double *row = off_log + k * LOG_FIELDS;
+                        row[0] = duration;
+                        row[1] = (double)occ1;
+                        row[2] = (double)occ2;
+                        row[3] = (double)occ3;
+                        for (int i = 0; i < 4; i++) {
+                            row[4 + i] = (double)busy_in_interval[i];
+                            row[8 + i] = cur_freq[i];
                         }
                     }
-                } else if (native_ctrl) {
+                    controlled = 0;
+                } else if (native_ctrl == CTRL_REPLAY) {
+                    /* OfflineController run inline: snap the scheduled
+                     * domains to row min(k, rows - 1), frequency and
+                     * target both, as snap_to does with the MHz the
+                     * marshal pre-quantised. */
+                    const double *row =
+                        off_sched + 4 * (k < off_sched_rows ? k : off_sched_rows - 1);
+                    for (int i = 0; i < 4; i++) {
+                        if (off_mask[i])
+                            reg_cur[i] = reg_tgt[i] = row[i];
+                    }
+                } else if (native_ctrl == CTRL_ATTACK_DECAY) {
                     /* Attack/Decay (paper Listing 1) run inline: the
                      * same arithmetic, in the same order, as
                      * AttackDecayController.on_interval feeding
@@ -1672,7 +1805,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     double raw_ipc = (double)interval_len
                                      / (duration * cur_freq[0] * 1e-3);
                     double ipc;
-                    if (interval_index - 1 == 0 || ad_alpha >= 1.0)
+                    if (k == 0 || ad_alpha >= 1.0)
                         ipc = raw_ipc;
                     else
                         ipc = ad_alpha * raw_ipc + (1.0 - ad_alpha) * ad_ipc[1];
@@ -1765,10 +1898,15 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                         ad_prev_util[i] = utilization;
                     }
                     ad_ipc[0] = ipc;
-                    /* Pick up the new regulator targets, exactly as
-                     * after the callback above (request never moves
-                     * reg_cur, so the cur_freq refresh is a no-op kept
-                     * for strict symmetry). */
+                } else {
+                    controlled = 0;
+                }
+                if (controlled) {
+                    /* Pick up controller-applied regulator changes
+                     * (Attack/Decay's requests never move reg_cur, so
+                     * for it only `slewing` changes).  NOTE: vscale
+                     * deliberately stays the value bound at the top of
+                     * this cycle, like the reference interpreter. */
                     for (int i = 0; i < 4; i++) {
                         slewing[i] = reg_cur[i] != reg_tgt[i];
                         if (reg_cur[i] != cur_freq[i]) {
@@ -2132,6 +2270,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     rs->wall = wall;
     rs->memory_accesses = memory_accesses;
     rs->dispatch_stall_cycles = dispatch_stall_cycles;
+    rs->intervals = interval_index;
     rs->int_free = int_free;
     rs->fp_free = fp_free;
     rs->error = error;
@@ -2145,11 +2284,11 @@ static PyObject *
 result_dict(const RunState *rs)
 {
     return Py_BuildValue(
-        "{s:L,s:d,s:L,s:L,s:L,s:L,s:s}", "retired", (long long)rs->retired,
+        "{s:L,s:d,s:L,s:L,s:L,s:L,s:L,s:s}", "retired", (long long)rs->retired,
         "wall", rs->wall, "memory_accesses", (long long)rs->memory_accesses,
         "dispatch_stall_cycles", (long long)rs->dispatch_stall_cycles,
-        "int_free", (long long)rs->int_free, "fp_free", (long long)rs->fp_free,
-        "error", rs->error);
+        "intervals", (long long)rs->intervals, "int_free", (long long)rs->int_free,
+        "fp_free", (long long)rs->fp_free, "error", rs->error);
 }
 
 /* ------------------------------------------------------- entry points */
@@ -2313,7 +2452,11 @@ PyInit__hotpath(void)
     if (module == NULL)
         return NULL;
     if (PyModule_AddIntConstant(module, "NUM_CLASSES", NUM_CLASSES) < 0
-        || PyModule_AddIntConstant(module, "MAX_DEP_DISTANCE", MAX_DEP_DISTANCE) < 0) {
+        || PyModule_AddIntConstant(module, "MAX_DEP_DISTANCE", MAX_DEP_DISTANCE) < 0
+        || PyModule_AddIntConstant(module, "CTRL_ATTACK_DECAY", CTRL_ATTACK_DECAY) < 0
+        || PyModule_AddIntConstant(module, "CTRL_PROFILE", CTRL_PROFILE) < 0
+        || PyModule_AddIntConstant(module, "CTRL_REPLAY", CTRL_REPLAY) < 0
+        || PyModule_AddIntConstant(module, "LOG_FIELDS", LOG_FIELDS) < 0) {
         Py_DECREF(module);
         return NULL;
     }

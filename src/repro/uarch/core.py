@@ -66,7 +66,12 @@ from repro.clocks.jitter import GaussianJitter, NoJitter
 from repro.config.algorithm import AttackDecayParams
 from repro.config.mcd import Domain, MCDConfig
 from repro.config.processor import ProcessorConfig
-from repro.control.base import FrequencyController, IntervalSnapshot
+from repro.control.base import (
+    CORE_DOMAIN_INDEX,
+    CORE_DOMAINS,
+    FrequencyController,
+    IntervalSnapshot,
+)
 from repro.dvfs.regulator import VoltageFrequencyRegulator
 from repro.errors import SimulationError
 from repro.power.accounting import EnergyAccounting
@@ -92,8 +97,8 @@ _RING_MASK = _RING - 1
 
 # Domain indices used throughout the hot loop.
 _FE, _INT, _FP, _LS = 0, 1, 2, 3
-_DOMAINS = (Domain.FRONT_END, Domain.INTEGER, Domain.FLOATING_POINT, Domain.LOAD_STORE)
-_DOMAIN_INDEX = {dom: i for i, dom in enumerate(_DOMAINS)}
+_DOMAINS = CORE_DOMAINS
+_DOMAIN_INDEX = CORE_DOMAIN_INDEX
 
 # Destination register type per instruction class (0 int, 1 fp, -1 none)
 # and issue domain index per class.  The native loop derives both per
@@ -541,12 +546,14 @@ class MCDCore:
         lets the engine marshal N cores up front, run the whole batch
         under one GIL release, and fold each run back afterwards.
 
-        A stock :class:`~repro.control.attack_decay.AttackDecayController`
-        is marshalled into flat registers and run *inside* the C loop —
-        the whole closed-loop run then makes zero per-interval Python
-        crossings.  Custom controllers and ``record_interval_trace``
-        consumers fall back to the per-interval ``rollover`` callback,
-        the C loop's only Python crossing.
+        A stock :class:`~repro.control.attack_decay.AttackDecayController`,
+        :class:`~repro.control.offline.OfflineProfiler` or
+        :class:`~repro.control.offline.OfflineController` is marshalled
+        into flat buffers and run *inside* the C loop — the whole run
+        then makes zero per-interval Python crossings.  Custom
+        controllers and ``record_interval_trace`` consumers fall back to
+        the per-interval ``rollover`` callback, the C loop's only Python
+        crossing.
 
         In MCD mode each clock's :class:`GaussianJitter` hands the C
         loop its numpy bit generator (as a capsule) and ``_draw``'s
@@ -558,7 +565,9 @@ class MCDCore:
         import numpy as np
 
         from repro.uarch.native import (
+            CTRL_NONE,
             fold_native_controller,
+            interval_observables,
             native_controller_args,
         )
 
@@ -628,13 +637,13 @@ class MCDCore:
 
         jitters = [c.jitter for c in clocks]
 
-        # A stock attack/decay controller runs natively inside the C
-        # loop unless the caller needs per-interval records (which only
-        # the Python callback can collect).
+        # A stock controller runs natively inside the C loop unless the
+        # caller needs per-interval records (which only the Python
+        # callback can collect).
         native_ctrl_args = None
         if controller is not None and not record_trace:
             native_ctrl_args = native_controller_args(
-                controller, self.mcd_config, regulators[0].scale
+                controller, self.mcd_config, regulators[0].scale, comp.n, interval_len
             )
 
         intervals: list[IntervalRecord] = []
@@ -646,20 +655,12 @@ class MCDCore:
             mem_accesses,
         ):
             """Per-interval callback: snapshot, controller, recording."""
-            qutil = {
-                Domain.INTEGER: occ1 / interval_len,
-                Domain.FLOATING_POINT: occ2 / interval_len,
-                Domain.LOAD_STORE: occ3 / interval_len,
-            }
-            ipc = interval_len / (duration * float(cur_freq[0]) * 1e-3)
-            freqs = {
-                dom: float(cur_freq[i]) for i, dom in enumerate(_DOMAINS)
-            }
-            busy = (b0, b1, b2, b3)
-            busy_frac = {}
-            for i, dom in enumerate(_DOMAINS):
-                period_i = 1e3 / float(cur_freq[i])
-                busy_frac[dom] = min(1.0, busy[i] * period_i / duration)
+            frequencies = cur_freq.tolist()
+            qutil, ipc, busy_frac = interval_observables(
+                interval_len, duration, (occ1, occ2, occ3), (b0, b1, b2, b3),
+                frequencies,
+            )
+            freqs = dict(zip(_DOMAINS, frequencies))
             snapshot = IntervalSnapshot(
                 index=index,
                 instructions=interval_len,
@@ -768,7 +769,7 @@ class MCDCore:
                 )
                 else 0
             ),
-            "native_ctrl": 0,
+            "native_ctrl": CTRL_NONE,
             "mem_latency": float(proc.memory_latency_ns),
             "window": self.window_ns,
             "vmin": vmin,
@@ -820,7 +821,7 @@ class MCDCore:
             bstats.direction_mispredicts += int(bp_stats[1])
             bstats.btb_target_misses += int(bp_stats[2])
             if native_ctrl_args is not None:
-                fold_native_controller(controller, regulators, native_ctrl_args)
+                fold_native_controller(controller, regulators, args, res["intervals"])
             for i, dom in enumerate(_DOMAINS):
                 acct.add_raw(
                     dom,

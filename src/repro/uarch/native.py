@@ -35,6 +35,7 @@ and the engine runs the reference interpreter instead.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -45,6 +46,9 @@ import subprocess
 import sysconfig
 import threading
 from pathlib import Path
+
+from repro.config.mcd import Domain
+from repro.control.base import CORE_DOMAINS
 
 logger = logging.getLogger(__name__)
 
@@ -204,15 +208,63 @@ def _compile(so_path: Path, compiler: str) -> bool:
     return True
 
 
-def native_controller_args(controller, mcd_config, frequency_scale) -> dict | None:
-    """Marshal a stock Attack/Decay controller for the C hot loop.
+#: ``native_ctrl`` modes of the C loop's interval rollover: nothing,
+#: Attack/Decay (paper Listing 1), the off-line profiler's log, and the
+#: off-line schedule replay.  ``_hotpath.c`` defines the same values.
+CTRL_NONE, CTRL_ATTACK_DECAY, CTRL_PROFILE, CTRL_REPLAY = 0, 1, 2, 3
+
+#: Doubles per interval in a profile log: the duration, the integer,
+#: floating-point and load/store queue occupancies, then the busy
+#: cycles and the frequency of each core domain in ``CORE_DOMAINS``
+#: order.
+LOG_FIELDS = 12
+
+
+def interval_observables(interval_len, duration, occupancies, busy, frequencies):
+    """One interval's snapshot observables from the C loop's raw counters.
+
+    Returns ``(queue_utilization, ipc, busy_fraction)`` as
+    :class:`~repro.control.base.IntervalSnapshot` holds them, computed
+    from the interval length, its duration (ns), the three issue-queue
+    occupancy sums, and each core domain's busy cycles and frequency
+    (MHz).  The per-interval callback and the profile-log fold both
+    call it, so a profile cannot depend on which of them ran.
+    """
+    qutil = {
+        Domain.INTEGER: occupancies[0] / interval_len,
+        Domain.FLOATING_POINT: occupancies[1] / interval_len,
+        Domain.LOAD_STORE: occupancies[2] / interval_len,
+    }
+    ipc = interval_len / (duration * frequencies[0] * 1e-3)
+    busy_fraction = {
+        domain: min(1.0, busy[i] * (1e3 / frequencies[i]) / duration)
+        for i, domain in enumerate(CORE_DOMAINS)
+    }
+    return qutil, ipc, busy_fraction
+
+
+def native_controller_args(
+    controller, mcd_config, frequency_scale, n: int, interval_len: int
+) -> dict | None:
+    """Marshal a stock controller for the C hot loop.
 
     Returns the argument-dict fragment ``run_compiled`` consumes to run
-    the closed-loop control policy natively (zero per-interval Python
-    crossings), or None when the controller must stay on the Python
-    callback path (custom controller, no ``native_spec``, unsound
-    state).  The per-domain output buffers in the fragment are filled
-    by the C loop and folded back by :func:`fold_native_controller`.
+    the controller natively (zero per-interval Python crossings), or
+    None when the controller must stay on the Python callback path
+    (custom controller, no ``native_spec``, unsound state).  Three
+    ``native_spec`` modes exist:
+
+    * ``attack_decay`` — Listing 1 and the regulator's request
+      quantisation run on flat registers;
+    * ``profile`` — the C loop logs each interval's raw observables
+      (:data:`LOG_FIELDS` doubles) into ``off_log``, sized for a run of
+      ``n`` instructions;
+    * ``replay`` — the schedule, pre-quantised with
+      ``frequency_scale.quantize`` as ``snap_to`` would quantise it, is
+      one row of four MHz per step (``off_sched``) plus the mask of the
+      domains it sets (``off_mask``).
+
+    The output buffers are folded back by :func:`fold_native_controller`.
     """
     spec_fn = getattr(controller, "native_spec", None)
     if spec_fn is None:
@@ -222,9 +274,28 @@ def native_controller_args(controller, mcd_config, frequency_scale) -> dict | No
         return None
     import numpy as np
 
+    mode = spec["mode"]
+    if mode == "profile":
+        # A run rolls over at most n // interval_len times; the C loop
+        # checks the log holds one row more.
+        rows = n // interval_len + 1
+        return {"native_ctrl": CTRL_PROFILE, "off_log": np.zeros(rows * LOG_FIELDS)}
+    if mode == "replay":
+        domains = spec["domains"]
+        # A schedule repeats few distinct MHz: quantise each once.
+        quantize = functools.cache(frequency_scale.quantize)
+        sched = np.zeros((len(spec["rows"]), 4))
+        sched[:, domains] = [[quantize(mhz) for mhz in row] for row in spec["rows"]]
+        mask = np.zeros(4, dtype=np.int64)
+        mask[domains] = 1
+        return {
+            "native_ctrl": CTRL_REPLAY,
+            "off_sched": sched.reshape(-1),
+            "off_mask": mask,
+        }
     table = np.ascontiguousarray(frequency_scale.frequencies_mhz, dtype=np.float64)
     return {
-        "native_ctrl": 1,
+        "native_ctrl": CTRL_ATTACK_DECAY,
         # Listing-1 operating point (fractions, not percent).
         "ad_dev": float(spec["deviation_threshold"]),
         "ad_reaction": float(spec["reaction_change"]),
@@ -255,14 +326,29 @@ def native_controller_args(controller, mcd_config, frequency_scale) -> dict | No
     }
 
 
-def fold_native_controller(controller, regulators, args: dict) -> None:
+def fold_native_controller(controller, regulators, args: dict, intervals: int) -> None:
     """Fold the C loop's controller/regulator registers back out.
 
-    Leaves ``controller.states`` (including the per-domain diagnostics
-    counters) and the regulators' request statistics exactly as the
-    reference interpreter would, so post-run inspection cannot tell
-    which path ran.
+    ``args`` is the run's argument dict and ``intervals`` its interval
+    count (the C result's ``intervals``).  Leaves the controller
+    (Attack/Decay ``states`` with their diagnostics counters, the
+    profiler's ``profile``, the replay's ``_position``) and the
+    regulators' request statistics exactly as the reference
+    interpreter would, so post-run inspection cannot tell which path
+    ran.
     """
+    mode = args["native_ctrl"]
+    if mode == CTRL_PROFILE:
+        log = args["off_log"][: intervals * LOG_FIELDS].reshape(-1, LOG_FIELDS)
+        for row in log.tolist():
+            qutil, ipc, busy_fraction = interval_observables(
+                args["interval_len"], row[0], row[1:4], row[4:8], row[8:12]
+            )
+            controller.record(busy_fraction, qutil, ipc)
+        return
+    if mode == CTRL_REPLAY:
+        controller._position += intervals
+        return
     ad_ipc = args["ad_ipc"]
     controller.absorb_native_state(
         prev_ipc=float(ad_ipc[0]),

@@ -135,6 +135,44 @@ class TestOffline:
         with pytest.raises(ControlError):
             build_offline_schedule(self._profile(), MCDConfig(), -1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["target_degradation_pct", "aggressiveness"])
+    def test_non_finite_schedule_input_rejected(self, field, value):
+        """A NaN used to quantise every step to the minimum frequency."""
+        kwargs = {"target_degradation_pct": 5.0, field: value}
+        with pytest.raises(ControlError, match=field):
+            build_offline_schedule(self._profile(), MCDConfig(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "step, fault",
+        [
+            ({Domain.INTEGER: float("nan")}, "integer"),
+            ({Domain.INTEGER: float("inf")}, "integer"),
+            ({Domain.LOAD_STORE: 0.0}, "load_store"),
+            ({Domain.LOAD_STORE: -500.0}, "load_store"),
+            ({Domain.INTEGER: True}, "integer"),
+            ({Domain.INTEGER: "500"}, "integer"),
+            ({"bogus": 500.0}, "bogus"),
+            ({Domain.EXTERNAL: 500.0}, "EXTERNAL"),
+        ],
+    )
+    def test_controller_rejects_malformed_step(self, step, fault):
+        schedule = [{Domain.INTEGER: 500.0}, step]
+        with pytest.raises(ControlError, match=r"schedule\[1\]") as info:
+            OfflineController(schedule)
+        assert fault in str(info.value)
+
+    def test_controller_rejects_non_mapping_step(self):
+        with pytest.raises(ControlError, match="mapping"):
+            OfflineController([[(Domain.INTEGER, 500.0)]])
+
+    def test_controller_copies_its_schedule(self):
+        schedule = [{Domain.INTEGER: 500.0}]
+        ctl = OfflineController(schedule)
+        schedule[0][Domain.INTEGER] = float("nan")
+        ctl.begin(MCDConfig(), {})
+        assert ctl.on_interval(snapshot(0)) == {Domain.INTEGER: 500.0}
+
 
 class TestHardwareCost:
     def test_table3_per_domain_gates(self):

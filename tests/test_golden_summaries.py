@@ -7,12 +7,13 @@ the *exact* floats the simulator produced when these goldens were
 recorded.  A second table pins closed-loop Attack/Decay runs — three
 benchmarks x both ``literal_listing`` variants at a second seed — on
 the configuration where the native loop runs the controller inside C,
-locking the Listing-1 migration to exact numbers.  Any change to the
-generator, the trace compiler, either core interpreter, the energy
-accounting or the controller that moves a result — even in the last
-ulp — fails here, turning silent drift into
-an explicit decision: either fix the regression or re-record the
-goldens in the same commit that justifies the change.
+locking the Listing-1 migration to exact numbers.  A third table pins
+the off-line Dynamic-1 % and Dynamic-5 % configurations end to end.
+Any change to the generator, the trace compiler, either core
+interpreter, the energy accounting or a controller that moves a result
+— even in the last ulp — fails here, turning silent drift into an
+explicit decision: either fix the regression or re-record the goldens
+in the same commit that justifies the change.
 
 The simulator is deterministic by contract (seeded numpy PCG64 streams,
 FP contraction disabled in the native build, accumulation order pinned
@@ -26,6 +27,7 @@ import pytest
 
 from repro.config.algorithm import SCALED_OPERATING_POINT
 from repro.control.attack_decay import AttackDecayController
+from repro.experiments import ExecutionContext, Scenario
 from repro.metrics.summary import RunSummary, summarize
 from repro.sim.engine import SimulationSpec, run_spec
 
@@ -211,6 +213,68 @@ GOLDEN_CLOSED_LOOP: dict[tuple[str, bool], RunSummary] = {
 }
 
 
+#: (benchmark, configuration) -> exact off-line Dynamic summary at seed 1.
+#: These pin the whole off-line path: the profiling run, the schedule
+#: built from its profile, the measured-degradation search against the
+#: ``mcd_base`` baseline, and the schedule replay.
+GOLDEN_DYNAMIC: dict[tuple[str, str], RunSummary] = {
+    ("gsm", "dynamic_1"): RunSummary(
+        instructions=5000,
+        wall_time_ns=1647.216391096073,
+        energy=3080.2205897060535,
+        cpi=0.3294432782192146,
+        epi=0.6160441179412107,
+        power=1.8699550383034047,
+        edp=5073789.843555423,
+    ),
+    ("gsm", "dynamic_5"): RunSummary(
+        instructions=5000,
+        wall_time_ns=1739.002577283293,
+        energy=2763.0149547489737,
+        cpi=0.3478005154566586,
+        epi=0.5526029909497947,
+        power=1.5888504081836468,
+        edp=4804890.127380746,
+    ),
+    ("mcf", "dynamic_1"): RunSummary(
+        instructions=5000,
+        wall_time_ns=13045.503390371463,
+        energy=7253.389498861643,
+        cpi=2.6091006780742925,
+        epi=1.4506778997723286,
+        power=0.5560068693259607,
+        edp=94624117.29908434,
+    ),
+    ("mcf", "dynamic_5"): RunSummary(
+        instructions=5000,
+        wall_time_ns=13510.632184928021,
+        energy=6647.541511672699,
+        cpi=2.7021264369856044,
+        epi=1.3295083023345398,
+        power=0.49202298017471446,
+        edp=89812488.29825024,
+    ),
+    ("swim", "dynamic_1"): RunSummary(
+        instructions=5000,
+        wall_time_ns=1870.2480564862758,
+        energy=3429.082112989995,
+        cpi=0.37404961129725517,
+        epi=0.685816422597999,
+        power=1.8334905367753063,
+        edp=6413234.15735139,
+    ),
+    ("swim", "dynamic_5"): RunSummary(
+        instructions=5000,
+        wall_time_ns=1936.196355755422,
+        energy=3172.9038113559386,
+        cpi=0.3872392711510844,
+        epi=0.6345807622711878,
+        power=1.6387303911219302,
+        edp=6143364.796709857,
+    ),
+}
+
+
 def _spec(benchmark: str, mode: str) -> SimulationSpec:
     return SimulationSpec(
         benchmark=benchmark,
@@ -288,3 +352,16 @@ def test_generator_path_matches_goldens_spotcheck():
         spec = _spec(benchmark, mode)
         spec.path = "python"
         assert summarize(run_spec(spec)) == GOLDEN[(benchmark, mode)]
+
+
+@pytest.mark.parametrize("bench_name,configuration", sorted(GOLDEN_DYNAMIC))
+def test_dynamic_summary_matches_golden(bench_name: str, configuration: str):
+    ctx = ExecutionContext(scale=SCALE, seed=SEED, use_cache=False)
+    actual = ctx.run(Scenario(bench_name, configuration)).summary
+    expected = GOLDEN_DYNAMIC[(bench_name, configuration)]
+    assert actual == expected, (
+        f"{bench_name}/{configuration} drifted:\n"
+        f"  expected {expected}\n  actual   {actual}\n"
+        "If this change is intentional, re-record the goldens "
+        "(see this file's docstring) in the same commit."
+    )

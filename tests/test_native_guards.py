@@ -85,7 +85,9 @@ def _run_child(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 # A closed-loop core over a short compiled trace; argv[1] names the
-# _hotpath entry point, argv[2] is a statement that damages ``args``.
+# _hotpath entry point, argv[2] is a statement that damages ``args`` and
+# argv[3] names the controller the C loop runs: Attack/Decay, the
+# off-line profiler or the off-line schedule replay.
 MARSHAL_CHILD = """
 import sys
 from array import array
@@ -93,11 +95,13 @@ from array import array
 import numpy as np
 
 from repro.config.algorithm import SCALED_OPERATING_POINT
+from repro.config.mcd import Domain
 from repro.config.processor import ProcessorConfig
 from repro.control.attack_decay import AttackDecayController
+from repro.control.offline import OfflineController, OfflineProfiler
 from repro.sim.engine import scaled_mcd_config
 from repro.uarch.compiled_trace import compile_trace
-from repro.uarch.core import MCDCore
+from repro.uarch.core import CoreOptions, MCDCore
 from repro.uarch.isa import InstructionClass as K
 from repro.uarch.native import load_hotpath
 from repro.uarch.trace import MAX_DEP_DISTANCE, InstructionBlock, ListTrace
@@ -108,11 +112,19 @@ for i in range(64):
     block.append(kind, src1=1 if i else 0, pc=4 * i, addr=64 * i, taken=i % 8 == 3, target=8)
 processor = ProcessorConfig()
 trace = compile_trace(ListTrace([block]))
+controllers = {
+    "attack_decay": lambda: AttackDecayController(SCALED_OPERATING_POINT),
+    "profile": OfflineProfiler,
+    "replay": lambda: OfflineController(
+        [{Domain.INTEGER: 500.0, Domain.LOAD_STORE: 750.0}] * 3
+    ),
+}
 core = MCDCore(
     processor,
     scaled_mcd_config(),
     trace,
-    controller=AttackDecayController(SCALED_OPERATING_POINT),
+    controller=controllers[sys.argv[3]](),
+    options=CoreOptions(interval_instructions=8),
 )
 args, _ = core.native_marshal()
 args["limit"] = trace.n
@@ -184,14 +196,62 @@ for _case, _damage in JITTER_DAMAGE.items():
         MARSHAL_CASES[f"{_case}-{_entry}"] = (_entry, _damage)
 
 
+#: Damage to the off-line controllers' buffers, (controller, statement):
+#: the profiler's log (float64, one row of LOG_FIELDS per interval a run
+#: can have) and the replay's schedule (float64 rows of four MHz, finite
+#: and positive where the 0/1 mask sets a domain).  Both run entry
+#: points must reject each before compute starts.
+OFFLINE_DAMAGE = {
+    "off_log_one_short": ("profile", "args['off_log'] = args['off_log'][:-1]"),
+    "off_log_one_row": ("profile", "args['off_log'] = args['off_log'][:12]"),
+    "off_log_float32": ("profile", "args['off_log'] = args['off_log'].astype(np.float32)"),
+    "off_log_int64": ("profile", "args['off_log'] = args['off_log'].astype(np.int64)"),
+    "off_sched_int64": ("replay", "args['off_sched'] = args['off_sched'].astype(np.int64)"),
+    "off_sched_ragged": ("replay", "args['off_sched'] = args['off_sched'][:-1]"),
+    "off_sched_empty": ("replay", "args['off_sched'] = args['off_sched'][:0]"),
+    "off_sched_nan": ("replay", "args['off_sched'][5] = float('nan')"),
+    "off_sched_zero": ("replay", "args['off_sched'][7] = 0.0"),
+    "off_mask_two": ("replay", "args['off_mask'][0] = 2"),
+    "off_mask_short": ("replay", "args['off_mask'] = args['off_mask'][:3]"),
+    "interval_len_zero": ("profile", "args['interval_len'] = 0"),
+    "native_ctrl_unknown": ("replay", "args['native_ctrl'] = 4"),
+}
+
+
 @needs_native
 @pytest.mark.parametrize(
     "entry, damage", MARSHAL_CASES.values(), ids=list(MARSHAL_CASES)
 )
 def test_malformed_argument_dict_raises(entry, damage):
-    proc = _run_child(MARSHAL_CHILD, entry, damage)
+    proc = _run_child(MARSHAL_CHILD, entry, damage, "attack_decay")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith(("TypeError", "ValueError")), proc.stdout
+
+
+@needs_native
+@pytest.mark.parametrize("entry", ["run_compiled", "run_batch"])
+@pytest.mark.parametrize(
+    "controller, damage", OFFLINE_DAMAGE.values(), ids=list(OFFLINE_DAMAGE)
+)
+def test_malformed_offline_buffer_raises(entry, controller, damage):
+    proc = _run_child(MARSHAL_CHILD, entry, damage, controller)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(("TypeError", "ValueError")), proc.stdout
+
+
+@needs_native
+@pytest.mark.parametrize("controller", ["profile", "replay"])
+def test_offline_buffers_as_marshalled_run(controller):
+    """The undamaged dict runs, every interval inside the log."""
+    code = MARSHAL_CHILD.replace(
+        "exec(sys.argv[2])",
+        "assert args['native_ctrl'] and not args['call_rollover']\n"
+        "res = load_hotpath().run_compiled(args)\n"
+        "assert res['intervals'] == trace.n // 8 and not res['error'], res\n"
+        "sys.exit(0)",
+    )
+    proc = _run_child(code, "run_compiled", "", controller)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # A gsm run on a processor without integer multiply units; argv[1]

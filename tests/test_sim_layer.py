@@ -14,6 +14,7 @@ from repro.metrics.aggregate import aggregate
 from repro.metrics.summary import compare
 from repro.sim.engine import SimulationSpec, run_spec
 from repro.sim.sweeps import FIGURE6_BASE, sweep_attack_decay_parameter
+from repro.workloads.catalog import BENCHMARKS
 
 #: A tiny scale so the whole module runs in seconds.
 SCALE = 0.08
@@ -185,6 +186,54 @@ class TestExecutionContext:
             summary=RunSummary(1, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
         )
         assert RunRecord.from_dict(record.to_dict()) == record
+
+
+class TestOfflineDynamic:
+    """The off-line Dynamic search: its baseline, run count and inputs."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_profiling_run_is_the_mcd_base_run(self, name):
+        ctx = ExecutionContext(scale=0.05, seed=1, use_cache=False)
+        for seed in (1, 2):
+            profiled = ctx.profile(name, seed=seed)
+            base = ctx.run(Scenario(name, "mcd_base", seed=seed)).summary
+            assert profiled.summary == base
+            assert len(profiled.profile) > 0
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_dynamic_runs_one_simulation_per_schedule_plus_the_profile(
+        self, iterations, monkeypatch
+    ):
+        from repro.uarch.core import MCDCore
+
+        built = []
+        init = MCDCore.__init__
+
+        def counting(core, *args, **kwargs):
+            built.append(core)
+            init(core, *args, **kwargs)
+
+        monkeypatch.setattr(MCDCore, "__init__", counting)
+        ctx = ExecutionContext(scale=SCALE, seed=1, use_cache=False)
+        ctx.run(Scenario("gsm", "dynamic_5", overrides={"iterations": iterations}))
+        assert 2 <= len(built) <= 1 + iterations
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"target_pct": float("nan")}, "target_pct"),
+            ({"target_pct": float("inf")}, "target_pct"),
+            ({"target_pct": -1.0}, "target_pct"),
+            ({"iterations": 2.5}, "iterations"),
+            ({"iterations": True}, "iterations"),
+            ({"iterations": 0}, "iterations"),
+            ({"iterations": -3}, "iterations"),
+        ],
+    )
+    def test_dynamic_rejects_malformed_inputs(self, overrides, field):
+        ctx = ExecutionContext(scale=SCALE, seed=1, use_cache=False)
+        with pytest.raises(ExperimentError, match=field):
+            ctx.run(Scenario("gsm", "dynamic_5", overrides=overrides))
 
 
 class TestSweeps:
