@@ -133,7 +133,8 @@ class CampaignRunner:
         ``CellFinished``/``CellFailed`` through it.  An event's
         ``cell`` is its position in the submitted (pending-only)
         matrix, so the checkpoint journals ``pending[event.cell]``
-        exactly, duplicate axis entries included.  Subscribers on a
+        exactly (a matrix repeats no scenario: ``Suite.expand`` rejects
+        repeated axis entries).  Subscribers on a
         caller-supplied bus (progress printers, the serve daemon's
         stream buffers) are the way to watch the campaign; one
         subscribed ahead of the checkpoint sees each cell before it is

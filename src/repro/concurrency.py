@@ -36,15 +36,18 @@ class LockedLRU:
                 self._items.move_to_end(key)
             return value
 
-    def put(self, key, value) -> None:
-        """Insert ``key`` as most-recent, evicting the oldest overflow."""
+    def put(self, key, value) -> int:
+        """Insert ``key`` as most-recent; returns how many oldest it evicted."""
         if not self.entries:
-            return
+            return 0
         with self._lock:
             self._items[key] = value
             self._items.move_to_end(key)
+            evicted = 0
             while len(self._items) > self.entries:
                 self._items.popitem(last=False)
+                evicted += 1
+            return evicted
 
     def __len__(self) -> int:
         with self._lock:
@@ -55,13 +58,13 @@ class SingleFlight:
     """At-most-one concurrent build per key; late callers share the result.
 
     The building blocks the sweep engine deduplicates — trace
-    generation, profiling runs — are exactly the expensive work a
-    cache exists to avoid, so a cache miss under concurrency must not
-    fan out into N identical builds.  :meth:`run` arbitrates: the
-    first caller for a key builds, everyone else waits on an event and
-    re-checks the caller's cache.  A failed build wakes the waiters
-    and lets the next one take over (the exception propagates to the
-    failed builder only).
+    generation, profiling runs, seed-free runs — are exactly the
+    expensive work a cache exists to avoid, so a cache miss under
+    concurrency must not fan out into N identical builds.
+    :meth:`run` arbitrates: the first caller for a key builds, everyone
+    else waits on an event and re-checks the caller's cache.  A failed
+    build wakes the waiters and lets the next one take over (the
+    exception propagates to the failed builder only).
     """
 
     def __init__(self) -> None:
@@ -87,18 +90,91 @@ class SingleFlight:
                     return value, True
                 pending = self._pending.get(key)
                 if pending is None:
-                    pending = self._pending[key] = threading.Event()
+                    self._pending[key] = threading.Event()
                     break
             pending.wait()
         try:
             value = build()
         except BaseException:
-            with self.lock:
-                del self._pending[key]
-            pending.set()
+            self.release(key)
             raise
-        with self.lock:
-            publish(value)
-            del self._pending[key]
-        pending.set()
+        self.release(key, lambda: publish(value))
         return value, False
+
+    def claim(self, key, lookup) -> tuple[object, bool]:
+        """The non-blocking half of :meth:`run`, for callers that build
+        several keys in one go.
+
+        Returns ``(lookup(), False)`` on a hit, ``(None, True)`` when
+        the caller now owns ``key``'s build and must :meth:`release`
+        it, and ``(None, False)`` while another caller builds it (a
+        later :meth:`run` waits for that build).
+        """
+        with self.lock:
+            value = lookup()
+            if value is not None:
+                return value, False
+            if key in self._pending:
+                return None, False
+            self._pending[key] = threading.Event()
+            return None, True
+
+    def release(self, key, publish=None) -> None:
+        """End an owned build: ``publish()`` under the lock, wake the waiters.
+
+        ``publish`` None means the build failed: waiters wake, find
+        nothing, and the next one builds.
+        """
+        with self.lock:
+            if publish is not None:
+                publish()
+            pending = self._pending.pop(key)
+        pending.set()
+
+
+class FlightMemo:
+    """A thread-safe, LRU-bounded memo whose misses are single-flighted.
+
+    A :class:`LockedLRU` behind a :class:`SingleFlight`: concurrent
+    callers for one missing key wait on a single build and share its
+    value.  :meth:`claim` and :meth:`release` let a caller that builds
+    several keys at once (a batch of runs) own each key's build too.
+    ``hits``, ``misses`` and ``evictions`` count lookups served, builds
+    kept and entries the bound pushed out; they change only under the
+    flight's lock.
+    """
+
+    def __init__(self, entries: int) -> None:
+        self._items = LockedLRU(entries)
+        self._flight = SingleFlight()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def _lookup(self, key):
+        value = self._items.get(key)
+        if value is not None:
+            self.hits += 1
+        return value
+
+    def _publish(self, key, value) -> None:
+        self.evictions += self._items.put(key, value)
+        self.misses += 1
+
+    def get_or_build(self, key, build):
+        """The value under ``key``, built by ``build()`` at most once at a time."""
+        value, _ = self._flight.run(
+            key, lambda: self._lookup(key), build,
+            lambda value: self._publish(key, value),
+        )
+        return value
+
+    def claim(self, key) -> tuple[object, bool]:
+        """:meth:`SingleFlight.claim` against this memo."""
+        return self._flight.claim(key, lambda: self._lookup(key))
+
+    def release(self, key, value=None) -> None:
+        """End a claimed build, keeping ``value`` (None: the build failed)."""
+        self._flight.release(
+            key, None if value is None else lambda: self._publish(key, value)
+        )

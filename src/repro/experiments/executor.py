@@ -31,10 +31,11 @@ import logging
 import os
 import threading
 import traceback
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.concurrency import SingleFlight
+from repro.concurrency import FlightMemo, SingleFlight
 from repro.control.offline import OfflineProfile, OfflineProfiler
 from repro.errors import ExperimentError
 from repro.experiments.cache import CacheStore
@@ -71,6 +72,22 @@ def _runtime_workload_identity(name: str) -> dict | None:
     except Exception:  # unknown name: let execution surface the error
         return None
     return spec.trace_payload()
+
+
+def identity_payload(benchmark: str, **parts) -> dict:
+    """The identity of some work on ``benchmark``: ``parts`` plus the workload's.
+
+    The one payload builder behind the result-cache key, the profile
+    memo and the seed-free run memo.  A runtime-registered workload
+    joins its trace payload (see :func:`_runtime_workload_identity`),
+    so no memo serves a re-registered name the previous trace's
+    numbers.
+    """
+    payload = {"benchmark": benchmark, **parts}
+    workload = _runtime_workload_identity(benchmark)
+    if workload is not None:
+        payload["workload"] = workload
+    return payload
 
 
 def benchmark_scale() -> float:
@@ -186,7 +203,8 @@ class ProfiledRun(NamedTuple):
 #: Write-through memory front on each context's result store: results
 #: computed by any thread of a thread-pool sweep are immediately
 #: visible to the others without a disk read (entries are small result
-#: dicts, so the bound is generous).
+#: dicts, so the bound is generous).  The profile and seed-free run
+#: memos share the bound.
 RESULT_MEMORY_ENTRIES = 4096
 
 
@@ -195,9 +213,18 @@ class ExecutionContext:
 
     A context is thread-safe and deliberately shared by every worker of
     the orchestrator's thread backend: the result store has a
-    write-through in-memory front, and the profiling memo is
-    single-flighted so concurrent scenarios needing one profile compute
-    it once.
+    write-through in-memory front, and two single-flighted memos make
+    concurrent scenarios share work:
+
+    * the profiling memo runs one off-line profile per (workload,
+      scale, seed) — see :meth:`profile`;
+    * the seed-free memo runs a spec without MCD clocking and without a
+      controller once for every seed: the seed reaches only MCD cores
+      (:attr:`~repro.sim.engine.SimulationSpec.clock_seed`), so a
+      ``sync`` or ``global@f`` cell is simulated once per sweep, not
+      once per seed.  It is keyed by the produced spec's fields minus
+      the seed, not by the scenario, because a factory may derive any
+      other spec field from the seed.
 
     Parameters
     ----------
@@ -246,8 +273,8 @@ class ExecutionContext:
         self.dedup_hits = 0
         self._dedup_stats_lock = threading.Lock()
         self._results_flight = SingleFlight()
-        self._profiles: dict[tuple[str, float, int], ProfiledRun] = {}
-        self._profiles_flight = SingleFlight()
+        self._profiles = FlightMemo(RESULT_MEMORY_ENTRIES)
+        self._seed_free = FlightMemo(RESULT_MEMORY_ENTRIES)
 
     # --- effective scenario parameters ------------------------------------
     def effective_scale(self, scenario: Scenario) -> float:
@@ -263,19 +290,39 @@ class ExecutionContext:
 
         For catalog/derived benchmarks the name is the identity; a
         runtime-registered workload additionally contributes its trace
-        payload (see :func:`_runtime_workload_identity`).
+        payload (see :func:`identity_payload`).
         """
-        payload = {
-            "benchmark": scenario.benchmark,
-            "configuration": scenario.configuration,
-            "scale": self.effective_scale(scenario),
-            "seed": self.effective_seed(scenario),
-            "overrides": [list(pair) for pair in scenario.overrides],
-        }
-        workload = _runtime_workload_identity(scenario.benchmark)
-        if workload is not None:
-            payload["workload"] = workload
-        return self.cache.key(payload)
+        return self.cache.key(
+            identity_payload(
+                scenario.benchmark,
+                configuration=scenario.configuration,
+                scale=self.effective_scale(scenario),
+                seed=self.effective_seed(scenario),
+                overrides=[list(pair) for pair in scenario.overrides],
+            )
+        )
+
+    def _seed_free_key(self, spec: SimulationSpec) -> str | None:
+        """The seed-free memo key of ``spec``, or None when it has none.
+
+        A spec whose core sees its seed (MCD clocking) or that carries
+        a controller (state no key can capture) is never memoised.
+        """
+        if spec.clock_seed is not None or spec.controller is not None:
+            return None
+        payload = {}
+        for f in fields(spec):
+            if f.name not in ("benchmark", "seed", "controller"):
+                value = getattr(spec, f.name)
+                payload[f.name] = asdict(value) if is_dataclass(value) else value
+        return self.cache.key(identity_payload(spec.benchmark, **payload))
+
+    def _simulate(self, spec: SimulationSpec) -> RunSummary:
+        """Run and summarise one spec; a seed-free spec runs once per context."""
+        key = self._seed_free_key(spec)
+        if key is None:
+            return summarize(run_spec(spec))
+        return self._seed_free.get_or_build(key, lambda: summarize(run_spec(spec)))
 
     # --- execution ---------------------------------------------------------
     def _produce(
@@ -369,7 +416,7 @@ class ExecutionContext:
         if isinstance(produced, RunRecord):
             return produced
         if isinstance(produced, SimulationSpec):
-            produced = summarize(run_spec(produced))
+            produced = self._simulate(produced)
         return self._complete(scenario, key, produced)
 
     def run_isolated(self, scenario: Scenario) -> RunOutcome:
@@ -389,7 +436,12 @@ class ExecutionContext:
         outcome, never the cell's.  Every scenario whose factory
         produced a :class:`~repro.sim.engine.SimulationSpec` joins one
         :func:`~repro.sim.engine.run_specs_batch` vector — one native
-        entry and one GIL release for the whole cell.
+        entry and one GIL release for the whole cell.  A seed-free
+        spec joins it once: a seed-free memo hit needs no slot, a
+        repeat within the cell shares its first run's slot, and a run
+        another thread is already building is waited for after the
+        vector.  The cell claims its seed-free keys only after every
+        factory has run, so no factory waits while the cell holds one.
         When that vector raises, the cell falls back once to per-run
         execution (logged), so only the failing scenario records an
         error.
@@ -403,43 +455,77 @@ class ExecutionContext:
         if self.dedup or len(scenarios) == 1:
             return [self.run_isolated(s) for s in scenarios]
         outcomes: list[RunOutcome | None] = [None] * len(scenarios)
-        pending: list[tuple[int, Scenario, str, SimulationSpec]] = []
+        # (scenario index, cache key, spec, seed-free memo key or None)
+        specs: list[tuple[int, str, SimulationSpec, str | None]] = []
+        # Every factory runs before the cell claims a seed-free key: a
+        # factory may itself wait on a seed-free run (``ctx.summary``
+        # of a ``sync`` reference), and a claim held across that wait
+        # deadlocks — on this thread, or against another cell's claim.
         for i, scenario in enumerate(scenarios):
             try:
                 key, produced = self._produce(scenario)
                 if isinstance(produced, SimulationSpec):
-                    pending.append((i, scenario, key, produced))
+                    specs.append((i, key, produced, self._seed_free_key(produced)))
                     continue
                 if isinstance(produced, RunSummary):
                     produced = self._complete(scenario, key, produced)
                 outcomes[i] = RunOutcome(scenario=scenario, record=produced)
             except Exception:
                 outcomes[i] = RunOutcome(scenario=scenario, error=traceback.format_exc())
-        if pending:
-            from repro.sim.engine import run_specs_batch
+        vector: list[SimulationSpec] = []
+        slots: dict[str, int] = {}  # claimed seed-free key -> its vector slot
+        # (scenario index, cache key, spec, memo hit or None, vector slot
+        # or None: run it through _simulate after the vector)
+        jobs: list[tuple[int, str, SimulationSpec, RunSummary | None, int | None]] = []
+        summaries = None
+        try:
+            for i, key, spec, memo_key in specs:
+                summary, slot = None, slots.get(memo_key)
+                if slot is None and memo_key is not None:
+                    summary, owned = self._seed_free.claim(memo_key)
+                    if owned:
+                        slot = slots[memo_key] = len(vector)
+                        vector.append(spec)
+                elif slot is None:
+                    slot = len(vector)
+                    vector.append(spec)
+                jobs.append((i, key, spec, summary, slot))
+            if vector:
+                from repro.sim.engine import run_specs_batch
 
-            results = None
-            try:
-                results = run_specs_batch([spec for _, _, _, spec in pending])
-            except Exception as exc:
-                # The per-run loop below re-runs these same specs on
-                # fresh cores whose controllers re-``begin``, so the
-                # healthy ones stay byte-identical.
-                logger.warning(
-                    "batch cell of %d run(s) failed (%s: %s); re-running it per run",
-                    len(pending), type(exc).__name__, exc,
-                )
-            for j, (i, scenario, key, spec) in enumerate(pending):
                 try:
-                    result = results[j] if results is not None else run_spec(spec)
-                    outcomes[i] = RunOutcome(
-                        scenario=scenario,
-                        record=self._complete(scenario, key, summarize(result)),
+                    summaries = [summarize(r) for r in run_specs_batch(vector)]
+                except Exception as exc:
+                    # The per-run loop below re-runs these same specs on
+                    # fresh cores whose controllers re-``begin``, so the
+                    # healthy ones stay byte-identical.
+                    logger.warning(
+                        "batch cell of %d run(s) failed (%s: %s); re-running it per run",
+                        len(vector), type(exc).__name__, exc,
                     )
-                except Exception:
-                    outcomes[i] = RunOutcome(
-                        scenario=scenario, error=traceback.format_exc()
+        finally:
+            # Publish (or, on failure, give up) every claimed seed-free
+            # build before anything below can wait on one.
+            for memo_key, slot in slots.items():
+                self._seed_free.release(
+                    memo_key, None if summaries is None else summaries[slot]
+                )
+        for i, key, spec, summary, slot in jobs:
+            scenario = scenarios[i]
+            try:
+                if summary is None:
+                    summary = (
+                        summaries[slot]
+                        if summaries is not None and slot is not None
+                        else self._simulate(spec)
                     )
+                outcomes[i] = RunOutcome(
+                    scenario=scenario, record=self._complete(scenario, key, summary)
+                )
+            except Exception:
+                outcomes[i] = RunOutcome(
+                    scenario=scenario, error=traceback.format_exc()
+                )
         return outcomes
 
     def summary(
@@ -466,13 +552,16 @@ class ExecutionContext:
         The profile drives the off-line Dynamic schedules, and the
         run's summary is their ``mcd_base`` baseline: the profiler
         changes no frequency, so the run *is* the baseline MCD run.
-        One profiling run per (benchmark, scale, seed) per context,
+        One profiling run per (workload, scale, seed) per context,
         even under the thread backend — concurrent callers for one key
         wait on the first thread's profiling run and share its result.
+        The workload joins the key as the result-cache key joins it
+        (:func:`identity_payload`), so a re-registered name is
+        profiled afresh.
         """
         scale = self.scale if scale is None else scale
         seed = self.seed if seed is None else seed
-        key = (benchmark, scale, seed)
+        key = self.cache.key(identity_payload(benchmark, scale=scale, seed=seed))
 
         def build():
             profiler = OfflineProfiler()
@@ -486,11 +575,7 @@ class ExecutionContext:
             summary = summarize(run_spec(spec))
             return ProfiledRun(profiler.profile, summary)
 
-        profiled, _ = self._profiles_flight.run(
-            key, lambda: self._profiles.get(key), build,
-            lambda value: self._profiles.setdefault(key, value),
-        )
-        return profiled
+        return self._profiles.get_or_build(key, build)
 
 
 #: Per-process context reuse, so a pool worker keeps its in-memory

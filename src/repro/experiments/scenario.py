@@ -128,7 +128,9 @@ class Suite:
     def expand(self) -> list[Scenario]:
         """The full run matrix, validated against catalog, registry and scale.
 
-        Order is deterministic: overrides, then seeds, then benchmarks,
+        Every axis must list each entry once; a repeat raises
+        :class:`~repro.errors.ExperimentError` naming it.  Order is
+        deterministic: overrides, then seeds, then benchmarks,
         then configurations, varying fastest on the right.
         """
         if not self.benchmarks:
@@ -137,6 +139,21 @@ class Suite:
             raise ExperimentError(f"suite {self.name!r} has no configurations")
         if not self.seeds:
             raise ExperimentError(f"suite {self.name!r} has no seeds")
+        # A repeated entry would run one simulation several times and
+        # leave ResultSet.get with an ambiguous lookup.
+        for axis, values in (
+            ("benchmark", self.benchmarks),
+            ("configuration", self.configurations),
+            ("seed", self.seeds),
+            ("override set", [_freeze_overrides(o) for o in self.overrides]),
+        ):
+            seen: list = []
+            for value in values:
+                if value in seen:
+                    raise ExperimentError(
+                        f"suite {self.name!r} repeats {axis} {value!r}"
+                    )
+                seen.append(value)
         if self.scale is not None and not (
             isinstance(self.scale, (int, float)) and 0 < self.scale < math.inf
         ):

@@ -20,10 +20,9 @@ the generator trace instead.  Both are byte-identical; see
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.concurrency import SingleFlight
+from repro.concurrency import FlightMemo
 from repro.config.mcd import Domain, MCDConfig
 from repro.config.processor import ProcessorConfig
 from repro.control.base import FrequencyController
@@ -52,17 +51,25 @@ def scaled_mcd_config() -> MCDConfig:
     return MCDConfig(slew_ns_per_mhz=SCALED_SLEW_NS_PER_MHZ)
 
 
+#: Default capacity of the in-process compiled-trace cache: the 30
+#: Table 5 benchmarks plus two, so a sweep that cycles the whole
+#: catalog (Table 6's Global searches step through all 30 benchmarks
+#: per frequency) builds each trace once instead of once per step.
+TRACE_CACHE_ENTRIES = 32
+
+
 def trace_cache_entries() -> int:
     """Capacity of the in-process compiled-trace cache.
 
-    ``REPRO_TRACE_CACHE`` overrides the default of 8 entries.  A
-    compiled trace is 22 bytes per instruction, 1.8–3.5 MB for a
-    catalog benchmark at scale 1.0 (80k–160k instructions), and serves
-    every cache geometry, so one entry per benchmark covers a sweep;
-    raise the bound for wide thread-pool sweeps over more distinct
-    benchmarks.
+    ``REPRO_TRACE_CACHE`` overrides the default of
+    :data:`TRACE_CACHE_ENTRIES`; values below 1 clamp to one entry.
+    What a full cache holds grows linearly with scale: a compiled
+    trace is 22 bytes per instruction, 1.8–3.5 MB for a catalog
+    benchmark at scale 1.0 (80k–160k instructions), so the 30-trace
+    catalog is ~64 MB at scale 1.0 and ~256 MB at scale 4.  Lower the
+    bound on memory-tight hosts that sweep long windows.
     """
-    raw = os.environ.get("REPRO_TRACE_CACHE", "8")
+    raw = os.environ.get("REPRO_TRACE_CACHE", str(TRACE_CACHE_ENTRIES))
     try:
         entries = int(raw)
     except ValueError:
@@ -72,63 +79,29 @@ def trace_cache_entries() -> int:
     return max(1, entries)
 
 
-class TraceCache:
+class TraceCache(FlightMemo):
     """Process-wide, thread-safe, size-bounded cache of compiled traces.
 
     Keyed by content hash; one instance is shared by every run in the
     process, so N thread-pool workers sweeping the same benchmarks load
     and compile each trace once instead of N times.  Lookups are LRU;
     concurrent misses on one key are single-flighted — the first
-    thread builds while the others wait on an event and then reuse the
-    result, because building a trace (generate + columnise) is exactly
-    the expensive work the cache exists to avoid repeating.
+    thread builds while the others wait and then reuse the result,
+    because building a trace (generate + columnise) is exactly the
+    expensive work the cache exists to avoid repeating.
     """
 
     def __init__(self, entries: int | None = None) -> None:
-        # None defers to REPRO_TRACE_CACHE, resolved lazily so a
+        # None defers to REPRO_TRACE_CACHE, resolved on first use so a
         # malformed value surfaces as an ExperimentError inside run
         # handling, not as an import-time crash of every entry point.
-        self._entries = None if entries is None else max(1, entries)
-        self._items: OrderedDict[str, CompiledTrace] = OrderedDict()
-        self._flight = SingleFlight()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def entries(self) -> int:
-        """The capacity bound (resolving ``REPRO_TRACE_CACHE`` lazily)."""
-        if self._entries is None:
-            self._entries = trace_cache_entries()
-        return self._entries
+        super().__init__(0 if entries is None else max(1, entries))
 
     def get_or_build(self, key: str, build) -> CompiledTrace:
         """The cached trace under ``key``, building it at most once."""
-        entries = self.entries  # resolve (and maybe raise) up front
-
-        def lookup():
-            # Runs under the flight lock, which guards _items too.
-            item = self._items.get(key)
-            if item is not None:
-                self._items.move_to_end(key)
-                self.hits += 1
-            return item
-
-        def publish(item):
-            self._items[key] = item
-            self._items.move_to_end(key)
-            while len(self._items) > entries:
-                self._items.popitem(last=False)
-                self.evictions += 1
-            self.misses += 1
-
-        item, _ = self._flight.run(key, lookup, build, publish)
-        return item
-
-    def clear(self) -> None:
-        """Drop every cached trace (testing/maintenance hook)."""
-        with self._flight.lock:
-            self._items.clear()
+        if not self._items.entries:
+            self._items.entries = trace_cache_entries()
+        return super().get_or_build(key, build)
 
 
 #: Shared on-disk store of compiled traces plus the process-wide
@@ -202,7 +175,8 @@ class SimulationSpec:
     seed:
         Clock phase and jitter seed.  It does not reach the trace:
         every seed of one ``(benchmark, scale)`` runs over the same
-        trace.
+        trace.  It reaches the core only under MCD clocking (see
+        :attr:`clock_seed`).
     record_intervals:
         Keep the per-interval log (Figures 2/3).
     warmup:
@@ -240,6 +214,20 @@ class SimulationSpec:
     path: str = "auto"
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     mcd_config: MCDConfig = field(default_factory=scaled_mcd_config)
+
+    @property
+    def clock_seed(self) -> int | None:
+        """The seed the core runs with: ``seed`` under MCD, else None.
+
+        The seed rule, stated once.  A fully synchronous core has one
+        clock with no random phase and no jitter, so nothing in it may
+        depend on the seed; :func:`_build_core` hands the core only
+        this value, and a non-MCD spec's result is the same at every
+        seed (``tests/test_seed_free.py`` checks that on every catalog
+        benchmark, on both interpreters).  The executor relies on it to
+        simulate a seed-free run once per sweep.
+        """
+        return self.seed if self.mcd else None
 
 
 def _build_core(spec: SimulationSpec) -> tuple[MCDCore, object]:
@@ -284,7 +272,7 @@ def _build_core(spec: SimulationSpec) -> tuple[MCDCore, object]:
             )
     options = CoreOptions(
         mcd=spec.mcd,
-        seed=spec.seed,
+        seed=spec.clock_seed,
         interval_instructions=bench.interval_instructions,
         record_interval_trace=spec.record_intervals,
         initial_frequencies_mhz=initial,

@@ -145,7 +145,8 @@ class CoreOptions:
         synchronous baseline (single phase-aligned clock, no windows,
         no overhead).
     seed:
-        Seed for clock phases and jitter streams.
+        Seed for clock phases and jitter streams; read only under MCD
+        clocking, so a synchronous core may leave it None.
     interval_instructions:
         Control interval length (retired instructions).
     record_interval_trace:
@@ -157,7 +158,7 @@ class CoreOptions:
     """
 
     mcd: bool = True
-    seed: int = 1
+    seed: int | None = 1
     interval_instructions: int = AttackDecayParams().interval_instructions
     record_interval_trace: bool = False
     initial_frequencies_mhz: dict[Domain, float] | None = None

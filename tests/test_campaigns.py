@@ -25,7 +25,7 @@ from repro.campaigns import (
     CampaignSpec,
 )
 from repro.cli import main
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ExperimentError
 from repro.execution import CellFailed, CellFinished, EventBus
 from repro.experiments.results import RunOutcome
 from repro.experiments.scenario import Scenario
@@ -280,21 +280,17 @@ class TestCampaignRunner:
         assert report.executed == 2  # exactly the missing cells
         assert spec.results_path.read_bytes() == reference_bytes
 
-    def test_duplicate_axis_entries_journal_every_index_once(self, tmp_path):
+    def test_duplicate_axis_entries_rejected_before_any_cell(self, tmp_path, capsys):
         text = SMALL_CAMPAIGN.replace(
             'benchmarks = ["adpcm", "gsm"]', 'benchmarks = ["adpcm", "gsm", "adpcm"]'
         ).replace('backend = "serial"', 'backend = "thread"\nworkers = "2"\nbatch = 1')
-        spec = CampaignSpec.load(write_campaign(tmp_path, text))
-        runner = CampaignRunner(spec)
-        report = runner.run()
-        assert report.ok and report.total == 6
-        matrix = runner.matrix()
-        lines = spec.journal_path.read_text().splitlines()[1:]  # past the header
-        entries = [json.loads(line) for line in lines]
-        assert sorted(entry["cell"] for entry in entries) == list(range(6))
-        for entry in entries:
-            outcome = RunOutcome.from_dict(entry["outcome"])
-            assert outcome.scenario == matrix[entry["cell"]]
+        path = write_campaign(tmp_path, text)
+        spec = CampaignSpec.load(path)
+        with pytest.raises(ExperimentError, match="repeats benchmark 'adpcm'"):
+            CampaignRunner(spec).run()
+        assert not spec.journal_path.exists()
+        assert main(["campaign", "run", str(path)]) == 2
+        assert "repeats benchmark 'adpcm'" in capsys.readouterr().err
 
     def test_quarantined_cells_are_requeued_on_resume(self, tmp_path):
         from repro.experiments import CONFIGURATIONS, register_configuration

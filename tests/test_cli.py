@@ -148,6 +148,20 @@ class TestSweepErrorPaths:
         assert "REPRO_START_METHOD" in capsys.readouterr().err
 
 
+    def test_repeated_matrix_entries_rejected_before_any_cell(self, capsys, monkeypatch):
+        from repro.experiments.executor import ExecutionContext
+
+        cells = []
+        monkeypatch.setattr(ExecutionContext, "run_batch", cells.append)
+        rc = main(["sweep", "--benchmarks", "adpcm,adpcm", "--seeds", "1,1",
+                   "--configurations", "sync", "--no-cache"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: error:")
+        assert err.count("\n") == 1
+        assert "repeats benchmark 'adpcm'" in err
+        assert cells == []
+
     @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
     def test_bad_scale_rejected_before_any_cell(self, capsys, monkeypatch, scale):
         from repro.experiments.executor import ExecutionContext

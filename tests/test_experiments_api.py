@@ -127,6 +127,23 @@ class TestSuite:
         with pytest.raises(ExperimentError, match="scale"):
             suite.expand()
 
+    @pytest.mark.parametrize(
+        "axes, named",
+        [
+            ({"benchmarks": ["adpcm", "gsm", "adpcm"]}, "benchmark 'adpcm'"),
+            ({"configurations": ["sync", "sync"]}, "configuration 'sync'"),
+            ({"seeds": [1, 2, 1]}, "seed 1"),
+            (
+                {"overrides": [{"decay_pct": 0.5}, {"decay_pct": 1.0}, {"decay_pct": 0.5}]},
+                "override set",
+            ),
+        ],
+    )
+    def test_repeated_entries_rejected(self, axes, named):
+        fields = {"benchmarks": ["adpcm"], "configurations": ["attack_decay"], **axes}
+        with pytest.raises(ExperimentError, match=f"repeats {named}"):
+            Suite(**fields).expand()
+
     def test_scenario_round_trip(self):
         scenario = Scenario(
             "adpcm", "attack_decay", seed=3, scale=0.5, overrides={"decay_pct": 1.0}

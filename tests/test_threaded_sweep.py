@@ -241,6 +241,27 @@ class TestTraceCache:
         with pytest.raises(ExperimentError, match="plenty"):
             trace_cache_entries()
 
+    def test_capacity_resolves_from_the_environment_on_first_use(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "plenty")
+        cache = TraceCache()  # constructing reads no environment
+        with pytest.raises(ExperimentError, match="plenty"):
+            cache.get_or_build(("k", 0), lambda: "t0")
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        for i in range(3):
+            cache.get_or_build(("k", i), lambda i=i: f"t{i}")
+        assert cache.evictions == 1 and len(cache._items) == 2
+
+    def test_default_capacity_holds_the_catalog(self, monkeypatch):
+        """Table 6's Global searches cycle every benchmark once per step."""
+        from repro.sim.engine import trace_cache_entries
+        from repro.workloads.catalog import BENCHMARKS
+
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        assert trace_cache_entries() >= len(BENCHMARKS)
+        for raw, entries in (("0", 1), ("-3", 1), ("5", 5)):
+            monkeypatch.setenv("REPRO_TRACE_CACHE", raw)
+            assert trace_cache_entries() == entries
+
 
 # ---------------------------------------------------------------------------
 # Store-level memos
