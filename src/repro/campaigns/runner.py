@@ -134,11 +134,10 @@ class CampaignRunner:
         ``cell`` is its position in the submitted (pending-only)
         matrix, so the checkpoint journals ``pending[event.cell]``
         exactly (a matrix repeats no scenario: ``Suite.expand`` rejects
-        repeated axis entries).  Subscribers on a
-        caller-supplied bus (progress printers, the serve daemon's
-        stream buffers) are the way to watch the campaign; one
-        subscribed ahead of the checkpoint sees each cell before it is
-        journalled, and an exception it raises cancels the campaign
+        repeated axis entries).  Subscribers on a caller-supplied bus
+        (progress printers, tests) are the way to watch the campaign;
+        one subscribed ahead of the checkpoint sees each cell before it
+        is journalled, and an exception it raises cancels the campaign
         like Ctrl-C.
 
         A :class:`KeyboardInterrupt` propagates to the caller *after*

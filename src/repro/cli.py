@@ -37,13 +37,10 @@ Commands
 ``campaign run|status|resume FILE``
     Execute a declarative TOML campaign with checkpointed progress:
     ``run --dry-run`` prints the expanded cell plan, ``status`` reads
-    the journal (``--json`` for the daemon payload shape), ``resume``
-    restores completed cells and re-queues quarantined failures after
-    any interruption.  Handlers live in :mod:`repro.cli_campaign`.
-``serve``
-    Run the HTTP sweep daemon: submit jobs, stream their typed event
-    streams as NDJSON, fetch results, cancel mid-flight.  Handlers
-    live in :mod:`repro.cli_serve`.
+    the journal (``--json`` for a machine-readable progress payload),
+    ``resume`` restores completed cells and re-queues quarantined
+    failures after any interruption.  Handlers live in
+    :mod:`repro.cli_campaign`.
 
 Exit codes follow one convention across verbs: 0 success, 1 completed
 with failures (failed runs, quarantined cells, regressed metrics), 2
@@ -61,7 +58,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.cli_campaign import register_campaign_parser
-from repro.cli_serve import register_serve_parser
 from repro.config.algorithm import AttackDecayParams, SCALED_OPERATING_POINT
 from repro.control.hardware_cost import estimate_attack_decay_hardware
 from repro.errors import (
@@ -774,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk_p.set_defaults(func=_cmd_check)
 
     register_campaign_parser(sub)
-    register_serve_parser(sub)
     return parser
 
 

@@ -51,11 +51,11 @@ def _campaign_dry_run(runner) -> int:
 
 
 def _campaign_status_payload(runner) -> dict:
-    """The campaign's progress in the daemon's job-status shape.
+    """The campaign's progress as a JSON-native dict.
 
-    Same keys as ``Job.status_payload`` (``repro serve``'s
-    ``GET /jobs/{id}``), so one consumer parses both.  ``state`` uses
-    the journal's vocabulary: ``pending`` (no journal), ``partial``
+    The keys are ``id``, ``label``, ``state``, ``total``, ``done``,
+    ``failed``, ``events`` and ``elapsed_s``.  ``state`` uses the
+    journal's vocabulary: ``pending`` (no journal), ``partial``
     (interrupted with cells remaining), ``failed`` (complete but with
     quarantined cells) or ``finished``; ``events`` counts journal
     entries and ``elapsed_s`` is null — a journal records outcomes,
@@ -257,7 +257,7 @@ def register_campaign_parser(sub) -> None:
     camp_status.add_argument(
         "--json",
         action="store_true",
-        help="emit the daemon job-status payload shape instead of text",
+        help="emit the progress as a JSON object instead of text",
     )
     camp_status.set_defaults(func=_cmd_campaign)
 

@@ -68,26 +68,22 @@ class SingleFlight:
     """
 
     def __init__(self) -> None:
-        #: Public: also guards the caller's cache structure (callers
-        #: may take it for maintenance operations like clear()).
-        self.lock = threading.Lock()
+        self._lock = threading.Lock()
         self._pending: dict = {}
 
-    def run(self, key, lookup, build, publish) -> tuple[object, bool]:
+    def run(self, key, lookup, build, publish):
         """Return ``lookup()``'s value, building it at most once.
 
         ``lookup()`` and ``publish(value)`` execute under the internal
         lock — they must be quick, non-reentrant cache accesses
         returning/storing a non-None value.  ``build()`` executes
-        outside the lock.  Returns ``(value, hit)`` where ``hit`` is
-        True when the value came from ``lookup`` (possibly after
-        waiting on another caller's build).
+        outside the lock.
         """
         while True:
-            with self.lock:
+            with self._lock:
                 value = lookup()
                 if value is not None:
-                    return value, True
+                    return value
                 pending = self._pending.get(key)
                 if pending is None:
                     self._pending[key] = threading.Event()
@@ -99,7 +95,7 @@ class SingleFlight:
             self.release(key)
             raise
         self.release(key, lambda: publish(value))
-        return value, False
+        return value
 
     def claim(self, key, lookup) -> tuple[object, bool]:
         """The non-blocking half of :meth:`run`, for callers that build
@@ -110,7 +106,7 @@ class SingleFlight:
         it, and ``(None, False)`` while another caller builds it (a
         later :meth:`run` waits for that build).
         """
-        with self.lock:
+        with self._lock:
             value = lookup()
             if value is not None:
                 return value, False
@@ -125,7 +121,7 @@ class SingleFlight:
         ``publish`` None means the build failed: waiters wake, find
         nothing, and the next one builds.
         """
-        with self.lock:
+        with self._lock:
             if publish is not None:
                 publish()
             pending = self._pending.pop(key)
@@ -163,11 +159,10 @@ class FlightMemo:
 
     def get_or_build(self, key, build):
         """The value under ``key``, built by ``build()`` at most once at a time."""
-        value, _ = self._flight.run(
+        return self._flight.run(
             key, lambda: self._lookup(key), build,
             lambda value: self._publish(key, value),
         )
-        return value
 
     def claim(self, key) -> tuple[object, bool]:
         """:meth:`SingleFlight.claim` against this memo."""

@@ -1,34 +1,17 @@
 """The event-driven execution core.
 
 This package is the seam between *running* a scenario matrix and
-*watching* it run: typed lifecycle events (:mod:`.events`), a
+*watching* it run: typed per-cell events (:mod:`.events`), a
 thread-safe bus (:mod:`.bus`), cooperative cancellation
-(:mod:`.cancel`), named jobs over a shared dedup execution context
-(:mod:`.jobs`), console rendering (:mod:`.progress`), and the
-``repro serve`` HTTP daemon (:mod:`.serve`, imported lazily — it pulls
-in asyncio and the campaign layer, which event consumers don't need).
+(:mod:`.cancel`) and console rendering (:mod:`.progress`).
 """
 
 from repro.execution.bus import EventBus, Handler
 from repro.execution.cancel import CancelToken, ExecutionCancelled
-from repro.execution.events import (
-    EVENT_TYPES,
-    TERMINAL_EVENTS,
-    CellFailed,
-    CellFinished,
-    CellStarted,
-    JobCancelled,
-    JobEvent,
-    JobFinished,
-    JobSubmitted,
-    event_from_dict,
-)
-from repro.execution.jobs import Job, JobManager
+from repro.execution.events import CellFailed, CellFinished, CellStarted, JobEvent
 from repro.execution.progress import ConsoleProgress
 
 __all__ = [
-    "EVENT_TYPES",
-    "TERMINAL_EVENTS",
     "CancelToken",
     "CellFailed",
     "CellFinished",
@@ -37,11 +20,5 @@ __all__ = [
     "EventBus",
     "ExecutionCancelled",
     "Handler",
-    "Job",
-    "JobCancelled",
     "JobEvent",
-    "JobFinished",
-    "JobManager",
-    "JobSubmitted",
-    "event_from_dict",
 ]

@@ -1,9 +1,9 @@
 """A thread-safe publish/subscribe channel for :mod:`~repro.execution.events`.
 
-One :class:`EventBus` per execution scope (a campaign, a daemon).
+One :class:`EventBus` per execution scope (a campaign, a sweep).
 Publishers are orchestrator loops and worker threads; subscribers are
 whatever wants to watch: the campaign journal checkpoint, the CLI
-progress printer, the daemon's per-job NDJSON buffers.
+progress printer, a test.
 
 Delivery contract
 -----------------
@@ -16,8 +16,8 @@ Delivery contract
   feature, not a hazard: it is exactly how a checkpointing subscriber
   cancels a sweep (the orchestrator treats it like Ctrl-C — backends
   cancel, the exception keeps propagating).
-  Subscribers that must never disturb execution (progress printers,
-  stream buffers) catch their own errors.
+  Subscribers that must never disturb execution (progress printers)
+  catch their own errors.
 * Subscribe/unsubscribe are safe from any thread, including from
   inside a running handler; the in-flight ``publish`` keeps using the
   snapshot it started with.

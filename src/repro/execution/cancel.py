@@ -1,14 +1,13 @@
 """Cooperative per-job cancellation.
 
-A :class:`CancelToken` is handed to the orchestrator when a job is
-created; any thread may :meth:`~CancelToken.cancel` it (the daemon's
-``DELETE /jobs/{id}`` handler, a watchdog, a test).  The orchestrator
-checks the token at its natural preemption points — between cells on
-the serial backend, at task pickup and every future completion on the
-pool backends — and raises :class:`ExecutionCancelled`, which rides
-the same cleanup rails as Ctrl-C: thread pools cancel queued futures
-and process pools terminate and join before the exception reaches the
-caller.
+A :class:`CancelToken` is handed to the orchestrator when a run is
+set up; any thread may :meth:`~CancelToken.cancel` it (a watchdog, an
+event subscriber, a test).  The orchestrator checks the token at its
+natural preemption points — between cells on the serial backend, at
+task pickup and every future completion on the pool backends — and
+raises :class:`ExecutionCancelled`, which rides the same cleanup rails
+as Ctrl-C: thread pools cancel queued futures and process pools
+terminate and join before the exception reaches the caller.
 
 Cancellation is cooperative, not preemptive: a cell already simulating
 finishes (and is announced) before the token is honoured.  That keeps

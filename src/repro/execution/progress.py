@@ -2,8 +2,8 @@
 
 Progress display is just another :class:`~repro.execution.bus.EventBus`
 subscriber: :class:`ConsoleProgress` prints one line per completed
-cell and a terminal summary, and never raises — display must not
-cancel a sweep the way a deliberately raising subscriber does.
+cell, and never raises — display must not cancel a sweep the way a
+deliberately raising subscriber does.
 """
 
 from __future__ import annotations
@@ -11,14 +11,7 @@ from __future__ import annotations
 import sys
 from typing import TextIO
 
-from repro.execution.events import (
-    CellFailed,
-    CellFinished,
-    JobCancelled,
-    JobEvent,
-    JobFinished,
-    JobSubmitted,
-)
+from repro.execution.events import CellFailed, CellFinished, JobEvent
 
 
 class ConsoleProgress:
@@ -41,12 +34,7 @@ class ConsoleProgress:
             pass
 
     def _render(self, event: JobEvent) -> None:
-        if isinstance(event, JobSubmitted):
-            print(
-                f"[{event.job}] {event.label}: {event.total} cell(s) submitted",
-                file=self.stream,
-            )
-        elif isinstance(event, (CellFinished, CellFailed)):
+        if isinstance(event, (CellFinished, CellFailed)):
             self._done += 1
             status = "ok" if isinstance(event, CellFinished) else "FAILED"
             run_id = event.outcome.scenario.run_id if event.outcome else "?"
@@ -54,15 +42,4 @@ class ConsoleProgress:
                 f"[{self._done}/{event.total}] {run_id} {status}",
                 file=self.stream,
             )
-        elif isinstance(event, JobCancelled):
-            print(
-                f"[{event.job}] cancelled after {event.done}/{event.total} cell(s)",
-                file=self.stream,
-            )
-        elif isinstance(event, JobFinished):
-            print(
-                f"[{event.job}] finished: {event.succeeded}/{event.total} ok "
-                f"({event.failed} failed) in {event.elapsed_s:.1f}s",
-                file=self.stream,
-            )
-        self.stream.flush()
+            self.stream.flush()

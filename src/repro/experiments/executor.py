@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import logging
 import os
-import threading
 import traceback
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from repro.concurrency import FlightMemo, SingleFlight
+from repro.concurrency import FlightMemo
 from repro.control.offline import OfflineProfile, OfflineProfiler
 from repro.errors import ExperimentError
 from repro.experiments.cache import CacheStore
@@ -237,17 +236,6 @@ class ExecutionContext:
         theirs unset.
     use_cache:
         Overrides ``REPRO_CACHE``.
-    dedup:
-        Single-flight identical scenario requests (the multi-tenant
-        daemon's mode): when two callers — typically two concurrent
-        jobs sharing this context — ask for the same scenario while
-        neither result is cached yet, exactly one executes and the
-        other waits on it, then reads the result back through the
-        shared :class:`CacheStore` memory front.  With the cache
-        disabled the arbitration still serialises concurrent
-        duplicates (each waiter re-builds in turn, since nothing is
-        published to share).  Dedup trades the native batch entry for
-        per-run execution — see :meth:`run_batch`.
     """
 
     def __init__(
@@ -256,7 +244,6 @@ class ExecutionContext:
         scale: float | None = None,
         seed: int = 1,
         use_cache: bool | None = None,
-        dedup: bool = False,
     ) -> None:
         self.scale = benchmark_scale() if scale is None else scale
         self.seed = seed
@@ -264,15 +251,6 @@ class ExecutionContext:
         self.cache = CacheStore(
             cache_dir, enabled=enabled, memory_entries=RESULT_MEMORY_ENTRIES
         )
-        self.dedup = dedup
-        #: How many scenario results this context actually computed
-        #: (builds) vs served from another caller's in-flight or cached
-        #: work (hits).  Only meaningful with ``dedup=True``; the serve
-        #: daemon surfaces them on ``/healthz``.
-        self.dedup_builds = 0
-        self.dedup_hits = 0
-        self._dedup_stats_lock = threading.Lock()
-        self._results_flight = SingleFlight()
         self._profiles = FlightMemo(RESULT_MEMORY_ENTRIES)
         self._seed_free = FlightMemo(RESULT_MEMORY_ENTRIES)
 
@@ -380,38 +358,7 @@ class ExecutionContext:
         run or an already-computed
         :class:`~repro.metrics.summary.RunSummary` (multi-run searches
         such as ``dynamic_*``).
-
-        Under ``dedup=True`` the execution is single-flighted on the
-        scenario's cache key: concurrent identical requests elect one
-        builder, the rest wait and load the stored result.
         """
-        if not self.dedup:
-            return self._run_direct(scenario)
-
-        def lookup():
-            cached = self.cache.load(key)
-            if cached is None:
-                return None
-            try:
-                return RunRecord.from_dict(cached)
-            except (KeyError, TypeError):
-                return None  # wrong shape: let the builder recompute
-
-        key = self.cache_key(scenario)
-        # publish is a no-op: _run_direct already stores through
-        # self.cache, which is exactly where waiters' lookup reads.
-        record, hit = self._results_flight.run(
-            key, lookup, lambda: self._run_direct(scenario), lambda value: None
-        )
-        with self._dedup_stats_lock:
-            if hit:
-                self.dedup_hits += 1
-            else:
-                self.dedup_builds += 1
-        return record
-
-    def _run_direct(self, scenario: Scenario) -> RunRecord:
-        """The un-arbitrated execution path behind :meth:`run`."""
         key, produced = self._produce(scenario)
         if isinstance(produced, RunRecord):
             return produced
@@ -447,12 +394,9 @@ class ExecutionContext:
         error.
 
         A one-scenario cell *is* :meth:`run_isolated` — the per-run
-        sweep's path.  Under ``dedup=True`` the batch degrades to the
-        per-run loop too: single-flight arbitration is per scenario,
-        and letting a duplicate hide inside a batch vector would
-        defeat it.
+        sweep's path.
         """
-        if self.dedup or len(scenarios) == 1:
+        if len(scenarios) == 1:
             return [self.run_isolated(s) for s in scenarios]
         outcomes: list[RunOutcome | None] = [None] * len(scenarios)
         # (scenario index, cache key, spec, seed-free memo key or None)

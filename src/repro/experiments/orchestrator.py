@@ -64,12 +64,11 @@ when a scenario is picked up, then
 :class:`~repro.execution.events.CellFinished` or
 :class:`~repro.execution.events.CellFailed` carrying the full
 :class:`RunOutcome` and its ``cell`` (the scenario's position in the
-submitted matrix).  The campaign journal checkpoint, the CLI progress
-printer, and the ``repro serve`` daemon's job streams are all plain
-subscribers.  Start events are best-effort per backend (the process
-pool cannot observe its workers' starts, so it announces start and
-finish together when a cell arrives); per scenario, started always
-precedes finished.
+submitted matrix).  The campaign journal checkpoint and the CLI
+progress printer are plain subscribers.  Start events are best-effort
+per backend (the process pool cannot observe its workers' starts, so
+it announces start and finish together when a cell arrives); per
+scenario, started always precedes finished.
 
 Cancellation
 ------------
@@ -242,9 +241,9 @@ def _init_worker(state: dict) -> None:
     from repro.workloads.catalog import restore_runtime_benchmarks
 
     # Teardown delivers SIGTERM; a forked worker inherits whatever
-    # handler the parent installed (the serve daemon maps SIGTERM to
-    # KeyboardInterrupt), which would turn every cancel into a worker
-    # traceback.  Workers always die silently on terminate.
+    # handler the parent installed (one mapping SIGTERM to
+    # KeyboardInterrupt, say), which would turn every cancel into a
+    # worker traceback.  Workers always die silently on terminate.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     restore_runtime_benchmarks(state["benchmarks"])
     CONFIGURATIONS.restore(state["configurations"])
@@ -294,19 +293,13 @@ class Orchestrator:
         watch a sweep's progress.  Subscriber exceptions cancel the
         run like Ctrl-C.
     job_id:
-        The job name stamped on every published event (the daemon's
-        job id; ``"local"`` for direct callers).
+        The job name stamped on every published event (a campaign's
+        ``campaign:<name>``; ``"local"`` for direct callers).
     cancel:
         Optional :class:`~repro.execution.cancel.CancelToken`; when it
         fires, the run raises
         :class:`~repro.execution.cancel.ExecutionCancelled` at the
         next preemption point after cleaning up its backend.
-    context:
-        Optional shared :class:`ExecutionContext` for the serial and
-        thread backends (the daemon injects one so every job shares
-        one warm result/trace cache and its single-flight dedup).  The
-        process backend ignores it — workers build their own contexts
-        and share through the on-disk store instead.
     """
 
     def __init__(
@@ -322,7 +315,6 @@ class Orchestrator:
         events: EventBus | None = None,
         job_id: str = "local",
         cancel: CancelToken | None = None,
-        context: ExecutionContext | None = None,
     ) -> None:
         self.workers = (
             default_workers() if workers is None else parse_workers(workers)
@@ -334,7 +326,6 @@ class Orchestrator:
         self.events = events
         self.job_id = job_id
         self.cancel = cancel
-        self.context = context
         if backend is not None and backend not in BACKENDS:
             raise ExperimentError(
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
@@ -417,8 +408,6 @@ class Orchestrator:
         return sorted(cells)
 
     def _context(self) -> ExecutionContext:
-        if self.context is not None:
-            return self.context
         return ExecutionContext(
             cache_dir=self.cache_dir,
             scale=self.scale,
@@ -489,8 +478,7 @@ class Orchestrator:
             # Workers are already cancelled/terminated by the backend;
             # announce the interruption and let the caller decide the
             # exit path (the CLI exits 130, campaigns checkpoint and
-            # re-raise, the job manager emits a terminal JobCancelled
-            # event).
+            # re-raise).
             logger.warning(
                 "%s: interrupted after %.1fs; cancelled remaining runs",
                 label, time.perf_counter() - started,

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.uarch.compiled_trace import narrow_columns
+from repro.uarch.compiled_trace import COLUMNS, narrow_columns
 from repro.uarch.isa import NUM_CLASSES, InstructionClass
 from repro.uarch.trace import MAX_DEP_DISTANCE, InstructionBlock
 from repro.workloads.phases import Phase
@@ -95,18 +95,22 @@ class SyntheticTrace:
     def columns(self) -> tuple[np.ndarray, ...]:
         """The whole trace as seven numpy columns.
 
-        Returns ``(kinds, src1, src2, pcs, addrs, taken, targets)``
-        concatenated over every block, drawn from the same seeded
-        stream as :meth:`blocks`.  Each block is range-checked and cast
-        to the compiled-trace dtypes
-        (:data:`~repro.uarch.compiled_trace.COLUMNS`) before the
-        concatenation, so no whole-trace wide copy is ever built.
+        Returns ``(kinds, src1, src2, pcs, addrs, taken, targets)`` over
+        every block, drawn from the same seeded stream as
+        :meth:`blocks`.  Each block is range-checked and cast to the
+        compiled-trace dtypes (:data:`~repro.uarch.compiled_trace.COLUMNS`)
+        and written into columns preallocated at the trace's length, so
+        the trace is held once: no whole-trace wide copy and no
+        concatenation.
         """
-        parts: list[list[np.ndarray]] = [[] for _ in range(7)]
+        out = tuple(np.empty(self._total, dtype=dtype) for _, dtype, _, _ in COLUMNS)
+        start = 0
         for arrays in self._arrays():
-            for store, array in zip(parts, narrow_columns(arrays)):
-                store.append(array)
-        return tuple(np.concatenate(store) for store in parts)
+            stop = start + len(arrays[0])
+            for column, block in zip(out, narrow_columns(arrays)):
+                column[start:stop] = block
+            start = stop
+        return out
 
     # ------------------------------------------------------------------
     def _arrays(self) -> Iterator[tuple[np.ndarray, ...]]:

@@ -453,11 +453,18 @@ class TestCampaignCLI:
 
     def test_run_status_resume_round_trip(self, tmp_path, capsys):
         path = write_campaign(tmp_path)
-        assert main(["campaign", "run", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "4/4 cells ok" in out
+        assert main(["campaign", "run", str(path), "--progress"]) == 0
+        captured = capsys.readouterr()
+        assert "4/4 cells ok" in captured.out
+        progress = [line for line in captured.err.splitlines() if line.startswith("[")]
+        assert [line.split()[0] for line in progress] == ["[1/4]", "[2/4]", "[3/4]", "[4/4]"]
         assert main(["campaign", "status", str(path)]) == 0
         assert "4/4 cells done" in capsys.readouterr().out
+        assert main(["campaign", "status", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "id": "campaign:small", "label": "small", "state": "finished",
+            "total": 4, "done": 4, "failed": 0, "events": 4, "elapsed_s": None,
+        }
         assert main(["campaign", "resume", str(path)]) == 0
         assert "4 restored" in capsys.readouterr().out
 
@@ -465,6 +472,9 @@ class TestCampaignCLI:
         path = write_campaign(tmp_path)
         assert main(["campaign", "status", str(path)]) == 1
         assert "not started" in capsys.readouterr().out
+        assert main(["campaign", "status", str(path), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["state"], payload["done"], payload["events"]) == ("pending", 0, 0)
 
     def test_rerun_without_resume_is_usage_error(self, tmp_path, capsys):
         path = write_campaign(tmp_path)

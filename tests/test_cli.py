@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -33,6 +39,24 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_serve_is_not_a_command(self):
+        """There is no sweep daemon: ``serve`` is an unknown command."""
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        served = cli("serve")
+        assert served.returncode == 2
+        assert "invalid choice: 'serve'" in served.stderr
+        listing = cli("--help")
+        assert listing.returncode == 0
+        assert "campaign" in listing.stdout
+        assert "serve" not in listing.stdout
 
 
 class TestExecution:

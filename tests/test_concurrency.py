@@ -1,8 +1,8 @@
 """Direct unit tests for the shared concurrency primitives.
 
 :mod:`repro.concurrency` is load-bearing under every backend (result
-memory fronts, profile memoisation, and now scenario dedup), but until
-now was only exercised through its consumers.  These tests pin the
+memory fronts, the trace cache, the profile and seed-free memos), but
+until now was only exercised through its consumers.  These tests pin the
 contracts those consumers rely on: LRU recency/eviction order, the
 ``entries == 0`` disable path, and single-flight arbitration including
 the failed-build handoff and the claim/release halves a batch uses.
@@ -53,12 +53,12 @@ class TestSingleFlight:
     def test_hit_skips_build(self):
         flight = SingleFlight()
         cache = {"k": "cached"}
-        value, hit = flight.run(
+        value = flight.run(
             "k", lambda: cache.get("k"),
             lambda: pytest.fail("must not build on a hit"),
             lambda v: cache.__setitem__("k", v),
         )
-        assert (value, hit) == ("cached", True)
+        assert value == "cached"
 
     def test_concurrent_callers_build_exactly_once(self):
         flight = SingleFlight()
@@ -75,11 +75,10 @@ class TestSingleFlight:
             return "built"
 
         def caller():
-            value, hit = flight.run(
+            results.append(flight.run(
                 "k", lambda: cache.get("k"), build,
                 lambda v: cache.__setitem__("k", v),
-            )
-            results.append((value, hit))
+            ))
 
         threads = [threading.Thread(target=caller) for _ in range(6)]
         threads[0].start()
@@ -89,10 +88,9 @@ class TestSingleFlight:
         release_build.set()
         for t in threads:
             t.join(10)
+        # One build; the five waiters read its published value.
         assert len(builds) == 1
-        assert sorted(r[0] for r in results) == ["built"] * 6
-        # Exactly one caller reports a build; the waiters all hit.
-        assert sorted(r[1] for r in results) == [False] + [True] * 5
+        assert results == ["built"] * 6
 
     def test_failed_build_hands_off_to_a_waiter(self):
         flight = SingleFlight()
@@ -136,7 +134,7 @@ class TestSingleFlight:
         # The failure propagated to the failed builder only; the waiter
         # woke up, took over the build, and published.
         assert isinstance(outcomes["first"], RuntimeError)
-        assert outcomes["second"] == ("second-try", False)
+        assert outcomes["second"] == "second-try"
         assert cache["k"] == "second-try"
         assert len(attempts) == 2
 
@@ -158,11 +156,11 @@ class TestSingleFlight:
         t.start()
         assert a_entered.wait(10)
         # While "a" is mid-build, "b" proceeds immediately.
-        value, hit = flight.run(
+        value = flight.run(
             "b", lambda: cache.get("b"), lambda: "b",
             lambda v: cache.__setitem__("b", v),
         )
-        assert (value, hit) == ("b", False)
+        assert value == "b"
         release_a.set()
         t.join(10)
         assert cache == {"a": "a", "b": "b"}
@@ -192,8 +190,5 @@ class TestSingleFlight:
         assert not waiter_done.wait(0.2)  # still waiting on the claim
         flight.release("k", (lambda: cache.__setitem__("k", "batched")) if published else None)
         thread.join(10)
-        if published:
-            assert result["value"] == ("batched", True)
-        else:
-            assert result["value"] == ("rebuilt", False)
+        assert result["value"] == ("batched" if published else "rebuilt")
         assert flight.claim("k", lookup) == (cache["k"], False)

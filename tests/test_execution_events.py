@@ -1,43 +1,34 @@
 """The event-driven execution core.
 
-Pins the contracts the daemon and the campaign layer build on: exact
-JSON round-trips for every event type, the bus's ordering/filter/
-propagation semantics, cooperative cancellation, and — the load-bearing
-one — that the event stream is an *observation* of execution, not a
-different execution: on every backend the finish events carry exactly
-the outcomes of the returned ResultSet, cell for cell, and a campaign
-resumed through the subscriber checkpoint publishes byte-identical
-results with an equivalent journal.
+Pins the contracts the campaign layer and the CLI build on: the bus's
+ordering/filter/propagation semantics, cooperative cancellation, and —
+the load-bearing one — that the event stream is an *observation* of
+execution, not a different execution: on every backend the finish
+events carry exactly the outcomes of the returned ResultSet, cell for
+cell, and a campaign resumed through the subscriber checkpoint
+publishes byte-identical results with an equivalent journal.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import threading
-import time
 
 import pytest
 
-from repro.errors import ExperimentError
 from repro.execution import (
-    EVENT_TYPES,
-    TERMINAL_EVENTS,
     CancelToken,
     CellFailed,
     CellFinished,
     CellStarted,
+    ConsoleProgress,
     EventBus,
     ExecutionCancelled,
-    JobCancelled,
-    JobFinished,
-    JobManager,
-    JobSubmitted,
-    event_from_dict,
 )
-from repro.experiments.executor import ExecutionContext
 from repro.experiments.orchestrator import Orchestrator
-from repro.experiments.scenario import Scenario, Suite
+from repro.experiments.scenario import Suite
 
 SCALE = 0.02
 
@@ -52,69 +43,21 @@ def small_suite(name: str = "events") -> Suite:
     )
 
 
-class TestEventRoundTrip:
-    def test_every_type_is_registered_with_a_unique_tag(self):
-        assert sorted(EVENT_TYPES) == [
-            "cell_failed",
-            "cell_finished",
-            "cell_started",
-            "job_cancelled",
-            "job_finished",
-            "job_submitted",
-        ]
-        assert set(TERMINAL_EVENTS) == {"job_cancelled", "job_finished"}
-
-    @pytest.mark.parametrize(
-        "event",
-        [
-            JobSubmitted(job="j1", label="nightly", total=12),
-            CellStarted(job="j1", cell=3, total=12, run_id="adpcm/sync/s1"),
-            JobCancelled(job="j1", done=4, total=12),
-            JobFinished(job="j1", total=12, succeeded=11, failed=1, elapsed_s=2.5),
-            JobFinished(job="j1", total=12, error="Traceback ..."),
-        ],
-    )
-    def test_json_round_trip_is_exact(self, event):
-        data = json.loads(json.dumps(event.to_dict()))
-        assert event_from_dict(data) == event
-        assert data["event"] == event.kind
-
-    def test_outcome_payloads_round_trip(self):
-        ctx = ExecutionContext(scale=SCALE, use_cache=False)
-        outcome = ctx.run_isolated(Scenario("adpcm", "sync"))
-        assert outcome.ok
-        for cls in (CellFinished, CellFailed):
-            event = cls(job="j1", cell=0, total=1, outcome=outcome)
-            rebuilt = event_from_dict(json.loads(json.dumps(event.to_dict())))
-            assert rebuilt.outcome.to_dict() == outcome.to_dict()
-            assert rebuilt.outcome.scenario == outcome.scenario
-
-    def test_unknown_tag_and_malformed_payloads_fail_loudly(self):
-        with pytest.raises(ExperimentError, match="unknown event tag"):
-            event_from_dict({"event": "job_started"})
-        with pytest.raises(ExperimentError, match="must be a dict"):
-            event_from_dict(["job_finished"])
-        with pytest.raises(ExperimentError, match="malformed"):
-            event_from_dict(
-                {"event": "cell_finished", "job": "j", "outcome": {"bogus": 1}}
-            )
-
-
 class TestEventBus:
     def test_delivery_in_subscription_order(self):
         bus = EventBus()
         seen = []
         bus.subscribe(lambda e: seen.append(("first", e.job)))
         bus.subscribe(lambda e: seen.append(("second", e.job)))
-        bus.publish(JobSubmitted(job="a"))
+        bus.publish(CellStarted(job="a"))
         assert seen == [("first", "a"), ("second", "a")]
 
     def test_job_filter(self):
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append, job="a")
-        bus.publish(JobSubmitted(job="a"))
-        bus.publish(JobSubmitted(job="b"))
+        bus.publish(CellStarted(job="a"))
+        bus.publish(CellStarted(job="b"))
         assert [e.job for e in seen] == ["a"]
 
     def test_unsubscribe_and_idempotent_subscribe(self):
@@ -131,8 +74,8 @@ class TestEventBus:
         bus = EventBus()
         seen = []
         with bus.subscribed(seen.append):
-            bus.publish(JobSubmitted(job="in"))
-        bus.publish(JobSubmitted(job="out"))
+            bus.publish(CellStarted(job="in"))
+        bus.publish(CellStarted(job="out"))
         assert [e.job for e in seen] == ["in"]
 
     def test_subscriber_exception_propagates_and_halts_delivery(self):
@@ -145,7 +88,7 @@ class TestEventBus:
         bus.subscribe(boom)
         bus.subscribe(later.append)
         with pytest.raises(RuntimeError):
-            bus.publish(JobSubmitted(job="a"))
+            bus.publish(CellStarted(job="a"))
         assert later == []  # delivery aborted at the raising subscriber
 
 
@@ -161,6 +104,18 @@ class TestCancelToken:
         assert token.wait(0.01) is True
         with pytest.raises(ExecutionCancelled):
             token.raise_if_cancelled()
+
+
+class TestConsoleProgress:
+    def test_prints_finishes_only_and_never_raises(self):
+        printed = io.StringIO()
+        progress = ConsoleProgress(printed)
+        progress(CellStarted(job="j", cell=1, total=2))
+        progress(CellFailed(job="j", cell=1, total=2))
+        assert printed.getvalue() == "[1/2] ? FAILED\n"
+        # Display must never cancel a run: a dead stream is swallowed.
+        printed.close()
+        progress(CellFinished(job="j", cell=0, total=2))
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
@@ -184,6 +139,8 @@ class TestEventCallbackDifferential:
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
+        printed = io.StringIO()
+        bus.subscribe(ConsoleProgress(printed))
         streamed = Orchestrator(
             events=bus, job_id="diff", **self._knobs(backend, tmp_path, "ev")
         ).run(suite)
@@ -211,6 +168,12 @@ class TestEventCallbackDifferential:
         for position, event in enumerate(events):
             if isinstance(event, (CellFinished, CellFailed)):
                 assert first_started[event.cell] < position
+        # The progress printer, one more subscriber, counts the same
+        # finish events in completion order.
+        assert printed.getvalue().splitlines() == [
+            f"[{done}/{total}] {event.outcome.scenario.run_id} ok"
+            for done, event in enumerate(finished, start=1)
+        ]
 
     def test_cancel_token_stops_the_matrix(self, backend, tmp_path):
         suite = small_suite("cancel")
@@ -418,103 +381,3 @@ use_cache = false
         assert {e.outcome.scenario.run_id for e in finished} == {
             o.scenario.run_id for o in report.results
         }
-
-
-class TestJobManager:
-    def test_submit_runs_to_a_terminal_finished_event(self, tmp_path):
-        manager = JobManager(cache_dir=tmp_path / "cache", scale=SCALE)
-        job = manager.submit(small_suite("managed"), backend="serial")
-        assert job.wait(120)
-        kinds = [e.kind for e in job.events_since(0)]
-        assert kinds[0] == "job_submitted"
-        assert kinds[-1] == "job_finished"
-        assert kinds.count("cell_finished") == 4
-        assert job.state == "finished"
-        assert len(job.results) == 4
-        payload = job.status_payload()
-        assert payload["done"] == 4 and payload["failed"] == 0
-        assert payload["state"] == "finished"
-        # A late joiner replays the identical stream from the top.
-        assert [e.kind for e in job.events_since(0)] == kinds
-
-    def test_identical_concurrent_jobs_share_one_execution(self, tmp_path):
-        from repro.experiments import CONFIGURATIONS, register_configuration
-
-        gate = threading.Event()
-
-        @register_configuration("gated_cfg")
-        def gated(ctx, benchmark, scale, seed):
-            """Sync run that waits for the test's gate (forces overlap)."""
-            gate.wait(30)
-            factory = CONFIGURATIONS.get("sync")
-            return factory(ctx, benchmark, scale=scale, seed=seed)
-
-        try:
-            manager = JobManager(cache_dir=tmp_path / "cache", scale=SCALE)
-            suite = Suite(
-                benchmarks=["adpcm", "gsm"],
-                configurations=["gated_cfg"],
-                seeds=[1],
-                scale=SCALE,
-                name="dedup",
-            )
-            first = manager.submit(suite, backend="thread", workers=2)
-            second = manager.submit(suite, backend="thread", workers=2)
-            time.sleep(0.2)  # both jobs reach the gate before it opens
-            gate.set()
-            assert first.wait(120) and second.wait(120)
-            assert first.state == second.state == "finished"
-            assert first.results.to_dict() == second.results.to_dict()
-            # 2 unique cells across 4 requests: exactly 2 executions.
-            stats = manager.stats()
-            assert stats["dedup_builds"] == 2
-            assert stats["dedup_hits"] == 2
-        finally:
-            CONFIGURATIONS.unregister("gated_cfg")
-
-    def test_cancel_mid_flight_terminates_with_job_cancelled(self, tmp_path):
-        from repro.experiments import CONFIGURATIONS, register_configuration
-
-        second_cell_entered = threading.Event()
-        release = threading.Event()
-        calls = []
-
-        @register_configuration("slow_cfg")
-        def slow(ctx, benchmark, scale, seed):
-            """Sync run; every cell after the first blocks on a gate."""
-            calls.append(benchmark)
-            if len(calls) > 1:
-                second_cell_entered.set()
-                release.wait(30)
-            factory = CONFIGURATIONS.get("sync")
-            return factory(ctx, benchmark, scale=scale, seed=seed)
-
-        try:
-            manager = JobManager(
-                cache_dir=tmp_path / "cache", use_cache=False, scale=SCALE
-            )
-            suite = Suite(
-                benchmarks=["adpcm", "gsm", "phase_thrash"],
-                configurations=["slow_cfg"],
-                seeds=[1, 2],
-                scale=SCALE,
-                name="doomed",
-            )
-            job = manager.submit(suite, backend="serial")
-            # Cell 1 is announced by the time cell 2 enters the gate;
-            # cancel fires while cell 2 is mid-flight, so the serial
-            # backend honours the token before cell 3.
-            assert second_cell_entered.wait(60)
-            assert manager.cancel(job.id)
-            release.set()
-            assert job.wait(60)
-            events = job.events_since(0)
-            assert events[-1].kind == "job_cancelled"
-            assert job.state == "cancelled"
-            assert job.results is None
-            done = job.status_payload()["done"]
-            assert 1 <= done < len(suite.expand())
-            assert events[-1].done == done
-            assert manager.cancel("job-nonesuch") is False
-        finally:
-            CONFIGURATIONS.unregister("slow_cfg")

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError, WorkloadError
+from repro.uarch.compiled_trace import COLUMNS
 from repro.uarch.isa import InstructionClass
 from repro.uarch.trace import MAX_DEP_DISTANCE, InstructionBlock, ListTrace
 from repro.workloads.catalog import BENCHMARKS, benchmark_names, get_benchmark
 from repro.workloads.phases import INT_COMPUTE_MIX, Phase
-from repro.workloads.synthetic import SyntheticTrace
+from repro.workloads.synthetic import _BLOCK, SyntheticTrace
 
 
 class TestInstructionBlock:
@@ -150,6 +151,69 @@ class TestSyntheticTrace:
     def test_empty_phases_rejected(self):
         with pytest.raises(WorkloadError):
             SyntheticTrace([])
+
+
+class TestSyntheticColumns:
+    """``columns()`` writes the ``blocks()`` stream into preallocated columns.
+
+    Each narrowed block lands at its offset in columns sized to the
+    trace, so these pin the offsets at every block and phase boundary
+    (a phase's last block is partial), the ``COLUMNS`` dtypes, and the
+    per-block range check.
+    """
+
+    @staticmethod
+    def _assert_columns_match_blocks(trace: SyntheticTrace) -> None:
+        columns = trace.columns()
+        flat: list[list[int]] = [[] for _ in COLUMNS]
+        for block in trace.blocks():
+            fields = (
+                block.kinds,
+                block.src1,
+                block.src2,
+                block.pcs,
+                block.addrs,
+                block.taken,
+                block.targets,
+            )
+            for store, field in zip(flat, fields):
+                store.extend(int(value) for value in field)
+        assert len(columns) == len(COLUMNS)
+        for (name, dtype, _, _), column, expected in zip(COLUMNS, columns, flat):
+            assert column.dtype == dtype, name
+            assert len(column) == trace.total_instructions, name
+            assert column.tolist() == expected, name
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_catalog_columns_match_blocks(self, name):
+        trace = get_benchmark(name).build_trace(scale=0.37)
+        self._assert_columns_match_blocks(trace)
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [(1,), (_BLOCK - 1,), (_BLOCK,), (_BLOCK + 1,), (2 * _BLOCK + 7, 1, _BLOCK, 3)],
+        ids=lambda lengths: "+".join(map(str, lengths)),
+    )
+    def test_columns_match_blocks_at_boundaries(self, lengths):
+        phases = [Phase(f"p{i}", n, INT_COMPUTE_MIX) for i, n in enumerate(lengths)]
+        self._assert_columns_match_blocks(SyntheticTrace(phases, seed=5))
+
+    def test_late_out_of_range_block_raises(self):
+        # Four KB below the pcs column's limit: the first phase's 1 KB
+        # image fits, the second phase's 16 KB loop body walks past it.
+        code_base = 2**32 - 4096
+        fits = Phase("fits", 5000, INT_COMPUTE_MIX, code_footprint_kb=1)
+        spills = Phase(
+            "spills",
+            5000,
+            INT_COMPUTE_MIX,
+            code_footprint_kb=64,
+            loop_body_bytes=16384,
+        )
+        SyntheticTrace([fits], seed=3, code_base=code_base).columns()
+        trace = SyntheticTrace([fits, spills], seed=3, code_base=code_base)
+        with pytest.raises(TraceError, match="trace column pcs"):
+            trace.columns()
 
 
 class TestCatalog:
