@@ -2,13 +2,14 @@
 
 :class:`CampaignRunner` drives one :class:`~repro.campaigns.spec
 .CampaignSpec` through the :class:`~repro.experiments.orchestrator
-.Orchestrator` with the checkpoint journal in the loop: every outcome
-the orchestrator announces is durably journalled *before* anything
-else sees it, so however the process dies — Ctrl-C, a crash, a power
-cut — the journal names exactly which cells completed.  ``resume``
-restores those cells' outcomes from the journal, re-queues quarantined
-failures, and executes only what is missing; because simulations are
-deterministic and results content-addressed, the final
+.Orchestrator` with the checkpoint journal as its ``on_outcome``
+callback: every outcome the orchestrator announces is durably
+journalled before it announces the next, so however the process
+dies — Ctrl-C, a crash, a power cut — the journal names exactly which
+cells completed.  ``resume`` restores those cells' outcomes from the
+journal, re-queues quarantined failures, and executes only what is
+missing; because simulations are deterministic and results
+content-addressed, the final
 :class:`~repro.experiments.results.ResultSet` is byte-identical to an
 uninterrupted run of the same campaign file.
 """
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 from repro.campaigns.journal import CampaignJournal, JournalState
 from repro.campaigns.spec import CampaignSpec
 from repro.errors import CampaignError
-from repro.execution.bus import EventBus
-from repro.execution.events import CellFailed, CellFinished, JobEvent
 from repro.experiments.orchestrator import Orchestrator
 from repro.experiments.results import ResultSet, RunOutcome
 from repro.experiments.scenario import Scenario
@@ -112,12 +111,7 @@ class CampaignRunner:
         return plans
 
     # --- execution ----------------------------------------------------------
-    def run(
-        self,
-        resume: bool = False,
-        force: bool = False,
-        bus: EventBus | None = None,
-    ) -> CampaignReport:
+    def run(self, resume: bool = False, force: bool = False) -> CampaignReport:
         """Execute the campaign (or what remains of it).
 
         ``resume`` continues from the journal: completed cells are
@@ -126,19 +120,11 @@ class CampaignRunner:
         an error — an overnight campaign must never be half-restarted
         by accident — unless ``force`` discards it.
 
-        The checkpoint is an event subscriber: the runner attaches its
-        journalling handler to ``bus`` (its own private
-        :class:`~repro.execution.bus.EventBus` when none is supplied)
-        and the orchestrator publishes each cell's
-        ``CellFinished``/``CellFailed`` through it.  An event's
-        ``cell`` is its position in the submitted (pending-only)
-        matrix, so the checkpoint journals ``pending[event.cell]``
-        exactly (a matrix repeats no scenario: ``Suite.expand`` rejects
-        repeated axis entries).  Subscribers on a caller-supplied bus
-        (progress printers, tests) are the way to watch the campaign;
-        one subscribed ahead of the checkpoint sees each cell before it
-        is journalled, and an exception it raises cancels the campaign
-        like Ctrl-C.
+        The checkpoint is the orchestrator's ``on_outcome`` callback.
+        Its ``cell`` is the outcome's position in the submitted
+        (pending-only) matrix, so the checkpoint journals
+        ``pending[cell]`` exactly (a matrix repeats no scenario:
+        ``Suite.expand`` rejects repeated axis entries).
 
         A :class:`KeyboardInterrupt` propagates to the caller *after*
         the backends cancel and the journal holds every completed cell;
@@ -167,24 +153,17 @@ class CampaignRunner:
         executed = 0
 
         if pending:
-            def checkpoint(event: JobEvent) -> None:
+            def checkpoint(cell: int, outcome: RunOutcome) -> None:
                 nonlocal executed
-                if not isinstance(event, (CellFinished, CellFailed)):
-                    return
-                index = pending[event.cell]
-                self.journal.record(index, event.outcome)
-                outcomes[index] = event.outcome
+                index = pending[cell]
+                self.journal.record(index, outcome)
+                outcomes[index] = outcome
                 executed += 1
 
-            events = bus if bus is not None else EventBus()
-            job_id = f"campaign:{self.spec.name}"
-            with events.subscribed(checkpoint, job=job_id):
-                orchestrator = Orchestrator(
-                    events=events,
-                    job_id=job_id,
-                    **self.spec.orchestrator_kwargs(),
-                )
-                orchestrator.run([matrix[i] for i in pending])
+            orchestrator = Orchestrator(
+                on_outcome=checkpoint, **self.spec.orchestrator_kwargs()
+            )
+            orchestrator.run([matrix[i] for i in pending])
 
         ordered = ResultSet([outcomes[i] for i in sorted(outcomes)])
         succeeded = sum(1 for o in ordered if o.ok)

@@ -157,17 +157,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return _campaign_status(runner, as_json=args.json)
         if args.action == "run" and args.dry_run:
             return _campaign_dry_run(runner)
-        bus = None
-        if getattr(args, "progress", False):
-            from repro.execution.bus import EventBus
-            from repro.execution.progress import ConsoleProgress
-
-            bus = EventBus()
-            bus.subscribe(ConsoleProgress(), job=f"campaign:{spec.name}")
         report = runner.run(
             resume=args.action == "resume",
             force=getattr(args, "force", False),
-            bus=bus,
         )
     except (CampaignError, ExperimentError) as exc:
         print(f"campaign: error: {exc}", file=sys.stderr)
@@ -225,12 +217,9 @@ def register_campaign_parser(sub) -> None:
             help="override the file's batch-cell size (integer or 'auto')",
         )
         parser_.add_argument(
-            "--progress",
+            "--verbose",
             action="store_true",
-            help="print one line per completed cell (an event subscriber)",
-        )
-        parser_.add_argument(
-            "--verbose", action="store_true", help="progress logging"
+            help="progress logging: one line per completed cell",
         )
 
     camp_run = camp_sub.add_parser(

@@ -86,46 +86,21 @@ class SingleFlight:
                     return value
                 pending = self._pending.get(key)
                 if pending is None:
-                    self._pending[key] = threading.Event()
+                    pending = self._pending[key] = threading.Event()
                     break
             pending.wait()
         try:
             value = build()
         except BaseException:
-            self.release(key)
+            with self._lock:
+                del self._pending[key]
+            pending.set()
             raise
-        self.release(key, lambda: publish(value))
-        return value
-
-    def claim(self, key, lookup) -> tuple[object, bool]:
-        """The non-blocking half of :meth:`run`, for callers that build
-        several keys in one go.
-
-        Returns ``(lookup(), False)`` on a hit, ``(None, True)`` when
-        the caller now owns ``key``'s build and must :meth:`release`
-        it, and ``(None, False)`` while another caller builds it (a
-        later :meth:`run` waits for that build).
-        """
         with self._lock:
-            value = lookup()
-            if value is not None:
-                return value, False
-            if key in self._pending:
-                return None, False
-            self._pending[key] = threading.Event()
-            return None, True
-
-    def release(self, key, publish=None) -> None:
-        """End an owned build: ``publish()`` under the lock, wake the waiters.
-
-        ``publish`` None means the build failed: waiters wake, find
-        nothing, and the next one builds.
-        """
-        with self._lock:
-            if publish is not None:
-                publish()
-            pending = self._pending.pop(key)
+            publish(value)
+            del self._pending[key]
         pending.set()
+        return value
 
 
 class FlightMemo:
@@ -133,11 +108,9 @@ class FlightMemo:
 
     A :class:`LockedLRU` behind a :class:`SingleFlight`: concurrent
     callers for one missing key wait on a single build and share its
-    value.  :meth:`claim` and :meth:`release` let a caller that builds
-    several keys at once (a batch of runs) own each key's build too.
-    ``hits``, ``misses`` and ``evictions`` count lookups served, builds
-    kept and entries the bound pushed out; they change only under the
-    flight's lock.
+    value.  ``hits``, ``misses`` and ``evictions`` count lookups
+    served, builds kept and entries the bound pushed out; they change
+    only under the flight's lock.
     """
 
     def __init__(self, entries: int) -> None:
@@ -162,14 +135,4 @@ class FlightMemo:
         return self._flight.run(
             key, lambda: self._lookup(key), build,
             lambda value: self._publish(key, value),
-        )
-
-    def claim(self, key) -> tuple[object, bool]:
-        """:meth:`SingleFlight.claim` against this memo."""
-        return self._flight.claim(key, lambda: self._lookup(key))
-
-    def release(self, key, value=None) -> None:
-        """End a claimed build, keeping ``value`` (None: the build failed)."""
-        self._flight.release(
-            key, None if value is None else lambda: self._publish(key, value)
         )

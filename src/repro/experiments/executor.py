@@ -3,9 +3,10 @@
 :class:`ExecutionContext` is the single place a scenario becomes a
 simulation: it resolves the configuration name through the registry,
 checks the content-addressed cache, runs the spec, and stores the
-outcome.  One context lives per process — orchestrator workers each
-build their own and share results through the on-disk cache (whose
-writes are atomic, see :mod:`repro.experiments.cache`).
+outcome.  The orchestrator builds one context per sweep, shared by its
+serial and thread backends; each process worker builds its own, and
+workers share results through the on-disk cache (whose writes are
+atomic, see :mod:`repro.experiments.cache`).
 
 Environment knobs
 -----------------
@@ -374,24 +375,19 @@ class ExecutionContext:
             return RunOutcome(scenario=scenario, error=traceback.format_exc())
 
     def run_batch(self, scenarios: list[Scenario]) -> list[RunOutcome]:
-        """Execute a cell of scenarios, batching the native-path specs.
+        """Execute a cell of scenarios, batching its seeded native-path specs.
 
         Semantics match ``[self.run_isolated(s) for s in scenarios]``
         byte for byte: cache hits short-circuit, non-spec products
         (multi-run searches returning a ``RunSummary``) complete
         per scenario, and each failure is captured as that scenario's
-        outcome, never the cell's.  Every scenario whose factory
-        produced a :class:`~repro.sim.engine.SimulationSpec` joins one
+        outcome, never the cell's.  A spec with a seed-free key runs
+        through the seed-free memo as soon as its factory returns it;
+        every other :class:`~repro.sim.engine.SimulationSpec` joins one
         :func:`~repro.sim.engine.run_specs_batch` vector — one native
-        entry and one GIL release for the whole cell.  A seed-free
-        spec joins it once: a seed-free memo hit needs no slot, a
-        repeat within the cell shares its first run's slot, and a run
-        another thread is already building is waited for after the
-        vector.  The cell claims its seed-free keys only after every
-        factory has run, so no factory waits while the cell holds one.
-        When that vector raises, the cell falls back once to per-run
-        execution (logged), so only the failing scenario records an
-        error.
+        entry and one GIL release for the whole cell.  When that
+        vector raises, the cell falls back once to per-run execution
+        (logged), so only the failing scenario records an error.
 
         A one-scenario cell *is* :meth:`run_isolated` — the per-run
         sweep's path.
@@ -399,70 +395,43 @@ class ExecutionContext:
         if len(scenarios) == 1:
             return [self.run_isolated(s) for s in scenarios]
         outcomes: list[RunOutcome | None] = [None] * len(scenarios)
-        # (scenario index, cache key, spec, seed-free memo key or None)
-        specs: list[tuple[int, str, SimulationSpec, str | None]] = []
-        # Every factory runs before the cell claims a seed-free key: a
-        # factory may itself wait on a seed-free run (``ctx.summary``
-        # of a ``sync`` reference), and a claim held across that wait
-        # deadlocks — on this thread, or against another cell's claim.
+        # (scenario index, cache key, spec) of every vector member
+        batched: list[tuple[int, str, SimulationSpec]] = []
         for i, scenario in enumerate(scenarios):
             try:
                 key, produced = self._produce(scenario)
                 if isinstance(produced, SimulationSpec):
-                    specs.append((i, key, produced, self._seed_free_key(produced)))
-                    continue
+                    if self._seed_free_key(produced) is None:
+                        batched.append((i, key, produced))
+                        continue
+                    produced = self._simulate(produced)
                 if isinstance(produced, RunSummary):
                     produced = self._complete(scenario, key, produced)
                 outcomes[i] = RunOutcome(scenario=scenario, record=produced)
             except Exception:
                 outcomes[i] = RunOutcome(scenario=scenario, error=traceback.format_exc())
-        vector: list[SimulationSpec] = []
-        slots: dict[str, int] = {}  # claimed seed-free key -> its vector slot
-        # (scenario index, cache key, spec, memo hit or None, vector slot
-        # or None: run it through _simulate after the vector)
-        jobs: list[tuple[int, str, SimulationSpec, RunSummary | None, int | None]] = []
         summaries = None
-        try:
-            for i, key, spec, memo_key in specs:
-                summary, slot = None, slots.get(memo_key)
-                if slot is None and memo_key is not None:
-                    summary, owned = self._seed_free.claim(memo_key)
-                    if owned:
-                        slot = slots[memo_key] = len(vector)
-                        vector.append(spec)
-                elif slot is None:
-                    slot = len(vector)
-                    vector.append(spec)
-                jobs.append((i, key, spec, summary, slot))
-            if vector:
-                from repro.sim.engine import run_specs_batch
+        if batched:
+            from repro.sim.engine import run_specs_batch
 
-                try:
-                    summaries = [summarize(r) for r in run_specs_batch(vector)]
-                except Exception as exc:
-                    # The per-run loop below re-runs these same specs on
-                    # fresh cores whose controllers re-``begin``, so the
-                    # healthy ones stay byte-identical.
-                    logger.warning(
-                        "batch cell of %d run(s) failed (%s: %s); re-running it per run",
-                        len(vector), type(exc).__name__, exc,
-                    )
-        finally:
-            # Publish (or, on failure, give up) every claimed seed-free
-            # build before anything below can wait on one.
-            for memo_key, slot in slots.items():
-                self._seed_free.release(
-                    memo_key, None if summaries is None else summaries[slot]
+            try:
+                summaries = [
+                    summarize(r) for r in run_specs_batch([s for _, _, s in batched])
+                ]
+            except Exception as exc:
+                # The per-run loop below re-runs these same specs on
+                # fresh cores whose controllers re-``begin``, so the
+                # healthy ones stay byte-identical.
+                logger.warning(
+                    "batch cell of %d run(s) failed (%s: %s); re-running it per run",
+                    len(batched), type(exc).__name__, exc,
                 )
-        for i, key, spec, summary, slot in jobs:
+        for slot, (i, key, spec) in enumerate(batched):
             scenario = scenarios[i]
             try:
-                if summary is None:
-                    summary = (
-                        summaries[slot]
-                        if summaries is not None and slot is not None
-                        else self._simulate(spec)
-                    )
+                summary = (
+                    summaries[slot] if summaries is not None else self._simulate(spec)
+                )
                 outcomes[i] = RunOutcome(
                     scenario=scenario, record=self._complete(scenario, key, summary)
                 )
@@ -521,41 +490,3 @@ class ExecutionContext:
 
         return self._profiles.get_or_build(key, build)
 
-
-#: Per-process context reuse, so a pool worker keeps its in-memory
-#: memoisations (off-line profiles) across the scenarios it executes.
-_WORKER_CONTEXTS: dict[tuple, ExecutionContext] = {}
-
-
-def execute_cell(
-    scenarios: list[Scenario],
-    cache_dir: str | None,
-    use_cache: bool | None,
-    scale: float,
-    seed: int,
-) -> list[RunOutcome]:
-    """Worker entry point: run one batch cell in this process's context.
-
-    Module-level (picklable) so :mod:`multiprocessing` pools can map
-    over a sweep's cells; every failure is captured into its outcome
-    so one bad run never takes the pool down.  Contexts are memoised
-    per (cache_dir, use_cache, scale, seed) so a worker recomputes
-    profiling runs at most once, not once per cell.
-    """
-    return _worker_context(cache_dir, use_cache, scale, seed).run_batch(scenarios)
-
-
-def _worker_context(
-    cache_dir: str | None,
-    use_cache: bool | None,
-    scale: float,
-    seed: int,
-) -> ExecutionContext:
-    """This process's memoised context for the given knobs."""
-    key = (cache_dir, use_cache, scale, seed)
-    ctx = _WORKER_CONTEXTS.get(key)
-    if ctx is None:
-        ctx = _WORKER_CONTEXTS[key] = ExecutionContext(
-            cache_dir=cache_dir, scale=scale, seed=seed, use_cache=use_cache
-        )
-    return ctx

@@ -55,36 +55,24 @@ Every backend resolves traces the same way: each run asks
 process's trace cache, then the on-disk store, then generates.  Thread
 workers share the owner's cache; process workers fill their own.
 
-Lifecycle events
+Watching a sweep
 ----------------
-Events are the only way to watch a sweep.  The orchestrator publishes
-typed lifecycle events on an :class:`~repro.execution.bus.EventBus`
-when one is supplied: :class:`~repro.execution.events.CellStarted`
-when a scenario is picked up, then
-:class:`~repro.execution.events.CellFinished` or
-:class:`~repro.execution.events.CellFailed` carrying the full
-:class:`RunOutcome` and its ``cell`` (the scenario's position in the
-submitted matrix).  The campaign journal checkpoint and the CLI
-progress printer are plain subscribers.  Start events are best-effort
-per backend (the process pool cannot observe its workers' starts, so
-it announces start and finish together when a cell arrives); per
-scenario, started always precedes finished.
+``run`` logs one ``INFO`` line per finished scenario and then hands it
+to the optional ``on_outcome(cell, outcome)`` callback, in the calling
+thread, before it announces the next one; ``cell`` is the scenario's
+position in the submitted matrix.  The campaign journal checkpoint is
+that callback.
 
-Cancellation
+Interruption
 ------------
-Interruption (Ctrl-C, an event subscriber raising, or a
-:class:`~repro.execution.cancel.CancelToken` firing) is a first-class
-event, not a crash: the thread backend cancels every queued cell
-(running ones finish their current simulation) and the process
-backend terminates and joins its pool, both before the exception
-propagates.  The cancel token is checked before the first cell and
-after every completed cell, and the thread backend also checks it when
-a worker picks a cell up;
-:class:`~repro.execution.cancel.ExecutionCancelled` then rides the
-same cleanup rails as Ctrl-C.  Outcomes already announced stay
-announced — a checkpointing caller (:mod:`repro.campaigns`) therefore
-loses at most the in-flight runs, which the content-addressed cache
-makes idempotent to re-execute.
+Ctrl-C, or an exception raised by ``on_outcome``, stops the sweep
+through one cleanup path: the thread backend cancels every queued cell
+(running ones finish their current simulation) and the process backend
+terminates and joins its workers, both before the exception
+propagates.  Outcomes already announced stay announced, so a
+checkpointing caller (:mod:`repro.campaigns`) loses at most the
+in-flight runs, which the content-addressed cache makes idempotent to
+re-execute.
 """
 
 from __future__ import annotations
@@ -100,18 +88,14 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import closing
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import ExperimentError
-from repro.execution.bus import EventBus
-from repro.execution.cancel import CancelToken, ExecutionCancelled
-from repro.execution.events import CellFailed, CellFinished, CellStarted
 from repro.experiments.executor import (
     ExecutionContext,
     benchmark_scale,
     default_batch,
     default_workers,
-    execute_cell,
     parse_batch,
     parse_workers,
 )
@@ -138,31 +122,26 @@ def default_backend() -> str:
     return raw
 
 
-def _pool_entry(args: tuple) -> CompletedCell:
-    """Pool adapter: run one batch cell in a worker process.
-
-    ``indices`` are the cell's positions in the original matrix; the
-    returned outcome list is parallel to them.
-    """
-    indices, scenarios, cache_dir, use_cache, scale, seed = args
-    return indices, execute_cell(scenarios, cache_dir, use_cache, scale, seed)
-
-
-def _worker_main(conn, state: dict) -> None:
+def _worker_main(conn, state: dict, settings: dict) -> None:
     """Process-backend worker: run each cell ``conn`` delivers, reply.
 
-    A reply is ``(True, completed cell)``, or ``(False, exception)``
-    for an error the cell did not capture into its outcomes, which the
-    parent re-raises.  The loop ends when the parent closes its end.
+    Every cell runs in one :class:`ExecutionContext` built from the
+    sweep's ``settings``, so the worker keeps its profiles and
+    seed-free runs across the cells it draws.  A cell arrives as
+    ``(indices, scenarios)``; a reply is ``(True, (indices,
+    outcomes))``, or ``(False, exception)`` for an error the cell did
+    not capture into its outcomes, which the parent re-raises.  The
+    loop ends when the parent closes its end.
     """
     _init_worker(state)
+    ctx = ExecutionContext(**settings)
     while True:
         try:
-            job = conn.recv()
+            indices, scenarios = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, _pool_entry(job))
+            reply = (True, (indices, ctx.run_batch(scenarios)))
         except Exception as exc:  # noqa: BLE001 - re-raised by the parent
             reply = (False, exc)
         conn.send(reply)
@@ -287,19 +266,11 @@ class Orchestrator:
         per backend — see the module docstring) or None to defer to
         ``REPRO_BATCH``.  Cells are clamped to the matrix, grouped by
         trace identity, and never change results.
-    events:
-        Optional :class:`~repro.execution.bus.EventBus` to publish
-        lifecycle events on (see the module docstring) — the way to
-        watch a sweep's progress.  Subscriber exceptions cancel the
-        run like Ctrl-C.
-    job_id:
-        The job name stamped on every published event (a campaign's
-        ``campaign:<name>``; ``"local"`` for direct callers).
-    cancel:
-        Optional :class:`~repro.execution.cancel.CancelToken`; when it
-        fires, the run raises
-        :class:`~repro.execution.cancel.ExecutionCancelled` at the
-        next preemption point after cleaning up its backend.
+    on_outcome:
+        Optional ``on_outcome(cell, outcome)`` callback, called in the
+        calling thread for each finished scenario with its position in
+        the submitted matrix (see the module docstring).  An exception
+        it raises stops the sweep like Ctrl-C.
     """
 
     def __init__(
@@ -312,9 +283,7 @@ class Orchestrator:
         backend: str | None = None,
         start_method: str | None = None,
         batch: int | str | None = None,
-        events: EventBus | None = None,
-        job_id: str = "local",
-        cancel: CancelToken | None = None,
+        on_outcome: Callable[[int, RunOutcome], None] | None = None,
     ) -> None:
         self.workers = (
             default_workers() if workers is None else parse_workers(workers)
@@ -323,9 +292,7 @@ class Orchestrator:
         self.scale = benchmark_scale() if scale is None else scale
         self.seed = seed
         self.use_cache = use_cache
-        self.events = events
-        self.job_id = job_id
-        self.cancel = cancel
+        self.on_outcome = on_outcome
         if backend is not None and backend not in BACKENDS:
             raise ExperimentError(
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
@@ -407,43 +374,22 @@ class Orchestrator:
                 cells.append(indices[start : start + batch])
         return sorted(cells)
 
-    def _context(self) -> ExecutionContext:
-        return ExecutionContext(
+    def _settings(self) -> dict:
+        """The :class:`ExecutionContext` arguments every backend runs with."""
+        return dict(
             cache_dir=self.cache_dir,
             scale=self.scale,
             seed=self.seed,
             use_cache=self.use_cache,
         )
 
-    # --- events and cancellation -------------------------------------------
-    def _check_cancel(self) -> None:
-        """Raise :class:`ExecutionCancelled` if this run's token fired."""
-        if self.cancel is not None and self.cancel.cancelled:
-            raise ExecutionCancelled(f"job {self.job_id!r} cancelled")
-
-    def _emit_started(
-        self, indices: Sequence[int], scenarios: Sequence[Scenario]
-    ) -> None:
-        """Publish ``CellStarted`` for each matrix index of one cell."""
-        if self.events is not None:
-            for index in indices:
-                self.events.publish(
-                    CellStarted(
-                        job=self.job_id,
-                        cell=index,
-                        total=len(scenarios),
-                        run_id=scenarios[index].run_id,
-                    )
-                )
-
     def run(self, matrix: Suite | Sequence[Scenario]) -> ResultSet:
         """Execute every scenario; returns outcomes in matrix order.
 
         The one cell loop: whichever backend runs the cells, completed
-        ``(indices, outcomes)`` pairs arrive here, each outcome is
-        announced, and the cancel token is checked after every cell.
-        Closing the backend's generator on the way out — normal return,
-        a raising subscriber, a fired token or Ctrl-C — runs its
+        ``(indices, outcomes)`` pairs arrive here and each outcome is
+        announced.  Closing the backend's generator on the way out —
+        normal return, a raising ``on_outcome`` or Ctrl-C — runs its
         cleanup (queued cells cancelled, pool terminated and joined)
         before the exception propagates.
         """
@@ -461,20 +407,18 @@ class Orchestrator:
             "thread": self._thread_cells,
             "process": self._process_cells,
         }[backend]
+        cells = self._batch_cells(scenarios, batch)
         ordered: list[RunOutcome | None] = [None] * total
         done = 0
         started = time.perf_counter()
         try:
-            self._check_cancel()
-            cells = self._batch_cells(scenarios, batch)
             with closing(execute(scenarios, cells)) as completed:
                 for indices, outcomes in completed:
                     for index, outcome in zip(indices, outcomes):
                         ordered[index] = outcome
                         self._announce(outcome, index, done, total)
                         done += 1
-                    self._check_cancel()
-        except (KeyboardInterrupt, ExecutionCancelled):
+        except KeyboardInterrupt:
             # Workers are already cancelled/terminated by the backend;
             # announce the interruption and let the caller decide the
             # exit path (the CLI exits 130, campaigns checkpoint and
@@ -496,11 +440,11 @@ class Orchestrator:
     def _announce(
         self, outcome: RunOutcome, cell: int, done: int, total: int
     ) -> None:
-        """Publish one completed scenario: progress log, then event stream.
+        """Announce one finished scenario: progress log, then ``on_outcome``.
 
         ``cell`` is the outcome's position in the submitted matrix
-        (what events carry); ``done`` is the completion counter (what
-        the progress log shows).
+        (what the callback receives); ``done`` is the completion
+        counter (what the progress log shows).
         """
         status = "ok" if outcome.ok else "FAILED"
         logger.info("[%d/%d] %s %s", done + 1, total, outcome.scenario.run_id, status)
@@ -508,20 +452,16 @@ class Orchestrator:
             logger.warning(
                 "run %s failed:\n%s", outcome.scenario.run_id, outcome.error
             )
-        if self.events is not None:
-            cls = CellFinished if outcome.ok else CellFailed
-            self.events.publish(
-                cls(job=self.job_id, cell=cell, total=total, outcome=outcome)
-            )
+        if self.on_outcome is not None:
+            self.on_outcome(cell, outcome)
 
     # --- backends: each yields completed cells to run()'s loop ---------------
     def _serial_cells(
         self, scenarios: Sequence[Scenario], cells: list[list[int]]
     ) -> Iterator[CompletedCell]:
         """Serial backend: every cell in the calling thread, in order."""
-        ctx = self._context()
+        ctx = ExecutionContext(**self._settings())
         for indices in cells:
-            self._emit_started(indices, scenarios)
             yield indices, ctx.run_batch([scenarios[i] for i in indices])
 
     def _thread_cells(
@@ -533,24 +473,18 @@ class Orchestrator:
         the process-wide compiled-trace cache and the write-through
         result front — so a sweep pays each trace load and each cached
         result read once for the whole pool.  ``run_batch`` captures
-        per-run failures, so a future raises only when its cell is
-        cancelled at pickup or a ``CellStarted`` subscriber raises.
+        per-run failures into its outcomes.
         """
-        ctx = self._context()
-
-        def run_cell(indices: list[int]) -> list[RunOutcome]:
-            # Task pickup is a preemption point: once the token fires,
-            # every queued cell raises here instead of simulating.
-            self._check_cancel()
-            self._emit_started(indices, scenarios)
-            return ctx.run_batch([scenarios[i] for i in indices])
-
+        ctx = ExecutionContext(**self._settings())
         pool = ThreadPoolExecutor(
             max_workers=min(self.workers, len(cells)),
             thread_name_prefix="repro-sweep",
         )
         try:
-            futures = {pool.submit(run_cell, indices): indices for indices in cells}
+            futures = {
+                pool.submit(ctx.run_batch, [scenarios[i] for i in indices]): indices
+                for indices in cells
+            }
             for future in as_completed(futures):
                 yield futures[future], future.result()
         finally:
@@ -579,7 +513,6 @@ class Orchestrator:
         Each worker owns one pipe and gets its next cell when it returns
         one; cells arrive in completion order.
         """
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
         mp_context = self._mp_context()
         # Workers reproduce this process's runtime registrations
         # through _init_worker, so every start method sees the same
@@ -588,16 +521,16 @@ class Orchestrator:
         state = _registry_state(
             require_picklable=mp_context.get_start_method() != "fork"
         )
-        knobs = (cache_dir, self.use_cache, self.scale, self.seed)
-        jobs = deque(
-            (indices, [scenarios[i] for i in indices], *knobs) for indices in cells
-        )
+        settings = self._settings()
+        jobs = deque((indices, [scenarios[i] for i in indices]) for indices in cells)
         workers = {}  # parent end of a worker's pipe -> its process
         try:
             for _ in range(min(self.workers, len(cells))):
                 conn, worker_conn = mp_context.Pipe()
                 worker = mp_context.Process(
-                    target=_worker_main, args=(worker_conn, state), daemon=True
+                    target=_worker_main,
+                    args=(worker_conn, state, settings),
+                    daemon=True,
                 )
                 worker.start()
                 worker_conn.close()
@@ -623,12 +556,7 @@ class Orchestrator:
                         conn.send(jobs.popleft())
                     else:
                         busy.discard(conn)
-                    indices, outcomes = payload
-                    # Worker starts are invisible across the process
-                    # boundary; announce start and finish together on
-                    # arrival so the per-scenario ordering holds.
-                    self._emit_started(indices, scenarios)
-                    yield indices, outcomes
+                    yield payload
         finally:
             # Never strand workers behind a propagating interrupt: kill
             # in-flight ones now and wait for them.  No lock is shared

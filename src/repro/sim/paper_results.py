@@ -4,7 +4,7 @@ Every run behind Table 6 and Figure 4 goes through one
 :class:`~repro.experiments.orchestrator.Orchestrator`: the base matrix
 is one sweep, and each step of the ``Global (...)`` frequency searches
 is another, so the whole artifact gets the orchestrator's worker pool,
-batch cells, lifecycle events and cancel token.  Every comparison is
+batch cells and ``on_outcome`` callback.  Every comparison is
 derived from the returned :class:`~repro.experiments.results.ResultSet`
 objects, so the bench harness, the examples and the tests all share
 one implementation and one results cache.

@@ -145,13 +145,16 @@ def from_columns(columns: tuple[np.ndarray, ...]) -> CompiledTrace:
 def trace_columns(trace: TraceStream) -> tuple[np.ndarray, ...]:
     """The seven base columns of any trace stream, in their narrow dtypes.
 
-    Uses the stream's vectorised :meth:`columns` when it has one
-    (:class:`~repro.workloads.synthetic.SyntheticTrace`), otherwise
-    narrows its blocks one by one and concatenates them.
+    Uses the stream's vectorised :meth:`columns` when it has one; every
+    such stream (:class:`~repro.workloads.synthetic.SyntheticTrace`,
+    :class:`~repro.uarch.etf.ColumnTrace`, :class:`CompiledTrace`)
+    returns range-checked narrow columns, so they are taken as they
+    are.  Otherwise its blocks are narrowed one by one and
+    concatenated.
     """
     columns = getattr(trace, "columns", None)
     if callable(columns):
-        return narrow_columns(columns())
+        return columns()
     parts: list[list[np.ndarray]] = [[] for _ in COLUMNS]
     for block in trace.blocks():
         narrowed = narrow_columns(

@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.errors import TraceError, WorkloadError
 from repro.ioutil import atomic_write
+from repro.uarch.compiled_trace import narrow_columns
 from repro.uarch.trace import InstructionBlock
 
 #: Bump when the file layout changes incompatibly.
@@ -88,11 +89,14 @@ class ColumnTrace:
     The minimal :class:`~repro.uarch.trace.TraceStream` surface plus
     the vectorised ``columns()`` hook the trace compiler prefers, so an
     imported trace flows through :func:`repro.uarch.compiled_trace.trace_columns`
-    without a per-block round-trip.
+    without a per-block round-trip.  The columns are narrowed on the way
+    in (:func:`~repro.uarch.compiled_trace.narrow_columns`), so a value
+    no trace can hold raises :class:`~repro.errors.TraceError` naming
+    its column on every execution path.
     """
 
     def __init__(self, columns: tuple[np.ndarray, ...]) -> None:
-        self._columns = tuple(np.asarray(c, dtype=np.int64) for c in columns)
+        self._columns = narrow_columns(columns)
         self._n = len(self._columns[0])
 
     @property

@@ -20,7 +20,7 @@ controller variant.  This module locks that property down:
   :func:`~repro.sim.engine.compiled_trace_for` — the owner builds
   none, workers fill, reuse and repair the disk store, inherit the
   owner's memo under fork and skip a disabled store — and every
-  process sweep, finished, failed or cancelled, joining its workers;
+  process sweep, finished, failed or stopped, joining its workers;
 * unit coverage for ``parse_batch`` / ``default_batch``,
   ``Orchestrator._resolve_batch`` / ``_batch_cells`` edge cases
   (serial with an explicit batch, batch > matrix, the 32-cell cap),
@@ -43,7 +43,6 @@ import pytest
 from repro.config.algorithm import AttackDecayParams
 from repro.control.attack_decay import AttackDecayController
 from repro.errors import ExperimentError
-from repro.execution import CancelToken, CellFinished, EventBus, ExecutionCancelled
 from repro.experiments import Orchestrator, Scenario, Suite
 from repro.experiments.executor import default_batch, parse_batch
 from repro.metrics.summary import summarize
@@ -278,16 +277,35 @@ class TestBatchFallback:
         yield "raise_third"
         CONFIGURATIONS.unregister("raise_third")
 
-    @pytest.mark.parametrize("failing", ["interval", "global@100"])
+    @pytest.fixture
+    def failing_at_build(self):
+        from repro.experiments import CONFIGURATIONS, register_configuration
+
+        @register_configuration("mcd_at_100")
+        def mcd_at_100(ctx, benchmark, scale, seed):
+            """MCD run at 100 MHz, below the frequency scale: its core build raises."""
+            return SimulationSpec(
+                benchmark=benchmark, mcd=True, global_frequency_mhz=100.0,
+                scale=scale, seed=seed,
+            )
+
+        yield "mcd_at_100"
+        CONFIGURATIONS.unregister("mcd_at_100")
+
+    @pytest.mark.parametrize("failing", ["interval", "build", "global@100"])
     def test_failing_spec_falls_back_once(
-        self, failing, failing_at_interval, monkeypatch, caplog
+        self, failing, failing_at_interval, failing_at_build, monkeypatch, caplog
     ):
         from repro.experiments.executor import ExecutionContext
         from repro.sim import engine
 
-        # "interval" raises inside the simulation; global@100 raises
-        # while its core is built.
-        configuration = failing_at_interval if failing == "interval" else failing
+        # "interval" raises inside the simulation and "build" while its
+        # core is built, both in the cell's batch vector.  global@100
+        # raises while its core is built too, but as a seed-free run it
+        # runs on its own, outside the vector.
+        configuration = {
+            "interval": failing_at_interval, "build": failing_at_build
+        }.get(failing, failing)
         cell = [
             Scenario("adpcm", "sync", scale=SCALE),
             Scenario("adpcm", configuration, scale=SCALE),
@@ -317,8 +335,10 @@ class TestBatchFallback:
         for scenario, outcome in zip(cell, outcomes):
             if outcome.ok:
                 assert outcome.to_dict() == reference.run_isolated(scenario).to_dict()
-        # The fallback is a logged fact, not a silent retry.
-        assert any("per run" in r.message for r in caplog.records)
+        # The fallback is a logged fact, not a silent retry, and only a
+        # failure inside the vector needs one.
+        fell_back = any("per run" in r.message for r in caplog.records)
+        assert fell_back == (failing != "global@100")
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +638,17 @@ class TestProcessSweepsLeaveNoWorkers:
             CONFIGURATIONS.unregister("teardown_worker_dies")
         assert multiprocessing.active_children() == []
 
-    def test_cancelled_sweep_joins_its_workers(self, worker_suite, tmp_path):
+    def test_stopped_sweep_joins_its_workers(self, worker_suite, tmp_path):
         # The propagating exception keeps the sweep's frames, and so its
-        # pool object, alive: only an explicit terminate-and-join
+        # workers' handles, alive: only an explicit terminate-and-join
         # reaps the workers here.
-        token = CancelToken()
-        bus = EventBus()
-        bus.subscribe(
-            lambda event: token.cancel() if isinstance(event, CellFinished) else None
-        )
+        def stop(cell, outcome):
+            raise RuntimeError("stop the sweep")
+
         orchestrator = Orchestrator(
             workers=2, backend="process", batch=1, cache_dir=tmp_path,
-            use_cache=False, events=bus, cancel=token,
+            use_cache=False, on_outcome=stop,
         )
-        with pytest.raises(ExecutionCancelled):
+        with pytest.raises(RuntimeError, match="stop the sweep"):
             orchestrator.run(worker_suite)
         assert multiprocessing.active_children() == []

@@ -26,7 +26,6 @@ from repro.campaigns import (
 )
 from repro.cli import main
 from repro.errors import CampaignError, ExperimentError
-from repro.execution import CellFailed, CellFinished, EventBus
 from repro.experiments.results import RunOutcome
 from repro.experiments.scenario import Scenario
 
@@ -52,6 +51,16 @@ def write_campaign(tmp_path: Path, text: str = SMALL_CAMPAIGN) -> Path:
     path = tmp_path / "campaign.toml"
     path.write_text(text)
     return path
+
+
+def _journal_lines(path: Path) -> list[dict]:
+    """A journal's records without their timestamps, which differ run to run."""
+    lines = []
+    for raw in path.read_text().splitlines():
+        data = json.loads(raw)
+        data.pop("utc", None)
+        lines.append(data)
+    return lines
 
 
 class TestCampaignSpec:
@@ -246,39 +255,40 @@ class TestCampaignRunner:
         assert again.results.to_dict() == first.results.to_dict()
 
     def test_interrupt_then_resume_is_byte_identical(self, tmp_path):
-        """In-process interrupt after two cells; resume finishes the rest."""
+        """Interrupted before the third cell is journalled; resume finishes the rest."""
         reference_spec = CampaignSpec.load(
             write_campaign(tmp_path), output_dir=tmp_path / "reference"
         )
         CampaignRunner(reference_spec).run()
-        reference_bytes = reference_spec.results_path.read_bytes()
 
         spec = CampaignSpec.load(write_campaign(tmp_path))
         runner = CampaignRunner(spec)
+        record = runner.journal.record
+        recorded = []
 
-        # Subscribed ahead of the checkpoint: the third finish raises
-        # before it can be journalled.
-        bus = EventBus()
-        finishes = []
+        def interrupt_on_third(index, outcome):
+            recorded.append(index)
+            if len(recorded) == 3:
+                raise KeyboardInterrupt
+            record(index, outcome)
 
-        def interrupt_on_third(event):
-            if isinstance(event, (CellFinished, CellFailed)):
-                finishes.append(event.cell)
-                if len(finishes) == 3:
-                    raise KeyboardInterrupt
-
-        bus.subscribe(interrupt_on_third)
+        runner.journal.record = interrupt_on_third
         with pytest.raises(KeyboardInterrupt):
-            runner.run(bus=bus)
+            runner.run()
+        assert len(runner.state().completed) == 2  # journalled before the interrupt
 
-        completed = set(runner.state().completed)
-        assert len(completed) == 2  # journalled before the interrupt
-
-        report = runner.run(resume=True)
+        report = CampaignRunner(spec).run(resume=True)
         assert report.ok
         assert report.restored == 2
         assert report.executed == 2  # exactly the missing cells
-        assert spec.results_path.read_bytes() == reference_bytes
+        # Byte-identical results; journal identical modulo timestamps.
+        assert (
+            spec.results_path.read_bytes()
+            == reference_spec.results_path.read_bytes()
+        )
+        assert _journal_lines(spec.journal_path) == _journal_lines(
+            reference_spec.journal_path
+        )
 
     def test_duplicate_axis_entries_rejected_before_any_cell(self, tmp_path, capsys):
         text = SMALL_CAMPAIGN.replace(
@@ -423,11 +433,16 @@ class TestRealSigint:
         assert len(completed) < 6, "interrupt landed after the whole matrix"
 
         resume = self._run_driver(
-            tmp_path, "campaign", "resume", str(campaign)
+            tmp_path, "campaign", "resume", str(campaign), "--verbose"
         )
         stdout, stderr = resume.communicate(timeout=120)
         assert resume.returncode == 0, (stdout, stderr)
         assert f"{len(completed)} restored" in stdout
+        # --verbose prints one line per cell the resume completes.
+        remaining = 6 - len(completed)
+        assert [
+            line.split()[1] for line in stderr.splitlines() if line.startswith("INFO [")
+        ] == [f"[{done}/{remaining}]" for done in range(1, remaining + 1)]
 
         reference = self._run_driver(
             tmp_path, "campaign", "run", str(campaign),
@@ -453,11 +468,8 @@ class TestCampaignCLI:
 
     def test_run_status_resume_round_trip(self, tmp_path, capsys):
         path = write_campaign(tmp_path)
-        assert main(["campaign", "run", str(path), "--progress"]) == 0
-        captured = capsys.readouterr()
-        assert "4/4 cells ok" in captured.out
-        progress = [line for line in captured.err.splitlines() if line.startswith("[")]
-        assert [line.split()[0] for line in progress] == ["[1/4]", "[2/4]", "[3/4]", "[4/4]"]
+        assert main(["campaign", "run", str(path)]) == 0
+        assert "4/4 cells ok" in capsys.readouterr().out
         assert main(["campaign", "status", str(path)]) == 0
         assert "4/4 cells done" in capsys.readouterr().out
         assert main(["campaign", "status", str(path), "--json"]) == 0
@@ -467,6 +479,14 @@ class TestCampaignCLI:
         }
         assert main(["campaign", "resume", str(path)]) == 0
         assert "4 restored" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("action", ["run", "resume"])
+    def test_progress_is_not_an_option(self, tmp_path, capsys, action):
+        # ``--verbose`` prints one line per completed cell.
+        with pytest.raises(SystemExit) as exited:
+            main(["campaign", action, str(write_campaign(tmp_path)), "--progress"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --progress" in capsys.readouterr().err
 
     def test_status_before_start(self, tmp_path, capsys):
         path = write_campaign(tmp_path)

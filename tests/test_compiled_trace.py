@@ -29,7 +29,7 @@ from repro.sim.engine import (
     run_spec,
     scaled_mcd_config,
 )
-from repro.uarch import native
+from repro.uarch import compiled_trace, native
 from repro.uarch.compiled_trace import (
     COLUMNS,
     TraceStore,
@@ -239,6 +239,46 @@ class TestRangeChecks:
         columns[2] = columns[2][:-1]
         with pytest.raises(TraceError, match="mismatched lengths"):
             from_columns(tuple(columns))
+
+    @pytest.mark.parametrize(
+        "path", [pytest.param("native", marks=needs_native), "python"]
+    )
+    def test_imported_out_of_range_column_fails_alike_on_every_path(
+        self, path, tmp_path, monkeypatch
+    ):
+        from repro.uarch.etf import export_trace, read_etf
+        from repro.workloads import catalog
+
+        bench = get_benchmark("adpcm")
+        columns = [
+            column.astype(np.int64)
+            for column in trace_columns(bench.build_trace(scale=SCALE))
+        ]
+        columns[0][3] = 200  # no instruction class
+        etf = tmp_path / "bad_kinds.etf"
+        export_trace(
+            etf, tuple(columns), name="bad_kinds",
+            interval_instructions=bench.interval_instructions,
+        )
+        monkeypatch.setitem(catalog._EXTRA_BENCHMARKS, "bad_kinds", read_etf(etf))
+        with pytest.raises(TraceError, match=r"column kinds holds values in \[0, 200\]"):
+            run_spec(SimulationSpec("bad_kinds", mcd=False, path=path))
+
+    def test_a_generated_trace_is_checked_whole_once(self, monkeypatch):
+        # The generator range-checks each block as it narrows it, so
+        # compiling takes its columns as they are; from_columns is the
+        # one whole-trace check.
+        trace = get_benchmark("adpcm").build_trace(scale=SCALE)
+        lengths = []
+        narrow = compiled_trace.narrow_columns
+
+        def counting(columns):
+            lengths.append(len(columns[0]))
+            return narrow(columns)
+
+        monkeypatch.setattr(compiled_trace, "narrow_columns", counting)
+        compile_trace(trace)
+        assert lengths == [trace.total_instructions]
 
 
 # ----------------------------------------------------- one trace, any lines

@@ -5,7 +5,7 @@ memory fronts, the trace cache, the profile and seed-free memos), but
 until now was only exercised through its consumers.  These tests pin the
 contracts those consumers rely on: LRU recency/eviction order, the
 ``entries == 0`` disable path, and single-flight arbitration including
-the failed-build handoff and the claim/release halves a batch uses.
+the failed-build handoff.
 """
 
 from __future__ import annotations
@@ -164,31 +164,3 @@ class TestSingleFlight:
         release_a.set()
         t.join(10)
         assert cache == {"a": "a", "b": "b"}
-
-    @pytest.mark.parametrize("published", [True, False], ids=["published", "failed"])
-    def test_claimed_build_holds_waiters_until_released(self, published):
-        """A batch claims its keys, builds them together, then releases them."""
-        flight = SingleFlight()
-        cache: dict = {}
-
-        def lookup():
-            return cache.get("k")
-
-        assert flight.claim("k", lookup) == (None, True)
-        assert flight.claim("k", lookup) == (None, False)  # another caller builds it
-        waiter_done = threading.Event()
-        result = {}
-
-        def waiter():
-            result["value"] = flight.run(
-                "k", lookup, lambda: "rebuilt", lambda v: cache.__setitem__("k", v)
-            )
-            waiter_done.set()
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        assert not waiter_done.wait(0.2)  # still waiting on the claim
-        flight.release("k", (lambda: cache.__setitem__("k", "batched")) if published else None)
-        thread.join(10)
-        assert result["value"] == ("batched" if published else "rebuilt")
-        assert flight.claim("k", lookup) == (cache["k"], False)

@@ -6,13 +6,6 @@ from repro.config.algorithm import SCALED_OPERATING_POINT
 from repro.config.mcd import MCDConfig
 from repro.dvfs.scale import frequency_scale
 from repro.errors import ExperimentError
-from repro.execution import (
-    CancelToken,
-    CellFinished,
-    CellStarted,
-    EventBus,
-    ExecutionCancelled,
-)
 from repro.experiments import ExecutionContext, Orchestrator, ResultSet, Scenario
 from repro.sim.paper_results import (
     TABLE6_ALGORITHMS,
@@ -66,16 +59,14 @@ def is_global(scenario: Scenario) -> bool:
 
 @pytest.fixture(scope="module")
 def observed(tmp_path_factory):
-    """Table 6 on two benchmarks, with every published event recorded."""
-    bus = EventBus()
-    events = []
-    bus.subscribe(events.append)
+    """Table 6 on two benchmarks, with every announced outcome recorded."""
+    outcomes = []
     orchestrator = Orchestrator(
         cache_dir=tmp_path_factory.mktemp("cache"),
         scale=SCALE,
         seed=1,
         use_cache=True,
-        events=bus,
+        on_outcome=lambda cell, outcome: outcomes.append(outcome),
     )
     results = compute_paper_results(
         orchestrator,
@@ -83,7 +74,7 @@ def observed(tmp_path_factory):
         params=SCALED_OPERATING_POINT,
         include_globals=True,
     )
-    return results, events
+    return results, outcomes
 
 
 @pytest.fixture(scope="module")
@@ -119,10 +110,8 @@ class TestPaperResults:
 
 
 class TestGlobalSearch:
-    def test_every_global_step_scenario_publishes_cell_finished(
-        self, observed, tmp_path
-    ):
-        results, events = observed
+    def test_every_global_step_scenario_runs_once(self, observed, tmp_path):
+        results, outcomes = observed
         ctx = ExecutionContext(cache_dir=tmp_path, scale=SCALE, seed=1, use_cache=False)
         visited = []
 
@@ -134,41 +123,40 @@ class TestGlobalSearch:
             target = results.aggregate_vs_mcd(algorithm).performance_degradation
             mhz, _ = serial_global_search(run, BENCHMARKS, target)
             assert results.global_frequency[algorithm] == mhz
-        finished = [
-            e.outcome.scenario
-            for e in events
-            if isinstance(e, CellFinished) and is_global(e.outcome.scenario)
-        ]
+        finished = [o.scenario for o in outcomes if is_global(o.scenario)]
         # Each scenario the searches visit runs once, however many
         # algorithms or steps visit it.
         assert len(finished) == len(set(finished))
         assert set(finished) == {s for s in visited if is_global(s)}
 
-    def test_cancel_after_the_first_step_stops_the_search(self, tmp_path):
-        token = CancelToken()
-        bus = EventBus()
+    def test_an_exception_after_the_first_step_stops_the_search(
+        self, tmp_path, monkeypatch
+    ):
+        class SearchStop(Exception):
+            pass
+
         started = []
+        run_isolated = ExecutionContext.run_isolated
+
+        def recording(ctx, scenario):
+            started.append(scenario)
+            return run_isolated(ctx, scenario)
+
+        monkeypatch.setattr(ExecutionContext, "run_isolated", recording)
         finished = []
 
-        def on_event(event):
-            if isinstance(event, CellStarted):
-                started.append(event.run_id)
-            elif isinstance(event, CellFinished) and is_global(event.outcome.scenario):
-                finished.append(event)
-                if len(finished) == event.total:
-                    token.cancel()  # the first Global step is complete
+        def on_outcome(cell, outcome):
+            if is_global(outcome.scenario):
+                finished.append(outcome.scenario)
+                if len(finished) == len(BENCHMARKS):
+                    raise SearchStop  # the first Global step is complete
 
-        bus.subscribe(on_event)
         orchestrator = Orchestrator(
-            cache_dir=tmp_path,
-            scale=SCALE,
-            use_cache=False,
-            events=bus,
-            cancel=token,
+            cache_dir=tmp_path, scale=SCALE, use_cache=False, on_outcome=on_outcome
         )
-        with pytest.raises(ExecutionCancelled):
+        with pytest.raises(SearchStop):
             compute_paper_results(orchestrator, benchmarks=BENCHMARKS)
-        steps = {run_id.split(":")[1] for run_id in started if ":global@" in run_id}
+        steps = {s.configuration for s in started if is_global(s)}
         assert len(steps) == 1
         assert len(finished) == len(BENCHMARKS)
 

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.config.algorithm import AttackDecayParams
-from repro.config.mcd import Domain
-from repro.control.attack_decay import AttackDecayController
 from repro.errors import ExperimentError
-from repro.execution import EventBus
-from repro.execution.events import CellStarted
 from repro.experiments import ExecutionContext, Orchestrator, RunRecord, Scenario
 from repro.experiments.builtins import attack_decay_scenario
 from repro.metrics.aggregate import aggregate
@@ -247,20 +243,17 @@ class TestSweeps:
 
     def test_sweep_is_one_orchestrated_run(self, tmp_path):
         # Every value x benchmark scenario and one baseline per
-        # benchmark start in a single matrix, as the events show.
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append)
+        # benchmark run in a single matrix: its six cells announce once.
+        announced = []
         orchestrator = Orchestrator(
-            cache_dir=tmp_path, scale=SCALE, use_cache=False, events=bus
+            cache_dir=tmp_path, scale=SCALE, use_cache=False,
+            on_outcome=lambda cell, outcome: announced.append((cell, outcome)),
         )
         points = sweep_attack_decay_parameter(
             orchestrator, "decay_pct", [0.5, 1.0], ["adpcm", "gsm"]
         )
-        started = [e for e in events if isinstance(e, CellStarted)]
-        assert len(started) == 6
-        assert {e.total for e in started} == {6}
-        assert sum(e.run_id.endswith(":mcd_base") for e in started) == 2
+        assert sorted(cell for cell, _ in announced) == list(range(6))
+        assert sum(o.scenario.configuration == "mcd_base" for _, o in announced) == 2
         ctx = ExecutionContext(cache_dir=tmp_path, scale=SCALE, use_cache=False)
         for point in points:
             params = FIGURE6_BASE["decay_pct"].with_(decay_pct=point.value)
