@@ -27,9 +27,9 @@ class DomainClock:
     with the earliest pending edge, performs that domain's work for the
     cycle, then calls :meth:`advance` to schedule the following edge.
 
-    The period may be changed between edges (by a DVFS regulator);
-    the change takes effect for the next scheduled edge, which is how
-    the XScale execute-through model behaves.
+    The run loop writes :attr:`period_ns` between edges as the domain's
+    regulator slews; the change takes effect for the next scheduled
+    edge, which is how the XScale execute-through model behaves.
 
     Parameters
     ----------
@@ -79,12 +79,6 @@ class DomainClock:
         simulation paths consume the same seeded stream.
         """
         return self._jitter
-
-    def set_frequency(self, frequency_mhz: float) -> None:
-        """Change the frequency; effective from the next scheduled edge."""
-        if frequency_mhz <= 0:
-            raise ClockError("frequency_mhz must be positive")
-        self.period_ns = 1e3 / frequency_mhz
 
     # --- edges ---------------------------------------------------------------
     def advance(self) -> float:

@@ -77,6 +77,30 @@ class IntervalSnapshot:
     frequencies_mhz: Mapping[Domain, float] = field(default_factory=dict)
 
 
+def interval_observables(interval_len, duration, occupancies, busy, frequencies):
+    """One interval's snapshot observables from a run loop's raw counters.
+
+    Returns ``(queue_utilization, ipc, busy_fraction)`` as
+    :class:`IntervalSnapshot` holds them, computed from the interval
+    length, its duration (ns), the integer, floating-point and
+    load/store queue occupancy sums, and each core domain's busy cycles
+    and frequency (MHz) in :data:`CORE_DOMAINS` order.  The core's
+    interval step and the off-line profile-log fold both call it, so a
+    profile cannot depend on which interpreter ran.
+    """
+    qutil = {
+        Domain.INTEGER: occupancies[0] / interval_len,
+        Domain.FLOATING_POINT: occupancies[1] / interval_len,
+        Domain.LOAD_STORE: occupancies[2] / interval_len,
+    }
+    ipc = interval_len / (duration * frequencies[0] * 1e-3)
+    busy_fraction = {
+        domain: min(1.0, busy[i] * (1e3 / frequencies[i]) / duration)
+        for i, domain in enumerate(CORE_DOMAINS)
+    }
+    return qutil, ipc, busy_fraction
+
+
 @runtime_checkable
 class FrequencyController(Protocol):
     """A policy that picks per-domain frequency targets each interval."""

@@ -1,8 +1,9 @@
 """The quantised frequency/voltage operating-point table.
 
 Materialises the 320-point frequency scale of Section 4 with its linear
-voltage map, and provides index arithmetic used by controllers (e.g.
-"one step down") and by tests asserting quantisation behaviour.
+voltage map.  Regulators quantise every request and snap with
+:meth:`FrequencyScale.quantize`; the native loop's in-C Attack/Decay
+and schedule replay quantise against the same table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import functools
 import numpy as np
 
 from repro.config.mcd import MCDConfig
-from repro.errors import RegulatorError
 
 
 class FrequencyScale:
@@ -56,26 +56,6 @@ class FrequencyScale:
     def quantize(self, frequency_mhz: float) -> float:
         """Nearest legal frequency (clamped into range)."""
         return float(self.frequencies_mhz[self.index_of(frequency_mhz)])
-
-    def voltage_at(self, frequency_mhz: float) -> float:
-        """Voltage of the nearest operating point."""
-        return float(self.voltages_v[self.index_of(frequency_mhz)])
-
-    def step_from(self, frequency_mhz: float, steps: int) -> float:
-        """Frequency ``steps`` table entries away (clamped at the ends)."""
-        index = self.index_of(frequency_mhz) + steps
-        index = min(len(self.frequencies_mhz) - 1, max(0, index))
-        return float(self.frequencies_mhz[index])
-
-    def require_legal(self, frequency_mhz: float) -> float:
-        """Validate and return ``frequency_mhz`` as an exact table point."""
-        snapped = self.quantize(frequency_mhz)
-        if abs(snapped - frequency_mhz) > 1e-6:
-            raise RegulatorError(
-                f"{frequency_mhz} MHz is not one of the "
-                f"{len(self)} legal operating points"
-            )
-        return snapped
 
 
 @functools.lru_cache(maxsize=64)

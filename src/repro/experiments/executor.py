@@ -29,6 +29,7 @@ Environment knobs
 from __future__ import annotations
 
 import logging
+import math
 import os
 import traceback
 from dataclasses import asdict, fields, is_dataclass
@@ -99,8 +100,10 @@ def benchmark_scale() -> float:
         raise ExperimentError(
             f"malformed REPRO_SCALE {raw!r}: expected a number"
         ) from None
-    if scale <= 0:
-        raise ExperimentError(f"REPRO_SCALE must be positive, got {raw!r}")
+    if not 0 < scale < math.inf:
+        raise ExperimentError(
+            f"REPRO_SCALE must be a positive finite number, got {raw!r}"
+        )
     return scale
 
 

@@ -101,6 +101,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.results import ResultSet, RunOutcome
 from repro.experiments.scenario import Scenario, Suite
+from repro.sim.engine import trace_cache_entries
 
 logger = logging.getLogger(__name__)
 
@@ -298,9 +299,10 @@ class Orchestrator:
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
             )
         # Environment defaults are resolved (and validated) *here*: a
-        # bad REPRO_BACKEND/REPRO_START_METHOD/REPRO_BATCH must fail at
-        # construction, before any work starts — not as an
-        # ExperimentError surfacing from deep inside run().
+        # bad REPRO_BACKEND/REPRO_START_METHOD/REPRO_BATCH/
+        # REPRO_TRACE_CACHE must fail at construction, before any work
+        # starts — not as an ExperimentError surfacing from deep inside
+        # run().
         self.backend = backend if backend is not None else default_backend()
         #: The start method to honour (argument, else
         #: ``REPRO_START_METHOD``); None means the platform default.
@@ -316,6 +318,9 @@ class Orchestrator:
                     f"available: {', '.join(available)}"
                 )
         self.batch = default_batch() if batch is None else parse_batch(batch)
+        # Validated only: the process-wide trace cache reads its size
+        # itself, on first use.
+        trace_cache_entries()
 
     def _resolve_backend(self, total: int) -> str:
         """The concrete backend for a ``total``-scenario matrix."""

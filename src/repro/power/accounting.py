@@ -1,20 +1,25 @@
 """Per-domain energy meters and whole-chip accounting.
 
-The simulator calls :meth:`EnergyAccounting.charge_cycle` once per
-domain cycle with the instantaneous voltage and the per-access energy
-already summed for that cycle; the accounting applies voltage scaling,
-clock gating and the MCD clock-tree overhead, and accumulates per-domain
-totals split into clock vs. structure energy (the split is what makes
-the +10 % MCD clock overhead come out as ~+2.9 % total energy).
+The core's run loops charge energy in local accumulators, using the
+per-cycle constants :meth:`EnergyAccounting.clock_cycle_energy` and
+:meth:`EnergyAccounting.idle_cycle_energy` scaled by (V/Vmax)², and
+flush the totals here once per run.  The meters keep clock and
+structure energy apart: the split is what makes the +10 % MCD clock
+overhead come out as ~+2.9 % total energy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config.mcd import Domain, MCDConfig
-from repro.power.gating import ClockGatingModel
 from repro.power.wattch import AccessEnergies, DEFAULT_ENERGIES
+
+#: Conditional clocking (Wattch-style): an idle domain cycle burns this
+#: fraction of the domain's busy clock energy plus its imperfectly
+#: gated datapath energy; the global clock grid and enabled latch
+#: headers keep toggling.
+IDLE_RESIDUAL = 0.18
 
 
 @dataclass
@@ -44,108 +49,33 @@ class EnergyAccounting:
     Parameters
     ----------
     config:
-        MCD configuration (supplies Vmax and the MCD clock overhead).
+        MCD configuration (supplies the MCD clock overhead).
     energies:
         Per-access energy table.
-    gating:
-        Conditional clocking policy.
     mcd_clocking:
         True for MCD configurations (applies the clock-tree overhead);
         False for the fully synchronous baseline.
     """
 
-    __slots__ = (
-        "config",
-        "energies",
-        "gating",
-        "mcd_clocking",
-        "meters",
-        "_vmax_sq_inv",
-        "_clock_overhead",
-        "_clock_cache",
-        "_idle_cache",
-        "_idle_residual",
-    )
+    __slots__ = ("energies", "meters", "_clock_cache", "_idle_cache")
 
     def __init__(
         self,
         config: MCDConfig,
         energies: AccessEnergies = DEFAULT_ENERGIES,
-        gating: ClockGatingModel | None = None,
         mcd_clocking: bool = True,
     ) -> None:
-        self.config = config
         self.energies = energies
-        self.gating = gating if gating is not None else ClockGatingModel()
-        self.mcd_clocking = mcd_clocking
         self.meters = {domain: DomainEnergyMeter(domain) for domain in Domain}
-        self._vmax_sq_inv = 1.0 / (config.max_voltage_v * config.max_voltage_v)
-        self._clock_overhead = config.mcd_clock_energy_overhead if mcd_clocking else 1.0
+        overhead = config.mcd_clock_energy_overhead if mcd_clocking else 1.0
         self._clock_cache = {
-            domain: energies.clock_energy(domain) * self._clock_overhead
-            for domain in Domain
+            domain: energies.clock_energy(domain) * overhead for domain in Domain
         }
-        self._idle_residual = self.gating.idle_residual
-        # An idle cycle burns the gating residual of the clock tree
-        # *plus* the imperfectly gated datapath (Wattch cc-style).
         self._idle_cache = {
-            domain: self._idle_residual
+            domain: IDLE_RESIDUAL
             * (self._clock_cache[domain] + energies.idle_overhead(domain))
             for domain in Domain
         }
-
-    def charge_cycle(
-        self,
-        domain: Domain,
-        voltage_v: float,
-        access_energy: float,
-        busy: bool,
-    ) -> float:
-        """Charge one cycle of ``domain`` and return the energy charged.
-
-        ``access_energy`` is the sum of per-event energies for work done
-        this cycle (at Vmax); it is scaled by (V/Vmax)^2 along with the
-        clock energy.
-        """
-        vscale = voltage_v * voltage_v * self._vmax_sq_inv
-        meter = self.meters[domain]
-        if busy:
-            clock = self._clock_cache[domain]
-            meter.busy_cycles += 1
-        else:
-            clock = self._idle_cache[domain]
-            meter.idle_cycles += 1
-        clock *= vscale
-        structure = access_energy * vscale
-        meter.clock_energy += clock
-        meter.structure_energy += structure
-        return clock + structure
-
-    def charge_bulk_idle(self, domain: Domain, voltage_v: float, cycles: int) -> float:
-        """Charge ``cycles`` consecutive idle cycles in one call.
-
-        Used with :meth:`DomainClock.skip_idle_until` so that skipping
-        a domain's idle stretch never skips its idle energy.
-        """
-        if cycles <= 0:
-            return 0.0
-        vscale = voltage_v * voltage_v * self._vmax_sq_inv
-        energy = self._idle_cache[domain] * vscale * cycles
-        meter = self.meters[domain]
-        meter.clock_energy += energy
-        meter.idle_cycles += cycles
-        return energy
-
-    def charge_memory_access(self) -> float:
-        """Charge one off-chip access (external domain, fixed Vmax)."""
-        energy = self.energies.memory_access
-        self.meters[Domain.EXTERNAL].structure_energy += energy
-        return energy
-
-    # --- inlined-loop support ------------------------------------------------
-    # The core's run loop accumulates energy in local variables for
-    # speed and flushes through these methods; they expose exactly the
-    # per-cycle constants charge_cycle would use.
 
     def clock_cycle_energy(self, domain: Domain) -> float:
         """Per-cycle clock energy for a *busy* cycle (at Vmax, with overhead)."""
@@ -177,7 +107,6 @@ class EnergyAccounting:
                 count * self.energies.memory_access
             )
 
-    # --- summaries ---------------------------------------------------------
     @property
     def total_energy(self) -> float:
         """Total chip energy so far."""
@@ -187,19 +116,3 @@ class EnergyAccounting:
     def total_clock_energy(self) -> float:
         """Total clock-tree energy so far."""
         return sum(m.clock_energy for m in self.meters.values())
-
-    def clock_energy_share(self) -> float:
-        """Fraction of total energy spent in clock trees."""
-        total = self.total_energy
-        if total == 0:
-            return 0.0
-        return self.total_clock_energy / total
-
-    def domain_shares(self) -> dict[Domain, float]:
-        """Per-domain fraction of total energy."""
-        total = self.total_energy
-        if total == 0:
-            return {domain: 0.0 for domain in Domain}
-        return {
-            domain: meter.total_energy / total for domain, meter in self.meters.items()
-        }

@@ -12,14 +12,16 @@ Modules
 ``caches``
     Set-associative LRU caches and the L1I/L1D/L2/memory hierarchy.
 ``queues``
-    Issue queues, load/store queue and reorder buffer with occupancy
-    accounting (the controller's observable).
+    State of the issue queues, load/store queue, reorder buffer and
+    rename register files, including the queue occupancy the
+    controller observes.
 ``functional_units``
-    Per-domain execution resources.
+    Per-domain issue widths.
 ``frontend``
-    Fetch/rename/dispatch stage (front-end domain).
+    The trace cursor the reference interpreter fetches through.
 ``core``
-    The cycle-approximate four-domain out-of-order pipeline.
+    The cycle-approximate four-domain out-of-order pipeline: both run
+    loops, which hold every per-cycle machine rule.
 """
 
 from repro.uarch.core import CoreOptions, CoreResult, MCDCore

@@ -1771,7 +1771,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     /* OfflineProfiler run inline: log the raw
                      * observables; the fold derives the profile from
                      * them as the callback derives its snapshot
-                     * (repro.uarch.native.interval_observables).
+                     * (repro.control.base.interval_observables).
                      * marshal_run sized the log for every interval. */
                     if (k < off_log_rows) {
                         double *row = off_log + k * LOG_FIELDS;

@@ -34,10 +34,15 @@ at a fraction of the cost.
 
 The run loop is deliberately monolithic and hand-inlined: this is the
 innermost loop of every experiment in the repository, executed hundreds
-of millions of times across the benchmark harness.  The architectural
-structures it manipulates (queues, ROB, predictor, caches, regulators)
-keep their clean class interfaces for construction, inspection and
-testing; only their per-cycle state transitions are inlined here.
+of millions of times across the benchmark harness.  The structure
+classes it works on (issue queues, ROB, register files, functional-unit
+pools, domain clocks, energy meters) hold state and validate their
+construction; each machine rule — dispatch, issue, retirement, the
+crossing window, conditional clocking, energy charging — is written
+once per interpreter, in the loop.  The Python side of a
+control-interval boundary (observables, controller, regulators,
+interval record) is one method, :meth:`MCDCore._end_interval`, which
+both interpreters call.
 
 The loop exists in two forms that produce byte-identical results, and
 the trace a core is built over picks one:
@@ -51,7 +56,7 @@ the trace a core is built over picks one:
   :meth:`MCDCore.native_marshal` hands it the trace's numpy columns
   plus this core's state, and folds the results back.  Every
   observable event (cache/predictor state, jitter stream consumption,
-  energy accumulation order, controller snapshots) is sequenced exactly
+  energy accumulation order, interval boundaries) is sequenced exactly
   as in the reference interpreter, which the equivalence property tests
   and ``benchmarks/bench_control_loop.py`` both verify.
 """
@@ -71,6 +76,7 @@ from repro.control.base import (
     CORE_DOMAINS,
     FrequencyController,
     IntervalSnapshot,
+    interval_observables,
 )
 from repro.dvfs.regulator import VoltageFrequencyRegulator
 from repro.errors import SimulationError
@@ -568,7 +574,6 @@ class MCDCore:
         from repro.uarch.native import (
             CTRL_NONE,
             fold_native_controller,
-            interval_observables,
             native_controller_args,
         )
 
@@ -647,71 +652,34 @@ class MCDCore:
                 controller, self.mcd_config, regulators[0].scale, comp.n, interval_len
             )
 
-        intervals: list[IntervalRecord] = []
-
+        self._intervals = []
         e_mem = self.energies.memory_access
 
         def rollover(
             index, retired, t, duration, occ1, occ2, occ3, b0, b1, b2, b3,
             mem_accesses,
         ):
-            """Per-interval callback: snapshot, controller, recording."""
-            frequencies = cur_freq.tolist()
-            qutil, ipc, busy_frac = interval_observables(
-                interval_len, duration, (occ1, occ2, occ3), (b0, b1, b2, b3),
-                frequencies,
+            """Per-interval callback: the interval step on the C loop's registers."""
+            for i in range(4):
+                reg = regulators[i]
+                reg.current_mhz = float(reg_cur[i])
+                reg.target_mhz = float(reg_tgt[i])
+            # The C loop accumulates energy in these shared buffers in
+            # place, so they are live here; the sum mirrors the
+            # reference interpreter's accumulation order exactly.
+            clock = acc_clock.tolist()
+            struct = acc_struct.tolist()
+            self._end_interval(
+                index, retired, t, duration, (occ1, occ2, occ3),
+                (b0, b1, b2, b3), cur_freq.tolist(),
+                clock[0] + clock[1] + clock[2] + clock[3]
+                + struct[0] + struct[1] + struct[2] + struct[3]
+                + mem_accesses * e_mem,
+                mem_accesses,
             )
-            freqs = dict(zip(_DOMAINS, frequencies))
-            snapshot = IntervalSnapshot(
-                index=index,
-                instructions=interval_len,
-                time_ns=t,
-                duration_ns=duration,
-                ipc=ipc,
-                queue_utilization=qutil,
-                busy_fraction=busy_frac,
-                frequencies_mhz=freqs,
-            )
-            if controller is not None:
-                for i in range(4):
-                    reg = regulators[i]
-                    reg.current_mhz = float(reg_cur[i])
-                    reg.target_mhz = float(reg_tgt[i])
-                targets = controller.on_interval(snapshot)
-                if targets:
-                    snap = getattr(controller, "instantaneous", False)
-                    for dom, mhz in targets.items():
-                        i = _DOMAIN_INDEX[dom]
-                        if snap:
-                            regulators[i].snap_to(mhz)
-                        else:
-                            regulators[i].request(mhz)
-                    for i in range(4):
-                        reg_cur[i] = regulators[i].current_mhz
-                        reg_tgt[i] = regulators[i].target_mhz
-            if record_trace:
-                # The C loop accumulates energy in these shared buffers
-                # in place, so they are live here; the sum below mirrors
-                # the reference interpreter's accumulation order exactly.
-                intervals.append(
-                    IntervalRecord(
-                        index=index,
-                        end_instruction=retired,
-                        end_time_ns=t,
-                        ipc=ipc,
-                        queue_utilization=qutil,
-                        frequencies_mhz=freqs,
-                        energy=(
-                            float(acc_clock[0]) + float(acc_clock[1])
-                            + float(acc_clock[2]) + float(acc_clock[3])
-                            + float(acc_struct[0]) + float(acc_struct[1])
-                            + float(acc_struct[2]) + float(acc_struct[3])
-                            + mem_accesses * e_mem
-                        ),
-                        memory_accesses=mem_accesses,
-                    )
-                )
-            return None
+            for i in range(4):
+                reg_cur[i] = regulators[i].current_mhz
+                reg_tgt[i] = regulators[i].target_mhz
 
         args = {
             **self._hotpath_args(comp),
@@ -837,7 +805,6 @@ class MCDCore:
                 res["wall"],
                 res["memory_accesses"],
                 res["dispatch_stall_cycles"],
-                intervals,
             )
 
         return args, finish
@@ -911,7 +878,7 @@ class MCDCore:
         next_interval = interval_len
         interval_index = 0
         busy_in_interval = [0, 0, 0, 0]
-        intervals: list[IntervalRecord] = []
+        self._intervals = []
         line_shift = hierarchy.l1i.line_shift
         last_fetch_line = -1
 
@@ -993,68 +960,30 @@ class MCDCore:
                                 acc_clock[i] += idle_e[i] * cur_vscale[i] * skipped
                                 n_idle[i] += skipped
                             next_edges[i] = clocks[i].next_edge_ns
-                    qutil = {
-                        Domain.INTEGER: queues[_INT].take_occupancy() / interval_len,
-                        Domain.FLOATING_POINT: queues[_FP].take_occupancy()
-                        / interval_len,
-                        Domain.LOAD_STORE: queues[_LS].take_occupancy() / interval_len,
-                    }
-                    ipc = interval_len / (duration * cur_freq[0] * 1e-3)
+                    occupancies = (
+                        queues[_INT].take_occupancy(),
+                        queues[_FP].take_occupancy(),
+                        queues[_LS].take_occupancy(),
+                    )
                     if controller is not None or record_trace:
-                        freqs = {
-                            dom: cur_freq[i] for i, dom in enumerate(_DOMAINS)
-                        }
-                        busy_frac = {}
-                        for i, dom in enumerate(_DOMAINS):
-                            busy_frac[dom] = min(
-                                1.0, busy_in_interval[i] * cur_period[i] / duration
-                            )
-                        snapshot = IntervalSnapshot(
-                            index=interval_index - 1,
-                            instructions=interval_len,
-                            time_ns=t,
-                            duration_ns=duration,
-                            ipc=ipc,
-                            queue_utilization=qutil,
-                            busy_fraction=busy_frac,
-                            frequencies_mhz=freqs,
+                        self._end_interval(
+                            interval_index - 1, retired, t, duration,
+                            occupancies, busy_in_interval, cur_freq,
+                            acc_clock[0] + acc_clock[1]
+                            + acc_clock[2] + acc_clock[3]
+                            + acc_struct[0] + acc_struct[1]
+                            + acc_struct[2] + acc_struct[3]
+                            + memory_accesses * e_mem,
+                            memory_accesses,
                         )
-                        if controller is not None:
-                            targets = controller.on_interval(snapshot)
-                            if targets:
-                                snap = getattr(controller, "instantaneous", False)
-                                for dom, mhz in targets.items():
-                                    i = _DOMAIN_INDEX[dom]
-                                    reg = regulators[i]
-                                    if snap:
-                                        reg.snap_to(mhz)
-                                        f2 = reg.current_mhz
-                                        if f2 != cur_freq[i]:
-                                            cur_freq[i] = f2
-                                            cur_period[i] = 1e3 / f2
-                                            cur_vscale[i] = vscale_of(f2)
-                                            clocks[i].period_ns = cur_period[i]
-                                    else:
-                                        reg.request(mhz)
-                        if record_trace:
-                            intervals.append(
-                                IntervalRecord(
-                                    index=interval_index - 1,
-                                    end_instruction=retired,
-                                    end_time_ns=t,
-                                    ipc=ipc,
-                                    queue_utilization=qutil,
-                                    frequencies_mhz=freqs,
-                                    energy=(
-                                        acc_clock[0] + acc_clock[1]
-                                        + acc_clock[2] + acc_clock[3]
-                                        + acc_struct[0] + acc_struct[1]
-                                        + acc_struct[2] + acc_struct[3]
-                                        + memory_accesses * e_mem
-                                    ),
-                                    memory_accesses=memory_accesses,
-                                )
-                            )
+                        # A snapped domain changes frequency at once.
+                        for i in range(4):
+                            f2 = regulators[i].current_mhz
+                            if f2 != cur_freq[i]:
+                                cur_freq[i] = f2
+                                cur_period[i] = 1e3 / f2
+                                cur_vscale[i] = vscale_of(f2)
+                                clocks[i].period_ns = cur_period[i]
                     busy_in_interval = [0, 0, 0, 0]
                     interval_start_ns = t
 
@@ -1318,17 +1247,84 @@ class MCDCore:
         acct.add_memory_accesses(memory_accesses)
 
         return self._build_result(
-            retired, wall, memory_accesses, dispatch_stall_cycles, intervals
+            retired, wall, memory_accesses, dispatch_stall_cycles
         )
 
     # ------------------------------------------------------------------
+    def _end_interval(
+        self,
+        index: int,
+        retired: int,
+        t: float,
+        duration: float,
+        occupancies,
+        busy,
+        frequencies: list[float],
+        energy: float,
+        memory_accesses: int,
+    ) -> None:
+        """Close control interval ``index`` at front-end edge ``t``.
+
+        Both interpreters call this at each interval boundary of a run
+        with a controller or ``record_interval_trace``: the reference
+        inline, the native loop through its ``rollover`` callback.  It
+        derives the observables from the interval's raw counters (the
+        integer, floating-point and load/store queue occupancy sums,
+        and each core domain's busy cycles and frequency in
+        ``CORE_DOMAINS`` order), hands the controller its
+        :class:`IntervalSnapshot` and routes the targets to the
+        regulators (snapped for an ``instantaneous`` controller,
+        requested otherwise), and records the :class:`IntervalRecord`
+        with the run's cumulative ``energy`` and ``memory_accesses``.
+        The caller re-reads the regulators afterwards.
+        """
+        interval_len = self.options.interval_instructions
+        qutil, ipc, busy_fraction = interval_observables(
+            interval_len, duration, occupancies, busy, frequencies
+        )
+        freqs = dict(zip(_DOMAINS, frequencies))
+        controller = self.controller
+        if controller is not None:
+            targets = controller.on_interval(
+                IntervalSnapshot(
+                    index=index,
+                    instructions=interval_len,
+                    time_ns=t,
+                    duration_ns=duration,
+                    ipc=ipc,
+                    queue_utilization=qutil,
+                    busy_fraction=busy_fraction,
+                    frequencies_mhz=freqs,
+                )
+            )
+            if targets:
+                snap = getattr(controller, "instantaneous", False)
+                for dom, mhz in targets.items():
+                    reg = self.regulators[_DOMAIN_INDEX[dom]]
+                    if snap:
+                        reg.snap_to(mhz)
+                    else:
+                        reg.request(mhz)
+        if self.options.record_interval_trace:
+            self._intervals.append(
+                IntervalRecord(
+                    index=index,
+                    end_instruction=retired,
+                    end_time_ns=t,
+                    ipc=ipc,
+                    queue_utilization=qutil,
+                    frequencies_mhz=freqs,
+                    energy=energy,
+                    memory_accesses=memory_accesses,
+                )
+            )
+
     def _build_result(
         self,
         retired: int,
         wall_ns: float,
         memory_accesses: int,
         dispatch_stall_cycles: int,
-        intervals: list[IntervalRecord],
     ) -> CoreResult:
         meters = self.accounting.meters
         return CoreResult(
@@ -1349,5 +1345,5 @@ class MCDCore:
             branch_lookups=self.predictor.stats.lookups,
             memory_accesses=memory_accesses,
             dispatch_stall_cycles=dispatch_stall_cycles,
-            intervals=intervals,
+            intervals=self._intervals,
         )

@@ -2,29 +2,20 @@
 
 Functional units are fully pipelined (one issue per unit per cycle, as
 in the 21264); long latencies affect completion time, not issue
-bandwidth.  Each domain's pool therefore reduces to per-cycle issue
-slots per unit category, reset at every domain clock edge.
+bandwidth.  Each domain's pool therefore reduces to its issue width per
+unit category: the core's run loops read the widths
+(``MCDCore._operating_point_tables``) and count a domain's free slots
+per cycle themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config.processor import ProcessorConfig
 from repro.errors import ConfigError
-from repro.uarch.isa import InstructionClass
-
-
-@dataclass
-class FunctionalUnitStats:
-    """Issue counts per category."""
-
-    simple_ops: int = 0
-    complex_ops: int = 0
 
 
 class FunctionalUnitPool:
-    """Issue slots for one domain: simple (ALU) and complex (mult/div) units.
+    """Issue widths for one domain: simple (ALU) and complex (mult/div) units.
 
     Parameters
     ----------
@@ -35,7 +26,7 @@ class FunctionalUnitPool:
         cannot execute complex operations.
     """
 
-    __slots__ = ("simple_units", "complex_units", "_simple_free", "_complex_free", "stats")
+    __slots__ = ("simple_units", "complex_units")
 
     def __init__(self, simple_units: int, complex_units: int) -> None:
         if simple_units < 1:
@@ -44,33 +35,6 @@ class FunctionalUnitPool:
             raise ConfigError("complex_units must be non-negative")
         self.simple_units = simple_units
         self.complex_units = complex_units
-        self._simple_free = simple_units
-        self._complex_free = complex_units
-        self.stats = FunctionalUnitStats()
-
-    def begin_cycle(self) -> None:
-        """Reset per-cycle issue slots (call at each domain edge)."""
-        self._simple_free = self.simple_units
-        self._complex_free = self.complex_units
-
-    @property
-    def any_free(self) -> bool:
-        """Whether any unit of either category still has a slot."""
-        return self._simple_free > 0 or self._complex_free > 0
-
-    def try_issue(self, complex_op: bool) -> bool:
-        """Claim a slot for this cycle; returns False when exhausted."""
-        if complex_op:
-            if self._complex_free > 0:
-                self._complex_free -= 1
-                self.stats.complex_ops += 1
-                return True
-            return False
-        if self._simple_free > 0:
-            self._simple_free -= 1
-            self.stats.simple_ops += 1
-            return True
-        return False
 
 
 def build_pools(config: ProcessorConfig) -> dict[str, FunctionalUnitPool]:
@@ -84,8 +48,3 @@ def build_pools(config: ProcessorConfig) -> dict[str, FunctionalUnitPool]:
         "floating_point": FunctionalUnitPool(config.fp_alus, config.fp_mult_div_sqrt),
         "load_store": FunctionalUnitPool(config.load_store_ports, 0),
     }
-
-
-def is_complex(kind: int) -> bool:
-    """Whether instruction class ``kind`` needs a complex unit."""
-    return kind in (InstructionClass.INT_MULT, InstructionClass.FP_MULT)

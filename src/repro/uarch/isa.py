@@ -33,16 +33,6 @@ class InstructionClass(enum.IntEnum):
         """The execution domain for this class."""
         return _DOMAIN_OF[self]
 
-    @property
-    def is_memory(self) -> bool:
-        """Whether the instruction occupies the load/store queue."""
-        return self in (InstructionClass.LOAD, InstructionClass.STORE)
-
-    @property
-    def is_floating_point(self) -> bool:
-        """Whether the instruction occupies the FP issue queue."""
-        return self in (InstructionClass.FP_ALU, InstructionClass.FP_MULT)
-
 
 _DOMAIN_OF = {
     InstructionClass.INT_ALU: Domain.INTEGER,

@@ -47,8 +47,7 @@ import sysconfig
 import threading
 from pathlib import Path
 
-from repro.config.mcd import Domain
-from repro.control.base import CORE_DOMAINS
+from repro.control.base import interval_observables
 
 logger = logging.getLogger(__name__)
 
@@ -218,29 +217,6 @@ CTRL_NONE, CTRL_ATTACK_DECAY, CTRL_PROFILE, CTRL_REPLAY = 0, 1, 2, 3
 #: cycles and the frequency of each core domain in ``CORE_DOMAINS``
 #: order.
 LOG_FIELDS = 12
-
-
-def interval_observables(interval_len, duration, occupancies, busy, frequencies):
-    """One interval's snapshot observables from the C loop's raw counters.
-
-    Returns ``(queue_utilization, ipc, busy_fraction)`` as
-    :class:`~repro.control.base.IntervalSnapshot` holds them, computed
-    from the interval length, its duration (ns), the three issue-queue
-    occupancy sums, and each core domain's busy cycles and frequency
-    (MHz).  The per-interval callback and the profile-log fold both
-    call it, so a profile cannot depend on which of them ran.
-    """
-    qutil = {
-        Domain.INTEGER: occupancies[0] / interval_len,
-        Domain.FLOATING_POINT: occupancies[1] / interval_len,
-        Domain.LOAD_STORE: occupancies[2] / interval_len,
-    }
-    ipc = interval_len / (duration * frequencies[0] * 1e-3)
-    busy_fraction = {
-        domain: min(1.0, busy[i] * (1e3 / frequencies[i]) / duration)
-        for i, domain in enumerate(CORE_DOMAINS)
-    }
-    return qutil, ipc, busy_fraction
 
 
 def native_controller_args(

@@ -17,7 +17,7 @@ behaviour in the middle of the run drives Figure 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import WorkloadError
 from repro.uarch.isa import InstructionClass as IC

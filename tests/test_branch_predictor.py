@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.processor import ProcessorConfig
 from repro.uarch.branch_predictor import (
     BranchStats,
     BranchTargetBuffer,

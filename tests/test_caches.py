@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.processor import ProcessorConfig
 from repro.errors import ConfigError
 from repro.uarch.caches import CacheHierarchy, MemoryLevel, SetAssociativeCache
 

@@ -133,8 +133,9 @@ class TestSweepErrorPaths:
         assert rc == 2
         assert "REPRO_SCALE" in capsys.readouterr().err
 
-    def test_negative_repro_scale(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "-1")
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    def test_negative_repro_scale(self, capsys, monkeypatch, scale):
+        monkeypatch.setenv("REPRO_SCALE", scale)
         rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync"])
         assert rc == 2
         assert "REPRO_SCALE" in capsys.readouterr().err
@@ -170,6 +171,13 @@ class TestSweepErrorPaths:
         rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync"])
         assert rc == 2
         assert "REPRO_START_METHOD" in capsys.readouterr().err
+
+    def test_malformed_repro_trace_cache(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "lots")
+        rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync",
+                   "--no-cache"])
+        assert rc == 2
+        assert "REPRO_TRACE_CACHE" in capsys.readouterr().err
 
 
     def test_repeated_matrix_entries_rejected_before_any_cell(self, capsys, monkeypatch):

@@ -515,18 +515,27 @@ class TestEquivalence:
         reference = _run(trace, bench, mcd=False)
         assert asdict(_run(compiled, bench, mcd=False)) == asdict(reference)
 
+    @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+    @pytest.mark.parametrize("mcd", [False, True], ids=["sync", "mcd"])
     @pytest.mark.parametrize("name", ["gcc", "mcf", "swim", "epic"])
-    def test_synchronous_frequency_swings_identical(self, name):
+    def test_synchronous_frequency_swings_identical(self, name, mcd, record):
         """Instantaneous 4x frequency swings move the synchronous baseline's
-        crossing threshold (half a period) between two edges of a domain."""
+        crossing threshold (half a period) between two edges of a domain.
+
+        Under MCD clocking and with interval recording too: the snapped
+        regulators, the snapshots and the records all cross the native
+        loop's ``rollover`` callback into the core's interval step."""
         bench = get_benchmark(name)
         trace = bench.build_trace(scale=SCALE)
         compiled = compile_trace(trace)
         results = []
         for form in (trace, compiled):
-            core = _warmed_core(form, bench, mcd=False, controller=False)
+            core = _warmed_core(form, bench, mcd=mcd, controller=False, record=record)
             core.controller = SwingController()
             results.append(asdict(core.run()))
+        assert len(results[0]["intervals"]) == (
+            results[0]["instructions"] // bench.interval_instructions if record else 0
+        )
         assert results[1] == results[0]
 
     def test_no_controller_identical(self):

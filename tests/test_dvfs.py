@@ -31,21 +31,6 @@ class TestFrequencyScale:
         assert scale.index_of(0.0) == 0
         assert scale.index_of(2000.0) == len(scale) - 1
 
-    def test_step_from_clamps_at_ends(self, mcd_config):
-        scale = FrequencyScale(mcd_config)
-        assert scale.step_from(250.0, -5) == pytest.approx(250.0)
-        assert scale.step_from(1000.0, +5) == pytest.approx(1000.0)
-
-    def test_require_legal_accepts_grid_points(self, mcd_config):
-        scale = FrequencyScale(mcd_config)
-        f = float(scale.frequencies_mhz[17])
-        assert scale.require_legal(f) == pytest.approx(f)
-
-    def test_require_legal_rejects_off_grid(self, mcd_config):
-        scale = FrequencyScale(mcd_config)
-        with pytest.raises(RegulatorError):
-            scale.require_legal(251.0)
-
     @given(st.floats(min_value=250, max_value=1000))
     @settings(max_examples=200)
     def test_quantize_matches_config(self, f):

@@ -467,11 +467,12 @@ class TestEnvironmentValidation:
         with pytest.raises(ExperimentError, match="fast"):
             benchmark_scale()
 
-    def test_non_positive_scale_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    def test_non_positive_scale_rejected(self, monkeypatch, scale):
         from repro.experiments.executor import benchmark_scale
 
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(ExperimentError, match="-1"):
+        monkeypatch.setenv("REPRO_SCALE", scale)
+        with pytest.raises(ExperimentError, match=f"REPRO_SCALE .*{scale}"):
             benchmark_scale()
 
     def test_unknown_benchmarks_rejected(self, monkeypatch):

@@ -1,14 +1,18 @@
-"""Tests for the energy table, gating model and accounting."""
+"""Tests for the energy table, the accounting constants and the meters."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.mcd import Domain, MCDConfig
+from repro.config.processor import ProcessorConfig
+from repro.control.base import CORE_DOMAINS
 from repro.errors import ConfigError
-from repro.power.accounting import EnergyAccounting
-from repro.power.gating import ClockGatingModel
+from repro.power.accounting import IDLE_RESIDUAL, EnergyAccounting
 from repro.power.wattch import DEFAULT_ENERGIES, AccessEnergies
+from repro.uarch.core import MCDCore
+from repro.uarch.isa import InstructionClass
+from repro.uarch.trace import InstructionBlock, ListTrace
 
 
 class TestAccessEnergies:
@@ -37,88 +41,85 @@ class TestAccessEnergies:
         assert DEFAULT_ENERGIES.idle_overhead(Domain.EXTERNAL) == 0.0
 
 
-class TestGating:
-    def test_busy_cycle_full_energy(self):
-        g = ClockGatingModel(idle_residual=0.2)
-        assert g.cycle_clock_energy(1.0, busy=True) == 1.0
-
-    def test_idle_cycle_residual(self):
-        g = ClockGatingModel(idle_residual=0.2)
-        assert g.cycle_clock_energy(1.0, busy=False) == pytest.approx(0.2)
-
-    def test_residual_bounds(self):
-        with pytest.raises(ConfigError):
-            ClockGatingModel(idle_residual=1.5)
-        with pytest.raises(ConfigError):
-            ClockGatingModel(idle_residual=-0.1)
+def _core(mcd_config):
+    block = InstructionBlock()
+    block.append(InstructionClass.INT_ALU)
+    return MCDCore(ProcessorConfig(), mcd_config, ListTrace([block]))
 
 
 class TestAccounting:
-    def test_busy_cycle_charges_clock_plus_structure(self, mcd_config):
-        acct = EnergyAccounting(mcd_config, mcd_clocking=False)
-        charged = acct.charge_cycle(Domain.INTEGER, 1.20, access_energy=0.5, busy=True)
-        expected = DEFAULT_ENERGIES.clock_integer + 0.5
-        assert charged == pytest.approx(expected)
-
     def test_voltage_scaling_quadratic(self, mcd_config):
-        full = EnergyAccounting(mcd_config, mcd_clocking=False)
-        half = EnergyAccounting(mcd_config, mcd_clocking=False)
-        e_full = full.charge_cycle(Domain.INTEGER, 1.20, 1.0, True)
-        e_half = half.charge_cycle(Domain.INTEGER, 0.60, 1.0, True)
-        assert e_half == pytest.approx(e_full * 0.25)
+        tables = _core(mcd_config)._operating_point_tables()
+        _, vscale_of, clock_e, idle_e, _, _ = tables
+        vmax = mcd_config.max_voltage_v
+        for mhz in (250.0, 400.0, 625.0, 1000.0):
+            v = mcd_config.voltage_for_frequency(mhz)
+            assert vscale_of(mhz) == pytest.approx((v / vmax) ** 2)
+        assert vscale_of(mcd_config.max_frequency_mhz) == pytest.approx(1.0)
+        # 250 MHz runs at 0.65 V: (0.65/1.2)² of the energy at Vmax.
+        assert vscale_of(mcd_config.min_frequency_mhz) == pytest.approx(
+            (0.65 / 1.20) ** 2
+        )
+        acct = EnergyAccounting(mcd_config)
+        assert clock_e == [acct.clock_cycle_energy(d) for d in CORE_DOMAINS]
+        assert idle_e == [acct.idle_cycle_energy(d) for d in CORE_DOMAINS]
 
     def test_mcd_clock_overhead_applied_to_clock_only(self, mcd_config):
         sync = EnergyAccounting(mcd_config, mcd_clocking=False)
         mcd = EnergyAccounting(mcd_config, mcd_clocking=True)
-        e_sync = sync.charge_cycle(Domain.INTEGER, 1.20, 1.0, True)
-        e_mcd = mcd.charge_cycle(Domain.INTEGER, 1.20, 1.0, True)
         clock = DEFAULT_ENERGIES.clock_integer
-        assert e_mcd - e_sync == pytest.approx(0.10 * clock)
+        assert sync.clock_cycle_energy(Domain.INTEGER) == pytest.approx(clock)
+        assert mcd.clock_cycle_energy(Domain.INTEGER) - sync.clock_cycle_energy(
+            Domain.INTEGER
+        ) == pytest.approx(0.10 * clock)
+        # The gated idle datapath share carries no clock overhead.
+        assert mcd.idle_cycle_energy(Domain.INTEGER) - sync.idle_cycle_energy(
+            Domain.INTEGER
+        ) == pytest.approx(IDLE_RESIDUAL * 0.10 * clock)
 
-    def test_idle_cheaper_than_busy(self, mcd_config):
-        acct = EnergyAccounting(mcd_config)
-        busy = acct.charge_cycle(Domain.FLOATING_POINT, 1.20, 0.0, True)
-        idle = acct.charge_cycle(Domain.FLOATING_POINT, 1.20, 0.0, False)
-        assert idle < busy
-
-    def test_bulk_idle_matches_per_cycle_idle(self, mcd_config):
-        a = EnergyAccounting(mcd_config)
-        b = EnergyAccounting(mcd_config)
-        for _ in range(100):
-            a.charge_cycle(Domain.LOAD_STORE, 0.9, 0.0, False)
-        b.charge_bulk_idle(Domain.LOAD_STORE, 0.9, 100)
-        assert a.total_energy == pytest.approx(b.total_energy)
-        assert a.meters[Domain.LOAD_STORE].idle_cycles == 100
-        assert b.meters[Domain.LOAD_STORE].idle_cycles == 100
+    @pytest.mark.parametrize("mcd_clocking", [True, False])
+    def test_idle_cycle_is_the_gated_residual(self, mcd_config, mcd_clocking):
+        assert IDLE_RESIDUAL == 0.18
+        acct = EnergyAccounting(mcd_config, mcd_clocking=mcd_clocking)
+        for domain in CORE_DOMAINS:
+            busy = acct.clock_cycle_energy(domain)
+            idle = acct.idle_cycle_energy(domain)
+            assert idle == pytest.approx(
+                IDLE_RESIDUAL * (busy + DEFAULT_ENERGIES.idle_overhead(domain))
+            )
+            assert idle < busy
 
     def test_memory_access_charged_to_external(self, mcd_config):
         acct = EnergyAccounting(mcd_config)
-        acct.charge_memory_access()
-        assert acct.meters[Domain.EXTERNAL].structure_energy == pytest.approx(
-            DEFAULT_ENERGIES.memory_access
-        )
-
-    def test_domain_shares_sum_to_one(self, mcd_config):
-        acct = EnergyAccounting(mcd_config)
-        acct.charge_cycle(Domain.INTEGER, 1.2, 1.0, True)
-        acct.charge_cycle(Domain.LOAD_STORE, 1.2, 2.0, True)
-        acct.charge_memory_access()
-        assert sum(acct.domain_shares().values()) == pytest.approx(1.0)
-
-    def test_empty_accounting_zero_shares(self, mcd_config):
-        acct = EnergyAccounting(mcd_config)
+        acct.add_memory_accesses(0)
         assert acct.total_energy == 0.0
-        assert acct.clock_energy_share() == 0.0
+        acct.add_memory_accesses(3)
+        external = acct.meters[Domain.EXTERNAL].structure_energy
+        assert external == pytest.approx(3 * DEFAULT_ENERGIES.memory_access)
+        assert acct.total_energy == external
+        assert acct.total_clock_energy == 0.0
 
     @given(
-        st.floats(min_value=0.65, max_value=1.2),
-        st.floats(min_value=0.0, max_value=10.0),
-        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(CORE_DOMAINS),
+                st.floats(min_value=0.0, max_value=10.0),
+                st.floats(min_value=0.0, max_value=10.0),
+                st.integers(min_value=0, max_value=100),
+                st.integers(min_value=0, max_value=100),
+            ),
+            max_size=8,
+        )
     )
     @settings(max_examples=100)
-    def test_charge_is_non_negative_and_accumulates(self, v, access, busy):
+    def test_flushes_accumulate(self, flushes):
         acct = EnergyAccounting(MCDConfig())
-        before = acct.total_energy
-        charged = acct.charge_cycle(Domain.INTEGER, v, access, busy)
-        assert charged >= 0
-        assert acct.total_energy == pytest.approx(before + charged)
+        for domain, clock, structure, busy, idle in flushes:
+            acct.add_raw(domain, clock, structure, busy, idle)
+        assert acct.total_clock_energy == pytest.approx(sum(f[1] for f in flushes))
+        assert acct.total_energy == pytest.approx(sum(f[1] + f[2] for f in flushes))
+        for domain in CORE_DOMAINS:
+            mine = [f for f in flushes if f[0] is domain]
+            meter = acct.meters[domain]
+            assert meter.busy_cycles == sum(f[3] for f in mine)
+            assert meter.cycles == sum(f[3] + f[4] for f in mine)

@@ -1,113 +1,51 @@
 """Tests for issue queues, ROB and register file."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.config.mcd import MCDConfig
+from repro.config.processor import ProcessorConfig
 from repro.errors import SimulationError
+from repro.uarch.core import MCDCore
+from repro.uarch.isa import InstructionClass
 from repro.uarch.queues import IssueQueue, RegisterFile, ReorderBuffer
+from repro.uarch.trace import InstructionBlock, ListTrace
 
 
 class TestIssueQueue:
-    def test_capacity_enforced(self):
-        q = IssueQueue("IIQ", 2)
-        q.write("a")
-        q.write("b")
-        assert not q.has_space
-        with pytest.raises(SimulationError):
-            q.write("c")
-
-    def test_occupancy_accumulation(self):
-        q = IssueQueue("IIQ", 4)
-        q.write("a")
-        q.accumulate_occupancy()
-        q.write("b")
-        q.accumulate_occupancy()
-        assert q.occupancy_accumulated == 3
-
-    def test_occupancy_with_cycles_multiplier(self):
-        q = IssueQueue("IIQ", 4)
-        q.write("a")
-        q.accumulate_occupancy(cycles=10)
-        assert q.occupancy_accumulated == 10
-
     def test_take_occupancy_resets(self):
         q = IssueQueue("IIQ", 4)
-        q.write("a")
-        q.accumulate_occupancy()
-        assert q.take_occupancy() == 1
+        q.occupancy_accumulated += 3
+        assert q.take_occupancy() == 3
         assert q.occupancy_accumulated == 0
-
-    def test_writes_counted(self):
-        q = IssueQueue("IIQ", 4)
-        q.write("a")
-        q.write("b")
-        assert q.writes == 2
+        assert q.take_occupancy() == 0
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(SimulationError):
             IssueQueue("bad", 0)
 
-    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=64))
-    @settings(max_examples=50)
-    def test_occupancy_matches_length(self, capacity, writes):
-        q = IssueQueue("q", capacity)
-        wrote = 0
-        for i in range(min(writes, capacity)):
-            q.write(i)
-            wrote += 1
-        q.accumulate_occupancy()
-        assert q.occupancy_accumulated == wrote
-        assert len(q) == wrote
-
 
 class TestReorderBuffer:
-    def test_fifo_order(self):
-        rob = ReorderBuffer(4)
-        rob.dispatch(1)
-        rob.dispatch(2)
-        assert rob.head == 1
-        assert rob.retire_head() == 1
-        assert rob.head == 2
-
     def test_capacity(self):
         rob = ReorderBuffer(2)
-        rob.dispatch(1)
-        rob.dispatch(2)
-        assert not rob.has_space
-        with pytest.raises(SimulationError):
-            rob.dispatch(3)
-
-    def test_retire_frees_space(self):
-        rob = ReorderBuffer(1)
-        rob.dispatch(1)
-        rob.retire_head()
         assert rob.has_space
+        rob.entries.extend((1, 2))
+        assert not rob.has_space
+        rob.entries.popleft()
+        assert rob.has_space
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(SimulationError):
+            ReorderBuffer(0)
 
 
 class TestRegisterFile:
     def test_table4_rename_pool(self):
-        rf = RegisterFile(72)
-        assert rf.free == 40  # 72 - 32 architectural
-
-    def test_allocate_release_cycle(self):
-        rf = RegisterFile(33)
-        assert rf.free == 1
-        rf.allocate()
-        assert not rf.has_free
-        rf.release()
-        assert rf.has_free
-
-    def test_underflow_guard(self):
-        rf = RegisterFile(33)
-        rf.allocate()
-        with pytest.raises(SimulationError):
-            rf.allocate()
-
-    def test_overflow_guard(self):
-        rf = RegisterFile(33)
-        with pytest.raises(SimulationError):
-            rf.release()
+        assert RegisterFile(72).free == 40  # 72 - 32 architectural
+        block = InstructionBlock()
+        block.append(InstructionClass.INT_ALU)
+        core = MCDCore(ProcessorConfig(), MCDConfig(), ListTrace([block]))
+        assert core.int_regs.free == 40
+        assert core.fp_regs.free == 40
 
     def test_too_small_rejected(self):
         with pytest.raises(SimulationError):

@@ -1,8 +1,6 @@
 """Tests for the trace format, synthetic generator and catalog."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import TraceError, WorkloadError
 from repro.uarch.compiled_trace import COLUMNS

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.config.mcd import Domain
+from repro.config.mcd import Domain, MCDConfig
 from repro.config.processor import ProcessorConfig
 from repro.errors import ConfigError
+from repro.uarch.core import MCDCore
 from repro.uarch.frontend import TraceCursor
-from repro.uarch.functional_units import FunctionalUnitPool, build_pools, is_complex
+from repro.uarch.functional_units import FunctionalUnitPool, build_pools
 from repro.uarch.isa import NUM_CLASSES, InstructionClass
 from repro.uarch.trace import InstructionBlock, ListTrace
 
@@ -20,15 +21,6 @@ class TestISA:
         assert InstructionClass.BRANCH.domain is Domain.INTEGER
         assert InstructionClass.FP_MULT.domain is Domain.FLOATING_POINT
         assert InstructionClass.LOAD.domain is Domain.LOAD_STORE
-
-    def test_memory_predicate(self):
-        assert InstructionClass.LOAD.is_memory
-        assert InstructionClass.STORE.is_memory
-        assert not InstructionClass.INT_ALU.is_memory
-
-    def test_fp_predicate(self):
-        assert InstructionClass.FP_ALU.is_floating_point
-        assert not InstructionClass.LOAD.is_floating_point
 
     def test_codes_are_stable(self):
         # Trace-format constants: changing these breaks stored traces.
@@ -60,31 +52,6 @@ class TestTraceCursor:
 
 
 class TestFunctionalUnits:
-    def test_slots_per_cycle(self):
-        pool = FunctionalUnitPool(simple_units=2, complex_units=1)
-        pool.begin_cycle()
-        assert pool.try_issue(False)
-        assert pool.try_issue(False)
-        assert not pool.try_issue(False)
-        assert pool.try_issue(True)
-        assert not pool.try_issue(True)
-        assert not pool.any_free
-
-    def test_begin_cycle_resets(self):
-        pool = FunctionalUnitPool(1, 0)
-        pool.begin_cycle()
-        pool.try_issue(False)
-        pool.begin_cycle()
-        assert pool.try_issue(False)
-
-    def test_stats_counted(self):
-        pool = FunctionalUnitPool(2, 1)
-        pool.begin_cycle()
-        pool.try_issue(False)
-        pool.try_issue(True)
-        assert pool.stats.simple_ops == 1
-        assert pool.stats.complex_ops == 1
-
     def test_build_pools_matches_table4(self, processor_config):
         pools = build_pools(processor_config)
         assert pools["integer"].simple_units == 4
@@ -93,10 +60,17 @@ class TestFunctionalUnits:
         assert pools["load_store"].simple_units == 2
         assert pools["load_store"].complex_units == 0
 
-    def test_is_complex(self):
-        assert is_complex(int(InstructionClass.INT_MULT))
-        assert is_complex(int(InstructionClass.FP_MULT))
-        assert not is_complex(int(InstructionClass.LOAD))
+    def test_complex_classes_and_widths(self, processor_config):
+        block = InstructionBlock()
+        block.append(InstructionClass.INT_ALU)
+        core = MCDCore(processor_config, MCDConfig(), ListTrace([block]))
+        complex_kinds = {
+            kind for kind in InstructionClass if core._complex[int(kind)]
+        }
+        assert complex_kinds == {InstructionClass.INT_MULT, InstructionClass.FP_MULT}
+        *_, simple_w, complex_w = core._operating_point_tables()
+        assert simple_w == [0, 4, 2, 2]
+        assert complex_w == [0, 1, 1, 0]
 
     def test_bad_widths_rejected(self):
         with pytest.raises(ConfigError):
