@@ -55,9 +55,7 @@ from repro.control import (
     estimate_attack_decay_hardware,
 )
 from repro.experiments import (
-    CLOCKING_MODES,
     CONFIGURATIONS,
-    CONTROLLERS,
     ExecutionContext,
     Orchestrator,
     ResultSet,
@@ -65,9 +63,7 @@ from repro.experiments import (
     Scenario,
     Suite,
     configuration_names,
-    register_clocking_mode,
     register_configuration,
-    register_controller,
     run_suite,
 )
 from repro.metrics import Comparison, RunSummary, aggregate, compare, summarize
@@ -81,9 +77,7 @@ __all__ = [
     "AttackDecayController",
     "AttackDecayParams",
     "BENCHMARKS",
-    "CLOCKING_MODES",
     "CONFIGURATIONS",
-    "CONTROLLERS",
     "CampaignJournal",
     "CampaignRunner",
     "CampaignSpec",
@@ -115,9 +109,7 @@ __all__ = [
     "configuration_names",
     "estimate_attack_decay_hardware",
     "get_benchmark",
-    "register_clocking_mode",
     "register_configuration",
-    "register_controller",
     "run_spec",
     "run_suite",
     "summarize",

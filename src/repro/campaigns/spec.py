@@ -23,7 +23,6 @@ line.  The format is deliberately small::
     backend = "process"               # auto|thread|process|serial
     workers = "auto"                  # integer or "auto"
     batch = "auto"                    # integer or "auto"
-    start_method = "spawn"            # fork|spawn|forkserver
     use_cache = true
     cache_dir = "results/cache"       # relative to this file
 
@@ -60,7 +59,6 @@ _SCHEMA = {
         "backend",
         "workers",
         "batch",
-        "start_method",
         "use_cache",
         "cache_dir",
     },
@@ -100,7 +98,6 @@ class CampaignSpec:
     backend: str | None = None
     workers: int | str | None = None
     batch: int | str | None = None
-    start_method: str | None = None
     use_cache: bool | None = None
     cache_dir: Path | None = None
     results_name: str = "results.json"
@@ -204,11 +201,6 @@ class CampaignSpec:
         )
         workers = execution.get("workers")
         batch = execution.get("batch")
-        start_method = execution.get("start_method")
-        _require(
-            start_method is None or isinstance(start_method, str),
-            "[execution] start_method must be a string",
-        )
         use_cache = execution.get("use_cache")
         _require(
             use_cache is None or isinstance(use_cache, bool),
@@ -255,7 +247,6 @@ class CampaignSpec:
             backend=backend,
             workers=workers,
             batch=batch,
-            start_method=start_method,
             use_cache=use_cache,
             cache_dir=resolve(execution.get("cache_dir"), "[execution] cache_dir"),
             results_name=results_name,
@@ -303,7 +294,6 @@ class CampaignSpec:
         return {
             "workers": self.workers,
             "backend": self.backend,
-            "start_method": self.start_method,
             "batch": self.batch,
             "cache_dir": self.cache_dir,
             "use_cache": self.use_cache,

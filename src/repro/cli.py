@@ -8,7 +8,7 @@ Commands
     List every runnable workload — catalog, derived (workload algebra),
     and imported — with lengths and compositions.
 ``list-configurations``
-    Show every registered configuration, controller and clocking mode.
+    Show every registered configuration.
 ``run BENCH``
     Simulate one benchmark under a chosen configuration and print the
     headline metrics (``--phases`` adds per-phase attribution).
@@ -45,7 +45,9 @@ Commands
 Exit codes follow one convention across verbs: 0 success, 1 completed
 with failures (failed runs, quarantined cells, regressed metrics), 2
 usage/configuration errors, 130 interrupted by Ctrl-C (after
-checkpointing progress and stopping the sweep's workers).
+checkpointing progress and stopping the sweep's workers).  :func:`main`
+is the one boundary that turns a user error raised by any verb into
+``<command>: error: <message>`` and exit 2.
 """
 
 from __future__ import annotations
@@ -58,18 +60,20 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.cli_campaign import register_campaign_parser
-from repro.config.algorithm import AttackDecayParams, SCALED_OPERATING_POINT
+from repro.config.algorithm import SCALED_OPERATING_POINT
+from repro.control.attack_decay import AttackDecayController
+from repro.control.fixed import FixedFrequencyController
+from repro.control.global_dvfs import GlobalDVFSController
 from repro.control.hardware_cost import estimate_attack_decay_hardware
 from repro.errors import (
+    CampaignError,
     ExperimentError,
     ResultDBError,
     TraceError,
     WorkloadError,
 )
 from repro.experiments import (
-    CLOCKING_MODES,
     CONFIGURATIONS,
-    CONTROLLERS,
     Orchestrator,
     Suite,
     quick_benchmarks,
@@ -137,14 +141,12 @@ def _first_doc_line(obj: object) -> str:
 
 
 def _cmd_list_configurations(_: argparse.Namespace) -> int:
-    for title, registry in (
-        ("Configurations", CONFIGURATIONS),
-        ("Controllers", CONTROLLERS),
-        ("Clocking modes", CLOCKING_MODES),
-    ):
-        rows = [(name, _first_doc_line(registry.get(name))) for name in registry]
-        print(format_table(["Name", "Description"], rows, title=title))
-        print()
+    rows = [
+        (name, _first_doc_line(CONFIGURATIONS.get(name)))
+        for name in CONFIGURATIONS
+    ]
+    print(format_table(["Name", "Description"], rows, title="Configurations"))
+    print()
     print(
         "Parameterised names resolve too: dynamic_1, dynamic_5, "
         "global@725.000, attack_decay[1.750_06.0_0.175_2.5][literal]."
@@ -152,16 +154,14 @@ def _cmd_list_configurations(_: argparse.Namespace) -> int:
     return 0
 
 
-def _controller_from_args(args: argparse.Namespace):
-    """Build the controller selected by run-style CLI arguments."""
-    algorithm = args.algorithm.replace("-", "_")
-    controller_factory = CONTROLLERS.get(algorithm)
-    if algorithm == "attack_decay":
-        params = SCALED_OPERATING_POINT if args.scaled else AttackDecayParams()
-        return controller_factory(params)
-    if algorithm == "global_dvfs":
-        return controller_factory(args.frequency_mhz)
-    return controller_factory()
+#: ``run``/``import-trace --algorithm`` choices -> the controller each
+#: builds from the parsed arguments.
+ALGORITHMS = {
+    "attack-decay": lambda args: AttackDecayController(SCALED_OPERATING_POINT),
+    "fixed": lambda args: FixedFrequencyController(),
+    "global_dvfs": lambda args: GlobalDVFSController(args.frequency_mhz),
+    "none": lambda args: None,
+}
 
 
 def _print_headline_metrics(result) -> None:
@@ -175,12 +175,10 @@ def _print_headline_metrics(result) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     bench = get_benchmark(args.benchmark)  # validate early
-    controller = _controller_from_args(args)
-    mcd = not args.sync
     spec = SimulationSpec(
         benchmark=args.benchmark,
-        mcd=mcd,
-        controller=controller,
+        mcd=not args.sync,
+        controller=ALGORITHMS[args.algorithm](args),
         scale=args.scale,
         seed=args.seed,
         record_intervals=args.phases,
@@ -216,32 +214,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         logging.basicConfig(
             level=logging.INFO, format="%(levelname)s %(message)s"
         )
-    try:
-        benchmarks = (
-            quick_benchmarks()
-            if args.benchmarks == "all"
-            else _parse_csv(args.benchmarks)
-        )
-        suite = Suite(
-            benchmarks=benchmarks,
-            configurations=_parse_csv(args.configurations),
-            seeds=[int(s) for s in _parse_csv(args.seeds)],
-            scale=args.scale,
-            name="sweep",
-        )
-        orchestrator = Orchestrator(
-            workers=args.workers,
-            backend=args.backend,
-            cache_dir=args.cache_dir,
-            use_cache=False if args.no_cache else None,
-            batch=args.batch,
-        )
-        results = orchestrator.run(suite)
-    except ExperimentError as exc:
-        # Bad matrix axes or environment knobs are user errors, not
-        # tracebacks: name the problem and exit like argparse would.
-        print(f"sweep: error: {exc}", file=sys.stderr)
-        return 2
+    benchmarks = (
+        quick_benchmarks()
+        if args.benchmarks == "all"
+        else _parse_csv(args.benchmarks)
+    )
+    suite = Suite(
+        benchmarks=benchmarks,
+        configurations=_parse_csv(args.configurations),
+        seeds=[int(s) for s in _parse_csv(args.seeds)],
+        scale=args.scale,
+        name="sweep",
+    )
+    orchestrator = Orchestrator(
+        workers=args.workers,
+        backend=args.backend,
+        cache_dir=args.cache_dir,
+        use_cache=False if args.no_cache else None,
+        batch=args.batch,
+    )
+    results = orchestrator.run(suite)
     print(resultset_table(results, title="Sweep results"))
     for outcome in results.errors:
         print(f"\nFAILED {outcome.scenario.run_id}:\n{outcome.error}")
@@ -282,27 +274,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        # The Suite validates benchmarks and scale; the Attack/Decay
-        # operating point travels as overrides, which a Suite cannot
-        # give one configuration alone.
-        scenarios = Suite(
-            benchmarks=args.benchmarks,
-            configurations=["mcd_base", "dynamic_1", "dynamic_5"],
-            seeds=[args.seed],
-            scale=args.scale,
-            name="compare",
-        ).expand()
-        attack_decay = [
-            attack_decay_scenario(
-                b, SCALED_OPERATING_POINT, seed=args.seed, scale=args.scale
-            )
-            for b in args.benchmarks
-        ]
-        results = Orchestrator().run(scenarios + attack_decay)
-    except ExperimentError as exc:
-        print(f"compare: error: {exc}", file=sys.stderr)
-        return 2
+    # The Suite validates benchmarks and scale; the Attack/Decay
+    # operating point travels as overrides, which a Suite cannot give
+    # one configuration alone.
+    scenarios = Suite(
+        benchmarks=args.benchmarks,
+        configurations=["mcd_base", "dynamic_1", "dynamic_5"],
+        seeds=[args.seed],
+        scale=args.scale,
+        name="compare",
+    ).expand()
+    attack_decay = [
+        attack_decay_scenario(
+            b, SCALED_OPERATING_POINT, seed=args.seed, scale=args.scale
+        )
+        for b in args.benchmarks
+    ]
+    results = Orchestrator().run(scenarios + attack_decay)
     for outcome in results.errors:
         print(f"FAILED {outcome.scenario.run_id}:\n{outcome.error}")
     if results.errors:
@@ -351,17 +339,9 @@ def _cmd_export_trace(args: argparse.Namespace) -> int:
 def _cmd_import_trace(args: argparse.Namespace) -> int:
     from dataclasses import replace as dc_replace
 
-    try:
-        external = read_etf(args.path)
-    except TraceError as exc:
-        print(f"import-trace: error: {exc}", file=sys.stderr)
-        return 2
+    external = read_etf(args.path)
     name = args.register_as or f"{external.name}@etf"
-    try:
-        external = register_benchmark(dc_replace(external, name=name), replace=True)
-    except WorkloadError as exc:
-        print(f"import-trace: error: {exc}", file=sys.stderr)
-        return 2
+    external = register_benchmark(dc_replace(external, name=name), replace=True)
     print(f"imported {args.path} as {name!r}")
     print(f"instructions: {external.sim_instructions:,}")
     print(f"phases:       {len(external.phases)}")
@@ -375,7 +355,7 @@ def _cmd_import_trace(args: argparse.Namespace) -> int:
     spec = SimulationSpec(
         benchmark=name,
         mcd=not args.sync,
-        controller=_controller_from_args(args),
+        controller=ALGORITHMS[args.algorithm](args),
         seed=args.seed,
         record_intervals=args.phases,
     )
@@ -436,21 +416,17 @@ def _cmd_record(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        if args.run:
-            _run_perf_bench(args.run, args.db)
-            print(f"recorded a fresh {PERF_BENCHES[args.run]} run")
-        db = _resultdb(args)
-        for path in args.paths:
-            run = db.ingest(path, bench=args.bench, backend=args.backend)
-            print(
-                f"recorded {run.bench} run {run.run_id} "
-                f"({len(run.metrics)} metrics, host {run.host_id}, "
-                f"version {run.version})"
-            )
-    except ResultDBError as exc:
-        print(f"record: error: {exc}", file=sys.stderr)
-        return 2
+    if args.run:
+        _run_perf_bench(args.run, args.db)
+        print(f"recorded a fresh {PERF_BENCHES[args.run]} run")
+    db = _resultdb(args)
+    for path in args.paths:
+        run = db.ingest(path, bench=args.bench, backend=args.backend)
+        print(
+            f"recorded {run.bench} run {run.run_id} "
+            f"({len(run.metrics)} metrics, host {run.host_id}, "
+            f"version {run.version})"
+        )
     return 0
 
 
@@ -471,17 +447,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
         return 2
     metrics = _parse_csv(args.metrics) if args.metrics else None
-    try:
-        if args.bench:
-            headers, rows = comparison_rows(runs, args.bench, metrics=metrics)
-            title = f"Trajectory of {args.bench} ({len(rows)} runs)"
-        else:
-            headers, rows = overview_rows(runs)
-            title = f"Result database overview ({db.directory})"
-        print(render(headers, rows, args.format, title=title))
-    except ResultDBError as exc:
-        print(f"report: error: {exc}", file=sys.stderr)
-        return 2
+    if args.bench:
+        headers, rows = comparison_rows(runs, args.bench, metrics=metrics)
+        title = f"Trajectory of {args.bench} ({len(rows)} runs)"
+    else:
+        headers, rows = overview_rows(runs)
+        title = f"Result database overview ({db.directory})"
+    print(render(headers, rows, args.format, title=title))
     return 0
 
 
@@ -490,28 +462,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     db = _resultdb(args)
     runs = db.runs()
-    try:
-        if args.bench:
-            targets = [args.bench]
-        else:
-            targets = [b for b in query.benches(runs) if gated_metrics(b)]
-            if not targets:
-                raise ResultDBError(
-                    f"nothing to gate: no runs of a registered perf bench in "
-                    f"{db.directory}"
-                )
-        metrics = _parse_csv(args.metrics) if args.metrics else None
-        failed = 0
-        for bench in targets:
-            for result in check_bench(
-                runs, bench, metrics=metrics, tolerance=args.tolerance
-            ):
-                status = "PASS" if result.passed else "FAIL"
-                print(f"{status} {bench}: {result.message}")
-                failed += 0 if result.passed else 1
-    except ResultDBError as exc:
-        print(f"check: error: {exc}", file=sys.stderr)
-        return 2
+    if args.bench:
+        targets = [args.bench]
+    else:
+        targets = [b for b in query.benches(runs) if gated_metrics(b)]
+        if not targets:
+            raise ResultDBError(
+                f"nothing to gate: no runs of a registered perf bench in "
+                f"{db.directory}"
+            )
+    metrics = _parse_csv(args.metrics) if args.metrics else None
+    failed = 0
+    for bench in targets:
+        for result in check_bench(
+            runs, bench, metrics=metrics, tolerance=args.tolerance
+        ):
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{status} {bench}: {result.message}")
+            failed += 0 if result.passed else 1
     if failed:
         print(f"\ncheck: {failed} metric(s) regressed", file=sys.stderr)
         return 1
@@ -555,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "list-configurations",
-        help="show the configuration/controller/clocking registries",
+        help="show the configuration registry",
     ).set_defaults(func=_cmd_list_configurations)
 
     scen_p = sub.add_parser(
@@ -573,14 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
         """Controller/clocking options shared by run and import-trace."""
         parser_.add_argument(
             "--algorithm",
-            # Registry names, minus the passive profiling pass (not a
-            # run configuration) and the underscore alias of the default.
-            choices=sorted(
-                {"attack-decay", *CONTROLLERS.names()}
-                - {"attack_decay", "offline_profiler"}
-            ),
+            choices=sorted(ALGORITHMS),
             default="attack-decay",
-            help="controller registry name ('none' for fixed frequencies)",
+            help="the controller to run ('none' for fixed frequencies)",
         )
         parser_.add_argument("--sync", action="store_true", help="fully synchronous")
         parser_.add_argument(
@@ -589,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=1000.0,
             help="target frequency for --algorithm global_dvfs",
         )
-        parser_.add_argument("--scaled", action="store_true", default=True)
         parser_.add_argument("--seed", type=int, default=1)
         parser_.add_argument(
             "--phases",
@@ -777,7 +739,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point.
 
     Invoked with no subcommand, prints usage and returns 2 (the
-    argparse convention) rather than dying with an error.
+    argparse convention) rather than dying with an error.  A user
+    error any verb raises (a bad name, scale, file or environment
+    knob) exits 2 the same way, with the message and no traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -786,6 +750,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
+    except (
+        CampaignError,
+        ExperimentError,
+        ResultDBError,
+        TraceError,
+        WorkloadError,
+    ) as exc:
+        print(f"{args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # One boundary for every verb: no raw traceback on Ctrl-C.
         # The orchestrator has already cancelled its backends by the

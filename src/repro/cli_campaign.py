@@ -13,8 +13,6 @@ import json
 import logging
 import sys
 
-from repro.errors import CampaignError, ExperimentError
-
 
 def _campaign_dry_run(runner) -> int:
     """Print the expanded cell plan without running anything."""
@@ -24,8 +22,8 @@ def _campaign_dry_run(runner) -> int:
     spec = runner.spec
     plans = runner.plan()
     # Constructing the orchestrator validates every execution knob
-    # (backend, workers, batch, start method, REPRO_* defaults) before
-    # the user commits a night to the campaign.
+    # (backend, workers, batch, REPRO_* defaults) before the user
+    # commits a night to the campaign.
     Orchestrator(**spec.orchestrator_kwargs())
     rows = [
         (str(p.index), p.scenario.run_id, p.status) for p in plans
@@ -143,27 +141,25 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         logging.basicConfig(
             level=logging.INFO, format="%(levelname)s %(message)s"
         )
+    spec = CampaignSpec.load(args.file, output_dir=args.output)
+    if args.action in ("run", "resume"):
+        # Execution knobs are resume-safe overrides: the spec hash
+        # deliberately excludes them, and validation happens in the
+        # orchestrator constructor (unknown values exit 2 through the
+        # CLI's error boundary).
+        spec = spec.with_execution(
+            backend=args.backend, workers=args.workers, batch=args.batch
+        )
+    runner = CampaignRunner(spec)
+    if args.action == "status":
+        return _campaign_status(runner, as_json=args.json)
+    if args.action == "run" and args.dry_run:
+        return _campaign_dry_run(runner)
     try:
-        spec = CampaignSpec.load(args.file, output_dir=args.output)
-        if args.action in ("run", "resume"):
-            # Execution knobs are resume-safe overrides: the spec hash
-            # deliberately excludes them, and validation happens in the
-            # orchestrator constructor (unknown values exit 2 below).
-            spec = spec.with_execution(
-                backend=args.backend, workers=args.workers, batch=args.batch
-            )
-        runner = CampaignRunner(spec)
-        if args.action == "status":
-            return _campaign_status(runner, as_json=args.json)
-        if args.action == "run" and args.dry_run:
-            return _campaign_dry_run(runner)
         report = runner.run(
             resume=args.action == "resume",
             force=getattr(args, "force", False),
         )
-    except (CampaignError, ExperimentError) as exc:
-        print(f"campaign: error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         # Completed cells are already durably journalled and the
         # orchestrator has stopped its workers; exit 130.

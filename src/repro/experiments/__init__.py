@@ -4,8 +4,8 @@ The paper's evaluation is a cross-product of benchmarks x processor
 configurations x controller settings.  This package names each axis and
 executes the product:
 
-* :mod:`~repro.experiments.registry` — decorator registries for
-  configurations, controllers and clocking modes;
+* :mod:`~repro.experiments.registry` — the decorator registry of
+  configurations;
 * :mod:`~repro.experiments.builtins` — the paper's configuration
   vocabulary (``sync``, ``mcd_base``, ``attack_decay``,
   ``dynamic_<pct>``, ``global@<mhz>``), registered on import;
@@ -44,26 +44,20 @@ from repro.experiments.orchestrator import (
     run_suite,
 )
 from repro.experiments.registry import (
-    CLOCKING_MODES,
     CONFIGURATIONS,
-    CONTROLLERS,
     Registry,
     configuration_names,
-    register_clocking_mode,
     register_configuration,
-    register_controller,
 )
 from repro.experiments.results import ResultSet, RunOutcome, RunRecord
 from repro.experiments.scenario import Scenario, Suite
 
-import repro.experiments.builtins  # noqa: F401  (populates the registries)
+import repro.experiments.builtins  # noqa: F401  (populates the registry)
 
 __all__ = [
     "BACKENDS",
     "CACHE_VERSION",
-    "CLOCKING_MODES",
     "CONFIGURATIONS",
-    "CONTROLLERS",
     "CacheStore",
     "DEFAULT_CACHE_DIR",
     "ExecutionContext",
@@ -81,8 +75,6 @@ __all__ = [
     "default_workers",
     "parse_workers",
     "quick_benchmarks",
-    "register_clocking_mode",
     "register_configuration",
-    "register_controller",
     "run_suite",
 ]

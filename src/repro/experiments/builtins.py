@@ -1,7 +1,8 @@
 """Built-in registry entries: the paper's configuration vocabulary.
 
 Importing this module (which :mod:`repro.experiments` does) populates
-the registries with every configuration of Table 6 / Figures 4-7:
+the configuration registry with every configuration of Table 6 /
+Figures 4-7:
 
 * ``sync`` — fully synchronous processor, everything at 1 GHz;
 * ``mcd_base`` — baseline MCD processor, all domains at 1 GHz;
@@ -14,10 +15,9 @@ the registries with every configuration of Table 6 / Figures 4-7:
 * ``global@<mhz>`` — fully synchronous processor at one reduced global
   frequency with memory latency tracking the clock.
 
-Clocking modes (``sync``/``mcd``/``global``) and controller factories
-(``none``/``attack_decay``/``fixed``/``global_dvfs``/
-``offline_profiler``) are registered alongside so custom configurations
-can be composed from named pieces.
+Each factory builds its :class:`~repro.sim.engine.SimulationSpec`
+directly: the clocking mode is its ``mcd``/``memory_tracks_global``
+arguments and the controller an instance of its class.
 """
 
 from __future__ import annotations
@@ -29,93 +29,17 @@ import re
 from repro.config.algorithm import AttackDecayParams
 from repro.config.mcd import MCDConfig
 from repro.control.attack_decay import AttackDecayController
-from repro.control.fixed import FixedFrequencyController
-from repro.control.global_dvfs import GlobalDVFSController
-from repro.control.offline import (
-    OfflineController,
-    OfflineProfiler,
-    build_offline_schedule,
-)
+from repro.control.offline import OfflineController, build_offline_schedule
 from repro.errors import ExperimentError
-from repro.experiments.registry import (
-    CLOCKING_MODES,
-    register_clocking_mode,
-    register_configuration,
-    register_controller,
-)
+from repro.experiments.registry import register_configuration
 from repro.metrics.summary import RunSummary, summarize
 from repro.sim.engine import SimulationSpec, run_spec
 
 
-# --- clocking modes --------------------------------------------------------
-@register_clocking_mode("sync")
-def sync_clocking() -> dict:
-    """Fully synchronous: one chip-wide clock."""
-    return {"mcd": False}
-
-
-@register_clocking_mode("mcd")
-def mcd_clocking() -> dict:
-    """Multiple clock domains (GALS), independently clocked."""
-    return {"mcd": True}
-
-
-@register_clocking_mode("global")
-def global_clocking() -> dict:
-    """Global DVFS: synchronous with memory latency tracking the clock."""
-    return {"mcd": False, "memory_tracks_global": True}
-
-
-# --- controllers -----------------------------------------------------------
-@register_controller("none")
-def no_controller():
-    """No controller: frequencies stay at their initial values."""
-    return None
-
-
-@register_controller("attack_decay")
-def attack_decay_controller(
-    params: AttackDecayParams | None = None,
-    literal_listing: bool = False,
-    **fields: float | int,
-) -> AttackDecayController:
-    """The paper's on-line Attack/Decay controller.
-
-    ``fields`` are :class:`~repro.config.algorithm.AttackDecayParams`
-    overrides applied on top of ``params`` (default operating point
-    when omitted).
-    """
-    params = params if params is not None else AttackDecayParams()
-    if fields:
-        params = params.with_(**fields)
-    return AttackDecayController(params, literal_listing=literal_listing)
-
-
-@register_controller("fixed")
-def fixed_controller(frequencies_mhz=None) -> FixedFrequencyController:
-    """Pins per-domain frequencies for the whole run."""
-    return FixedFrequencyController(frequencies_mhz)
-
-
-@register_controller("global_dvfs")
-def global_dvfs_controller(frequency_mhz: float) -> GlobalDVFSController:
-    """Scales all four on-chip domains to one common frequency."""
-    return GlobalDVFSController(frequency_mhz)
-
-
-@register_controller("offline_profiler")
-def offline_profiler_controller() -> OfflineProfiler:
-    """Passive profiling pass for the off-line Dynamic algorithm."""
-    return OfflineProfiler()
-
-
-# --- configurations --------------------------------------------------------
 @register_configuration("sync")
 def sync_configuration(ctx, benchmark: str, scale: float, seed: int) -> SimulationSpec:
     """Fully synchronous processor at maximum frequency."""
-    return SimulationSpec(
-        benchmark=benchmark, scale=scale, seed=seed, **CLOCKING_MODES.get("sync")()
-    )
+    return SimulationSpec(benchmark=benchmark, scale=scale, seed=seed, mcd=False)
 
 
 @register_configuration("mcd_base")
@@ -123,9 +47,7 @@ def mcd_base_configuration(
     ctx, benchmark: str, scale: float, seed: int
 ) -> SimulationSpec:
     """Baseline MCD processor (all domains at maximum)."""
-    return SimulationSpec(
-        benchmark=benchmark, scale=scale, seed=seed, **CLOCKING_MODES.get("mcd")()
-    )
+    return SimulationSpec(benchmark=benchmark, scale=scale, seed=seed, mcd=True)
 
 
 #: Legend-labelled names: ``attack_decay[1.750_06.0_0.175_2.5][literal]``.
@@ -165,15 +87,15 @@ def attack_decay_configuration(
     :class:`~repro.config.algorithm.AttackDecayParams` values (legend
     fields come pre-parsed from the configuration name).
     """
-    controller = attack_decay_controller(
-        literal_listing=literal_listing, **fields
+    controller = AttackDecayController(
+        AttackDecayParams(**fields), literal_listing=literal_listing
     )
     return SimulationSpec(
         benchmark=benchmark,
         controller=controller,
         scale=scale,
         seed=seed,
-        **CLOCKING_MODES.get("mcd")(),
+        mcd=True,
     )
 
 
@@ -284,7 +206,7 @@ def dynamic_configuration(
             controller=OfflineController(schedule),
             scale=scale,
             seed=seed,
-            **CLOCKING_MODES.get("mcd")(),
+            mcd=True,
         )
         summary = summarize(run_spec(spec))
         deg = summary.wall_time_ns / base.wall_time_ns - 1.0
@@ -326,5 +248,6 @@ def global_configuration(
         global_frequency_mhz=frequency_mhz,
         scale=scale,
         seed=seed,
-        **CLOCKING_MODES.get("global")(),
+        mcd=False,
+        memory_tracks_global=True,
     )

@@ -23,16 +23,14 @@ Backends
     :class:`~repro.experiments.executor.ExecutionContext`.  The native
     hot loop releases the GIL for its compute stage, so runs genuinely
     overlap while sharing the process's compiled-trace cache and the
-    write-through result front — no spawn cost, no per-worker npz
-    reloads, no registry snapshots.
+    write-through result front — no worker start-up, no per-worker
+    npz reloads.
 ``process``
-    The :mod:`multiprocessing` pool (fork/spawn/forkserver via
-    ``start_method``); the right tool when the native loop is
-    unavailable and runs would serialise on the GIL.
+    Forked :mod:`multiprocessing` workers, which inherit every
+    registration this process has made; the right tool when the
+    native loop is unavailable and runs would serialise on the GIL.
 ``auto``
-    ``thread`` when the native loop loads, else ``process``; an
-    explicit ``start_method`` also forces ``process`` (a thread pool
-    has no start method to honour).
+    ``thread`` when the native loop loads, else ``process``.
 
 Batch cells
 -----------
@@ -81,7 +79,7 @@ import logging
 import math
 import multiprocessing
 import os
-import pickle
+import signal
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -123,7 +121,7 @@ def default_backend() -> str:
     return raw
 
 
-def _worker_main(conn, state: dict, settings: dict) -> None:
+def _worker_main(conn, settings: dict) -> None:
     """Process-backend worker: run each cell ``conn`` delivers, reply.
 
     Every cell runs in one :class:`ExecutionContext` built from the
@@ -134,7 +132,11 @@ def _worker_main(conn, state: dict, settings: dict) -> None:
     not capture into its outcomes, which the parent re-raises.  The
     loop ends when the parent closes its end.
     """
-    _init_worker(state)
+    # Teardown delivers SIGTERM; a forked worker inherits whatever
+    # handler the parent installed (one mapping SIGTERM to
+    # KeyboardInterrupt, say), which would turn every cancel into a
+    # worker traceback.  Workers always die silently on terminate.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     ctx = ExecutionContext(**settings)
     while True:
         try:
@@ -146,89 +148,6 @@ def _worker_main(conn, state: dict, settings: dict) -> None:
         except Exception as exc:  # noqa: BLE001 - re-raised by the parent
             reply = (False, exc)
         conn.send(reply)
-
-
-def _registry_state(require_picklable: bool) -> dict:
-    """Snapshot every runtime registration a worker must reproduce.
-
-    Import-time registrations (built-in configurations, the derived
-    catalog) re-materialise in any process; this captures what does
-    not: workloads registered through
-    :func:`~repro.workloads.catalog.register_benchmark` and runtime
-    registry additions.  With ``require_picklable`` (spawn/forkserver
-    contexts, whose workers receive the snapshot by pickle), entries
-    that cannot pickle — e.g. closure factories — are dropped with a
-    warning rather than taking the whole pool down; scenarios needing
-    them fail individually with a clear unknown-name error.
-    """
-    from repro.experiments.registry import (
-        CLOCKING_MODES,
-        CONFIGURATIONS,
-        CONTROLLERS,
-    )
-    from repro.workloads.catalog import runtime_benchmark_snapshot
-
-    state = {
-        "benchmarks": runtime_benchmark_snapshot(),
-        "configurations": CONFIGURATIONS.snapshot(),
-        "controllers": CONTROLLERS.snapshot(),
-        "clocking_modes": CLOCKING_MODES.snapshot(),
-    }
-    if not require_picklable:
-        return state
-
-    def picklable(label: str, name: str, value) -> bool:
-        try:
-            pickle.dumps(value)
-            return True
-        except Exception:  # noqa: BLE001 - any pickle failure disqualifies
-            logger.warning(
-                "orchestrator: %s %r cannot pickle; spawn workers will "
-                "not see it", label, name,
-            )
-            return False
-
-    state["benchmarks"] = {
-        name: spec
-        for name, spec in state["benchmarks"].items()
-        if picklable("runtime benchmark", name, spec)
-    }
-    for key, label in (
-        ("configurations", "configuration"),
-        ("controllers", "controller"),
-        ("clocking_modes", "clocking mode"),
-    ):
-        state[key] = [
-            entry for entry in state[key] if picklable(label, entry[0], entry)
-        ]
-    return state
-
-
-def _init_worker(state: dict) -> None:
-    """Worker start-up: reproduce the parent's runtime registrations.
-
-    Runs in every worker regardless of start method, so fork and spawn
-    contexts execute identical scenario matrices; under fork it is a
-    no-op (every name is already present).
-    """
-    import signal
-
-    from repro.experiments.registry import (
-        CLOCKING_MODES,
-        CONFIGURATIONS,
-        CONTROLLERS,
-    )
-    from repro.workloads.catalog import restore_runtime_benchmarks
-
-    # Teardown delivers SIGTERM; a forked worker inherits whatever
-    # handler the parent installed (one mapping SIGTERM to
-    # KeyboardInterrupt, say), which would turn every cancel into a
-    # worker traceback.  Workers always die silently on terminate.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    restore_runtime_benchmarks(state["benchmarks"])
-    CONFIGURATIONS.restore(state["configurations"])
-    CONTROLLERS.restore(state["controllers"])
-    CLOCKING_MODES.restore(state["clocking_modes"])
 
 
 class Orchestrator:
@@ -253,15 +172,6 @@ class Orchestrator:
         ``"thread"`` or ``"process"`` — see the module docstring for
         the trade-offs.  ``auto`` picks threads when the GIL-releasing
         native loop is available and processes otherwise.
-    start_method:
-        Multiprocessing start method for the process backend
-        (``"fork"``, ``"spawn"``, ``"forkserver"``); None defers to
-        ``REPRO_START_METHOD``, then to fork where available.  Setting
-        it steers an ``auto`` backend to processes.  Every method
-        produces identical result sets: workers receive a snapshot of
-        runtime-registered benchmarks/configurations through the pool
-        initializer, so spawn contexts reproduce fork results instead
-        of silently dropping registrations.
     batch:
         Batch-cell size: a positive integer, ``"auto"`` (size cells
         per backend — see the module docstring) or None to defer to
@@ -282,7 +192,6 @@ class Orchestrator:
         seed: int = 1,
         use_cache: bool | None = None,
         backend: str | None = None,
-        start_method: str | None = None,
         batch: int | str | None = None,
         on_outcome: Callable[[int, RunOutcome], None] | None = None,
     ) -> None:
@@ -299,27 +208,13 @@ class Orchestrator:
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
             )
         # Environment defaults are resolved (and validated) *here*: a
-        # bad REPRO_BACKEND/REPRO_START_METHOD/REPRO_BATCH/
-        # REPRO_TRACE_CACHE must fail at construction, before any work
-        # starts — not as an ExperimentError surfacing from deep inside
-        # run().
+        # bad REPRO_BACKEND/REPRO_BATCH/REPRO_TRACE_CACHE must fail at
+        # construction, before any work starts — not as an
+        # ExperimentError surfacing from deep inside run().
         self.backend = backend if backend is not None else default_backend()
-        #: The start method to honour (argument, else
-        #: ``REPRO_START_METHOD``); None means the platform default.
-        self.start_method = (
-            start_method or os.environ.get("REPRO_START_METHOD") or None
-        )
-        if self.start_method:
-            available = multiprocessing.get_all_start_methods()
-            if self.start_method not in available:
-                source = "start method" if start_method else "REPRO_START_METHOD"
-                raise ExperimentError(
-                    f"unsupported {source} {self.start_method!r}; "
-                    f"available: {', '.join(available)}"
-                )
         self.batch = default_batch() if batch is None else parse_batch(batch)
         # Validated only: the process-wide trace cache reads its size
-        # itself, on first use.
+        # itself, on every use.
         trace_cache_entries()
 
     def _resolve_backend(self, total: int) -> str:
@@ -328,8 +223,6 @@ class Orchestrator:
         if requested == "serial" or self.workers <= 1 or total <= 1:
             return "serial"
         if requested == "auto":
-            if self.start_method:
-                return "process"  # a start method only means processes
             from repro.uarch.native import load_hotpath
 
             # Threads only pay off when the C loop drops the GIL for
@@ -497,35 +390,19 @@ class Orchestrator:
             # queued cell to run to completion before propagating.
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def _mp_context(self):
-        """The multiprocessing context honouring the configured method."""
-        if self.start_method:
-            return multiprocessing.get_context(self.start_method)
-        # Fork (where available) is cheapest: workers start without
-        # re-importing the package and inherit the registries directly.
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            return multiprocessing.get_context()
-
     def _process_cells(
         self, scenarios: Sequence[Scenario], cells: list[list[int]]
     ) -> Iterator[CompletedCell]:
-        """Process-pool backend: cells run in :mod:`multiprocessing` workers.
+        """Process-pool backend: cells run in forked worker processes.
 
-        Workers receive scenarios and settings only; each resolves its
-        traces through :func:`repro.sim.engine.compiled_trace_for`.
-        Each worker owns one pipe and gets its next cell when it returns
+        A forked worker inherits this process's registrations (runtime
+        benchmarks and configurations included) and module state; it
+        receives scenarios and settings only, and resolves its traces
+        through :func:`repro.sim.engine.compiled_trace_for`.  Each
+        worker owns one pipe and gets its next cell when it returns
         one; cells arrive in completion order.
         """
-        mp_context = self._mp_context()
-        # Workers reproduce this process's runtime registrations
-        # through _init_worker, so every start method sees the same
-        # benchmark/configuration namespace (fork used to be the only
-        # one that did; spawn silently dropped them).
-        state = _registry_state(
-            require_picklable=mp_context.get_start_method() != "fork"
-        )
+        mp_context = multiprocessing.get_context("fork")
         settings = self._settings()
         jobs = deque((indices, [scenarios[i] for i in indices]) for indices in cells)
         workers = {}  # parent end of a worker's pipe -> its process
@@ -534,7 +411,7 @@ class Orchestrator:
                 conn, worker_conn = mp_context.Pipe()
                 worker = mp_context.Process(
                     target=_worker_main,
-                    args=(worker_conn, state, settings),
+                    args=(worker_conn, settings),
                     daemon=True,
                 )
                 worker.start()

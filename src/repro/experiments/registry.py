@@ -1,20 +1,13 @@
-"""Decorator-based registries for the scenario API.
+"""The decorator-based configuration registry of the scenario API.
 
-Three registries name the pluggable pieces of an experiment:
-
-* :data:`CONFIGURATIONS` — full run-level factories.  An entry maps a
-  configuration name (``"sync"``, ``"attack_decay"``, ``"dynamic_1"``,
-  ``"global@640.000"``) to a factory called as
-  ``factory(ctx, benchmark, **params)`` that returns either a
-  :class:`~repro.sim.engine.SimulationSpec` (the common case) or a
-  finished :class:`~repro.metrics.summary.RunSummary` (for
-  configurations that search over several runs, e.g. the off-line
-  Dynamic algorithm).
-* :data:`CONTROLLERS` — frequency-controller factories by name,
-  ``factory(**params) -> FrequencyController | None``.
-* :data:`CLOCKING_MODES` — named clocking styles mapping to the
-  :class:`~repro.sim.engine.SimulationSpec` keyword arguments that
-  select them.
+:data:`CONFIGURATIONS` names the run-level factories of an experiment.
+An entry maps a configuration name (``"sync"``, ``"attack_decay"``,
+``"dynamic_1"``, ``"global@640.000"``) to a factory called as
+``factory(ctx, benchmark, **params)`` that returns either a
+:class:`~repro.sim.engine.SimulationSpec` (the common case) or a
+finished :class:`~repro.metrics.summary.RunSummary` (for
+configurations that search over several runs, e.g. the off-line
+Dynamic algorithm).
 
 Entries may register a *parser* so parameterised names resolve too:
 ``dynamic_5`` or ``global@725.000`` match a pattern entry and yield the
@@ -104,36 +97,6 @@ class Registry:
         """All registered names, sorted."""
         return sorted(self._entries)
 
-    def snapshot(self) -> list[tuple[str, Callable, NameParser | None]]:
-        """Every entry as ``(name, factory, parser)`` triples.
-
-        Used by the orchestrator to ship runtime registrations to
-        worker processes whose start method does not inherit this
-        process's state (spawn/forkserver).
-        """
-        return [
-            (name, factory, self._parsers.get(name))
-            for name, factory in self._entries.items()
-        ]
-
-    def restore(
-        self, entries: list[tuple[str, Callable, NameParser | None]]
-    ) -> None:
-        """Merge snapshot ``entries``, skipping names already present.
-
-        Import-time registrations re-run in every process, so a worker
-        already has the built-ins; only the parent's *runtime*
-        additions are actually missing.  Present names win (the worker
-        re-imported the same module the parent did), which also makes
-        the restore idempotent under fork.
-        """
-        for name, factory, parser in entries:
-            if name in self._entries:
-                continue
-            self._entries[name] = factory
-            if parser is not None:
-                self._parsers[name] = parser
-
     def __contains__(self, name: str) -> bool:
         try:
             self.resolve(name)
@@ -151,28 +114,12 @@ class Registry:
 #: Run-level configuration factories (the paper's vocabulary).
 CONFIGURATIONS = Registry("configuration")
 
-#: Frequency-controller factories by name.
-CONTROLLERS = Registry("controller")
-
-#: Named clocking styles -> SimulationSpec keyword arguments.
-CLOCKING_MODES = Registry("clocking mode")
-
 
 def register_configuration(
     name: str, *, parse: NameParser | None = None
 ) -> Callable[[Callable], Callable]:
     """Register a run-level configuration factory (decorator)."""
     return CONFIGURATIONS.register(name, parse=parse)
-
-
-def register_controller(name: str) -> Callable[[Callable], Callable]:
-    """Register a frequency-controller factory (decorator)."""
-    return CONTROLLERS.register(name)
-
-
-def register_clocking_mode(name: str) -> Callable[[Callable], Callable]:
-    """Register a clocking mode (decorator over a spec-kwargs factory)."""
-    return CLOCKING_MODES.register(name)
 
 
 def configuration_names() -> list[str]:

@@ -89,18 +89,21 @@ class TraceCache(FlightMemo):
     thread builds while the others wait and then reuse the result,
     because building a trace (generate + columnise) is exactly the
     expensive work the cache exists to avoid repeating.
+
+    Every lookup sizes the cache from ``REPRO_TRACE_CACHE``
+    (:func:`trace_cache_entries`), so it always holds the bound an
+    :class:`~repro.experiments.orchestrator.Orchestrator` last
+    validated, and a malformed value surfaces as an ExperimentError
+    inside run handling, not as an import-time crash of every entry
+    point.  A smaller bound evicts at the next build.
     """
 
-    def __init__(self, entries: int | None = None) -> None:
-        # None defers to REPRO_TRACE_CACHE, resolved on first use so a
-        # malformed value surfaces as an ExperimentError inside run
-        # handling, not as an import-time crash of every entry point.
-        super().__init__(0 if entries is None else max(1, entries))
+    def __init__(self) -> None:
+        super().__init__(0)
 
     def get_or_build(self, key: str, build) -> CompiledTrace:
         """The cached trace under ``key``, building it at most once."""
-        if not self._items.entries:
-            self._items.entries = trace_cache_entries()
+        self._items.entries = trace_cache_entries()
         return super().get_or_build(key, build)
 
 
@@ -179,9 +182,6 @@ class SimulationSpec:
         :attr:`clock_seed`).
     record_intervals:
         Keep the per-interval log (Figures 2/3).
-    warmup:
-        Replay the head of the trace through predictor/caches before
-        timing, approximating the paper's warm mid-execution windows.
     path:
         Interpreter selection: ``"native"`` runs the C loop over the
         compiled trace and requires the extension; ``"python"`` runs
@@ -209,7 +209,6 @@ class SimulationSpec:
     scale: float = 1.0
     seed: int = 1
     record_intervals: bool = False
-    warmup: bool = True
     memory_tracks_global: bool = False
     path: str = "auto"
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
@@ -288,15 +287,17 @@ def _build_core(spec: SimulationSpec) -> tuple[MCDCore, object]:
 
 
 def run_spec(spec: SimulationSpec) -> CoreResult:
-    """Execute one simulation run."""
+    """Execute one simulation run.
+
+    The core first replays the whole trace through its predictor and
+    caches, approximating the paper's warm mid-execution windows.  The
+    timed trace doubles as the warm-up stream: a compiled trace is
+    replayed directly from its columns, and a generator trace is
+    deterministic (each blocks() call replays it from the seed), so
+    building a second copy would only duplicate the phase bookkeeping.
+    """
     core, trace = _build_core(spec)
-    if spec.warmup:
-        # The timed trace doubles as the warm-up stream: a compiled
-        # trace is replayed directly from its columns, and a generator
-        # trace is deterministic (each blocks() call replays it from
-        # the seed), so building a second copy would only duplicate
-        # the phase bookkeeping.
-        core.warm_up(trace, limit=trace.total_instructions)
+    core.warm_up(trace, limit=trace.total_instructions)
     return core.run()
 
 
@@ -333,8 +334,7 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
     finishes = []
     for spec in specs:
         core, trace = _build_core(spec)
-        if spec.warmup:
-            core.warm_up(trace, limit=trace.total_instructions)
+        core.warm_up(trace, limit=trace.total_instructions)
         args, finish = core.native_marshal()
         args_vector.append(args)
         finishes.append(finish)

@@ -618,33 +618,6 @@ def all_benchmarks() -> dict[str, BenchmarkSpec]:
     return {**BENCHMARKS, **_EXTRA_BENCHMARKS}
 
 
-def runtime_benchmark_snapshot() -> dict[str, BenchmarkSpec]:
-    """The workloads registered at runtime (derived catalog excluded).
-
-    The Table 5 catalog and the derived catalog re-materialise from
-    imports in any process; only these entries are process-local state
-    a spawn-context orchestrator worker would otherwise miss.
-    """
-    _load_derived()
-    from repro.workloads.derived import DERIVED_BENCHMARKS
-
-    return {
-        name: spec
-        for name, spec in _EXTRA_BENCHMARKS.items()
-        if name not in DERIVED_BENCHMARKS
-    }
-
-
-def restore_runtime_benchmarks(snapshot: dict[str, BenchmarkSpec]) -> None:
-    """Re-register a :func:`runtime_benchmark_snapshot` in this process.
-
-    ``replace=True`` keeps the restore idempotent under fork (where the
-    entries are inherited and already present).
-    """
-    for spec in snapshot.values():
-        register_benchmark(spec, replace=True)
-
-
 def is_known_benchmark(name: str) -> bool:
     """Whether ``name`` resolves to a runnable workload."""
     if name in BENCHMARKS:

@@ -165,15 +165,6 @@ class Phase:
 
         return replace(self, instructions=max(1, round(self.instructions * factor)))
 
-    def __getstate__(self):
-        # The shared mix constants are MappingProxyType, which cannot
-        # pickle; materialise a plain dict so phases (and therefore
-        # BenchmarkSpecs) cross process boundaries — the orchestrator
-        # ships runtime-registered workloads to spawn-context workers.
-        state = dict(self.__dict__)
-        state["mix"] = dict(self.mix)
-        return state
-
 
 def total_instructions(phases: list[Phase]) -> int:
     """Sum of phase lengths."""

@@ -13,9 +13,9 @@ controller variant.  This module locks that property down:
   :func:`~repro.sim.engine.run_spec` and the pure-Python reference
   interpreter (>= 30 compared cases in total);
 * an orchestrator-level differential: serial / thread / process
-  backends x batch sizes {1, 3, matrix, > matrix}, fork, spawn and
-  forkserver, all equal to the serial per-run reference, with
-  per-scenario error isolation inside a batch cell;
+  backends x batch sizes {1, 3, matrix, > matrix}, all equal to the
+  serial per-run reference, with per-scenario error isolation inside a
+  batch cell;
 * process workers resolving their own traces through
   :func:`~repro.sim.engine.compiled_trace_for` — the owner builds
   none, workers fill, reuse and repair the disk store, inherit the
@@ -194,26 +194,23 @@ class TestBatchedBackends:
         return results.to_dict()
 
     @pytest.mark.parametrize(
-        "backend,workers,batch,start_method",
+        "backend,workers,batch",
         [
-            ("serial", 1, 3, None),
-            ("serial", 1, 8, None),
-            ("thread", 2, 3, None),
-            ("thread", 2, 8, None),
-            ("process", 2, 1, None),
-            ("process", 2, 3, None),
-            ("process", 2, 99, None),  # batch > matrix clamps, still one cell set
-            ("process", 2, 8, "spawn"),
-            ("process", 2, 8, "forkserver"),
+            ("serial", 1, 3),
+            ("serial", 1, 8),
+            ("thread", 2, 3),
+            ("thread", 2, 8),
+            ("process", 2, 1),
+            ("process", 2, 3),
+            ("process", 2, 99),  # batch > matrix clamps, still one cell set
         ],
     )
     def test_backend_batch_matches_serial(
-        self, suite, serial_reference, backend, workers, batch, start_method,
-        tmp_path,
+        self, suite, serial_reference, backend, workers, batch, tmp_path,
     ):
         results = Orchestrator(
             workers=workers, backend=backend, batch=batch,
-            start_method=start_method, cache_dir=tmp_path, use_cache=False,
+            cache_dir=tmp_path, use_cache=False,
         ).run(suite)
         assert not results.errors, [o.error for o in results.errors]
         assert results.to_dict() == serial_reference
@@ -464,9 +461,9 @@ def worker_reference(worker_suite, tmp_path_factory):
     return results.to_dict()
 
 
-def _process_sweep(suite, tmp_path, start_method="fork", scenarios=None):
+def _process_sweep(suite, tmp_path, scenarios=None):
     return Orchestrator(
-        workers=2, backend="process", batch=2, start_method=start_method,
+        workers=2, backend="process", batch=2,
         cache_dir=tmp_path / "results", use_cache=False,
     ).run(suite if scenarios is None else scenarios)
 
@@ -587,13 +584,31 @@ class TestWorkersResolveTheirOwnTraces:
 class TestProcessSweepsLeaveNoWorkers:
     """However a process sweep ends, its pool is terminated and joined."""
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_finished_sweep_joins_its_workers(
-        self, worker_suite, worker_reference, start_method, tmp_path
+        self, worker_suite, worker_reference, tmp_path
     ):
-        results = _process_sweep(worker_suite, tmp_path, start_method)
+        results = _process_sweep(worker_suite, tmp_path)
         assert results.to_dict() == worker_reference
         assert multiprocessing.active_children() == []
+
+    def test_workers_ignore_an_inherited_sigterm_handler(
+        self, worker_suite, worker_reference, tmp_path, capfd
+    ):
+        # Forked workers inherit this process's signal handlers.  One
+        # that turns SIGTERM into KeyboardInterrupt must not make the
+        # teardown's terminate print a traceback from every worker.
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGTERM, interrupt)
+        try:
+            results = _process_sweep(worker_suite, tmp_path)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert results.to_dict() == worker_reference
+        assert multiprocessing.active_children() == []
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "KeyboardInterrupt" not in err
 
     def test_workers_joined_after_a_scenario_fails(self, worker_suite, tmp_path):
         from repro.experiments import CONFIGURATIONS, register_configuration

@@ -94,9 +94,13 @@ class TestCampaignSpec:
             CampaignSpec.load(path)
 
     def test_unknown_key_raises(self, tmp_path):
-        text = SMALL_CAMPAIGN.replace("benchmarks =", "bencmarks =")
-        with pytest.raises(CampaignError, match="bencmarks"):
-            CampaignSpec.load(write_campaign(tmp_path, text))
+        for text, key in (
+            (SMALL_CAMPAIGN.replace("benchmarks =", "bencmarks ="), "bencmarks"),
+            # Process workers always fork: there is no start method to pick.
+            (SMALL_CAMPAIGN + 'start_method = "spawn"\n', "start_method"),
+        ):
+            with pytest.raises(CampaignError, match=key):
+                CampaignSpec.load(write_campaign(tmp_path, text))
 
     @pytest.mark.parametrize(
         "mutation, message",

@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.uarch import native
 
 
 class TestParser:
@@ -72,17 +73,72 @@ class TestExecution:
         assert "476" in out
         assert "2016" in out or "2,016" in out
 
-    def test_run_tiny(self, capsys):
-        assert main(["run", "adpcm", "--scale", "0.05", "--algorithm", "none"]) == 0
+    @pytest.mark.parametrize(
+        "algorithm", ["attack-decay", "fixed", "global_dvfs", "none"]
+    )
+    def test_run_tiny(self, capsys, algorithm):
+        assert main(
+            ["run", "adpcm", "--scale", "0.05", "--algorithm", algorithm]
+        ) == 0
         out = capsys.readouterr().out
+        assert f"configuration:  mcd / {algorithm}" in out
         assert "CPI:" in out
         assert "final domain frequencies" in out
 
-    def test_run_unknown_benchmark_raises(self):
-        from repro.errors import WorkloadError
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            pytest.param(
+                ["run", "nonesuch"], {}, "run: error: unknown benchmark 'nonesuch'",
+                id="run-unknown-benchmark",
+            ),
+            pytest.param(
+                ["run", "adpcm", "--scale", "-1"], {},
+                "run: error: scale must be positive",
+                id="run-negative-scale",
+            ),
+            pytest.param(
+                ["run", "adpcm", "--scale", "0.05"], {"REPRO_TRACE_CACHE": "lots"},
+                "run: error: malformed REPRO_TRACE_CACHE 'lots'",
+                id="run-malformed-trace-cache",
+                # The reference interpreter runs no compiled trace, so it
+                # never reads the trace cache's size.
+                marks=pytest.mark.skipif(
+                    native.load_hotpath() is None, reason="no native loop"
+                ),
+            ),
+            pytest.param(
+                ["export-trace", "nonesuch", "x.npz"], {},
+                "export-trace: error: unknown benchmark 'nonesuch'",
+                id="export-unknown-benchmark",
+            ),
+        ],
+    )
+    def test_user_error_exits_2(
+        self, capsys, monkeypatch, tmp_path, argv, env, message
+    ):
+        """main() is one error boundary: message on stderr, exit 2."""
+        monkeypatch.chdir(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
-        with pytest.raises(WorkloadError):
-            main(["run", "nonesuch"])
+    def test_list_configurations(self, capsys):
+        from repro.experiments import CONFIGURATIONS
+
+        assert main(["list-configurations"]) == 0
+        out = capsys.readouterr().out
+        assert "Configurations" in out
+        for name in CONFIGURATIONS:
+            assert name in out
+        assert "Controllers" not in out
+        assert "Clocking modes" not in out
+        assert "Parameterised names resolve too" in out
 
     def test_list_scenarios(self, capsys):
         assert main(["list-scenarios"]) == 0
@@ -165,12 +221,6 @@ class TestSweepErrorPaths:
         rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync"])
         assert rc == 2
         assert "REPRO_BATCH" in capsys.readouterr().err
-
-    def test_malformed_repro_start_method(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_START_METHOD", "teleport")
-        rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync"])
-        assert rc == 2
-        assert "REPRO_START_METHOD" in capsys.readouterr().err
 
     def test_malformed_repro_trace_cache(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "lots")
@@ -270,16 +320,22 @@ class TestTraceCommands:
         )
         assert replayed == original
 
-    def test_export_unknown_benchmark(self, tmp_path):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            main(["export-trace", "nonesuch", str(tmp_path / "x.etf")])
-
     def test_import_missing_file(self, tmp_path, capsys):
         rc = main(["import-trace", str(tmp_path / "absent.etf")])
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_import_cannot_shadow_a_catalog_benchmark(self, tmp_path, capsys):
+        path = tmp_path / "adpcm.etf"
+        assert main(["export-trace", "adpcm", str(path), "--scale", "0.05"]) == 0
+        capsys.readouterr()
+        rc = main(["import-trace", str(path), "--register-as", "gsm", "--run"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "import-trace: error: cannot shadow catalog benchmark 'gsm'\n"
+        )
+        assert captured.out == ""
 
     def test_import_garbage_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.etf"

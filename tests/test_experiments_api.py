@@ -262,53 +262,56 @@ class TestOrchestrator:
             p.name for p in (tmp_path / "par").iterdir()
         )
 
-    def test_forced_spawn_reproduces_fork_over_runtime_registration(
-        self, tmp_path
-    ):
-        """Regression: spawn workers silently dropped runtime workloads.
+    def test_forked_workers_see_runtime_registrations(self, tmp_path):
+        """Process workers inherit what this process registered at runtime.
 
-        The orchestrator hard-coded the fork start method because
-        spawn re-imports only the built-ins; the fix ships a registry
-        snapshot through the pool initializer.  A runtime-registered
-        workload must therefore run — and produce the same summaries —
-        under a forced-spawn pool as under fork/serial.
+        A workload and a configuration registered after import run in
+        forked workers exactly as they run serially.
         """
-        import multiprocessing
-
         from repro.workloads import algebra
         from repro.workloads.catalog import get_benchmark, register_benchmark
 
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn start method unavailable")
         register_benchmark(
-            algebra.scale(get_benchmark("adpcm"), 0.5, name="spawn_reg_bench"),
+            algebra.scale(get_benchmark("adpcm"), 0.5, name="fork_reg_bench"),
             replace=True,
         )
+
+        @register_configuration("fork_reg_config")
+        def half_speed_lsq(ctx, benchmark, scale, seed):
+            """MCD with the load/store domain pinned at half frequency."""
+            from repro.config.mcd import Domain
+            from repro.control.fixed import FixedFrequencyController
+
+            return SimulationSpec(
+                benchmark=benchmark,
+                controller=FixedFrequencyController({Domain.LOAD_STORE: 500.0}),
+                scale=scale,
+                seed=seed,
+            )
+
         matrix = [
-            Scenario("spawn_reg_bench", "sync"),
-            Scenario("spawn_reg_bench", "mcd_base"),
+            Scenario("fork_reg_bench", "sync"),
+            Scenario("fork_reg_bench", "fork_reg_config"),
+            Scenario("adpcm", "fork_reg_config"),
             Scenario("adpcm", "attack_decay"),
         ]
-        spawned = Orchestrator(
-            workers=2,
-            cache_dir=tmp_path / "spawn",
-            scale=SCALE,
-            use_cache=False,
-            start_method="spawn",
-        ).run(matrix)
-        assert not spawned.errors, [o.error for o in spawned.errors]
-        serial = Orchestrator(
-            workers=1, cache_dir=tmp_path / "serial", scale=SCALE, use_cache=False
-        ).run(matrix)
-        assert [o.record.summary for o in spawned] == [
-            o.record.summary for o in serial
-        ]
-
-    def test_unknown_start_method_raises(self, tmp_path):
-        with pytest.raises(ExperimentError, match="start method"):
-            Orchestrator(
-                workers=2, cache_dir=tmp_path, scale=SCALE, start_method="warp"
-            ).run([Scenario("adpcm", "sync"), Scenario("gsm", "sync")])
+        try:
+            forked = Orchestrator(
+                workers=2,
+                backend="process",
+                batch=1,
+                cache_dir=tmp_path / "fork",
+                scale=SCALE,
+                use_cache=False,
+            ).run(matrix)
+            serial = Orchestrator(
+                workers=1, cache_dir=tmp_path / "serial", scale=SCALE, use_cache=False
+            ).run(matrix)
+        finally:
+            CONFIGURATIONS.unregister("fork_reg_config")
+        assert not forked.errors, [o.error for o in forked.errors]
+        assert not serial.errors, [o.error for o in serial.errors]
+        assert forked.to_dict() == serial.to_dict()
 
     def test_rerun_hits_cache(self, tmp_path):
         suite = Suite(

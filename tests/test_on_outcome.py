@@ -24,11 +24,7 @@ from repro.experiments.scenario import Suite
 
 SCALE = 0.02
 
-BACKENDS = [
-    pytest.param("serial", None, id="serial"),
-    pytest.param("thread", None, id="thread"),
-    pytest.param("process", "fork", id="process"),
-]
+BACKENDS = ["serial", "thread", "process"]
 
 PROGRESS_LINE = re.compile(r"^\[\d+/\d+\] ")
 
@@ -51,15 +47,9 @@ def _no_sweep_threads_outlive(threads_before) -> bool:
     ]
 
 
-@pytest.mark.parametrize(
-    "backend,start_method",
-    BACKENDS + [pytest.param("process", "spawn", id="process-spawn")],
-)
-def test_callback_receives_the_result_sets_outcomes(backend, start_method, tmp_path):
-    knobs = dict(
-        backend=backend, workers=2, batch=2, scale=SCALE, use_cache=False,
-        start_method=start_method,
-    )
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_callback_receives_the_result_sets_outcomes(backend, tmp_path):
+    knobs = dict(backend=backend, workers=2, batch=2, scale=SCALE, use_cache=False)
     suite = Suite(["adpcm", "gsm"], ["sync", "mcd_base"], seeds=[1], scale=SCALE)
     reference = Orchestrator(cache_dir=tmp_path / "plain", **knobs).run(suite)
 
@@ -84,18 +74,8 @@ class CallbackStop(Exception):
     """Raised by a test callback to stop a sweep."""
 
 
-@pytest.mark.parametrize(
-    "backend,start_method",
-    [
-        pytest.param("serial", None, id="serial"),
-        pytest.param("thread", None, id="thread"),
-        pytest.param("process", "fork", id="process"),
-        pytest.param("process", "spawn", id="process-spawn"),
-    ],
-)
-def test_raising_callback_stops_the_sweep(
-    backend, start_method, tmp_path, monkeypatch
-):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_raising_callback_stops_the_sweep(backend, tmp_path, monkeypatch):
     suite = Suite(
         benchmarks=["adpcm", "gsm", "phase_thrash"],
         configurations=["sync", "mcd_base"],
@@ -119,8 +99,7 @@ def test_raising_callback_stops_the_sweep(
 
     orchestrator = Orchestrator(
         backend=backend, workers=2, batch=1, scale=SCALE,
-        start_method=start_method, cache_dir=tmp_path, use_cache=False,
-        on_outcome=stop_on_first,
+        cache_dir=tmp_path, use_cache=False, on_outcome=stop_on_first,
     )
     with pytest.raises(CallbackStop) as stopped:
         orchestrator.run(suite)
@@ -156,10 +135,8 @@ def test_serial_per_run_sweep_announces_in_matrix_order(tmp_path):
     assert cells == list(range(len(suite.expand())))
 
 
-@pytest.mark.parametrize("backend,start_method", BACKENDS)
-def test_each_outcome_is_logged_before_its_callback(
-    backend, start_method, tmp_path, caplog
-):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_each_outcome_is_logged_before_its_callback(backend, tmp_path, caplog):
     suite = Suite(
         ["adpcm", "gsm"], ["sync", "mcd_base"], seeds=[1, 2], scale=SCALE,
         name="logged",
@@ -173,8 +150,7 @@ def test_each_outcome_is_logged_before_its_callback(
     with caplog.at_level(logging.INFO, logger="repro.experiments.orchestrator"):
         Orchestrator(
             backend=backend, workers=2, batch=1, scale=SCALE,
-            start_method=start_method, cache_dir=tmp_path, use_cache=False,
-            on_outcome=on_outcome,
+            cache_dir=tmp_path, use_cache=False, on_outcome=on_outcome,
         ).run(suite)
 
     # When the k-th callback runs, the k-th progress line -- counting in
@@ -187,8 +163,8 @@ def test_each_outcome_is_logged_before_its_callback(
     assert len(_progress_lines(caplog.records)) == total
 
 
-@pytest.mark.parametrize("backend,start_method", BACKENDS)
-def test_failed_outcomes_reach_the_callback(backend, start_method, tmp_path, caplog):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_failed_outcomes_reach_the_callback(backend, tmp_path, caplog):
     # ``global@100`` is below the configured frequency range: its core
     # fails to build, which the run captures into a failed outcome.
     suite = Suite(
@@ -203,8 +179,7 @@ def test_failed_outcomes_reach_the_callback(backend, start_method, tmp_path, cap
     with caplog.at_level(logging.INFO, logger="repro.experiments.orchestrator"):
         results = Orchestrator(
             backend=backend, workers=2, batch=1, scale=SCALE,
-            start_method=start_method, cache_dir=tmp_path, use_cache=False,
-            on_outcome=on_outcome,
+            cache_dir=tmp_path, use_cache=False, on_outcome=on_outcome,
         ).run(suite)
 
     # The failures do not stop the sweep, and the callback sees them
@@ -222,10 +197,8 @@ def test_failed_outcomes_reach_the_callback(backend, start_method, tmp_path, cap
     assert all(seen[cell].error for cell in (1, 3))
 
 
-@pytest.mark.parametrize("backend,start_method", BACKENDS)
-def test_interrupt_from_the_callback_is_logged_and_reraised(
-    backend, start_method, tmp_path, caplog
-):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_interrupt_from_the_callback_is_logged_and_reraised(backend, tmp_path, caplog):
     # The campaign checkpoint interrupts this way: Ctrl-C landing in
     # the journal write surfaces as a KeyboardInterrupt from the
     # callback.
@@ -245,7 +218,7 @@ def test_interrupt_from_the_callback_is_logged_and_reraised(
         with pytest.raises(KeyboardInterrupt):
             Orchestrator(
                 backend=backend, workers=2, batch=1, scale=SCALE,
-                start_method=start_method, cache_dir=tmp_path, use_cache=False,
+                cache_dir=tmp_path, use_cache=False,
                 on_outcome=interrupt_on_second,
             ).run(suite)
 
@@ -277,7 +250,7 @@ def test_process_workers_run_every_cell_in_one_context(tmp_path, monkeypatch):
     )
     results = Orchestrator(
         backend="process", workers=2, batch=1, scale=SCALE,
-        start_method="fork", cache_dir=tmp_path / "cache", use_cache=False,
+        cache_dir=tmp_path / "cache", use_cache=False,
     ).run(suite)
 
     assert all(o.ok for o in results.outcomes)

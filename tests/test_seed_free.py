@@ -129,7 +129,6 @@ def test_two_seed_sweep_builds_five_cores_per_benchmark(backend, batch, cores_bu
     assert cores_built() == 6 * 2  # the oracle runs every seed
     results = Orchestrator(
         workers=2, backend=backend, batch=batch, scale=SCALE, use_cache=False,
-        start_method="fork" if backend == "process" else None,
     ).run(scenarios)
     assert not results.errors, [o.error for o in results.errors]
     assert cores_built() - 12 == 5 * 2

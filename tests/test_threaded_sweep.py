@@ -185,8 +185,9 @@ class TestSharedTraceStress:
 
 
 class TestTraceCache:
-    def test_single_flight_builds_once(self):
-        cache = TraceCache(entries=4)
+    def test_single_flight_builds_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "4")
+        cache = TraceCache()
         builds = []
         gate = threading.Event()
 
@@ -212,8 +213,9 @@ class TestTraceCache:
         assert results == ["trace"] * 6
         assert cache.hits == 5 and cache.misses == 1
 
-    def test_lru_bound_evicts_oldest(self):
-        cache = TraceCache(entries=2)
+    def test_lru_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        cache = TraceCache()
         for i in range(3):
             cache.get_or_build(("k", i), lambda i=i: f"t{i}")
         assert cache.evictions == 1
@@ -223,8 +225,9 @@ class TestTraceCache:
         assert rebuilt == [1]
         cache.get_or_build(("k", 2), lambda: pytest.fail("should be cached"))
 
-    def test_failed_build_releases_waiters(self):
-        cache = TraceCache(entries=2)
+    def test_failed_build_releases_waiters(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        cache = TraceCache()
 
         def boom():
             raise RuntimeError("build failed")
@@ -250,6 +253,21 @@ class TestTraceCache:
         for i in range(3):
             cache.get_or_build(("k", i), lambda i=i: f"t{i}")
         assert cache.evictions == 1 and len(cache._items) == 2
+
+    def test_capacity_follows_the_environment_on_every_use(self, monkeypatch):
+        """The size the Orchestrator just validated is the size in force."""
+        cache = TraceCache()
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
+        cache.get_or_build(("k", 0), lambda: "t0")
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "3")
+        for i in range(1, 4):
+            cache.get_or_build(("k", i), lambda i=i: f"t{i}")
+        assert cache._items.entries == 3 and len(cache._items) == 3
+        # A smaller bound evicts down to itself at the next build.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
+        cache.get_or_build(("k", 4), lambda: "t4")
+        assert cache._items.entries == 2 and len(cache._items) == 2
+        assert cache.evictions == 3
 
     def test_default_capacity_holds_the_catalog(self, monkeypatch):
         """Table 6's Global searches cycle every benchmark once per step."""
@@ -373,10 +391,6 @@ class TestBackendSelection:
         assert orchestrator._resolve_backend(total=1) == "serial"
         assert Orchestrator(workers=1, backend="thread")._resolve_backend(4) == "serial"
         assert Orchestrator(workers=4, backend="serial")._resolve_backend(4) == "serial"
-
-    def test_auto_with_start_method_means_processes(self):
-        orchestrator = Orchestrator(workers=4, start_method="spawn")
-        assert orchestrator._resolve_backend(total=4) == "process"
 
     @pytest.mark.skipif(native.load_hotpath() is None, reason="no native loop")
     def test_auto_picks_threads_with_native_loop(self):
